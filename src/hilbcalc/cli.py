@@ -2,7 +2,8 @@
 example suites.
 
 Exit status: 0 when every command succeeds and every verification
-passes, 1 on a verification failure, 2 on a lex/parse/semantic error.
+passes, 1 on a verification failure, 2 on a lex/parse/semantic error
+or an invalid option.
 JSON reports are byte-identical for identical (script, seed, trials):
 elapsed time is shown on the human side only.
 """
@@ -218,7 +219,7 @@ def _run_admissible(env: _Env, cmd: AdmissibleCmd, opts: Options) -> dict:
         "module": cmd.module,
         "forms": cmd.forms,
         "verdict": cert.verdict,
-        "witness": _forms_json(cert.witness),
+        "witness": None if cert.witness is None else _forms_json(cert.witness),
         "trials_used": cert.trials_used,
         "ok": cert.verdict == CERTIFIED,
     }
@@ -649,10 +650,20 @@ def _default_seed() -> int:
         raise SystemExit(f"error: HILBCALC_SEED must be an integer, got {raw!r}")
 
 
+def _at_least_one(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser(default_seed: int) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=default_seed)
-    common.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    common.add_argument("--trials", type=_at_least_one, default=DEFAULT_TRIALS)
     common.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
     common.add_argument("--json", action="store_true")
     common.add_argument("--quiet", action="store_true")

@@ -485,7 +485,12 @@ class _Parser:
         coeff = Fraction(1)
         if tok.kind in ("int", "rat"):
             self.advance()
-            coeff = Fraction(tok.text)
+            try:
+                coeff = Fraction(tok.text)
+            except ZeroDivisionError:
+                raise SemanticError(
+                    f"zero denominator in literal {tok.text}", tok.line, tok.column
+                ) from None
             if self.peek().kind == "*":
                 self.advance()
         factors = 0

@@ -374,10 +374,9 @@ class PolyIdeal:
 
     Generators are homogeneous; the unit ideal and the zero ideal are
     both admitted so that colon and quotient constructions stay closed.
-    Groebner bases are cached per term order.
     """
 
-    __slots__ = ("ring_dim", "generators", "_gb_cache", "_cached_key")
+    __slots__ = ("ring_dim", "generators", "_cached_key")
 
     def __init__(self, ring_dim: int, generators: Iterable[Polynomial] = ()):
         self.ring_dim = ring_dim
@@ -405,7 +404,6 @@ class PolyIdeal:
         if is_unit:
             gens = [Polynomial.one(ring_dim)]
         self.generators = tuple(gens)
-        self._gb_cache: dict[str, tuple[Polynomial, ...]] = {}
         self._cached_key = None
 
     @property
@@ -570,21 +568,14 @@ def _reduced_basis(
 
 
 def buchberger(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> tuple[Polynomial, ...]:
-    """Reduced monic Groebner basis of I, cached per order."""
+    """Reduced monic Groebner basis of I."""
     order = order or DegRevLex(I.ring_dim)
-    token = order.cache_token()
-    hit = I._gb_cache.get(token)
-    if hit is not None:
-        return hit
     if I.is_monomial:
-        basis = tuple(
+        return tuple(
             Polynomial.from_monomial(I.ring_dim, m)
             for m in sorted(I.monomial_exponents(), key=order.key, reverse=True)
         )
-    else:
-        basis = _reduced_basis(I.generators, I.ring_dim, order)
-    I._gb_cache[token] = basis
-    return basis
+    return _reduced_basis(I.generators, I.ring_dim, order)
 
 
 def initial_ideal(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> PolyIdeal:

@@ -13,6 +13,7 @@ their initial ideal first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from hilbcalc.polyring import (
     DegRevLex,
@@ -104,19 +105,8 @@ def series_of_resolution(P: ResolutionPresentation) -> HilbertSeries:
     return P._series()
 
 
-_MONOMIAL_VAR_CACHE: dict[tuple[int, frozenset[Monomial]], IntPolynomial] = {}
-
-
+@lru_cache(maxsize=None)
 def _numerator_of_monomial(d: int, exps: frozenset[Monomial]) -> IntPolynomial:
-    hit = _MONOMIAL_VAR_CACHE.get((d, exps))
-    if hit is not None:
-        return hit
-    result = _numerator_of_monomial_uncached(d, exps)
-    _MONOMIAL_VAR_CACHE[(d, exps)] = result
-    return result
-
-
-def _numerator_of_monomial_uncached(d: int, exps: frozenset[Monomial]) -> IntPolynomial:
     if not exps:
         return IntPolynomial.one()
     zero_exp = (0,) * d
@@ -152,27 +142,26 @@ def series_of_monomial_quotient(d: int, I: PolyIdeal) -> HilbertSeries:
     return HilbertSeries(d, _numerator_of_monomial(d, I.monomial_exponents()))
 
 
-_SERIES_CACHE: dict[tuple, HilbertSeries] = {}
+# unshifted series of R/I, keyed on I.canonical_key(); the only route to
+# buchberger inside the package
+_IDEAL_SERIES: dict[tuple, HilbertSeries] = {}
 
 
 def series_of_cyclic(M: CyclicModule) -> HilbertSeries:
     """Series of (R/I)(-r); non-monomial ideals go through initial ideals."""
-    key = M.key()
-    hit = _SERIES_CACHE.get(key)
-    if hit is not None:
-        return hit
     I = M.ideal
-    d = M.ring_dim
-    if I.is_monomial:
-        base = series_of_monomial_quotient(d, I)
-    else:
-        basis = buchberger(I, DegRevLex(d))
-        order = DegRevLex(d)
-        exps = frozenset(g.leading(order)[0] for g in basis)
-        base = HilbertSeries(d, _numerator_of_monomial(d, minimalize_exponents(exps)))
-    result = shift(base, M.shift)
-    _SERIES_CACHE[key] = result
-    return result
+    key = I.canonical_key()
+    base = _IDEAL_SERIES.get(key)
+    if base is None:
+        d = M.ring_dim
+        if I.is_monomial:
+            base = series_of_monomial_quotient(d, I)
+        else:
+            order = DegRevLex(d)
+            exps = frozenset(g.leading(order)[0] for g in buchberger(I, order))
+            base = HilbertSeries(d, _numerator_of_monomial(d, minimalize_exponents(exps)))
+        _IDEAL_SERIES[key] = base
+    return shift(base, M.shift) if M.shift else base
 
 
 def module_dimension(M: CyclicModule) -> Dim:

@@ -9,7 +9,9 @@ so with both sides written over (1-t)^(d-1), the numerator of the
 socle series is just  h_quotient - h_M.  Superficiality of g means
 that difference has dimension <= 0, regularity means it vanishes,
 and its e_0 is the correction length that shows up in the defect
-formulas.  No colon Groebner bases on the hot path.
+formulas.  No colon Groebner bases on the hot path.  Every walk down
+successive quotients is one QuotientChain, so a search step builds its
+candidate's quotient once and keeps it when the candidate is accepted.
 
 Positive claims (regular, superficial, certified sequences) are exact.
 Negative claims that rest on exhausting random candidates are Monte
@@ -117,23 +119,71 @@ def quotient_module(
     return CyclicModule(M.ring_dim - 1, quotient_by_linear(M.ideal, f), M.shift), elim
 
 
-def socle_series(M: CyclicModule, g: LinearForm) -> HilbertSeries:
-    """Series of (0 :_M g), up to one harmless degree shift."""
-    base = M.drop_shift()
-    h1 = series_of_cyclic(base).numerator
-    quotient, _ = quotient_module(base, g)
-    h2 = series_of_cyclic(quotient).numerator
-    return HilbertSeries(base.ring_dim - 1, h2 - h1)
+@dataclass(frozen=True)
+class QuotientChain:
+    """The walk M -> M/f1M -> M/(f1,f2)M -> ... by linear forms.
+
+    modules[k] is the quotient after k cuts, presented in k fewer
+    variables with the shift of M carried; eliminations[k] is the
+    substitution of cut k + 1.  Start one with QuotientChain((M,)).
+    """
+
+    modules: tuple[CyclicModule, ...]
+    eliminations: tuple[LinearElimination, ...] = ()
+
+    @property
+    def last(self) -> CyclicModule:
+        return self.modules[-1]
+
+    def cut(self, f: LinearForm) -> "QuotientChain":
+        """The chain one step longer, cut by a form of the last ring."""
+        Q, elim = quotient_module(self.last, f)
+        return QuotientChain(self.modules + (Q,), self.eliminations + (elim,))
+
+    def push(self, f: LinearForm) -> Optional[LinearForm]:
+        """A form of the first ring mapped into the last; None once it dies."""
+        for elim in self.eliminations:
+            f = elim.map_form(f)
+            if f is None:
+                return None
+        return f
+
+    def pull(self, f: LinearForm) -> LinearForm:
+        """A form of the last ring lifted to the first, zero on the cut
+        variables."""
+        coeffs = list(f.coefficients)
+        for elim in reversed(self.eliminations):
+            coeffs.insert(elim.pivot, Fraction(0))
+        return LinearForm(tuple(coeffs))
 
 
-def is_superficial(M: CyclicModule, g: LinearForm) -> SuperficialityReport:
-    """Finite-length test: g is superficial iff (0 :_M g) has dim <= 0."""
-    D = socle_series(M, g)
+def _socle_cut(
+    chain: QuotientChain, g: LinearForm
+) -> tuple[HilbertSeries, QuotientChain]:
+    """Socle series of g on the chain's last module, and the chain cut by g."""
+    cut = chain.cut(g)
+    h1 = series_of_cyclic(chain.last.drop_shift()).numerator
+    h2 = series_of_cyclic(cut.last.drop_shift()).numerator
+    return HilbertSeries(cut.last.ring_dim, h2 - h1), cut
+
+
+def _superficiality(D: HilbertSeries) -> SuperficialityReport:
+    """g is superficial iff its socle series D has dimension <= 0."""
     if D.is_zero:
         return SuperficialityReport(True, True, 0)
     if series_dimension(D) <= 0:
         return SuperficialityReport(True, False, hilbert_coefficients(D).e(0))
     return SuperficialityReport(False, False, None)
+
+
+def socle_series(M: CyclicModule, g: LinearForm) -> HilbertSeries:
+    """Series of (0 :_M g), up to one harmless degree shift."""
+    return _socle_cut(QuotientChain((M,)), g)[0]
+
+
+def is_superficial(M: CyclicModule, g: LinearForm) -> SuperficialityReport:
+    """Finite-length test: g is superficial iff (0 :_M g) has dim <= 0."""
+    return _superficiality(socle_series(M, g))
 
 
 def is_regular(M: CyclicModule, f: LinearForm) -> bool:
@@ -153,28 +203,17 @@ def superficial_chain(
     the whole module; it is superficial only once the module has finite
     length.
     """
+    chain = QuotientChain((M,))
     reports: list[SuperficialityReport] = []
     modules: list[CyclicModule] = []
-    current = M
-    pending = list(gs)
-    while pending:
-        g = pending.pop(0)
+    for f in gs:
+        g = chain.push(f)
         if g is None:
-            S = series_of_cyclic(current.drop_shift())
-            if S.is_zero or series_dimension(S) <= 0:
-                reports.append(
-                    SuperficialityReport(
-                        True, S.is_zero, hilbert_coefficients(S).e(0)
-                    )
-                )
-            else:
-                reports.append(SuperficialityReport(False, False, None))
-            modules.append(current)
-            continue
-        reports.append(is_superficial(current, g))
-        current, elim = quotient_module(current, g)
-        modules.append(current)
-        pending = [elim.map_form(p) if p is not None else None for p in pending]
+            D = series_of_cyclic(chain.last.drop_shift())
+        else:
+            D, chain = _socle_cut(chain, g)
+        reports.append(_superficiality(D))
+        modules.append(chain.last)
     return tuple(reports), tuple(modules)
 
 
@@ -184,22 +223,19 @@ def is_ssop(M: CyclicModule, fs: Sequence[LinearForm]) -> bool:
     Forms that become zero along the way contribute no drop, so a
     dependent family can never pass.
     """
-    pending = list(fs)
-    if not pending:
+    if not fs:
         raise ValueError("need at least one form")
-    n = len(pending)
-    S = series_of_cyclic(M.drop_shift())
+    S = series_of_cyclic(M)
     if S.is_zero:
         return False
-    s = series_dimension(S)
-    current = M.drop_shift()
-    while pending:
-        f = pending.pop(0)
-        if f is None:
-            continue
-        current, elim = quotient_module(current, f)
-        pending = [elim.map_form(g) if g is not None else None for g in pending]
-    return series_dimension(series_of_cyclic(current)) == s - n
+    chain = QuotientChain((M,))
+    for f in fs:
+        g = chain.push(f)
+        if g is not None:
+            chain = chain.cut(g)
+    return series_dimension(series_of_cyclic(chain.last)) == (
+        series_dimension(S) - len(fs)
+    )
 
 
 def _combination_stream(
@@ -241,38 +277,29 @@ def find_superficial_sequence(
     if not forms_independent(fs) or not is_ssop(M, fs):
         return AdmissibilityCertificate(NOT_SSOP, None, 0)
     rng = random.Random(seed)
-    current = M.drop_shift()
-    basis_here = list(fs)
-    basis_orig = list(fs)
+    chain = QuotientChain((M.drop_shift(),))
+    basis = list(fs)
     witness: list[LinearForm] = []
     used = 0
     for _ in range(len(fs)):
-        k = len(basis_here)
-        dim_before = series_dimension(series_of_cyclic(current))
-        found = None
         failures = 0
-        for coeffs in _combination_stream(k, rng, bound):
-            g = form_combination(coeffs, basis_here)
-            if is_superficial(current, g):
-                found = (coeffs, g)
+        for coeffs in _combination_stream(len(basis), rng, bound):
+            # basis and cut forms span fs independently, so w survives the push
+            w = form_combination(coeffs, basis)
+            D, cut = _socle_cut(chain, chain.push(w))
+            if _superficiality(D):
                 break
             failures += 1
             used += 1
             if failures >= trials:
                 return AdmissibilityCertificate(PROBABLY_NOT_ADMISSIBLE, None, used)
-        coeffs, g = found
-        witness.append(form_combination(coeffs, basis_orig))
-        # retire the basis member the new form leans on hardest
-        p = max(range(k), key=lambda j: (abs(coeffs[j]), j))
-        current, elim = quotient_module(current, g)
-        if series_dimension(series_of_cyclic(current)) != dim_before - 1:
+        witness.append(w)
+        dim_before = series_dimension(series_of_cyclic(chain.last))
+        chain = cut
+        if series_dimension(series_of_cyclic(chain.last)) != dim_before - 1:
             raise RuntimeError("superficial quotient failed to drop dimension")
-        basis_here = [
-            elim.map_form(basis_here[j]) for j in range(k) if j != p
-        ]
-        basis_orig = [basis_orig[j] for j in range(k) if j != p]
-        if any(h is None for h in basis_here):
-            raise RuntimeError("complement basis collapsed under substitution")
+        # retire the basis member the new form leans on hardest
+        del basis[max(range(len(basis)), key=lambda j: (abs(coeffs[j]), j))]
     return AdmissibilityCertificate(CERTIFIED, tuple(witness), used)
 
 
@@ -325,36 +352,6 @@ def _screen_passes(screen, f: LinearForm) -> bool:
     return resid.rank == expected
 
 
-def _candidate_stream(
-    d: int, rng: random.Random, bound: int
-) -> Iterator[LinearForm]:
-    """Linear forms to try as regular elements: variables, signed pairs
-    of variables, then random small-coefficient forms."""
-    one = Fraction(1)
-    for j in range(d):
-        yield LinearForm(tuple(one if i == j else Fraction(0) for i in range(d)))
-    for a in range(d):
-        for b in range(a + 1, d):
-            for sb in (1, -1):
-                yield LinearForm(
-                    tuple(
-                        one if i == a else (Fraction(sb) if i == b else Fraction(0))
-                        for i in range(d)
-                    )
-                )
-    while True:
-        c = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(d))
-        if any(c):
-            yield LinearForm(c)
-
-
-def _pullback(f: LinearForm, var_map: Sequence[int], d0: int) -> LinearForm:
-    coeffs = [Fraction(0)] * d0
-    for k, c in enumerate(f.coefficients):
-        coeffs[var_map[k]] = c
-    return LinearForm(tuple(coeffs))
-
-
 _DEPTH_CACHE: dict[tuple, DepthCertificate] = {}
 
 
@@ -377,33 +374,33 @@ def depth(
     hit = _DEPTH_CACHE.get(key)
     if hit is not None:
         return hit
-    d0 = M.ring_dim
-    current = M.drop_shift()
-    var_map = list(range(d0))
-    chain: list[LinearForm] = []
+    chain = QuotientChain((M.drop_shift(),))
+    links: list[LinearForm] = []
     rng = random.Random(seed)
     while True:
-        S = series_of_cyclic(current)
+        S = series_of_cyclic(chain.last)
         if S.is_zero or series_dimension(S) <= 0:
-            cert = DepthCertificate(len(chain), tuple(chain), STOP_DIMENSION_ZERO, 0)
+            cert = DepthCertificate(len(links), tuple(links), STOP_DIMENSION_ZERO, 0)
             break
-        screen = _screen(current.ideal)
+        screen = _screen(chain.last.ideal)
         failures = 0
         found = None
-        for f in _candidate_stream(current.ring_dim, rng, bound):
-            if _screen_passes(screen, f) and is_regular(current, f):
-                found = f
-                break
+        for coeffs in _combination_stream(chain.last.ring_dim, rng, bound):
+            f = LinearForm(coeffs)
+            if _screen_passes(screen, f):
+                D, cut = _socle_cut(chain, f)
+                if D.is_zero:
+                    found = f
+                    break
             failures += 1
             if failures >= trials:
                 break
         if found is None:
             cert = DepthCertificate(
-                len(chain), tuple(chain), STOP_TRIALS_EXHAUSTED, failures
+                len(links), tuple(links), STOP_TRIALS_EXHAUSTED, failures
             )
             break
-        chain.append(_pullback(found, var_map, d0))
-        current, elim = quotient_module(current, found)
-        var_map = [var_map[elim.old_index(i)] for i in range(current.ring_dim)]
+        links.append(chain.pull(found))
+        chain = cut
     _DEPTH_CACHE[key] = cert
     return cert

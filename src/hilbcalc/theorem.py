@@ -120,11 +120,10 @@ def superficial_quotient_audit(M: CyclicModule, g: LinearForm) -> QuotientAudit:
     s = module_dimension(M)
     if not isinstance(s, int) or s < 1:
         raise BadIndex("audit needs a module of positive dimension")
-    report = is_superficial(M, g)
+    (report,), (after_module,) = superficial_chain(M, [g])
     if not report.is_superficial:
         raise NotSuperficial("form is not superficial for this module")
     before = module_table(M)
-    after_module, _ = quotient_module(M, g)
     after = module_table(after_module)
     entries = []
     for j in range(s):

@@ -1,0 +1,13 @@
+"""Every test starts from empty memo tables, so a result cached by one test
+cannot mask a defect in another."""
+
+import pytest
+
+from hilbcalc import presentation, superficial
+
+
+@pytest.fixture(autouse=True)
+def empty_memo_tables():
+    presentation._IDEAL_SERIES.clear()
+    presentation._numerator_of_monomial.cache_clear()
+    superficial._DEPTH_CACHE.clear()

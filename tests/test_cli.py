@@ -136,6 +136,21 @@ class TestOneShot:
         assert code == 0
         assert "certified" in out
 
+    def test_admissible_not_ssop_has_null_witness(self, capsys):
+        code, out, _ = invoke(
+            capsys, "admissible", "--ring", "x y", "--ideal", "x*y",
+            "--forms", "x", "--json",
+        )
+        assert code == 1
+        (entry,) = json.loads(out)["commands"]
+        assert entry["verdict"] == "not-ssop"
+        assert entry["witness"] is None
+        code, out, _ = invoke(
+            capsys, "admissible", "--ring", "x y", "--ideal", "x*y", "--forms", "x"
+        )
+        assert code == 1
+        assert "not-ssop, witness (none)" in out
+
     def test_verify(self, capsys):
         code, out, _ = invoke(
             capsys, "verify", *self.RING, "--forms", "y1 - x1", "-i", "1"
@@ -173,6 +188,18 @@ class TestOneShot:
     def test_inline_parse_error(self, capsys):
         code, _, err = invoke(capsys, "series", "--ring", "x1", "--ideal", "x1 +")
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_trials_below_one_exits_2(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["depth", "--ring", "x y", "--ideal", "x*y", "--trials", value])
+        assert exc.value.code == 2
+        assert "--trials: must be at least 1" in capsys.readouterr().err
+
+    def test_zero_denominator_exits_2(self, capsys):
+        code, _, err = invoke(capsys, "coeffs", "--ring", "x", "--ideal", "1/0*x")
+        assert code == 2
+        assert "zero denominator" in err
 
 
 class TestSeedHandling:

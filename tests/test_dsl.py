@@ -97,6 +97,12 @@ class TestParser:
         with pytest.raises(SemanticError, match=r"\[1, 3\]"):
             parse_text("ring x y; ideal I = x + x^2*y;")
 
+    def test_zero_denominator_is_semantic_error(self):
+        with pytest.raises(SemanticError, match="zero denominator") as exc:
+            parse_text("ring x y;\nideal I = x^2 + 3/0*x*y;")
+        assert (exc.value.line, exc.value.column) == (2, 17)
+        assert str(exc.value).startswith("2:17: ")
+
     def test_two_rings_rejected(self):
         with pytest.raises(SemanticError, match="exactly one ring"):
             parse_text("ring x; ring y; ideal I = x;")

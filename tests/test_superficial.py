@@ -1,5 +1,6 @@
 """Superficiality, ssop, admissibility certification, and depth."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial, colon
 from hilbcalc.presentation import CyclicModule, module_dimension, series_of_cyclic
+from hilbcalc.sampling import random_independent_forms, random_module
 from hilbcalc.superficial import (
     CERTIFIED,
     NOT_SSOP,
     PROBABLY_NOT_ADMISSIBLE,
+    QuotientChain,
     STOP_DIMENSION_ZERO,
     STOP_TRIALS_EXHAUSTED,
     SuperficialityReport,
@@ -164,6 +167,77 @@ class TestIsSsop:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             is_ssop(MP3, [])
+
+
+class TestQuotientChain:
+    def test_push_kills_the_cut_form(self):
+        chain = QuotientChain((PQ,)).cut(Z1)
+        assert chain.push(Z1) is None
+        assert chain.push(Z1.scaled(3)) is None
+        # y1 is solved as x1 along z1 = y1 - x1
+        assert chain.push(lf(0, 0, 1)) == lf(1, 0)
+        assert chain.push(lf(0, 1, 0)) == lf(0, 1)
+
+    def test_push_dies_only_on_the_span_of_the_cuts(self):
+        chain = QuotientChain((PQ,)).cut(Z1).cut(lf(0, 1))
+        assert chain.push(lf(2, 5, -2)) is None
+        assert chain.push(lf(1, 0, 0)) == lf(1)
+
+    def test_pull_puts_zeros_on_cut_variables(self):
+        chain = QuotientChain((PQ,)).cut(lf(0, 1, 0))
+        assert chain.pull(lf(2, 3)) == lf(2, 0, 3)
+        chain = chain.cut(lf(0, 1))
+        assert chain.pull(lf(5)) == lf(5, 0, 0)
+
+    def test_pull_after_push_zeroes_cut_variables(self):
+        chain = QuotientChain((PQ,)).cut(lf(0, 1, 0))
+        assert chain.pull(chain.push(lf(4, -1, 7))) == lf(4, 0, 7)
+
+    def test_modules_carry_shift(self):
+        shifted = CyclicModule(3, PQ.ideal, shift=2)
+        chain = QuotientChain((shifted,)).cut(Z1)
+        assert [Q.ring_dim for Q in chain.modules] == [3, 2]
+        assert chain.last.shift == 2
+        assert len(chain.eliminations) == 1
+        assert chain.modules[1] == quotient_module(shifted, Z1)[0]
+
+
+def _random_case(s):
+    rng = random.Random(s)
+    M = random_module(rng, 4, min_dim=2)
+    return M, random_independent_forms(rng, 4, module_dimension(M))
+
+
+class TestSearchGolden:
+    """Chains and witnesses pinned before the searches moved onto
+    QuotientChain; a change in the candidate stream or in the pullback
+    shows here as a different winner."""
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_pq(self, seed):
+        assert depth(PQ, seed=seed).chain == (lf(1, 0, 1),)
+        cert = find_superficial_sequence(PQ, [lf(0, 1, 0), Z1], seed=seed)
+        assert cert.witness == (lf(-1, 0, 1), lf(0, 1, 0))
+
+    def test_random_module_11(self):
+        M, fs = _random_case(11)
+        assert M.ideal.monomial_exponents() == {(0, 2, 0, 2), (1, 0, 0, 1), (2, 1, 0, 0)}
+        cert = depth(M, seed=11)
+        assert cert.chain == (lf(0, 0, 1, 0), lf(2, 3, 0, 2))
+        assert cert.stop_evidence == STOP_DIMENSION_ZERO
+        adm = find_superficial_sequence(M, fs, seed=11)
+        assert adm.witness == (lf(-5, -5, -2, -2), lf(4, -5, 2, 0))
+        assert adm.trials_used == 0
+
+    def test_random_module_388(self):
+        M, fs = _random_case(388)
+        assert M.ideal.monomial_exponents() == {(0, 3, 1, 0), (1, 1, 1, 0), (2, 2, 0, 0)}
+        cert = depth(M, seed=388)
+        assert cert.chain == (lf(0, 0, 0, 1), lf(5, -3, 5, 0))
+        assert cert.stop_evidence == STOP_TRIALS_EXHAUSTED
+        adm = find_superficial_sequence(M, fs, seed=388)
+        assert adm.witness == (lf(-3, -1, 3, -1), lf(1, -5, 0, -4), lf(-4, -1, 0, 0))
+        assert adm.trials_used == 1
 
 
 class TestSuperficialChain:
