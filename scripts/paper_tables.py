@@ -1,77 +1,63 @@
 #!/usr/bin/env python3
-"""Print the closed-form coefficient tables for every builtin family.
+"""Print the coefficient table of every builtin catalogue entry.
 
-Mirrors `hilbcalc paper-examples` but lays the numbers out as tables
-instead of pass/fail cells, for eyeballing against the formulas.
+Mirrors `hilbcalc paper-examples` (the same catalogue, from
+hilbcalc.theorem) but lays the numbers out as tables instead of pass/fail
+cells, one row per entry, each marked ok or MISMATCH against its closed
+form.  Takes no options.
 """
 
-import argparse
+from itertools import groupby
 
 from hilbcalc.presentation import (
-    COMPLETE_INTERSECTION_2,
     HILBERT_BURCH,
-    HYPERSURFACE,
-    SHIFTED_FREE,
     closed_form_family,
     determinantal_check_module,
+    module_dimension,
     module_table,
     series_of_resolution,
 )
 from hilbcalc.series import hilbert_coefficients
 from hilbcalc.theorem import (
+    MAXIMAL_TIMES_PRIME_CELLS,
+    RESOLUTION_FAMILY_CELLS,
+    TWO_PRIME_PRODUCT_CELLS,
     maximal_times_prime_module,
+    maximal_times_prime_table,
     two_prime_product_module,
+    two_prime_product_table,
 )
-from hilbcalc.presentation import module_dimension
 
 
-def family_row(case: str, **params: int) -> str:
-    inst = closed_form_family(case, **params)
-    T = hilbert_coefficients(series_of_resolution(inst.presentation))
-    tag = ", ".join(f"{k}={v}" for k, v in inst.params)
-    agree = "ok" if T == inst.expected else "MISMATCH"
-    return f"  {tag:<18} e = {T.coeffs}  [{agree}]"
+def row(tag: str, got, expected) -> str:
+    agree = "ok" if got == expected else "MISMATCH"
+    return f"  {tag:<18} e = {got.coeffs}  [{agree}]"
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--r-max", type=int, default=8)
-    parser.add_argument("--k-max", type=int, default=6)
-    parser.add_argument("--m-max", type=int, default=6)
-    args = parser.parse_args()
-
-    print("shifted free R(-r), d = 6:")
-    for r in range(args.r_max + 1):
-        print(family_row(SHIFTED_FREE, d=6, r=r))
-
-    print("\nhypersurface of degree k, d = 6:")
-    for k in range(1, args.k_max + 1):
-        print(family_row(HYPERSURFACE, d=6, k=k))
-
-    print("\ncodim-2 complete intersection (k, l), d = 6:")
-    for k in range(1, args.k_max + 1):
-        for l in range(k, args.k_max + 1):
-            print(family_row(COMPLETE_INTERSECTION_2, d=6, k=k, l=l))
-
-    print("\ndeterminantal with linear and quadric rows, d = 6:")
-    for m in range(1, args.m_max + 1):
-        print(family_row(HILBERT_BURCH, d=6, m=m))
+    for family, cells in groupby(RESOLUTION_FAMILY_CELLS, key=lambda c: c[0]):
+        print(f"{family}:")
+        for _, params in cells:
+            inst = closed_form_family(family, **params)
+            T = hilbert_coefficients(series_of_resolution(inst.presentation))
+            tag = ", ".join(f"{k}={v}" for k, v in inst.params)
+            print(row(tag, T, inst.expected))
+        print()
 
     minors = determinantal_check_module()
-    print("\ngeneric 2x3 minors through the Groebner pipeline:")
-    print(f"  dim {module_dimension(minors)}, e = {module_table(minors).coeffs}")
+    print("generic 2x3 minors through the Groebner pipeline:")
+    expected = closed_form_family(HILBERT_BURCH, d=3, m=2).expected
+    print(row(f"dim {module_dimension(minors)}", module_table(minors), expected))
 
     print("\nmaximal-ideal times prime, all 0 < s < d <= 6:")
-    for d in range(2, 7):
-        for s in range(1, d):
-            T = module_table(maximal_times_prime_module(d, s))
-            print(f"  d={d}, s={s:<13} e = {T.coeffs}")
+    for d, s in MAXIMAL_TIMES_PRIME_CELLS:
+        T = module_table(maximal_times_prime_module(d, s))
+        print(row(f"d={d}, s={s}", T, maximal_times_prime_table(d, s)))
 
     print("\nproduct of two primes, all 0 < r < s <= 5:")
-    for s in range(2, 6):
-        for r in range(1, s):
-            T = module_table(two_prime_product_module(r, s))
-            print(f"  r={r}, s={s:<13} e = {T.coeffs}")
+    for r, s in TWO_PRIME_PRODUCT_CELLS:
+        T = module_table(two_prime_product_module(r, s))
+        print(row(f"r={r}, s={s}", T, two_prime_product_table(r, s)))
 
 
 if __name__ == "__main__":

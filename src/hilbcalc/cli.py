@@ -39,12 +39,11 @@ from hilbcalc.polyring import LinearForm, PolyIdeal
 from hilbcalc.presentation import (
     COMPLETE_INTERSECTION_2,
     HILBERT_BURCH,
-    HYPERSURFACE,
-    SHIFTED_FREE,
     CyclicModule,
     closed_form_family,
     determinantal_check_module,
     module_table,
+    series_of_cyclic,
     series_of_resolution,
 )
 from hilbcalc.series import (
@@ -60,9 +59,10 @@ from hilbcalc.superficial import (
     find_superficial_sequence,
     superficial_chain,
 )
-from hilbcalc.presentation import series_of_cyclic
 from hilbcalc.theorem import (
-    BadIndex,
+    MAXIMAL_TIMES_PRIME_CELLS,
+    RESOLUTION_FAMILY_CELLS,
+    TWO_PRIME_PRODUCT_CELLS,
     NotAdmissible,
     run_maximal_times_prime_suite,
     run_two_prime_product_suite,
@@ -111,16 +111,24 @@ def format_t_polynomial(coeffs: Sequence[int]) -> str:
     return " ".join(pieces)
 
 
+def _mark(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _forms_text(forms, variables, empty: str = "(none)") -> str:
+    return "; ".join(format_form(f, variables) for f in forms) if forms else empty
+
+
+def _header(opts: Options) -> str:
+    return f"seed {opts.seed}, trials {opts.trials}, max degree {opts.max_degree}"
+
+
 def _dim_json(value):
     return value if isinstance(value, int) else "-infinity"
 
 
-def _form_json(form: LinearForm) -> list[str]:
-    return [str(c) for c in form.coefficients]
-
-
 def _forms_json(forms) -> list[list[str]]:
-    return [_form_json(f) for f in forms]
+    return [[str(c) for c in f.coefficients] for f in forms]
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +139,6 @@ class _Env:
     def __init__(self, script: Script):
         self.variables = script.variables
         d = len(self.variables)
-        self.ring_dim = d
         self.ideals: dict[str, PolyIdeal] = {}
         self.modules: dict[str, CyclicModule] = {}
         self.groups: dict[str, tuple[LinearForm, ...]] = {}
@@ -146,38 +153,39 @@ class _Env:
                 self.groups[stmt.name] = stmt.forms
 
 
-def _run_series(env: _Env, cmd: SeriesCmd, opts: Options) -> dict:
+# Each handler returns its entry's result fields and its human line, both
+# built from the objects it computed; execute_script adds the identifying
+# fields and the line's "<command> <module> ...:" label.
+
+
+def _run_series(env: _Env, cmd: SeriesCmd, opts: Options) -> tuple[dict, str]:
     M = env.modules[cmd.module]
     S = series_of_cyclic(M)
-    return {
-        "command": "series",
-        "module": cmd.module,
+    dim = _dim_json(series_dimension(S))
+    numerator = list(S.numerator.coeffs)
+    fields = {
         "ring_dim": M.ring_dim,
         "shift": M.shift,
-        "numerator": list(S.numerator.coeffs),
-        "dimension": _dim_json(series_dimension(S)),
+        "numerator": numerator,
+        "dimension": dim,
         "ok": True,
     }
+    num = format_t_polynomial(numerator)
+    return fields, f"({num}) / (1-t)^{M.ring_dim}, dimension {dim}"
 
 
-def _run_coeffs(env: _Env, cmd: CoeffsCmd, opts: Options) -> dict:
-    M = env.modules[cmd.module]
-    T = module_table(M)
-    return {
-        "command": "coeffs",
-        "module": cmd.module,
-        "dimension": T.dim,
-        "table": list(T.coeffs),
-        "ok": True,
-    }
+def _run_coeffs(env: _Env, cmd: CoeffsCmd, opts: Options) -> tuple[dict, str]:
+    T = module_table(env.modules[cmd.module])
+    dim = _dim_json(T.dim)
+    fields = {"dimension": dim, "table": list(T.coeffs), "ok": True}
+    table = ", ".join(str(c) for c in T.coeffs)
+    return fields, f"dimension {dim}, e = ({table})"
 
 
-def _run_depth(env: _Env, cmd: DepthCmd, opts: Options) -> dict:
+def _run_depth(env: _Env, cmd: DepthCmd, opts: Options) -> tuple[dict, str]:
     M = env.modules[cmd.module]
     cert = depth(M, seed=opts.seed, trials=opts.trials)
-    return {
-        "command": "depth",
-        "module": cmd.module,
+    fields = {
         "depth": cert.depth,
         "exact": cert.is_exact,
         "stop": cert.stop_evidence,
@@ -185,9 +193,18 @@ def _run_depth(env: _Env, cmd: DepthCmd, opts: Options) -> dict:
         "failed_trials": cert.failed_trials,
         "ok": True,
     }
+    how = (
+        "exact: chain reached dimension zero"
+        if cert.is_exact
+        else f"probabilistic: {cert.failed_trials} candidates failed"
+    )
+    chain = _forms_text(cert.chain, env.variables, empty="(empty)")
+    return fields, f"{cert.depth} ({how}), chain {chain}"
 
 
-def _run_superficial(env: _Env, cmd: SuperficialCmd, opts: Options) -> dict:
+def _run_superficial(
+    env: _Env, cmd: SuperficialCmd, opts: Options
+) -> tuple[dict, str]:
     M = env.modules[cmd.module]
     forms = env.groups[cmd.forms]
     reports, _ = superficial_chain(M, list(forms))
@@ -199,89 +216,83 @@ def _run_superficial(env: _Env, cmd: SuperficialCmd, opts: Options) -> dict:
         }
         for r in reports
     ]
-    return {
-        "command": "superficial",
-        "module": cmd.module,
-        "forms": cmd.forms,
-        "steps": steps,
-        "ok": all(r.is_superficial for r in reports),
-    }
+    ok = all(r.is_superficial for r in reports)
+    socles = ", ".join(str(r.socle_length) for r in reports)
+    return {"steps": steps, "ok": ok}, f"socle lengths ({socles}): {_mark(ok)}"
 
 
-def _run_admissible(env: _Env, cmd: AdmissibleCmd, opts: Options) -> dict:
+def _run_admissible(
+    env: _Env, cmd: AdmissibleCmd, opts: Options
+) -> tuple[dict, str]:
     M = env.modules[cmd.module]
     forms = env.groups[cmd.forms]
     cert = find_superficial_sequence(
         M, list(forms), seed=opts.seed, trials=opts.trials
     )
-    return {
-        "command": "admissible",
-        "module": cmd.module,
-        "forms": cmd.forms,
+    ok = cert.verdict == CERTIFIED
+    fields = {
         "verdict": cert.verdict,
         "witness": None if cert.witness is None else _forms_json(cert.witness),
         "trials_used": cert.trials_used,
-        "ok": cert.verdict == CERTIFIED,
+        "ok": ok,
     }
+    witness = _forms_text(cert.witness, env.variables)
+    return fields, (
+        f"{cert.verdict}, witness {witness}, "
+        f"trials used {cert.trials_used}: {_mark(ok)}"
+    )
 
 
-def _run_verify(env: _Env, cmd: VerifyCmd, opts: Options) -> dict:
+def _run_verify(env: _Env, cmd: VerifyCmd, opts: Options) -> tuple[dict, str]:
     M = env.modules[cmd.module]
     forms = env.groups[cmd.forms]
-    entry = {
-        "command": "verify",
-        "module": cmd.module,
-        "forms": cmd.forms,
-        "i": cmd.index,
-    }
     try:
         rep = verify_depth_sensitivity(
             M, list(forms), cmd.index, seed=opts.seed, trials=opts.trials
         )
     except NotAdmissible as exc:
-        entry.update(
-            verdict=exc.certificate.verdict,
-            trials_used=exc.certificate.trials_used,
-            ok=False,
-        )
-        return entry
-    except BadIndex as exc:
-        entry.update(error=str(exc), ok=False)
-        return entry
-    entry.update(
-        s=rep.s,
-        e_module=rep.e_module,
-        e_quotient=rep.e_quotient,
-        parity_ok=rep.parity_ok,
-        equality=rep.equality,
-        depth=rep.depth_value,
-        depth_exact=rep.depth_exact,
-        equivalence_ok=rep.equivalence_ok,
-        defects=list(rep.defect_lengths),
-        ok=rep.parity_ok and rep.equivalence_ok,
+        cert = exc.certificate
+        fields = {"verdict": cert.verdict, "trials_used": cert.trials_used, "ok": False}
+        return fields, f"{cert.verdict}: {_mark(False)}"
+    ok = rep.parity_ok and rep.equivalence_ok
+    fields = {
+        "s": rep.s,
+        "e_module": rep.e_module,
+        "e_quotient": rep.e_quotient,
+        "parity_ok": rep.parity_ok,
+        "equality": rep.equality,
+        "depth": rep.depth_value,
+        "depth_exact": rep.depth_exact,
+        "equivalence_ok": rep.equivalence_ok,
+        "defects": list(rep.defect_lengths),
+        "ok": ok,
+    }
+    exact = "exact" if rep.depth_exact else "probabilistic"
+    return fields, (
+        f"e_{rep.i} {rep.e_module} -> {rep.e_quotient}, "
+        f"equality {'yes' if rep.equality else 'no'}, "
+        f"depth {rep.depth_value} ({exact}), "
+        f"parity {'ok' if rep.parity_ok else 'VIOLATED'}, "
+        f"equivalence {'ok' if rep.equivalence_ok else 'VIOLATED'}: {_mark(ok)}"
     )
-    return entry
 
 
-def _run_oracle(env: _Env, cmd: OracleCmd, opts: Options) -> dict:
-    M = env.modules[cmd.module]
-    entry = {"command": "oracle", "module": cmd.module, "degree": cmd.degree}
+def _run_oracle(env: _Env, cmd: OracleCmd, opts: Options) -> tuple[dict, str]:
     if cmd.degree > opts.max_degree:
-        entry.update(
-            ok=False,
-            skipped="truncation",
-            detail=(
-                f"oracle degree {cmd.degree} exceeds --max-degree "
-                f"{opts.max_degree}; raise the bound to run this check"
-            ),
+        detail = (
+            f"oracle degree {cmd.degree} exceeds --max-degree "
+            f"{opts.max_degree}; raise the bound to run this check"
         )
-        return entry
-    check = verify_series(M, max_degree=cmd.degree)
-    entry.update(
-        ok=check.ok,
-        first_mismatch=check.first_mismatch,
+        fields = {"ok": False, "skipped": "truncation", "detail": detail}
+        return fields, f"{detail}: {_mark(False)}"
+    check = verify_series(env.modules[cmd.module], max_degree=cmd.degree)
+    tail = (
+        "all degrees agree"
+        if check.ok
+        else f"first mismatch at degree {check.first_mismatch}"
     )
-    return entry
+    fields = {"ok": check.ok, "first_mismatch": check.first_mismatch}
+    return fields, f"{tail}: {_mark(check.ok)}"
 
 
 _HANDLERS = {
@@ -294,24 +305,44 @@ _HANDLERS = {
     OracleCmd: _run_oracle,
 }
 
+# command attribute -> identifying report field, in human-label order
+_IDENTITY = (("forms", "forms"), ("index", "i"), ("degree", "degree"))
 
-def execute_script(script: Script, opts: Options) -> dict:
+
+def _identity(cmd) -> dict:
+    entry = {
+        "command": type(cmd).__name__.removesuffix("Cmd").lower(),
+        "module": cmd.module,
+    }
+    for attr, key in _IDENTITY:
+        if hasattr(cmd, attr):
+            entry[key] = getattr(cmd, attr)
+    return entry
+
+
+def execute_script(script: Script, opts: Options) -> tuple[dict, list[str]]:
+    """Run every command once; return the schema-1 report and its human lines."""
     env = _Env(script)
     entries: list[dict] = []
+    lines = [_header(opts)]
     for cmd in script.commands():
-        handler = _HANDLERS[type(cmd)]
+        entry = _identity(cmd)
         try:
-            entries.append(handler(env, cmd, opts))
+            fields, text = _HANDLERS[type(cmd)](env, cmd, opts)
         except ValueError as exc:
-            entries.append(
-                {
-                    "command": type(cmd).__name__.removesuffix("Cmd").lower(),
-                    "error": str(exc),
-                    "ok": False,
-                }
+            fields = {"error": str(exc), "ok": False}
+            label = f"{entry['command']} {cmd.module}"
+            text = f"error: {exc}: {_mark(False)}"
+        else:
+            label = " ".join(
+                f"i={v}" if k == "i" else str(v) for k, v in entry.items()
             )
+        entry.update(fields)
+        entries.append(entry)
+        lines.append(f"{label}: {text}")
     status = "pass" if all(e["ok"] for e in entries) else "fail"
-    return {
+    lines.append(f"status: {status}")
+    report = {
         "schema_version": SCHEMA_VERSION,
         "kind": "run",
         "seed": opts.seed,
@@ -320,109 +351,34 @@ def execute_script(script: Script, opts: Options) -> dict:
         "commands": entries,
         "status": status,
     }
-
-
-# ---------------------------------------------------------------------------
-# human rendering
-
-
-def _human_entry(entry: dict, env: Optional[_Env]) -> str:
-    kind = entry.get("command")
-    mark = "PASS" if entry["ok"] else "FAIL"
-    if "error" in entry:
-        return f"{kind} {entry.get('module', '?')}: error: {entry['error']}: {mark}"
-    variables = env.variables if env else ()
-
-    def forms_text(rows: list[list[str]]) -> str:
-        if not rows or not variables:
-            return "(none)"
-        rendered = []
-        for row in rows:
-            from fractions import Fraction
-
-            form = LinearForm(tuple(Fraction(x) for x in row))
-            rendered.append(format_form(form, variables))
-        return "; ".join(rendered)
-
-    if kind == "series":
-        num = format_t_polynomial(entry["numerator"])
-        return (
-            f"series {entry['module']}: ({num}) / (1-t)^{entry['ring_dim']}, "
-            f"dimension {entry['dimension']}"
-        )
-    if kind == "coeffs":
-        table = ", ".join(str(c) for c in entry["table"])
-        return f"coeffs {entry['module']}: dimension {entry['dimension']}, e = ({table})"
-    if kind == "depth":
-        how = (
-            "exact: chain reached dimension zero"
-            if entry["exact"]
-            else f"probabilistic: {entry['failed_trials']} candidates failed"
-        )
-        chain = forms_text(entry["chain"]) if entry["chain"] else "(empty)"
-        return f"depth {entry['module']}: {entry['depth']} ({how}), chain {chain}"
-    if kind == "superficial":
-        socles = ", ".join(str(s["socle_length"]) for s in entry["steps"])
-        return (
-            f"superficial {entry['module']} {entry['forms']}: "
-            f"socle lengths ({socles}): {mark}"
-        )
-    if kind == "admissible":
-        return (
-            f"admissible {entry['module']} {entry['forms']}: {entry['verdict']}, "
-            f"witness {forms_text(entry['witness'])}, "
-            f"trials used {entry['trials_used']}: {mark}"
-        )
-    if kind == "verify":
-        if "verdict" in entry:
-            return (
-                f"verify {entry['module']} {entry['forms']} i={entry['i']}: "
-                f"{entry['verdict']}: {mark}"
-            )
-        exact = "exact" if entry["depth_exact"] else "probabilistic"
-        return (
-            f"verify {entry['module']} {entry['forms']} i={entry['i']}: "
-            f"e_{entry['i']} {entry['e_module']} -> {entry['e_quotient']}, "
-            f"equality {'yes' if entry['equality'] else 'no'}, "
-            f"depth {entry['depth']} ({exact}), "
-            f"parity {'ok' if entry['parity_ok'] else 'VIOLATED'}, "
-            f"equivalence {'ok' if entry['equivalence_ok'] else 'VIOLATED'}: {mark}"
-        )
-    if kind == "oracle":
-        if entry.get("skipped"):
-            return f"oracle {entry['module']} {entry['degree']}: {entry['detail']}: {mark}"
-        tail = (
-            "all degrees agree"
-            if entry["ok"]
-            else f"first mismatch at degree {entry['first_mismatch']}"
-        )
-        return f"oracle {entry['module']} {entry['degree']}: {tail}: {mark}"
-    return f"{kind}: {mark}"
-
-
-def render_run_report(report: dict, env: Optional[_Env]) -> list[str]:
-    lines = [
-        f"seed {report['seed']}, trials {report['trials']}, "
-        f"max degree {report['max_degree']}"
-    ]
-    lines.extend(_human_entry(e, env) for e in report["commands"])
-    lines.append(f"status: {report['status']}")
-    return lines
+    return report, lines
 
 
 # ---------------------------------------------------------------------------
 # builtin example suites
 
 
-def _family_cell(instance, extra_ok: bool = True, detail: str = "") -> dict:
-    got = hilbert_coefficients(series_of_resolution(instance.presentation))
-    ok = got == instance.expected and extra_ok
+def _family_cell(
+    instance, needed: int, extra_ok: bool = True, detail: str = ""
+) -> dict:
+    S = series_of_resolution(instance.presentation)
+    got = hilbert_coefficients(S)
+    nonnegative = all(c >= 0 for c in expand(S, needed))
     return {
         "example": instance.case,
-        "params": {k: v for k, v in instance.params},
+        "params": dict(instance.params),
         "table": list(got.coeffs),
-        "ok": ok,
+        "ok": got == instance.expected and extra_ok and nonnegative,
         "detail": detail,
+    }
+
+
+def _suite_cell(suite) -> dict:
+    return {
+        "example": suite.name,
+        "params": dict(suite.params),
+        "ok": suite.ok,
+        "checks": [{"name": c.name, "ok": c.ok} for c in suite.checks],
     }
 
 
@@ -434,29 +390,23 @@ def _convolution_table(k: int, l: int) -> tuple[int, ...]:
 
 
 def paper_examples_report(opts: Options) -> dict:
-    instances = []
-    for r in range(0, 9):
-        instances.append(closed_form_family(SHIFTED_FREE, d=6, r=r))
-    for k in range(1, 9):
-        instances.append(closed_form_family(HYPERSURFACE, d=6, k=k))
-    for k in range(1, 9):
-        for l in range(1, 9):
-            instances.append(closed_form_family(COMPLETE_INTERSECTION_2, d=6, k=k, l=l))
-    for m in range(1, 7):
-        instances.append(closed_form_family(HILBERT_BURCH, d=6, m=m))
-
+    instances = [
+        closed_form_family(case, **params) for case, params in RESOLUTION_FAMILY_CELLS
+    ]
     needed = max(
         max(max(step) for step in inst.presentation.steps) for inst in instances
     )
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "paper-examples",
+        "seed": opts.seed,
+        "trials": opts.trials,
+        "max_degree": opts.max_degree,
+    }
     if opts.max_degree < needed:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "paper-examples",
-            "seed": opts.seed,
-            "trials": opts.trials,
-            "max_degree": opts.max_degree,
-            "status": "fail",
-            "truncation": {
+        report.update(
+            status="fail",
+            truncation={
                 "needed_degree": needed,
                 "detail": (
                     f"truncation degree {opts.max_degree} is below the largest "
@@ -464,8 +414,9 @@ def paper_examples_report(opts: Options) -> dict:
                     f"rerun with --max-degree >= {needed}"
                 ),
             },
-            "cells": [],
-        }
+            cells=[],
+        )
+        return report
 
     cells: list[dict] = []
     for inst in instances:
@@ -475,104 +426,60 @@ def paper_examples_report(opts: Options) -> dict:
                 tuple(inst.expected.coeffs)
                 == _convolution_table(params["k"], params["l"])
             )
-            cell = _family_cell(
-                inst, extra_ok=agree, detail="difference and convolution forms"
+            cells.append(
+                _family_cell(
+                    inst, needed, agree, detail="difference and convolution forms"
+                )
             )
         elif inst.case == HILBERT_BURCH:
-            params = dict(inst.params)
-            m = params["m"]
-            formula = tuple(
-                (i + 1) * binomial(m + 1, i + 2) for i in range(m)
-            )
-            cell = _family_cell(
-                inst,
-                extra_ok=tuple(inst.expected.coeffs) == formula,
-                detail="determinantal closed form",
-            )
+            detail = "determinantal closed form"
+            cells.append(_family_cell(inst, needed, detail=detail))
         else:
-            cell = _family_cell(inst)
-        probe = expand(series_of_resolution(inst.presentation), needed)
-        cell["ok"] = cell["ok"] and all(c >= 0 for c in probe)
-        cells.append(cell)
+            cells.append(_family_cell(inst, needed))
 
-    minors = determinantal_check_module(seed=opts.seed)
-    got = module_table(minors)
+    got = module_table(determinantal_check_module(seed=opts.seed))
     cells.append(
         {
             "example": "hilbert-burch-minors",
             "params": {"m": 2, "d": 3},
             "table": list(got.coeffs),
-            "ok": tuple(got.coeffs)
-            == tuple((i + 1) * binomial(3, i + 2) for i in range(2)),
+            "ok": got == closed_form_family(HILBERT_BURCH, d=3, m=2).expected,
             "detail": "generic 2x3 minors through the Groebner pipeline",
         }
     )
-
-    for d in range(2, 7):
-        for s in range(1, d):
-            suite = run_maximal_times_prime_suite(
-                d, s, seed=opts.seed, trials=opts.trials
-            )
-            cells.append(
-                {
-                    "example": suite.name,
-                    "params": {k: v for k, v in suite.params},
-                    "ok": suite.ok,
-                    "checks": [
-                        {"name": c.name, "ok": c.ok} for c in suite.checks
-                    ],
-                }
-            )
-    for s in range(2, 6):
-        for r in range(1, s):
-            suite = run_two_prime_product_suite(
-                r, s, seed=opts.seed, trials=opts.trials
-            )
-            cells.append(
-                {
-                    "example": suite.name,
-                    "params": {k: v for k, v in suite.params},
-                    "ok": suite.ok,
-                    "checks": [
-                        {"name": c.name, "ok": c.ok} for c in suite.checks
-                    ],
-                }
-            )
-
-    status = "pass" if all(c["ok"] for c in cells) else "fail"
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "paper-examples",
-        "seed": opts.seed,
-        "trials": opts.trials,
-        "max_degree": opts.max_degree,
-        "status": status,
-        "cells": cells,
-    }
+    cells.extend(
+        _suite_cell(
+            run_maximal_times_prime_suite(d, s, seed=opts.seed, trials=opts.trials)
+        )
+        for d, s in MAXIMAL_TIMES_PRIME_CELLS
+    )
+    cells.extend(
+        _suite_cell(
+            run_two_prime_product_suite(r, s, seed=opts.seed, trials=opts.trials)
+        )
+        for r, s in TWO_PRIME_PRODUCT_CELLS
+    )
+    report.update(
+        status="pass" if all(c["ok"] for c in cells) else "fail", cells=cells
+    )
+    return report
 
 
-def render_paper_examples(report: dict) -> list[str]:
-    lines = [
-        f"seed {report['seed']}, trials {report['trials']}, "
-        f"max degree {report['max_degree']}"
-    ]
+def render_paper_examples(report: dict, opts: Options) -> list[str]:
+    lines = [_header(opts)]
     if "truncation" in report:
         lines.append(report["truncation"]["detail"])
         lines.append(f"status: {report['status']}")
         return lines
     for cell in report["cells"]:
         params = ", ".join(f"{k}={v}" for k, v in sorted(cell["params"].items()))
-        mark = "PASS" if cell["ok"] else "FAIL"
-        lines.append(f"{cell['example']} [{params}]: {mark}")
+        lines.append(f"{cell['example']} [{params}]: {_mark(cell['ok'])}")
         if not cell["ok"] and "checks" in cell:
             for c in cell["checks"]:
                 if not c["ok"]:
                     lines.append(f"    failed: {c['name']}")
-    counts = (
-        sum(1 for c in report["cells"] if c["ok"]),
-        len(report["cells"]),
-    )
-    lines.append(f"{counts[0]}/{counts[1]} cells pass")
+    passed = sum(1 for c in report["cells"] if c["ok"])
+    lines.append(f"{passed}/{len(report['cells'])} cells pass")
     lines.append(f"status: {report['status']}")
     return lines
 
@@ -630,13 +537,12 @@ def _execute_text(text: str, opts: Options) -> int:
     t0 = time.perf_counter()
     try:
         script = parse_text(text)
-        env = _Env(script)
     except DslError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LANGUAGE
-    report = execute_script(script, opts)
+    report, lines = execute_script(script, opts)
     elapsed = time.perf_counter() - t0
-    _emit(report, opts, render_run_report(report, env), elapsed)
+    _emit(report, opts, lines, elapsed)
     return EXIT_OK if report["status"] == "pass" else EXIT_VERIFICATION
 
 
@@ -650,28 +556,35 @@ def _default_seed() -> int:
         raise SystemExit(f"error: HILBCALC_SEED must be an integer, got {raw!r}")
 
 
-def _at_least_one(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser(default_seed: int) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=default_seed)
-    common.add_argument("--trials", type=_at_least_one, default=DEFAULT_TRIALS)
-    common.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    common.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS)
+    common.add_argument(
+        "--max-degree", type=_int_at_least(0), default=DEFAULT_MAX_DEGREE
+    )
     common.add_argument("--json", action="store_true")
     common.add_argument("--quiet", action="store_true")
 
     inline = argparse.ArgumentParser(add_help=False)
     inline.add_argument("--ring", required=True, help="space-separated variables")
     inline.add_argument("--ideal", required=True, help="comma-separated generators")
-    inline.add_argument("--shift", type=int, default=0)
+    inline.add_argument("--shift", type=_int_at_least(0), default=0)
 
     with_forms = argparse.ArgumentParser(add_help=False)
     with_forms.add_argument("--forms", required=True, help="comma-separated forms")
@@ -699,7 +612,9 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", parents=[common, inline, with_forms])
     verify.add_argument("-i", "--index", type=int, required=True)
     oracle = sub.add_parser("oracle-check", parents=[common, inline])
-    oracle.add_argument("--degree", type=int, default=DEFAULT_CHECK_DEGREE)
+    oracle.add_argument(
+        "--degree", type=_int_at_least(0), default=DEFAULT_CHECK_DEGREE
+    )
 
     return parser
 
@@ -722,7 +637,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         t0 = time.perf_counter()
         report = paper_examples_report(opts)
         elapsed = time.perf_counter() - t0
-        _emit(report, opts, render_paper_examples(report), elapsed)
+        _emit(report, opts, render_paper_examples(report, opts), elapsed)
         return EXIT_OK if report["status"] == "pass" else EXIT_VERIFICATION
 
     try:

@@ -23,6 +23,10 @@ from typing import Optional, Sequence
 
 from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial
 from hilbcalc.presentation import (
+    COMPLETE_INTERSECTION_2,
+    HILBERT_BURCH,
+    HYPERSURFACE,
+    SHIFTED_FREE,
     BadParams,
     CyclicModule,
     module_dimension,
@@ -503,6 +507,27 @@ def run_two_prime_product_suite(
             )
         )
     return SuiteResult("two-prime-product", (("r", r), ("s", s)), tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# the builtin catalogue, in report order: `hilbcalc paper-examples`,
+# scripts/paper_tables.py and the acceptance tests all read these
+
+# (case, params) of every closed-form resolution family cell
+RESOLUTION_FAMILY_CELLS: tuple[tuple[str, dict[str, int]], ...] = (
+    *((SHIFTED_FREE, {"d": 6, "r": r}) for r in range(9)),
+    *((HYPERSURFACE, {"d": 6, "k": k}) for k in range(1, 9)),
+    *(
+        (COMPLETE_INTERSECTION_2, {"d": 6, "k": k, "l": l})
+        for k in range(1, 9)
+        for l in range(1, 9)
+    ),
+    *((HILBERT_BURCH, {"d": 6, "m": m}) for m in range(1, 7)),
+)
+# (d, s) with 0 < s < d <= 6
+MAXIMAL_TIMES_PRIME_CELLS = tuple((d, s) for d in range(2, 7) for s in range(1, d))
+# (r, s) with 0 < r < s <= 5
+TWO_PRIME_PRODUCT_CELLS = tuple((r, s) for s in range(2, 6) for r in range(1, s))
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,18 @@ from hilbcalc.series import (
     shift,
 )
 from hilbcalc.theorem import (
+    MAXIMAL_TIMES_PRIME_CELLS,
+    RESOLUTION_FAMILY_CELLS,
+    TWO_PRIME_PRODUCT_CELLS,
+    maximal_times_prime_module,
     run_maximal_times_prime_suite,
     run_random_sensitivity_suite,
     run_two_prime_product_suite,
+    two_prime_product_module,
 )
+
+# shifted free modules beyond the catalogue's r <= 8, for the binomial tables
+EXTRA_FREE_SHIFTS = (9, 10)
 
 
 def _report(number: int, label: str, ok: bool, elapsed: float, cap: float) -> None:
@@ -55,44 +63,32 @@ def _random_modules() -> tuple[CyclicModule, ...]:
     return tuple(out)
 
 
+def _family_instances(case: str):
+    """The catalogue's instances of one resolution family, plus the
+    shifted-free extras."""
+    params = [p for c, p in RESOLUTION_FAMILY_CELLS if c == case]
+    if case == SHIFTED_FREE:
+        params += [{"d": 6, "r": r} for r in EXTRA_FREE_SHIFTS]
+    return [closed_form_family(case, **p) for p in params]
+
+
 @lru_cache(maxsize=1)
 def _series_inventory() -> tuple[tuple[str, HilbertSeries], ...]:
     """Every module the concrete criteria touch, as (label, series)."""
-    out: list[tuple[str, HilbertSeries]] = []
-    for r in range(11):
-        inst = closed_form_family(SHIFTED_FREE, d=6, r=r)
-        out.append((f"free[r={r}]", series_of_resolution(inst.presentation)))
-    for k in range(1, 9):
-        inst = closed_form_family(HYPERSURFACE, d=6, k=k)
-        out.append((f"hypersurface[k={k}]", series_of_resolution(inst.presentation)))
-    for k in range(1, 9):
-        for l in range(1, 9):
-            inst = closed_form_family(COMPLETE_INTERSECTION_2, d=6, k=k, l=l)
-            out.append(
-                (f"ci[k={k},l={l}]", series_of_resolution(inst.presentation))
-            )
-    for m in range(1, 7):
-        inst = closed_form_family(HILBERT_BURCH, d=6, m=m)
-        out.append((f"burch[m={m}]", series_of_resolution(inst.presentation)))
+    out: list[tuple[str, HilbertSeries]] = [
+        (f"{inst.case}{dict(inst.params)}", series_of_resolution(inst.presentation))
+        for case in (SHIFTED_FREE, HYPERSURFACE, COMPLETE_INTERSECTION_2, HILBERT_BURCH)
+        for inst in _family_instances(case)
+    ]
     out.append(("minors", series_of_cyclic(determinantal_check_module())))
-    from hilbcalc.theorem import maximal_times_prime_module, two_prime_product_module
-
-    for d in range(2, 7):
-        for s in range(1, d):
-            out.append(
-                (
-                    f"mp[d={d},s={s}]",
-                    series_of_cyclic(maximal_times_prime_module(d, s)),
-                )
-            )
-    for s in range(2, 6):
-        for r in range(1, s):
-            out.append(
-                (
-                    f"pq[r={r},s={s}]",
-                    series_of_cyclic(two_prime_product_module(r, s)),
-                )
-            )
+    out += [
+        (f"mp[d={d},s={s}]", series_of_cyclic(maximal_times_prime_module(d, s)))
+        for d, s in MAXIMAL_TIMES_PRIME_CELLS
+    ]
+    out += [
+        (f"pq[r={r},s={s}]", series_of_cyclic(two_prime_product_module(r, s)))
+        for r, s in TWO_PRIME_PRODUCT_CELLS
+    ]
     for idx, M in enumerate(_random_modules()):
         out.append((f"random[{idx}]", series_of_cyclic(M)))
     return tuple(out)
@@ -101,8 +97,8 @@ def _series_inventory() -> tuple[tuple[str, HilbertSeries], ...]:
 def test_1_shifted_free_tables():
     t0 = time.perf_counter()
     ok = True
-    for r in range(11):
-        inst = closed_form_family(SHIFTED_FREE, d=6, r=r)
+    for inst in _family_instances(SHIFTED_FREE):
+        r = dict(inst.params)["r"]
         T = hilbert_coefficients(series_of_resolution(inst.presentation))
         ok = ok and T == inst.expected
         for i in range(11):
@@ -116,26 +112,26 @@ def test_1_shifted_free_tables():
 def test_2_hypersurface_and_complete_intersection_tables():
     t0 = time.perf_counter()
     ok = True
-    for k in range(1, 9):
-        inst = closed_form_family(HYPERSURFACE, d=6, k=k)
+    for inst in _family_instances(HYPERSURFACE):
+        k = dict(inst.params)["k"]
         T = hilbert_coefficients(series_of_resolution(inst.presentation))
         ok = ok and T == inst.expected
         ok = ok and tuple(T.coeffs) == tuple(binomial(k, i + 1) for i in range(k))
-    for k in range(1, 9):
-        for l in range(1, 9):
-            inst = closed_form_family(COMPLETE_INTERSECTION_2, d=6, k=k, l=l)
-            T = hilbert_coefficients(series_of_resolution(inst.presentation))
-            difference = tuple(
-                binomial(k + l, i + 2) - binomial(k, i + 2) - binomial(l, i + 2)
-                for i in range(k + l - 1)
-            )
-            convolution = tuple(
-                sum(binomial(k, j + 1) * binomial(l, i - j + 1) for j in range(i + 1))
-                for i in range(k + l - 1)
-            )
-            ok = ok and T == inst.expected
-            ok = ok and tuple(T.coeffs) == difference
-            ok = ok and difference == convolution
+    for inst in _family_instances(COMPLETE_INTERSECTION_2):
+        params = dict(inst.params)
+        k, l = params["k"], params["l"]
+        T = hilbert_coefficients(series_of_resolution(inst.presentation))
+        difference = tuple(
+            binomial(k + l, i + 2) - binomial(k, i + 2) - binomial(l, i + 2)
+            for i in range(k + l - 1)
+        )
+        convolution = tuple(
+            sum(binomial(k, j + 1) * binomial(l, i - j + 1) for j in range(i + 1))
+            for i in range(k + l - 1)
+        )
+        ok = ok and T == inst.expected
+        ok = ok and tuple(T.coeffs) == difference
+        ok = ok and difference == convolution
     elapsed = time.perf_counter() - t0
     _report(
         2,
@@ -151,8 +147,8 @@ def test_2_hypersurface_and_complete_intersection_tables():
 def test_3_determinantal_tables_and_minors_pipeline():
     t0 = time.perf_counter()
     ok = True
-    for m in range(1, 7):
-        inst = closed_form_family(HILBERT_BURCH, d=6, m=m)
+    for inst in _family_instances(HILBERT_BURCH):
+        m = dict(inst.params)["m"]
         T = hilbert_coefficients(series_of_resolution(inst.presentation))
         formula = tuple((i + 1) * binomial(m + 1, i + 2) for i in range(m))
         ok = ok and T == inst.expected
@@ -176,14 +172,11 @@ def test_3_determinantal_tables_and_minors_pipeline():
 def test_4_maximal_times_prime_suite():
     t0 = time.perf_counter()
     ok = True
-    for d in range(2, 7):
-        for s in range(1, d):
-            suite = run_maximal_times_prime_suite(d, s)
-            ok = ok and suite.ok
-            covered = sum(
-                1 for c in suite.checks if c.name.startswith("sensitivity[i=")
-            )
-            ok = ok and covered == s
+    for d, s in MAXIMAL_TIMES_PRIME_CELLS:
+        suite = run_maximal_times_prime_suite(d, s)
+        ok = ok and suite.ok
+        covered = sum(1 for c in suite.checks if c.name.startswith("sensitivity[i="))
+        ok = ok and covered == s
     elapsed = time.perf_counter() - t0
     _report(
         4,
@@ -199,14 +192,11 @@ def test_4_maximal_times_prime_suite():
 def test_5_two_prime_product_suite():
     t0 = time.perf_counter()
     ok = True
-    for s in range(2, 6):
-        for r in range(1, s):
-            suite = run_two_prime_product_suite(r, s)
-            ok = ok and suite.ok
-            covered = sum(
-                1 for c in suite.checks if c.name.startswith("sensitivity[i=")
-            )
-            ok = ok and covered == s
+    for r, s in TWO_PRIME_PRODUCT_CELLS:
+        suite = run_two_prime_product_suite(r, s)
+        ok = ok and suite.ok
+        covered = sum(1 for c in suite.checks if c.name.startswith("sensitivity[i="))
+        ok = ok and covered == s
     elapsed = time.perf_counter() - t0
     _report(
         5,

@@ -28,6 +28,33 @@ def fixture_path(tmp_path):
     return str(p)
 
 
+# The full human output, pinned line for line; the `elapsed` line is
+# dropped because it varies.
+GOLDEN_RUN = """\
+seed 0, trials 32, max degree 64
+series M: (1 - 2*t^2 + t^3) / (1-t)^3, dimension 2
+coeffs M: dimension 2, e = (1, -1, -1)
+depth M: 1 (probabilistic: 32 candidates failed), chain x1 + y1
+superficial M F: socle lengths (0): PASS
+admissible M F: certified, witness -x1 + y1, trials used 0: PASS
+verify M F i=1: e_1 -1 -> -1, equality yes, depth 1 (exact), parity ok, equivalence ok: PASS
+oracle M 10: all degrees agree: PASS
+verify M: error: index 5 outside 0 <= i < 2: FAIL
+status: fail
+"""
+
+GOLDEN_TRUNCATION = """\
+seed 0, trials 32, max degree 4
+truncation degree 4 is below the largest generator twist 16 of the resolution families; rerun with --max-degree >= 16
+status: fail
+"""
+
+
+def _without_elapsed(out: str) -> str:
+    lines = out.splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith("elapsed "))
+
+
 def invoke(capsys, *args):
     code = main(list(args))
     out, err = capsys.readouterr()
@@ -96,6 +123,13 @@ class TestRun:
         assert "probably-not-admissible" in out
         assert "status: fail" in out
 
+    def test_human_lines_golden(self, capsys, tmp_path):
+        p = tmp_path / "golden.hc"
+        p.write_text(FIXTURE + "verify M F i=5;\n")
+        code, out, _ = invoke(capsys, "run", str(p))
+        assert code == 1
+        assert _without_elapsed(out) == GOLDEN_RUN
+
     def test_quiet_silences_stdout(self, capsys, fixture_path):
         code, out, _ = invoke(capsys, "run", fixture_path, "--quiet")
         assert code == 0
@@ -116,6 +150,15 @@ class TestOneShot:
         )
         assert code == 0
         assert "dimension 1" in out
+
+    def test_zero_module_coeffs_json(self, capsys):
+        code, out, _ = invoke(
+            capsys, "coeffs", "--ring", "x y", "--ideal", "x^0", "--json"
+        )
+        assert code == 0
+        (entry,) = json.loads(out)["commands"]
+        assert entry["dimension"] == "-infinity"
+        assert entry["table"] == []
 
     def test_depth(self, capsys):
         code, out, _ = invoke(capsys, "depth", *self.RING)
@@ -189,12 +232,35 @@ class TestOneShot:
         code, _, err = invoke(capsys, "series", "--ring", "x1", "--ideal", "x1 +")
         assert code == 2
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_trials_below_one_exits_2(self, capsys, value):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["depth", "--trials", "0"], "--trials: must be at least 1", id="0"
+            ),
+            pytest.param(
+                ["depth", "--trials", "-1"], "--trials: must be at least 1", id="-1"
+            ),
+            pytest.param(
+                ["coeffs", "--max-degree", "-1"],
+                "--max-degree: must be at least 0",
+                id="max-degree",
+            ),
+            pytest.param(
+                ["coeffs", "--shift", "-1"], "--shift: must be at least 0", id="shift"
+            ),
+            pytest.param(
+                ["oracle-check", "--degree", "-1"],
+                "--degree: must be at least 0",
+                id="degree",
+            ),
+        ],
+    )
+    def test_trials_below_one_exits_2(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
-            main(["depth", "--ring", "x y", "--ideal", "x*y", "--trials", value])
+            main([argv[0], "--ring", "x y", "--ideal", "x*y", *argv[1:]])
         assert exc.value.code == 2
-        assert "--trials: must be at least 1" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_zero_denominator_exits_2(self, capsys):
         code, _, err = invoke(capsys, "coeffs", "--ring", "x", "--ideal", "1/0*x")
@@ -236,6 +302,7 @@ class TestPaperExamples:
         assert code == 1
         assert "truncation degree 4" in out
         assert "--max-degree >= 16" in out
+        assert _without_elapsed(out) == GOLDEN_TRUNCATION
 
     def test_json_enumerates_cells(self, capsys):
         code, out, _ = invoke(capsys, "paper-examples", "--json")

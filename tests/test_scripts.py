@@ -1,0 +1,42 @@
+"""Smoke tests for the two scripts under scripts/, run in-process."""
+
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from hilbcalc.theorem import (
+    MAXIMAL_TIMES_PRIME_CELLS,
+    RESOLUTION_FAMILY_CELLS,
+    TWO_PRIME_PRODUCT_CELLS,
+)
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(monkeypatch, capsys, name, *args):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out
+
+
+def test_paper_tables_prints_the_catalogue(monkeypatch, capsys):
+    out = run_script(monkeypatch, capsys, "paper_tables.py")
+    rows = [line for line in out.splitlines() if " e = " in line]
+    # one row per catalogue entry, plus the generic-minors row
+    catalogue = (
+        len(RESOLUTION_FAMILY_CELLS)
+        + len(MAXIMAL_TIMES_PRIME_CELLS)
+        + len(TWO_PRIME_PRODUCT_CELLS)
+    )
+    assert len(rows) == catalogue + 1
+    assert all(row.endswith("[ok]") for row in rows)
+    assert "MISMATCH" not in out
+
+
+def test_random_sweep_is_clean(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "random_sweep.py", "--count", "10")
+    assert exc.value.code == 0
+    assert "overall: clean" in capsys.readouterr().out
