@@ -112,16 +112,16 @@ def _numerator_of_monomial(d: int, exps: frozenset[Monomial]) -> IntPolynomial:
     zero_exp = (0,) * d
     if zero_exp in exps:
         return IntPolynomial.zero()
-    variable_count = 0
-    pivot_var = None
-    for m in sorted(exps):
-        if monomial_degree(m) == 1:
-            variable_count += 1
-        elif pivot_var is None:
-            pivot_var = next(i for i, e in enumerate(m) if e > 0)
-    if pivot_var is None:
-        # nothing but distinct variables
-        return IntPolynomial.one().times_one_minus_t(variable_count)
+    if all(sum(1 for m in exps if m[i]) <= 1 for i in range(d)):
+        # pairwise coprime generators (no variable shared) form a regular
+        # sequence, so the numerator is the product of the (1 - t^deg m)
+        h = IntPolynomial.one()
+        for m in exps:
+            h = h - h.times_t_power(monomial_degree(m))
+        return h
+    # two generators share a variable, so some generator is not a variable
+    pivot_gen = next(m for m in sorted(exps) if monomial_degree(m) > 1)
+    pivot_var = next(i for i, e in enumerate(pivot_gen) if e > 0)
     x = tuple(1 if i == pivot_var else 0 for i in range(d))
     colon_exps = minimalize_exponents(
         tuple(e - (1 if i == pivot_var and e > 0 else 0) for i, e in enumerate(m))

@@ -160,6 +160,23 @@ class TestOneShot:
         assert entry["dimension"] == "-infinity"
         assert entry["table"] == []
 
+    @pytest.mark.parametrize(
+        "ring, ideal, numerator",
+        [
+            ("x", "x^2000", {0: 1, 2000: -1}),
+            ("x y", "x^495, y^2", {0: 1, 2: -1, 495: -1, 497: 1}),
+        ],
+    )
+    def test_high_power_series_json(self, capsys, ring, ideal, numerator):
+        # pairwise coprime generators: once a RecursionError traceback
+        code, out, _ = invoke(capsys, "series", "--ring", ring, "--ideal", ideal, "--json")
+        assert code == 0
+        (entry,) = json.loads(out)["commands"]
+        expected = [0] * (max(numerator) + 1)
+        for power, c in numerator.items():
+            expected[power] = c
+        assert entry["numerator"] == expected
+
     def test_depth(self, capsys):
         code, out, _ = invoke(capsys, "depth", *self.RING)
         assert code == 0

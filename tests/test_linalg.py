@@ -24,6 +24,59 @@ def rank_by_echelon(rows):
     return ech.rank
 
 
+def bareiss_rank(rows):
+    """Reference rank by dense Bareiss elimination (the former int_rank)."""
+    M = [list(r) for r in rows if any(r)]
+    if not M:
+        return 0
+    ncols = len(M[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, len(M)):
+            if M[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        M[rank], M[piv] = M[piv], M[rank]
+        lead = M[rank][col]
+        top = M[rank]
+        for r in range(rank + 1, len(M)):
+            row = M[r]
+            head = row[col]
+            # rows with zero head still pick up the lead/prev scaling
+            for c in range(col + 1, ncols):
+                row[c] = (lead * row[c] - head * top[c]) // prev
+            row[col] = 0
+        prev = lead
+        rank += 1
+        if rank == len(M):
+            break
+    return rank
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """0-10 rows of 1-10 columns, small or 15-digit entries, with zero
+    rows, duplicated rows and integer multiples of rows mixed in."""
+    ncols = draw(st.integers(1, 10))
+    bound = draw(st.sampled_from([5, 10**15]))
+    entry = st.integers(-bound, bound)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=10))
+    for _ in range(draw(st.integers(0, max(0, 10 - len(rows))))):
+        kind = draw(st.sampled_from(["zero", "copy", "multiple"]))
+        if kind == "zero" or not rows:
+            extra = [0] * ncols
+        else:
+            source = draw(st.sampled_from(rows))
+            factor = 1 if kind == "copy" else draw(st.integers(-bound, bound))
+            extra = [factor * c for c in source]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
 class TestIntRank:
     def test_known_ranks(self):
         assert int_rank([]) == 0
@@ -40,6 +93,16 @@ class TestIntRank:
     @given(int_matrices)
     def test_agrees_with_rational_elimination(self, rows):
         assert int_rank(rows) == rank_by_echelon(rows)
+
+    @settings(max_examples=200)
+    @given(degenerate_matrices())
+    def test_agrees_with_bareiss_and_echelon(self, rows):
+        assert int_rank(rows) == bareiss_rank(rows) == rank_by_echelon(rows)
+
+    @settings(max_examples=40)
+    @given(degenerate_matrices())
+    def test_accepts_a_generator(self, rows):
+        assert int_rank(list(r) for r in rows) == bareiss_rank(rows)
 
 
 class TestFractionEchelon:

@@ -1,11 +1,15 @@
 """The brute-force degree counter that everything else is measured against."""
 
+import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbcalc import polyring, presentation
 from hilbcalc.oracle import (
+    DEFAULT_CHECK_DEGREE,
     SeriesCheck,
     _ideal_rank,
     graded_dimension,
@@ -20,6 +24,25 @@ from hilbcalc.series import binomial
 
 def monomial_ideal(d, *exps):
     return PolyIdeal(d, [Polynomial.from_monomial(d, e) for e in exps])
+
+
+def generic_quadrics(d, count, seed):
+    """count quadrics in d variables, every coefficient from randint(-5, 5)."""
+    rng = random.Random(seed)
+    quadrics = monomials_of_degree(d, 2)
+    return PolyIdeal(
+        d,
+        [
+            Polynomial(d, {m: rng.randint(-5, 5) for m in quadrics})
+            for _ in range(count)
+        ],
+    )
+
+
+# two generic quadrics in four variables: a complete intersection with
+# series (1 + t)^2 / (1 - t)^2, so 1, 4, 8, ..., 4n
+QUADRICS = CyclicModule(4, generic_quadrics(4, 2, seed=0))
+QUADRICS_PROFILE = (1,) + tuple(4 * n for n in range(1, 13))
 
 
 class TestMonomialEnumeration:
@@ -69,6 +92,16 @@ class TestGradedDimension:
         assert p2[:2] == (0, 0)
         assert p2[2:] == p0[:7]
 
+    def test_counts_without_groebner_bases(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle must not compute a Groebner basis")
+
+        monkeypatch.setattr(polyring, "buchberger", refuse)
+        monkeypatch.setattr(presentation, "buchberger", refuse)
+        with pytest.raises(AssertionError):
+            presentation.series_of_cyclic(QUADRICS)
+        assert graded_profile(QUADRICS, 6) == QUADRICS_PROFILE[:7]
+
     def test_unit_ideal_vanishes(self):
         M = CyclicModule(2, PolyIdeal(2, [Polynomial.one(2)]))
         assert graded_profile(M, 4) == (0, 0, 0, 0, 0)
@@ -92,6 +125,11 @@ class TestVerifySeries:
         )
         assert not check
         assert check.first_mismatch == 2
+
+    def test_default_degree_on_complete_intersection(self):
+        assert DEFAULT_CHECK_DEGREE == 12
+        assert graded_profile(QUADRICS, DEFAULT_CHECK_DEGREE) == QUADRICS_PROFILE
+        assert verify_series(QUADRICS, DEFAULT_CHECK_DEGREE).ok
 
     @settings(max_examples=25, deadline=None)
     @given(
