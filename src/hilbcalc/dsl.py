@@ -15,14 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from typing import Iterator, Optional, Sequence
 
 from hilbcalc.polyring import (
     DegRevLex,
     LinearForm,
     Polynomial,
-    compare_monomials,
 )
 
 KEYWORDS = frozenset(
@@ -561,11 +559,7 @@ def format_polynomial(poly: Polynomial, variables: Sequence[str]) -> str:
     if poly.is_zero:
         return "0"
     order = DegRevLex(poly.nvars)
-    monomials = sorted(
-        poly.terms,
-        key=cmp_to_key(lambda a, b: compare_monomials(a, b, order)),
-        reverse=True,
-    )
+    monomials = sorted(poly.terms, key=order.key)
     pieces: list[str] = []
     for m in monomials:
         c = poly.terms[m]

@@ -2,17 +2,23 @@
 
 Polynomials are dictionaries mapping exponent tuples to nonzero Fraction
 coefficients.  Monomial orders are small strategy objects producing sort
-keys, so leading terms come from max() over the support.  The Groebner
-engine is a plain Buchberger loop with the coprime and chain criteria,
-always returning the reduced monic basis.
+keys, and the leading monomial has the smallest key, so leading terms come
+from min() over the support and a heap pops them in order.  Division is one
+fraction-free kernel: the pending terms are integers over one common
+denominator, each divisor contributes a primitive integer row computed once
+per order, and only remainder and quotient terms become Fractions again.
+The Groebner engine is a plain Buchberger loop with the coprime and chain
+criteria, always returning the reduced monic basis.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
+from operator import add, le, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
 Monomial = tuple[int, ...]
@@ -31,17 +37,17 @@ def monomial_degree(m: Monomial) -> int:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """Whether x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     """Exponent vector of x^a / x^b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
@@ -63,7 +69,13 @@ def minimalize_exponents(exps: Iterable[Monomial]) -> frozenset[Monomial]:
 
 
 class MonomialOrder:
-    """Base for term orders; subclasses provide key()."""
+    """Base for term orders; subclasses provide key().
+
+    Keys sort ascending from the top of the order down: the leading
+    monomial of a support has the smallest key, so min() finds it, an
+    ascending sort lists terms leading first, and a heap pops them in
+    reduction order.
+    """
 
     name = "order"
 
@@ -83,7 +95,7 @@ class DegRevLex(MonomialOrder):
     name = "degrevlex"
 
     def key(self, m: Monomial):
-        return (sum(m), tuple(-e for e in reversed(m)))
+        return (-sum(m), m[::-1])
 
 
 class EliminationOrder(MonomialOrder):
@@ -103,7 +115,7 @@ class EliminationOrder(MonomialOrder):
     def key(self, m: Monomial):
         a = self.aux_index
         rest = m[:a] + m[a + 1 :]
-        return (m[a], sum(rest), tuple(-e for e in reversed(rest)))
+        return (-m[a], -sum(rest), rest[::-1])
 
     def cache_token(self) -> str:
         return f"{self.name}:{self.nvars}:{self.aux_index}"
@@ -118,9 +130,9 @@ def compare_monomials(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
         )
     ka, kb = order.key(a), order.key(b)
     if ka < kb:
-        return -1
-    if ka > kb:
         return 1
+    if ka > kb:
+        return -1
     return 0
 
 
@@ -135,7 +147,7 @@ def _coerce_coeff(c) -> Fraction:
 class Polynomial:
     """Sparse polynomial over the rationals in a fixed number of variables."""
 
-    __slots__ = ("nvars", "terms", "_key")
+    __slots__ = ("nvars", "terms", "_key", "_row")
 
     def __init__(self, nvars: int, terms: Optional[dict] = None):
         self.nvars = nvars
@@ -151,6 +163,7 @@ class Polynomial:
                     clean[tuple(m)] = c
         self.terms = clean
         self._key = None
+        self._row = None
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -269,8 +282,28 @@ class Polynomial:
     def leading(self, order: MonomialOrder) -> tuple[Monomial, Fraction]:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=order.key)
+        m = min(self.terms, key=order.key)
         return m, self.terms[m]
+
+    def division_row(self, order: MonomialOrder) -> tuple[Monomial, int, tuple]:
+        """Primitive integer multiple of self as (lm, lc, tail), lc > 0.
+
+        Built once per order and kept on the polynomial, so a basis element
+        that divides many times is converted once; tail holds the other
+        terms as (monomial, int) pairs.
+        """
+        token = order.cache_token()
+        if self._row is None or self._row[0] != token:
+            lm, _ = self.leading(order)
+            den = lcm(*(c.denominator for c in self.terms.values()))
+            ints = {m: c.numerator * (den // c.denominator) for m, c in self.terms.items()}
+            content = gcd(*ints.values())
+            if ints[lm] < 0:
+                content = -content
+            lc = ints.pop(lm) // content
+            tail = tuple((m, v // content) for m, v in ints.items())
+            self._row = (token, (lm, lc, tail))
+        return self._row[1]
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
         _, c = self.leading(order)
@@ -445,55 +478,88 @@ class PolyIdeal:
         return f"PolyIdeal(d={self.ring_dim}, gens={len(self.generators)})"
 
 
-def normal_form(
-    f: Polynomial, basis: Sequence[Polynomial], order: Optional[MonomialOrder] = None
+def _divide(
+    f: Polynomial,
+    rows: Sequence[tuple[Monomial, int, tuple]],
+    order: MonomialOrder,
+    quotient: Optional[dict] = None,
 ) -> Polynomial:
-    """Remainder of f under multivariate division by basis."""
-    order = order or DegRevLex(f.nvars)
-    divisors = []
-    for g in basis:
-        if g.is_zero:
-            continue
-        if g.nvars != f.nvars:
-            raise RingMismatch("division across different rings")
-        lm, lc = g.leading(order)
-        divisors.append((lm, lc, g.terms))
-    work = dict(f.terms)
-    remainder: dict[Monomial, Fraction] = {}
+    """Remainder of f under division by the divisor rows, leading term first.
+
+    The pending terms are integers over one common denominator den.  A
+    heap pops the next pending monomial by order key; an entry whose term
+    has cancelled is skipped.  Cancelling c x^m against the row with
+    lm | m multiplies the pending row by a = lc/g and subtracts b = c/g
+    times the shifted tail (g = gcd(c, lc)), then divides the pending row
+    and den by their content.  With one row, quotient collects the
+    quotient by that row, keyed by shift.
+    """
     key = order.key
-    while work:
-        m = max(work, key=key)
-        c = work[m]
-        hit = None
-        for lm, lc, terms in divisors:
-            if monomial_divides(lm, m):
-                hit = (lm, lc, terms)
-                break
-        if hit is None:
-            del work[m]
-            remainder[m] = c
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    work = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
+    heap = [(key(m), m) for m in work]
+    heapify(heap)
+    remainder: dict[Monomial, Fraction] = {}
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, 0)
+        if not c:
             continue
-        lm, lc, terms = hit
-        shift_exp = monomial_div(m, lm)
-        factor = c / lc
-        for mg, cg in terms.items():
-            mm = monomial_mul(mg, shift_exp)
-            v = work.get(mm, 0) - factor * cg
-            if v:
-                work[mm] = v
+        for lm, lc, tail in rows:
+            if all(map(le, lm, m)):
+                break
+        else:
+            remainder[m] = Fraction(c, den)
+            continue
+        shift = tuple(map(sub, m, lm))
+        g = gcd(c, lc)
+        a, b = lc // g, c // g
+        if quotient is not None:
+            quotient[shift] = Fraction(c, den * lc)
+        if a != 1:
+            den *= a
+            work = {t: v * a for t, v in work.items()}
+        for mt, ct in tail:
+            mm = tuple(map(add, mt, shift))
+            d = b * ct
+            v = work.get(mm)
+            if v is None:
+                work[mm] = -d
+                heappush(heap, (key(mm), mm))
+            elif v == d:
+                del work[mm]
             else:
-                work.pop(mm, None)
+                work[mm] = v - d
+        k = gcd(den, *work.values())
+        if k != 1:
+            den //= k
+            work = {t: v // k for t, v in work.items()}
     out = Polynomial(f.nvars)
     out.terms = remainder
     return out
 
 
+def normal_form(
+    f: Polynomial, basis: Sequence[Polynomial], order: Optional[MonomialOrder] = None
+) -> Polynomial:
+    """Remainder of f under multivariate division by basis."""
+    order = order or DegRevLex(f.nvars)
+    rows = []
+    for g in basis:
+        if g.is_zero:
+            continue
+        if g.nvars != f.nvars:
+            raise RingMismatch("division across different rings")
+        rows.append(g.division_row(order))
+    return _divide(f, rows, order)
+
+
 def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     lmf, lcf = f.leading(order)
     lmg, lcg = g.leading(order)
-    lcm = monomial_lcm(lmf, lmg)
-    return f.term_mul(Fraction(1) / lcf, monomial_div(lcm, lmf)) - g.term_mul(
-        Fraction(1) / lcg, monomial_div(lcm, lmg)
+    top = monomial_lcm(lmf, lmg)
+    return f.term_mul(Fraction(1) / lcf, monomial_div(top, lmf)) - g.term_mul(
+        Fraction(1) / lcg, monomial_div(top, lmg)
     )
 
 
@@ -519,24 +585,26 @@ def _reduced_basis(
     for j in range(len(G)):
         push_pairs(j)
 
-    def pair_sort_key(p):
-        lcm = monomial_lcm(lms[p[0]], lms[p[1]])
-        return (monomial_degree(lcm), order.key(lcm), p)
+    def pair_priority(p):
+        # lowest lcm degree first, then the lcm lowest in the order (the
+        # largest key), then the earliest pair
+        m = monomial_lcm(lms[p[0]], lms[p[1]])
+        return (-monomial_degree(m), order.key(m), -p[0], -p[1])
 
     while pairs:
-        i, j = min(pairs, key=pair_sort_key)
+        i, j = max(pairs, key=pair_priority)
         pairs.discard((i, j))
         done.add((i, j))
         if monomials_coprime(lms[i], lms[j]):
             continue
-        lcm = monomial_lcm(lms[i], lms[j])
+        pair_lcm = monomial_lcm(lms[i], lms[j])
         # chain criterion: a third element dividing the lcm whose pairs with
         # both ends were already treated makes this pair redundant
         skip = False
         for k in range(len(G)):
             if k in (i, j):
                 continue
-            if monomial_divides(lms[k], lcm):
+            if monomial_divides(lms[k], pair_lcm):
                 pik = (min(i, k), max(i, k))
                 pjk = (min(j, k), max(j, k))
                 if pik in done and pjk in done:
@@ -552,8 +620,9 @@ def _reduced_basis(
         push_pairs(len(G) - 1)
 
     # minimalize: drop elements whose leading monomial another one divides
+    # (lowest leading monomial first, so a divisor comes before its multiples)
     keep: list[int] = []
-    for i in sorted(range(len(G)), key=lambda i: order.key(lms[i])):
+    for i in sorted(range(len(G)), key=lambda i: order.key(lms[i]), reverse=True):
         if not any(monomial_divides(lms[k], lms[i]) for k in keep):
             keep.append(i)
     minimal = [G[i] for i in keep]
@@ -563,7 +632,7 @@ def _reduced_basis(
         others = [h for j, h in enumerate(minimal) if j != i]
         r = normal_form(g, others, order)
         reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
+    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
     return tuple(reduced)
 
 
@@ -573,7 +642,7 @@ def buchberger(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> tuple[Pol
     if I.is_monomial:
         return tuple(
             Polynomial.from_monomial(I.ring_dim, m)
-            for m in sorted(I.monomial_exponents(), key=order.key, reverse=True)
+            for m in sorted(I.monomial_exponents(), key=order.key)
         )
     return _reduced_basis(I.generators, I.ring_dim, order)
 
@@ -590,25 +659,14 @@ def initial_ideal(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> PolyId
 
 def _exact_divide(p: Polynomial, f: Polynomial, order: MonomialOrder) -> Polynomial:
     """Quotient p / f for p a multiple of f."""
-    lmf, lcf = f.leading(order)
-    work = dict(p.terms)
+    row = f.division_row(order)
     quot: dict[Monomial, Fraction] = {}
-    while work:
-        m = max(work, key=order.key)
-        if not monomial_divides(lmf, m):
-            raise ArithmeticError("polynomial is not a multiple of the divisor")
-        shift_exp = monomial_div(m, lmf)
-        factor = work[m] / lcf
-        quot[shift_exp] = factor
-        for mg, cg in f.terms.items():
-            mm = monomial_mul(mg, shift_exp)
-            v = work.get(mm, 0) - factor * cg
-            if v:
-                work[mm] = v
-            else:
-                work.pop(mm, None)
+    if _divide(p, [row], order, quot):
+        raise ArithmeticError("polynomial is not a multiple of the divisor")
+    # quot divides by the integer row, which is f times lc_row / lc_f
+    scale = row[1] / f.terms[row[0]]
     out = Polynomial(p.nvars)
-    out.terms = quot
+    out.terms = {m: c * scale for m, c in quot.items()}
     return out
 
 

@@ -13,7 +13,6 @@ their initial ideal first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from hilbcalc.polyring import (
     DegRevLex,
@@ -105,8 +104,14 @@ def series_of_resolution(P: ResolutionPresentation) -> HilbertSeries:
     return P._series()
 
 
-@lru_cache(maxsize=None)
-def _numerator_of_monomial(d: int, exps: frozenset[Monomial]) -> IntPolynomial:
+# numerators of R/I for monomial ideals I, keyed on (d, minimal generating
+# exponents of I)
+_MONOMIAL_NUMERATORS: dict[tuple[int, frozenset[Monomial]], IntPolynomial] = {}
+
+
+def _pivot_step(d: int, exps: frozenset[Monomial]):
+    """The numerator of a base case, or the memo keys of the pivot split
+    (I : x) and I + (x) whose numerators give t * h(I : x) + h(I + (x))."""
     if not exps:
         return IntPolynomial.one()
     zero_exp = (0,) * d
@@ -128,9 +133,36 @@ def _numerator_of_monomial(d: int, exps: frozenset[Monomial]) -> IntPolynomial:
         for m in exps
     )
     plus_exps = minimalize_exponents(set(exps) | {x})
-    return _numerator_of_monomial(d, colon_exps).times_t_power(1) + _numerator_of_monomial(
-        d, plus_exps
-    )
+    return (d, colon_exps), (d, plus_exps)
+
+
+def _numerator_of_monomial(d: int, exps: frozenset[Monomial]) -> IntPolynomial:
+    """Numerator of R/I for the monomial ideal minimally generated by exps.
+
+    Walks the pivot recursion with an explicit stack, so a chain of
+    thousands of pivot steps needs no Python recursion; every node reached
+    is memoised in _MONOMIAL_NUMERATORS.
+    """
+    memo = _MONOMIAL_NUMERATORS
+    root = (d, exps)
+    # entries are (node, None) before the node's step is taken and
+    # (node, (colon, plus)) once both children sit above it on the stack
+    stack = [(root, None)]
+    while stack:
+        node, split = stack.pop()
+        if node in memo:
+            continue
+        if split is None:
+            step = _pivot_step(*node)
+            if isinstance(step, IntPolynomial):
+                memo[node] = step
+                continue
+            colon, plus = step
+            stack += [(node, step), (plus, None), (colon, None)]
+        else:
+            colon, plus = split
+            memo[node] = memo[colon].times_t_power(1) + memo[plus]
+    return memo[root]
 
 
 def series_of_monomial_quotient(d: int, I: PolyIdeal) -> HilbertSeries:

@@ -9,5 +9,5 @@ from hilbcalc import presentation, superficial
 @pytest.fixture(autouse=True)
 def empty_memo_tables():
     presentation._IDEAL_SERIES.clear()
-    presentation._numerator_of_monomial.cache_clear()
+    presentation._MONOMIAL_NUMERATORS.clear()
     superficial._DEPTH_CACHE.clear()

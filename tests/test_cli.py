@@ -165,10 +165,16 @@ class TestOneShot:
         [
             ("x", "x^2000", {0: 1, 2000: -1}),
             ("x y", "x^495, y^2", {0: 1, 2: -1, 495: -1, 497: 1}),
+            (
+                "x y z",
+                "x^700*y, y^700*z, z^700*x",
+                {0: 1, 701: -3, 1401: 3, 2100: -1},
+            ),
         ],
     )
     def test_high_power_series_json(self, capsys, ring, ideal, numerator):
-        # pairwise coprime generators: once a RecursionError traceback
+        # all once a RecursionError traceback; the first two have pairwise
+        # coprime generators, the third walks about 700 pivot steps
         code, out, _ = invoke(capsys, "series", "--ring", ring, "--ideal", ideal, "--json")
         assert code == 0
         (entry,) = json.loads(out)["commands"]

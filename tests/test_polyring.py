@@ -1,17 +1,25 @@
 """Polynomial arithmetic, Groebner bases, and the ideal operations."""
 
+import itertools
+import json
+import random
 from fractions import Fraction
+from pathlib import Path
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbcalc import polyring
 from hilbcalc.oracle import graded_dimension, monomials_of_degree
 from hilbcalc.polyring import (
     DegRevLex,
     EliminationOrder,
     EmptySpan,
     LinearForm,
+    Monomial,
+    MonomialOrder,
     PolyIdeal,
     Polynomial,
     RingMismatch,
@@ -41,6 +49,51 @@ def P(nvars, *terms):
 
 def var(nvars, i):
     return Polynomial.variable(nvars, i)
+
+
+def reference_normal_form(
+    f: Polynomial, basis: Sequence[Polynomial], order: Optional[MonomialOrder] = None
+) -> Polynomial:
+    """Plain Fraction long division, kept as the reference for the
+    fraction-free kernel.  This is the earlier normal_form body; its one
+    change is min() in place of max() for the smallest-key-leads orders."""
+    order = order or DegRevLex(f.nvars)
+    divisors = []
+    for g in basis:
+        if g.is_zero:
+            continue
+        if g.nvars != f.nvars:
+            raise RingMismatch("division across different rings")
+        lm, lc = g.leading(order)
+        divisors.append((lm, lc, g.terms))
+    work = dict(f.terms)
+    remainder: dict[Monomial, Fraction] = {}
+    key = order.key
+    while work:
+        m = min(work, key=key)
+        c = work[m]
+        hit = None
+        for lm, lc, terms in divisors:
+            if monomial_divides(lm, m):
+                hit = (lm, lc, terms)
+                break
+        if hit is None:
+            del work[m]
+            remainder[m] = c
+            continue
+        lm, lc, terms = hit
+        shift_exp = monomial_div(m, lm)
+        factor = c / lc
+        for mg, cg in terms.items():
+            mm = monomial_mul(mg, shift_exp)
+            v = work.get(mm, 0) - factor * cg
+            if v:
+                work[mm] = v
+            else:
+                work.pop(mm, None)
+    out = Polynomial(f.nvars)
+    out.terms = remainder
+    return out
 
 
 small_exponents = st.tuples(
@@ -153,6 +206,177 @@ class TestNormalForm:
         r = normal_form(f, G, order)
         assert normal_form(r, G, order) == r
         assert normal_form(f - r, G, order).is_zero
+
+
+# leading coefficients the kernel must scale through: negative, rational,
+# and large enough that a float or a dropped factor would show
+AWKWARD_COEFFS = (
+    Fraction(-1),
+    Fraction(-3),
+    Fraction(2, 3),
+    Fraction(-7, 5),
+    Fraction(10**15),
+    Fraction(-(10**15)),
+    Fraction(1, 10**15),
+)
+
+ORDERS = (
+    DegRevLex(3),
+    EliminationOrder(3, aux_index=0),
+    EliminationOrder(3, aux_index=2),
+)
+
+coefficients = st.one_of(
+    st.integers(-5, 5).map(Fraction),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+    st.sampled_from(AWKWARD_COEFFS),
+)
+
+
+@st.composite
+def polys3(draw, max_terms=5):
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * 3), coefficients, max_size=max_terms
+        )
+    )
+    return Polynomial(3, terms)
+
+
+@st.composite
+def division_problems(draw):
+    """(f, basis, order): divisors scaled to an awkward leading coefficient,
+    a zero divisor now and then, and f sometimes zero or a divisor."""
+    order = draw(st.sampled_from(ORDERS))
+    basis = []
+    for p in draw(st.lists(polys3(), max_size=4)):
+        if not p.is_zero and draw(st.booleans()):
+            lc = draw(st.sampled_from(AWKWARD_COEFFS))
+            p = p * (lc / p.leading(order)[1])
+        basis.append(p)
+    kind = draw(st.sampled_from(["random", "zero", "divisor", "multiple"]))
+    f = draw(polys3(max_terms=8))
+    if kind == "zero":
+        f = Polynomial.zero(3)
+    elif kind == "divisor" and basis:
+        f = draw(st.sampled_from(basis))
+    elif kind == "multiple" and basis:
+        f = f * draw(st.sampled_from(basis)) + draw(polys3())
+    return f, basis, order
+
+
+class TestDivisionKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(division_problems())
+    def test_agrees_with_fraction_long_division(self, problem):
+        f, basis, order = problem
+        assert normal_form(f, basis, order) == reference_normal_form(f, basis, order)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.cache_token())
+    def test_edge_cases(self, order):
+        g = P(3, (Fraction(-7, 5), (1, 1, 0)), (10**15, (0, 0, 2)), (1, (0, 1, 0)))
+        h = P(3, (-3, (0, 2, 0)), (Fraction(2, 3), (1, 0, 0)))
+        f = g * h + P(3, (5, (2, 0, 1)))
+        zero = Polynomial.zero(3)
+        assert normal_form(zero, [g, h], order).is_zero
+        assert normal_form(f, [], order) == f
+        assert normal_form(f, [zero], order) == f
+        assert normal_form(g, [g], order).is_zero
+        assert normal_form(g * h, [h, g], order).is_zero
+        for divisors in ([g], [h, g], [g, zero, h]):
+            assert normal_form(f, divisors, order) == reference_normal_form(
+                f, divisors, order
+            )
+
+    def test_division_row_is_primitive_and_kept(self):
+        g = P(3, (Fraction(-2, 3), (1, 0, 0)), (Fraction(4, 9), (0, 1, 0)))
+        order = DegRevLex(3)
+        row = g.division_row(order)
+        assert row == ((1, 0, 0), 3, (((0, 1, 0), -2),))
+        assert g.division_row(DegRevLex(3)) is row
+        elim = EliminationOrder(3, aux_index=1)
+        assert g.division_row(elim) == ((0, 1, 0), 2, (((1, 0, 0), -3),))
+
+    @settings(max_examples=100, deadline=None)
+    @given(polys3(), polys3(), polys3(), st.sampled_from(ORDERS))
+    def test_exact_divide_recovers_the_cofactor(self, p, f, q, order):
+        if f.is_zero:
+            return
+        assert polyring._exact_divide(p * f, f, order) == p
+        # {f} is a Groebner basis of (f): p f + q is a multiple of f exactly
+        # when q leaves no remainder
+        if normal_form(q, [f], order).is_zero:
+            assert polyring._exact_divide(p * f + q, f, order) * f == p * f + q
+        else:
+            with pytest.raises(ArithmeticError):
+                polyring._exact_divide(p * f + q, f, order)
+
+
+@st.composite
+def small_homogeneous_ideals(draw):
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        deg = draw(st.integers(1, 3))
+        support = [m for m in itertools.product(range(deg + 1), repeat=3) if sum(m) == deg]
+        chosen = draw(st.lists(st.sampled_from(support), min_size=1, max_size=4, unique=True))
+        gens.append(Polynomial(3, {m: draw(coefficients) for m in chosen}))
+    return PolyIdeal(3, gens)
+
+
+def _with_reference_division(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyring, "normal_form", reference_normal_form)
+        return fn(*args)
+
+
+class TestBuchbergerAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(small_homogeneous_ideals(), st.sampled_from(ORDERS))
+    def test_same_reduced_basis(self, I, order):
+        assert buchberger(I, order) == _with_reference_division(buchberger, I, order)
+
+    def test_same_colon(self):
+        f1 = P(3, (3, (2, 0, 0)), (-1, (0, 1, 1)), (Fraction(1, 2), (1, 0, 1)))
+        f2 = P(3, (-2, (1, 1, 0)), (7, (0, 0, 2)))
+        g = P(3, (Fraction(-5, 3), (1, 0, 0)), (2, (0, 0, 1)))
+        I = PolyIdeal(3, [f1, f2])
+        Q = colon(I, g)
+        assert Q == _with_reference_division(colon, I, g)
+        assert not Q.is_unit and Q != I
+
+
+def bench_quadrics(nvars: int, count: int, seed: int) -> list[Polynomial]:
+    """The benchmark's generic quadrics: every coefficient over the
+    degree-2 monomials from randint(-5, 5), all-zero draws redrawn."""
+    rng = random.Random(seed)
+    gens = []
+    while len(gens) < count:
+        terms = {}
+        for a, b in itertools.combinations_with_replacement(range(nvars), 2):
+            c = rng.randint(-5, 5)
+            if c:
+                m = [0] * nvars
+                m[a] += 1
+                m[b] += 1
+                terms[tuple(m)] = Fraction(c)
+        if terms:
+            gens.append(Polynomial(nvars, terms))
+    return gens
+
+
+def test_golden_reduced_basis_of_three_quadrics():
+    # every coefficient of the reduced basis, not just its leading monomials
+    # (the coefficient table sees only those); recorded with Fraction long
+    # division, terms listed leading first
+    order = DegRevLex(6)
+    G = buchberger(PolyIdeal(6, bench_quadrics(6, 3, 0)), order)
+    rows = [
+        [[list(m), g.terms[m].numerator, g.terms[m].denominator]
+         for m in sorted(g.terms, key=order.key)]
+        for g in G
+    ]
+    golden = Path(__file__).parent / "data" / "quadrics_6_vars_basis.json"
+    assert json.dumps(rows, separators=(",", ":")) == golden.read_text()
 
 
 class TestBuchberger:
