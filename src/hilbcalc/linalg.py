@@ -1,52 +1,76 @@
 """Exact linear algebra over the integers and rationals.
 
-Kept deliberately small: a sparse fraction-free rank for the large
-integer matrices of the brute-force oracle, and an incremental reduced
-echelon form for membership and residual tests on short rational vectors.
+Kept deliberately small: one integer echelon, IntEchelon, holds primitive
+``{column: int}`` pivot rows and is the only elimination routine the
+package runs.  The brute-force oracle's int_rank inserts every row of a
+large Macaulay matrix into one; the depth screen keeps the degree-two
+part of an ideal in one and stacks each candidate's rows on it as an
+overlay that never copies it.  FractionEchelon, a reduced echelon form
+over the rationals, is no longer used by the package: it stays because
+the benchmark tracer wraps FractionEchelon.insert by name and the tests
+use it as a reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 
-def int_rank(rows: Iterable[Sequence[int]]) -> int:
-    """Rank of an integer matrix by sparse fraction-free row elimination.
+class IntEchelon:
+    """Span of integer rows as primitive pivot rows keyed by last column.
 
-    Each row is kept as a ``{column: entry}`` dict of its nonzeros and
-    reduced against the stored pivot rows, always at its last (highest)
+    A row is a ``{column: entry}`` dict of its nonzeros.  insert reduces
+    it against the stored pivot rows, always at its last (highest)
     nonzero column.  When the pivot row ``top`` for that column holds
-    ``p`` there and the row holds ``q``, the row becomes
-    ``a*row - b*top`` with ``a = p/g``, ``b = q/g`` and ``g = gcd(p, q)``.
-    Before each step, and before it is stored, the row is divided by the
-    gcd of its entries (its content).  The combination clears that column and touches only lower ones, because
-    the pivot row ends there, so each row ends, after finitely many
-    steps, as a new pivot row or as zero.  Each step replaces the row by
-    a nonzero multiple of it plus a multiple of a stored row, which keeps
-    the span over the rationals, and with it the rank; all arithmetic is
-    on integers and exact, and the content division keeps entries small.
-    The rank is the number of pivot rows.
+    ``p`` there and the row holds ``q``, the row becomes ``a*row - b*top``
+    with ``a = p/g``, ``b = q/g`` and ``g = gcd(p, q)``.  Before each step,
+    and before it is stored, the row is divided by the gcd of its entries
+    (its content).  The combination clears that column and touches only
+    lower ones, because the pivot row ends there, so each row ends, after
+    finitely many steps, as a new pivot row or as zero.  Each step
+    replaces the row by a nonzero multiple of it plus a multiple of a
+    stored row, which keeps the span over the rationals, and with it the
+    rank; all arithmetic is on integers and exact, and the content
+    division keeps entries small.
 
-    Pivoting on the last column suits the oracle's Macaulay matrices,
-    whose columns list monomials lexicographically, so the last nonzero
-    column is the lex-largest monomial: on the degree-8 matrix of three
-    quadrics in five variables (630 x 495) it took 1.25 s against 3.2 s
-    for first-column pivoting (CPython 3.11, 2-vCPU host).
+    An echelon built on a base looks pivots up in its own rows first and
+    then in the base's, and stores new pivot rows only in its own; the
+    base is read, never copied or changed.  Its rank, the number of its
+    own pivot rows, is then the rank its rows add to the base's span.
     """
-    pivots: dict[int, dict[int, int]] = {}
-    for entries in rows:
-        row = {j: c for j, c in enumerate(entries) if c}
+
+    __slots__ = ("pivots", "base")
+
+    def __init__(self, base: Optional["IntEchelon"] = None):
+        self.pivots: dict[int, dict[int, int]] = {}
+        self.base = base
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _pivot(self, col: int) -> Optional[dict[int, int]]:
+        top = self.pivots.get(col)
+        if top is None and self.base is not None:
+            return self.base._pivot(col)
+        return top
+
+    def insert(self, row: dict[int, int]) -> bool:
+        """Add a row to the span; True when it was independent.
+
+        The dict is consumed: it may be changed in place or stored.
+        """
         while row:
             g = gcd(*row.values())
             if g > 1:
                 row = {j: c // g for j, c in row.items()}
             col = max(row)
-            top = pivots.get(col)
+            top = self._pivot(col)
             if top is None:
-                pivots[col] = row
-                break
+                self.pivots[col] = row
+                return True
             g = gcd(top[col], row[col])
             a, b = top[col] // g, row[col] // g
             reduced = {j: a * c for j, c in row.items()} if a != 1 else row
@@ -57,9 +81,27 @@ def int_rank(rows: Iterable[Sequence[int]]) -> int:
                 else:
                     del reduced[j]
             row = reduced
-    return len(pivots)
+        return False
 
 
+def int_rank(rows: Iterable[Sequence[int]]) -> int:
+    """Rank of an integer matrix by sparse fraction-free row elimination.
+
+    Every row goes into one IntEchelon; the rank is its pivot count.
+
+    Pivoting on the last column suits the oracle's Macaulay matrices,
+    whose columns list monomials lexicographically, so the last nonzero
+    column is the lex-largest monomial: on the degree-8 matrix of three
+    quadrics in five variables (630 x 495) it took 1.25 s against 3.2 s
+    for first-column pivoting (CPython 3.11, 2-vCPU host).
+    """
+    echelon = IntEchelon()
+    for entries in rows:
+        echelon.insert({j: c for j, c in enumerate(entries) if c})
+    return echelon.rank
+
+
+# Unused by the package; kept for the benchmark tracer and the tests.
 class FractionEchelon:
     """Reduced row echelon span of rational vectors, built incrementally."""
 

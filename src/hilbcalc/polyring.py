@@ -7,6 +7,8 @@ from min() over the support and a heap pops them in order.  Division is one
 fraction-free kernel: the pending terms are integers over one common
 denominator, each divisor contributes a primitive integer row computed once
 per order, and only remainder and quotient terms become Fractions again.
+Linear substitution works the same way: the image's numerators are
+summed as integers over one denominator and divided once per term.
 The Groebner engine is a plain Buchberger loop with the coprime and chain
 criteria, always returning the reduced monic basis.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, le, sub
@@ -134,6 +137,13 @@ def compare_monomials(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
     if ka > kb:
         return -1
     return 0
+
+
+def clear_denominators(coeffs: dict) -> tuple[int, dict]:
+    """(den, ints) with den the lcm of the denominators of the rational
+    values of coeffs and ints the same keys holding value * den."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
 
 
 def _coerce_coeff(c) -> Fraction:
@@ -295,8 +305,7 @@ class Polynomial:
         token = order.cache_token()
         if self._row is None or self._row[0] != token:
             lm, _ = self.leading(order)
-            den = lcm(*(c.denominator for c in self.terms.values()))
-            ints = {m: c.numerator * (den // c.denominator) for m, c in self.terms.items()}
+            _, ints = clear_denominators(self.terms)
             content = gcd(*ints.values())
             if ints[lm] < 0:
                 content = -content
@@ -495,8 +504,7 @@ def _divide(
     quotient by that row, keyed by shift.
     """
     key = order.key
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    work = {m: c.numerator * (den // c.denominator) for m, c in f.terms.items()}
+    den, work = clear_denominators(f.terms)
     heap = [(key(m), m) for m in work]
     heapify(heap)
     remainder: dict[Monomial, Fraction] = {}
@@ -732,37 +740,72 @@ class LinearElimination:
     pivot: int
     replacement: tuple[Fraction, ...]  # indexed by the surviving variables
 
-    def _replacement_poly(self) -> Polynomial:
+    @cached_property
+    def _integer_powers(self) -> tuple[int, list[dict[Monomial, int]]]:
+        """(L, powers): the replacement is rep/L with rep an integer form,
+        and powers[e] holds rep^e as a {monomial: int} dict, grown on demand
+        by map_polynomial and kept for every later call."""
         n = self.nvars - 1
-        terms = {}
-        for i, c in enumerate(self.replacement):
-            if c != 0:
+        L, ints = clear_denominators(dict(enumerate(self.replacement)))
+        rep = {}
+        for i, c in ints.items():
+            if c:
                 exp = [0] * n
                 exp[i] = 1
-                terms[tuple(exp)] = c
-        return Polynomial(n, terms)
+                rep[tuple(exp)] = c
+        return L, [{(0,) * n: 1}, rep]
 
     def old_index(self, new_index: int) -> int:
         """Original ring index of a surviving variable."""
         return new_index if new_index < self.pivot else new_index + 1
 
     def map_polynomial(self, p: Polynomial) -> Polynomial:
+        """Image of p with the pivot variable replaced, computed on integers.
+
+        With p = sum (c_m/den) x^m and the replacement rep/L, the term of
+        pivot exponent e maps to c_m L^(E-e) rep^e x^base over den L^E, E
+        the largest pivot exponent in p; the integer numerators are summed
+        in one dict and each divided once.  The image is the same exact
+        rational polynomial, terms in the same order, as summing the
+        Fraction products term by term.
+        """
         if p.nvars != self.nvars:
             raise RingMismatch("polynomial is not in the eliminated ring")
-        n = self.nvars - 1
-        rep = self._replacement_poly()
-        powers: dict[int, Polynomial] = {0: Polynomial.one(n)}
-        result = Polynomial.zero(n)
-        for m, c in p.terms.items():
-            e = m[self.pivot]
-            base = m[: self.pivot] + m[self.pivot + 1 :]
-            if e not in powers:
-                prev = powers[max(powers)]
-                for k in range(max(powers) + 1, e + 1):
-                    prev = prev * rep
-                    powers[k] = prev
-            result = result + powers[e].term_mul(c, base)
-        return result
+        image = Polynomial(self.nvars - 1)
+        if not p.terms:
+            return image
+        pv = self.pivot
+        L, powers = self._integer_powers
+        rep = powers[1]
+        E = max(m[pv] for m in p.terms)
+        while len(powers) <= E:
+            step: dict[Monomial, int] = {}
+            for m1, c1 in powers[-1].items():
+                for m2, c2 in rep.items():
+                    m = tuple(map(add, m1, m2))
+                    v = step.get(m, 0) + c1 * c2
+                    if v:
+                        step[m] = v
+                    else:
+                        step.pop(m, None)
+            powers.append(step)
+        den, ints = clear_denominators(p.terms)
+        scales = [L ** (E - e) for e in range(E + 1)]
+        acc: dict[Monomial, int] = {}
+        for m, c in ints.items():
+            e = m[pv]
+            base = m[:pv] + m[pv + 1 :]
+            c *= scales[e]
+            for m1, c1 in powers[e].items():
+                m1 = tuple(map(add, base, m1))
+                v = acc.get(m1, 0) + c * c1
+                if v:
+                    acc[m1] = v
+                else:
+                    del acc[m1]
+        den *= scales[0]
+        image.terms = {m: Fraction(v, den) for m, v in acc.items()}
+        return image
 
     def map_form(self, g: LinearForm) -> Optional[LinearForm]:
         if g.nvars != self.nvars:

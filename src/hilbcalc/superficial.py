@@ -25,12 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from hilbcalc.linalg import FractionEchelon
+from hilbcalc.linalg import IntEchelon
 from hilbcalc.oracle import monomials_of_degree
 from hilbcalc.polyring import (
     LinearElimination,
     LinearForm,
     PolyIdeal,
+    clear_denominators,
     eliminate_form,
     form_combination,
     forms_independent,
@@ -271,6 +272,8 @@ def find_superficial_sequence(
     quotient, which is exact; the probably-not-admissible verdict only
     says `trials` straight candidates failed at some step.
     """
+    if bound < 1:
+        raise ValueError("coefficient bound must be positive")
     fs = tuple(fs)
     if not fs:
         return AdmissibilityCertificate(CERTIFIED, (), 0)
@@ -303,53 +306,53 @@ def find_superficial_sequence(
     return AdmissibilityCertificate(CERTIFIED, tuple(witness), used)
 
 
-def _screen(I: PolyIdeal) -> tuple[FractionEchelon, int, dict, int]:
+def _screen(I: PolyIdeal) -> tuple[IntEchelon, int, list[list[int]]]:
     """Degree-two data for fast rejection of non-regular forms.
 
-    A regular linear form multiplies the degree-one part of R/I into
+    A regular linear form f multiplies the degree-one part of R/I into
     degree two injectively; a rank drop there is certain evidence of a
     zerodivisor.  Passing the screen decides nothing.
+
+    Returns (base, expected, cols).  base is an integer echelon over
+    the degree-two monomials holding the degree-two part of I: the
+    quadric generators and x_k*g for each linear generator g, each
+    generator cleared of denominators by their lcm.  The linear
+    generators go into a second echelon of rank r, and expected = d - r
+    is the dimension of the degree-one part of R/I, the rank the rows
+    x_k*f must add to base.  cols[k][j] is the column of x_j*x_k.
     """
     d = I.ring_dim
-    deg2 = monomials_of_degree(d, 2)
-    index = {m: j for j, m in enumerate(deg2)}
-    ech = FractionEchelon(len(deg2))
-    lin = FractionEchelon(d)
+    index = {m: j for j, m in enumerate(monomials_of_degree(d, 2))}
+    cols = [
+        [index[tuple((i == j) + (i == k) for i in range(d))] for j in range(d)]
+        for k in range(d)
+    ]
+    base, lin = IntEchelon(), IntEchelon()
     for g in I.generators:
         dg = g.homogeneous_degree()
         if dg == 1:
-            vec = [Fraction(0)] * d
-            for m, c in g.terms.items():
-                vec[m.index(1)] = c
-            lin.insert(vec)
+            row = {m.index(1): c for m, c in clear_denominators(g.terms)[1].items()}
             for k in range(d):
-                row = [Fraction(0)] * len(deg2)
-                for m, c in g.terms.items():
-                    e = list(m)
-                    e[k] += 1
-                    row[index[tuple(e)]] = c
-                ech.insert(row)
+                base.insert({cols[k][j]: c for j, c in row.items()})
+            lin.insert(row)
         elif dg == 2:
-            row = [Fraction(0)] * len(deg2)
-            for m, c in g.terms.items():
-                row[index[m]] = c
-            ech.insert(row)
-    return ech, d - lin.rank, index, d
+            base.insert({index[m]: c for m, c in clear_denominators(g.terms)[1].items()})
+    return base, d - lin.rank, cols
 
 
 def _screen_passes(screen, f: LinearForm) -> bool:
-    ech, expected, index, d = screen
-    resid = FractionEchelon(len(index))
-    for k in range(d):
-        row = [Fraction(0)] * len(index)
-        for j, c in enumerate(f.coefficients):
-            if c:
-                e = [0] * d
-                e[j] += 1
-                e[k] += 1
-                row[index[tuple(e)]] += c
-        resid.insert(ech.reduce(row))
-    return resid.rank == expected
+    """True unless multiplication by f drops rank on the degree-one part.
+
+    The rows x_k*f, with f cleared of denominators, go into an overlay on
+    the screen's base echelon; its own pivot count is the rank they add.
+    """
+    base, expected, cols = screen
+    coeffs = clear_denominators(dict(enumerate(f.coefficients)))[1]
+    nonzero = [(j, c) for j, c in coeffs.items() if c]
+    overlay = IntEchelon(base)
+    for col in cols:
+        overlay.insert({col[j]: c for j, c in nonzero})
+    return overlay.rank == expected
 
 
 _DEPTH_CACHE: dict[tuple, DepthCertificate] = {}
@@ -370,6 +373,8 @@ def depth(
     leaves open that a cleverer candidate exists.  The zero module stops
     at the dimension-zero terminal immediately.
     """
+    if bound < 1:
+        raise ValueError("coefficient bound must be positive")
     key = (M.key(), seed, trials, bound)
     hit = _DEPTH_CACHE.get(key)
     if hit is not None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbcalc.linalg import FractionEchelon, int_rank
+from hilbcalc.linalg import FractionEchelon, IntEchelon, int_rank
 
 int_matrices = st.lists(
     st.lists(st.integers(-5, 5), min_size=4, max_size=4),
@@ -103,6 +103,45 @@ class TestIntRank:
     @given(degenerate_matrices())
     def test_accepts_a_generator(self, rows):
         assert int_rank(list(r) for r in rows) == bareiss_rank(rows)
+
+
+def sparse(row):
+    return {j: c for j, c in enumerate(row) if c}
+
+
+class TestIntEchelon:
+    def test_insert_reports_independence(self):
+        ech = IntEchelon()
+        assert ech.insert(sparse([1, 0, 1]))
+        assert ech.insert(sparse([0, 2, 0]))
+        assert not ech.insert(sparse([3, 4, 3]))
+        assert not ech.insert({})
+        assert ech.rank == 2
+
+    def test_pivot_rows_are_primitive(self):
+        ech = IntEchelon()
+        ech.insert(sparse([6, 0, -4]))
+        ech.insert(sparse([10**15, 3 * 10**15, 0]))
+        assert ech.pivots == {2: {0: 3, 2: -2}, 1: {0: 1, 1: 3}}
+
+    @settings(max_examples=200)
+    @given(degenerate_matrices(), degenerate_matrices())
+    def test_overlay_adds_rank_and_leaves_the_base(self, rows, more):
+        width = min(len(rows[0]) if rows else 10, len(more[0]) if more else 10)
+        rows = [r[:width] for r in rows]
+        more = [r[:width] for r in more]
+        base = IntEchelon()
+        for r in rows:
+            base.insert(sparse(r))
+        before = {col: dict(row) for col, row in base.pivots.items()}
+        overlay = IntEchelon(base)
+        for r in more:
+            overlay.insert(sparse(r))
+        assert base.pivots == before
+        assert base.rank + overlay.rank == rank_by_echelon(rows + more)
+        # a row already in the base's span adds nothing
+        for r in rows:
+            assert not overlay.insert(sparse(r))
 
 
 class TestFractionEchelon:

@@ -96,6 +96,34 @@ def reference_normal_form(
     return out
 
 
+def reference_map_polynomial(elim, p: Polynomial) -> Polynomial:
+    """Polynomial products of the Fraction replacement, kept as the
+    reference for the integer substitution.  This is the earlier
+    map_polynomial body, with the replacement polynomial built inline."""
+    if p.nvars != elim.nvars:
+        raise RingMismatch("polynomial is not in the eliminated ring")
+    n = elim.nvars - 1
+    terms = {}
+    for i, c in enumerate(elim.replacement):
+        if c != 0:
+            exp = [0] * n
+            exp[i] = 1
+            terms[tuple(exp)] = c
+    rep = Polynomial(n, terms)
+    powers: dict[int, Polynomial] = {0: Polynomial.one(n)}
+    result = Polynomial.zero(n)
+    for m, c in p.terms.items():
+        e = m[elim.pivot]
+        base = m[: elim.pivot] + m[elim.pivot + 1 :]
+        if e not in powers:
+            prev = powers[max(powers)]
+            for k in range(max(powers) + 1, e + 1):
+                prev = prev * rep
+                powers[k] = prev
+        result = result + powers[e].term_mul(c, base)
+    return result
+
+
 small_exponents = st.tuples(
     st.integers(0, 3), st.integers(0, 3)
 )
@@ -546,6 +574,79 @@ class TestLinearElimination:
         assert elim.map_polynomial(p * q) == elim.map_polynomial(
             p
         ) * elim.map_polynomial(q)
+
+
+@st.composite
+def substitution_problems(draw):
+    """(f, p): a form with an awkward pivot coefficient and a polynomial in
+    its ring, sometimes zero, free of the pivot or a pure pivot power."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(Fraction(0)), coefficients)
+    cs = draw(st.lists(entry, min_size=n, max_size=n))
+    pivot = draw(st.integers(0, n - 1))
+    cs[pivot + 1 :] = [Fraction(0)] * (n - pivot - 1)
+    cs[pivot] = draw(st.sampled_from(AWKWARD_COEFFS + (Fraction(-1), Fraction(-3, 7))))
+    f = LinearForm(tuple(cs))
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+    p = Polynomial(n, draw(st.dictionaries(exps, coefficients, max_size=6)))
+    kind = draw(st.sampled_from(["random", "homogeneous", "pivot-free", "pivot-power", "zero"]))
+    if kind == "homogeneous":
+        D = draw(st.integers(0, 4))
+        support = [m for m in itertools.product(range(D + 1), repeat=n) if sum(m) == D]
+        chosen = draw(st.lists(st.sampled_from(support), max_size=6))
+        p = Polynomial(n, {m: draw(coefficients) for m in chosen})
+    elif kind == "pivot-free":
+        p = Polynomial(n, {m[:pivot] + (0,) + m[pivot + 1 :]: c for m, c in p.terms.items()})
+    elif kind == "pivot-power":
+        m = tuple(draw(st.integers(0, 6)) if i == pivot else 0 for i in range(n))
+        p = Polynomial.from_monomial(n, m, draw(coefficients.filter(bool)))
+    elif kind == "zero":
+        p = Polynomial.zero(n)
+    return f, p
+
+
+def same_image(elim, p: Polynomial) -> bool:
+    """map_polynomial gives the reference's terms, in the same order."""
+    image, expected = elim.map_polynomial(p), reference_map_polynomial(elim, p)
+    return (
+        list(image.terms.items()) == list(expected.terms.items())
+        and image.canonical_key() == expected.canonical_key()
+    )
+
+
+class TestIntegerSubstitution:
+    @settings(max_examples=300, deadline=None)
+    @given(substitution_problems())
+    def test_agrees_with_fraction_products(self, problem):
+        f, p = problem
+        elim = eliminate_form(f)
+        assert same_image(elim, p)
+        # the integer powers kept on the elimination serve a second call
+        assert same_image(elim, p)
+
+    def test_edge_cases(self):
+        f = LinearForm((Fraction(2, 3), Fraction(0), Fraction(-7, 5)))
+        elim = eliminate_form(f)
+        pivot_cubed = P(3, (Fraction(-5, 4), (0, 0, 3)))
+        mixed = P(3, (Fraction(1, 6), (1, 1, 1)), (10**15, (0, 2, 1)), (-3, (3, 0, 0)))
+        pivot_free = P(3, (Fraction(3, 10**15), (2, 1, 0)))
+        for p in (Polynomial.zero(3), pivot_free, pivot_cubed, mixed):
+            assert same_image(elim, p)
+        # x2 = (10/21) x0 on f = 0
+        cubed = Fraction(-5, 4) * Fraction(10, 21) ** 3
+        assert elim.map_polynomial(pivot_cubed) == P(2, (cubed, (3, 0)))
+        one_var = eliminate_form(LinearForm((Fraction(-3),)))
+        assert one_var.map_polynomial(P(1, (2, (4,)))).is_zero
+        assert one_var.map_polynomial(P(1, (2, (0,)))) == P(0, (2, ()))
+
+    def test_quotient_keeps_the_canonical_key(self):
+        g1 = P(3, (Fraction(3, 2), (2, 0, 0)), (-1, (0, 1, 1)), (Fraction(-7, 5), (0, 0, 2)))
+        g2 = P(3, (10**15, (1, 1, 1)), (Fraction(1, 3), (0, 0, 3)), (-2, (2, 1, 0)))
+        I = PolyIdeal(3, [g1, g2])
+        f = LinearForm((Fraction(1, 2), Fraction(-4), Fraction(-5, 3)))
+        elim = eliminate_form(f)
+        expected = PolyIdeal(2, [reference_map_polynomial(elim, g) for g in I.generators])
+        assert quotient_by_linear(I, f).canonical_key() == expected.canonical_key()
 
 
 class TestForms:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbcalc.linalg import FractionEchelon
+from hilbcalc.oracle import monomials_of_degree
 from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial, colon
 from hilbcalc.presentation import CyclicModule, module_dimension, series_of_cyclic
 from hilbcalc.sampling import random_independent_forms, random_module
@@ -369,6 +371,127 @@ class TestDepth:
     def test_shift_invariant(self):
         shifted = CyclicModule(3, PQ.ideal, shift=3)
         assert depth(shifted).depth == depth(PQ).depth
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_nonpositive_bound_refused(self, bound):
+        # with no nonzero draw left, the candidate stream never ended
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        M = CyclicModule(2, PolyIdeal(2, [x * y * (x + y) * (x - y)]))
+        with pytest.raises(ValueError, match="coefficient bound must be positive"):
+            depth(M, bound=bound)
+        with pytest.raises(ValueError, match="coefficient bound must be positive"):
+            find_superficial_sequence(PQ, [lf(0, 1, 0)], bound=bound)
+
+
+def reference_screen(I: PolyIdeal) -> tuple[FractionEchelon, int, dict, int]:
+    """The earlier FractionEchelon screen, kept as the reference for the
+    integer one."""
+    d = I.ring_dim
+    deg2 = monomials_of_degree(d, 2)
+    index = {m: j for j, m in enumerate(deg2)}
+    ech = FractionEchelon(len(deg2))
+    lin = FractionEchelon(d)
+    for g in I.generators:
+        dg = g.homogeneous_degree()
+        if dg == 1:
+            vec = [Fraction(0)] * d
+            for m, c in g.terms.items():
+                vec[m.index(1)] = c
+            lin.insert(vec)
+            for k in range(d):
+                row = [Fraction(0)] * len(deg2)
+                for m, c in g.terms.items():
+                    e = list(m)
+                    e[k] += 1
+                    row[index[tuple(e)]] = c
+                ech.insert(row)
+        elif dg == 2:
+            row = [Fraction(0)] * len(deg2)
+            for m, c in g.terms.items():
+                row[index[m]] = c
+            ech.insert(row)
+    return ech, d - lin.rank, index, d
+
+
+def reference_screen_passes(screen, f: LinearForm) -> bool:
+    ech, expected, index, d = screen
+    resid = FractionEchelon(len(index))
+    for k in range(d):
+        row = [Fraction(0)] * len(index)
+        for j, c in enumerate(f.coefficients):
+            if c:
+                e = [0] * d
+                e[j] += 1
+                e[k] += 1
+                row[index[tuple(e)]] += c
+        resid.insert(ech.reduce(row))
+    return resid.rank == expected
+
+
+SCALES = (1, -1, Fraction(2, 3), Fraction(-7, 5), 10**15, -(10**15), Fraction(1, 10**15))
+
+
+@st.composite
+def screen_problems(draw):
+    """(I, f) in 2-5 variables: linear generators and quadrics, the
+    quadrics often products of a few small forms so that some candidates
+    are zerodivisors, every generator and candidate scaled awkwardly."""
+    d = draw(st.integers(2, 5))
+    small = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+    pool = [LinearForm(tuple(c)) for c in draw(st.lists(small, min_size=1, max_size=4))]
+    deg2 = monomials_of_degree(d, 2)
+    gens = []
+    kinds = st.lists(st.sampled_from(["linear", "product", "quadric"]), max_size=4)
+    for kind in draw(kinds):
+        if kind == "linear":
+            g = draw(st.sampled_from(pool)).to_polynomial()
+        elif kind == "product":
+            g = draw(st.sampled_from(pool)).to_polynomial() * draw(
+                st.sampled_from(pool)
+            ).to_polynomial()
+        else:
+            support = draw(st.lists(st.sampled_from(deg2), min_size=1, max_size=4))
+            g = Polynomial(d, {m: draw(st.integers(-3, 3)) for m in support})
+        gens.append(g * Fraction(draw(st.sampled_from(SCALES))))
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+    if draw(st.booleans()):
+        f = draw(st.sampled_from(pool)).scaled(draw(st.sampled_from(SCALES)))
+    else:
+        coeffs = draw(st.lists(fractions, min_size=d, max_size=d).filter(any))
+        f = LinearForm(tuple(coeffs))
+    return PolyIdeal(d, gens), f
+
+
+class TestIntegerScreen:
+    @settings(max_examples=300, deadline=None)
+    @given(screen_problems())
+    def test_verdict_agrees_with_fraction_screen(self, problem):
+        I, f = problem
+        assert _screen_passes(_screen(I), f) == reference_screen_passes(
+            reference_screen(I), f
+        )
+
+    @pytest.mark.parametrize(
+        "coeffs, passes",
+        [((1, 0, 0), False), ((0, 1, 0), False), ((1, -1, 0), True), ((0, 0, 1), True)],
+    )
+    def test_known_verdicts(self, coeffs, passes):
+        # x0*x1 kills both factors; x2 is free, and x0 - x1 regular
+        I = PolyIdeal(3, [Polynomial.from_monomial(3, (1, 1, 0), Fraction(-5, 3))])
+        f = LinearForm(tuple(Fraction(c, 7) for c in coeffs))
+        assert _screen_passes(_screen(I), f) is passes
+        assert reference_screen_passes(reference_screen(I), f) is passes
+
+    def test_overlay_leaves_the_base_unchanged(self):
+        x = [Polynomial.variable(4, i) for i in range(4)]
+        I = PolyIdeal(4, [x[0] * x[1] - x[2] * x[3] * Fraction(3, 2), x[0] + x[3] * 7])
+        screen = _screen(I)
+        base = screen[0]
+        before = {col: dict(row) for col, row in base.pivots.items()}
+        for coeffs in ((1, 0, 0, 0), (0, 1, -1, 0), (Fraction(1, 2), 3, -2, 5)):
+            _screen_passes(screen, LinearForm(coeffs))
+        assert base.pivots == before
+        assert base.base is None
 
 
 class TestScreen:
