@@ -1,6 +1,10 @@
 """Command-line driver: scripts, one-shot subcommands, and the builtin
 example suites.
 
+Every script command of `dsl.COMMANDS` is also a one-shot subcommand
+(`oracle` as `oracle-check`) whose options are the command's fields;
+`_HANDLERS` maps each keyword to the function that runs it.
+
 Exit status: 0 when every command succeeds and every verification
 passes, 1 on a verification failure, 2 on a lex/parse/semantic error
 or an invalid option.
@@ -15,22 +19,19 @@ import json
 import os
 import sys
 import time
+import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from hilbcalc.dsl import (
-    AdmissibleCmd,
-    CoeffsCmd,
-    DepthCmd,
+    COMMANDS,
     DslError,
     FormsDecl,
     IdealDecl,
     ModuleDecl,
-    OracleCmd,
     Script,
-    SeriesCmd,
-    SuperficialCmd,
-    VerifyCmd,
+    command_keyword,
+    format_command,
     format_form,
     parse_text,
 )
@@ -158,7 +159,7 @@ class _Env:
 # fields and the line's "<command> <module> ...:" label.
 
 
-def _run_series(env: _Env, cmd: SeriesCmd, opts: Options) -> tuple[dict, str]:
+def _run_series(env: _Env, cmd, opts: Options) -> tuple[dict, str]:
     M = env.modules[cmd.module]
     S = series_of_cyclic(M)
     dim = _dim_json(series_dimension(S))
@@ -174,7 +175,7 @@ def _run_series(env: _Env, cmd: SeriesCmd, opts: Options) -> tuple[dict, str]:
     return fields, f"({num}) / (1-t)^{M.ring_dim}, dimension {dim}"
 
 
-def _run_coeffs(env: _Env, cmd: CoeffsCmd, opts: Options) -> tuple[dict, str]:
+def _run_coeffs(env: _Env, cmd, opts: Options) -> tuple[dict, str]:
     T = module_table(env.modules[cmd.module])
     dim = _dim_json(T.dim)
     fields = {"dimension": dim, "table": list(T.coeffs), "ok": True}
@@ -182,7 +183,7 @@ def _run_coeffs(env: _Env, cmd: CoeffsCmd, opts: Options) -> tuple[dict, str]:
     return fields, f"dimension {dim}, e = ({table})"
 
 
-def _run_depth(env: _Env, cmd: DepthCmd, opts: Options) -> tuple[dict, str]:
+def _run_depth(env: _Env, cmd, opts: Options) -> tuple[dict, str]:
     M = env.modules[cmd.module]
     cert = depth(M, seed=opts.seed, trials=opts.trials)
     fields = {
@@ -202,9 +203,7 @@ def _run_depth(env: _Env, cmd: DepthCmd, opts: Options) -> tuple[dict, str]:
     return fields, f"{cert.depth} ({how}), chain {chain}"
 
 
-def _run_superficial(
-    env: _Env, cmd: SuperficialCmd, opts: Options
-) -> tuple[dict, str]:
+def _run_superficial(env: _Env, cmd, opts: Options) -> tuple[dict, str]:
     M = env.modules[cmd.module]
     forms = env.groups[cmd.forms]
     reports, _ = superficial_chain(M, list(forms))
@@ -221,9 +220,7 @@ def _run_superficial(
     return {"steps": steps, "ok": ok}, f"socle lengths ({socles}): {_mark(ok)}"
 
 
-def _run_admissible(
-    env: _Env, cmd: AdmissibleCmd, opts: Options
-) -> tuple[dict, str]:
+def _run_admissible(env: _Env, cmd, opts: Options) -> tuple[dict, str]:
     M = env.modules[cmd.module]
     forms = env.groups[cmd.forms]
     cert = find_superficial_sequence(
@@ -243,7 +240,7 @@ def _run_admissible(
     )
 
 
-def _run_verify(env: _Env, cmd: VerifyCmd, opts: Options) -> tuple[dict, str]:
+def _run_verify(env: _Env, cmd, opts: Options) -> tuple[dict, str]:
     M = env.modules[cmd.module]
     forms = env.groups[cmd.forms]
     try:
@@ -277,7 +274,7 @@ def _run_verify(env: _Env, cmd: VerifyCmd, opts: Options) -> tuple[dict, str]:
     )
 
 
-def _run_oracle(env: _Env, cmd: OracleCmd, opts: Options) -> tuple[dict, str]:
+def _run_oracle(env: _Env, cmd, opts: Options) -> tuple[dict, str]:
     if cmd.degree > opts.max_degree:
         detail = (
             f"oracle degree {cmd.degree} exceeds --max-degree "
@@ -296,28 +293,14 @@ def _run_oracle(env: _Env, cmd: OracleCmd, opts: Options) -> tuple[dict, str]:
 
 
 _HANDLERS = {
-    SeriesCmd: _run_series,
-    CoeffsCmd: _run_coeffs,
-    DepthCmd: _run_depth,
-    SuperficialCmd: _run_superficial,
-    AdmissibleCmd: _run_admissible,
-    VerifyCmd: _run_verify,
-    OracleCmd: _run_oracle,
+    "series": _run_series,
+    "coeffs": _run_coeffs,
+    "depth": _run_depth,
+    "superficial": _run_superficial,
+    "admissible": _run_admissible,
+    "verify": _run_verify,
+    "oracle": _run_oracle,
 }
-
-# command attribute -> identifying report field, in human-label order
-_IDENTITY = (("forms", "forms"), ("index", "i"), ("degree", "degree"))
-
-
-def _identity(cmd) -> dict:
-    entry = {
-        "command": type(cmd).__name__.removesuffix("Cmd").lower(),
-        "module": cmd.module,
-    }
-    for attr, key in _IDENTITY:
-        if hasattr(cmd, attr):
-            entry[key] = getattr(cmd, attr)
-    return entry
 
 
 def execute_script(script: Script, opts: Options) -> tuple[dict, list[str]]:
@@ -326,18 +309,20 @@ def execute_script(script: Script, opts: Options) -> tuple[dict, list[str]]:
     entries: list[dict] = []
     lines = [_header(opts)]
     for cmd in script.commands():
-        entry = _identity(cmd)
+        keyword = command_keyword(cmd)
+        # the identifying fields are the command's own, with index as i
+        entry = {"command": keyword}
+        for name, value in dataclasses.asdict(cmd).items():
+            entry["i" if name == "index" else name] = value
         try:
-            fields, text = _HANDLERS[type(cmd)](env, cmd, opts)
+            result, text = _HANDLERS[keyword](env, cmd, opts)
         except ValueError as exc:
-            fields = {"error": str(exc), "ok": False}
-            label = f"{entry['command']} {cmd.module}"
+            result = {"error": str(exc), "ok": False}
+            label = f"{keyword} {cmd.module}"
             text = f"error: {exc}: {_mark(False)}"
         else:
-            label = " ".join(
-                f"i={v}" if k == "i" else str(v) for k, v in entry.items()
-            )
-        entry.update(fields)
+            label = format_command(cmd)
+        entry.update(result)
         entries.append(entry)
         lines.append(f"{label}: {text}")
     status = "pass" if all(e["ok"] for e in entries) else "fail"
@@ -513,23 +498,18 @@ def _check_fragment(text: str, what: str) -> str:
     return text
 
 
-def _oneshot_script(args: argparse.Namespace, command: str) -> str:
+def _oneshot_script(args: argparse.Namespace) -> str:
+    cls = COMMANDS[args.keyword]
+    names = [field.name for field in dataclasses.fields(cls)]
     parts = [f"ring {_check_fragment(args.ring, '--ring')};"]
     parts.append(f"ideal I = {_check_fragment(args.ideal, '--ideal')};")
-    shift = getattr(args, "shift", 0)
-    tail = f" shift {shift}" if shift else ""
+    tail = f" shift {args.shift}" if args.shift else ""
     parts.append(f"module M = R/I{tail};")
-    needs_forms = command in ("superficial", "admissible", "verify")
-    if needs_forms:
+    if "forms" in names:
         parts.append(f"forms F = {_check_fragment(args.forms, '--forms')};")
-    if command == "verify":
-        parts.append(f"verify M F i={args.index};")
-    elif command in ("superficial", "admissible"):
-        parts.append(f"{command} M F;")
-    elif command == "oracle-check":
-        parts.append(f"oracle M {args.degree};")
-    else:
-        parts.append(f"{command} M;")
+    named = {"module": "M", "forms": "F"}
+    cmd = cls(*(named[n] if n in named else getattr(args, n) for n in names))
+    parts.append(f"{format_command(cmd)};")
     return "\n".join(parts)
 
 
@@ -571,6 +551,9 @@ def _int_at_least(low: int):
     return parse
 
 
+_SUBCOMMAND_NAMES = {"oracle": "oracle-check"}
+
+
 def build_parser(default_seed: int) -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=default_seed)
@@ -585,9 +568,6 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     inline.add_argument("--ring", required=True, help="space-separated variables")
     inline.add_argument("--ideal", required=True, help="comma-separated generators")
     inline.add_argument("--shift", type=_int_at_least(0), default=0)
-
-    with_forms = argparse.ArgumentParser(add_help=False)
-    with_forms.add_argument("--forms", required=True, help="comma-separated forms")
 
     parser = argparse.ArgumentParser(
         prog="hilbcalc",
@@ -605,16 +585,20 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
         help="run the builtin closed-form example suites",
     )
 
-    for name in ("series", "coeffs", "depth"):
-        sub.add_parser(name, parents=[common, inline])
-    for name in ("superficial", "admissible"):
-        sub.add_parser(name, parents=[common, inline, with_forms])
-    verify = sub.add_parser("verify", parents=[common, inline, with_forms])
-    verify.add_argument("-i", "--index", type=int, required=True)
-    oracle = sub.add_parser("oracle-check", parents=[common, inline])
-    oracle.add_argument(
-        "--degree", type=_int_at_least(0), default=DEFAULT_CHECK_DEGREE
-    )
+    for keyword, cls in COMMANDS.items():
+        names = {field.name for field in dataclasses.fields(cls)}
+        oneshot = sub.add_parser(
+            _SUBCOMMAND_NAMES.get(keyword, keyword), parents=[common, inline]
+        )
+        oneshot.set_defaults(keyword=keyword)
+        if "forms" in names:
+            oneshot.add_argument("--forms", required=True, help="comma-separated forms")
+        if "index" in names:
+            oneshot.add_argument("-i", "--index", type=int, required=True)
+        if "degree" in names:
+            oneshot.add_argument(
+                "--degree", type=_int_at_least(0), default=DEFAULT_CHECK_DEGREE
+            )
 
     return parser
 
@@ -641,7 +625,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if report["status"] == "pass" else EXIT_VERIFICATION
 
     try:
-        text = _oneshot_script(args, args.subcommand)
+        text = _oneshot_script(args)
     except DslError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LANGUAGE

@@ -13,7 +13,7 @@ so scripts reproduce degrevlex results exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
@@ -23,32 +23,9 @@ from hilbcalc.polyring import (
     Polynomial,
 )
 
-KEYWORDS = frozenset(
-    {
-        "ring",
-        "ideal",
-        "module",
-        "forms",
-        "shift",
-        "series",
-        "coeffs",
-        "depth",
-        "superficial",
-        "admissible",
-        "verify",
-        "oracle",
-        "i",
-    }
-)
-
 # '/' is not needed by polynomial literals (rationals lex as one token)
 # but module declarations spell R/I with it
 OPERATORS = frozenset("+-*^=,();/")
-
-COMMAND_KEYWORDS = frozenset(
-    {"series", "coeffs", "depth", "superficial", "admissible", "verify", "oracle"}
-)
-STATEMENT_KEYWORDS = frozenset({"ring", "ideal", "module", "forms"}) | COMMAND_KEYWORDS
 
 
 class DslError(ValueError):
@@ -208,6 +185,25 @@ class OracleCmd:
     degree: int
 
 
+# The command grammar, written once: a command is its keyword, then one
+# token group per field of its class in field order -- a module name, a
+# forms-group name, `i = INT` for index, a bare INT for degree.  The
+# parser, pretty_print and the CLI's report entries and subcommands all
+# read this table.
+COMMANDS: dict[str, type] = {
+    "series": SeriesCmd,
+    "coeffs": CoeffsCmd,
+    "depth": DepthCmd,
+    "superficial": SuperficialCmd,
+    "admissible": AdmissibleCmd,
+    "verify": VerifyCmd,
+    "oracle": OracleCmd,
+}
+_KEYWORD_OF = {cls: keyword for keyword, cls in COMMANDS.items()}
+
+STATEMENT_KEYWORDS = frozenset({"ring", "ideal", "module", "forms", *COMMANDS})
+KEYWORDS = STATEMENT_KEYWORDS | {"shift", "i"}
+
 Statement = object  # any of the decl/cmd dataclasses above
 
 
@@ -304,8 +300,10 @@ class _Parser:
                 tok.column,
                 expected=sorted(STATEMENT_KEYWORDS),
             )
-        handler = getattr(self, f"_parse_{tok.kind}")
-        stmt = handler()
+        if tok.kind in COMMANDS:
+            stmt = self._parse_command()
+        else:
+            stmt = getattr(self, f"_parse_{tok.kind}")()
         self.expect(";")
         return stmt
 
@@ -409,44 +407,19 @@ class _Parser:
             members.append(self.parse_linear_form())
         return FormsDecl(name, tuple(members))
 
-    def _parse_series(self) -> SeriesCmd:
-        self.advance()
-        return SeriesCmd(self._lookup(self.expect("ident", "a module name"), "module"))
-
-    def _parse_coeffs(self) -> CoeffsCmd:
-        self.advance()
-        return CoeffsCmd(self._lookup(self.expect("ident", "a module name"), "module"))
-
-    def _parse_depth(self) -> DepthCmd:
-        self.advance()
-        return DepthCmd(self._lookup(self.expect("ident", "a module name"), "module"))
-
-    def _parse_superficial(self) -> SuperficialCmd:
-        self.advance()
-        m = self._lookup(self.expect("ident", "a module name"), "module")
-        f = self._lookup(self.expect("ident", "a forms name"), "forms")
-        return SuperficialCmd(m, f)
-
-    def _parse_admissible(self) -> AdmissibleCmd:
-        self.advance()
-        m = self._lookup(self.expect("ident", "a module name"), "module")
-        f = self._lookup(self.expect("ident", "a forms name"), "forms")
-        return AdmissibleCmd(m, f)
-
-    def _parse_verify(self) -> VerifyCmd:
-        self.advance()
-        m = self._lookup(self.expect("ident", "a module name"), "module")
-        f = self._lookup(self.expect("ident", "a forms name"), "forms")
-        self.expect("i")
-        self.expect("=")
-        index = int(self.expect("int", "an integer").text)
-        return VerifyCmd(m, f, index)
-
-    def _parse_oracle(self) -> OracleCmd:
-        self.advance()
-        m = self._lookup(self.expect("ident", "a module name"), "module")
-        degree = int(self.expect("int", "an integer").text)
-        return OracleCmd(m, degree)
+    def _parse_command(self) -> Statement:
+        cls = COMMANDS[self.advance().kind]
+        args = []
+        for field in fields(cls):
+            if field.name in ("module", "forms"):
+                tok = self.expect("ident", f"a {field.name} name")
+                args.append(self._lookup(tok, field.name))
+                continue
+            if field.name == "index":
+                self.expect("i")
+                self.expect("=")
+            args.append(int(self.expect("int", "an integer").text))
+        return cls(*args)
 
     # -- polynomial literals ------------------------------------------------
 
@@ -584,6 +557,20 @@ def format_form(form: LinearForm, variables: Sequence[str]) -> str:
     return format_polynomial(form.to_polynomial(), variables)
 
 
+def command_keyword(cmd: Statement) -> str:
+    """The keyword of a command: the key of its class in COMMANDS."""
+    return _KEYWORD_OF[type(cmd)]
+
+
+def format_command(cmd: Statement) -> str:
+    """A command as written in a script, without its ';'."""
+    words = [command_keyword(cmd)]
+    for field in fields(cmd):
+        value = getattr(cmd, field.name)
+        words.append(f"i={value}" if field.name == "index" else str(value))
+    return " ".join(words)
+
+
 def pretty_print(script: Script) -> str:
     variables = script.variables
     lines: list[str] = []
@@ -599,20 +586,8 @@ def pretty_print(script: Script) -> str:
         elif isinstance(s, FormsDecl):
             members = ", ".join(format_form(f, variables) for f in s.forms)
             lines.append(f"forms {s.name} = {members};")
-        elif isinstance(s, SeriesCmd):
-            lines.append(f"series {s.module};")
-        elif isinstance(s, CoeffsCmd):
-            lines.append(f"coeffs {s.module};")
-        elif isinstance(s, DepthCmd):
-            lines.append(f"depth {s.module};")
-        elif isinstance(s, SuperficialCmd):
-            lines.append(f"superficial {s.module} {s.forms};")
-        elif isinstance(s, AdmissibleCmd):
-            lines.append(f"admissible {s.module} {s.forms};")
-        elif isinstance(s, VerifyCmd):
-            lines.append(f"verify {s.module} {s.forms} i={s.index};")
-        elif isinstance(s, OracleCmd):
-            lines.append(f"oracle {s.module} {s.degree};")
+        elif type(s) in _KEYWORD_OF:
+            lines.append(f"{format_command(s)};")
         else:
             raise TypeError(f"unknown statement {s!r}")
     return "\n".join(lines) + "\n"

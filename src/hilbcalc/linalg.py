@@ -5,7 +5,8 @@ Kept deliberately small: one integer echelon, IntEchelon, holds primitive
 package runs.  The brute-force oracle's int_rank inserts every row of a
 large Macaulay matrix into one; the depth screen keeps the degree-two
 part of an ideal in one and stacks each candidate's rows on it as an
-overlay that never copies it.  FractionEchelon, a reduced echelon form
+overlay that never copies it; polyring.forms_independent inserts the
+denominator-cleared forms into one and stops at the first dependent row.  FractionEchelon, a reduced echelon form
 over the rationals, is no longer used by the package: it stays because
 the benchmark tracer wraps FractionEchelon.insert by name and the tests
 use it as a reference.

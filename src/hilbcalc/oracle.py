@@ -10,11 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 from typing import Optional
 
 from hilbcalc.linalg import int_rank
-from hilbcalc.polyring import Monomial, PolyIdeal, monomial_divides, monomial_mul
+from hilbcalc.polyring import (
+    Monomial,
+    PolyIdeal,
+    clear_denominators,
+    monomial_divides,
+    monomial_mul,
+)
 from hilbcalc.presentation import CyclicModule, series_of_cyclic
 from hilbcalc.series import expand
 
@@ -47,12 +52,11 @@ def _ideal_rank(I: PolyIdeal, n: int) -> int:
         dg = g.degree()
         if dg > n:
             continue
-        scale = lcm(*(c.denominator for c in g.terms.values()), 1)
-        entries = [(mg, c * scale) for mg, c in g.terms.items()]
+        entries = clear_denominators(g.terms)[1].items()
         for m in monomials_of_degree(d, n - dg):
             row = [0] * len(targets)
             for mg, c in entries:
-                row[cols[monomial_mul(m, mg)]] = c.numerator
+                row[cols[monomial_mul(m, mg)]] = c
             rows.append(row)
     return int_rank(rows)
 

@@ -24,6 +24,8 @@ from math import gcd, lcm
 from operator import add, le, sub
 from typing import Iterable, Iterator, Optional, Sequence
 
+from hilbcalc.linalg import IntEchelon
+
 Monomial = tuple[int, ...]
 
 
@@ -392,23 +394,13 @@ def form_combination(
 
 
 def forms_independent(forms: Sequence[LinearForm]) -> bool:
-    if not forms:
-        return True
-    n = forms[0].nvars
-    rows = [list(f.coefficients) for f in forms]
-    rank = 0
-    for col in range(n):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        head = rows[rank][col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / head
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank == len(forms)
+    """True when the forms are linearly independent over the rationals."""
+    echelon = IntEchelon()
+    for f in forms:
+        nonzero = {j: c for j, c in enumerate(f.coefficients) if c}
+        if not echelon.insert(clear_denominators(nonzero)[1]):
+            return False
+    return True
 
 
 class PolyIdeal:
@@ -807,6 +799,12 @@ class LinearElimination:
         image.terms = {m: Fraction(v, den) for m, v in acc.items()}
         return image
 
+    def map_ideal(self, I: PolyIdeal) -> PolyIdeal:
+        """Generators of I rewritten in the d-1 variable ring."""
+        if I.ring_dim != self.nvars:
+            raise RingMismatch("ideal is not in the eliminated ring")
+        return PolyIdeal(self.nvars - 1, map(self.map_polynomial, I.generators))
+
     def map_form(self, g: LinearForm) -> Optional[LinearForm]:
         if g.nvars != self.nvars:
             raise RingMismatch("form is not in the eliminated ring")
@@ -840,13 +838,7 @@ def quotient_by_linear(I: PolyIdeal, f: LinearForm) -> PolyIdeal:
     """Generators of I rewritten in the d-1 variable ring along f = 0."""
     if f.nvars != I.ring_dim:
         raise RingMismatch("form is not in the ideal's ring")
-    elim = eliminate_form(f)
-    gens = []
-    for g in I.generators:
-        image = elim.map_polynomial(g)
-        if not image.is_zero:
-            gens.append(image)
-    return PolyIdeal(I.ring_dim - 1, gens)
+    return eliminate_form(f).map_ideal(I)
 
 
 def random_linear_form(

@@ -35,7 +35,6 @@ from hilbcalc.polyring import (
     eliminate_form,
     form_combination,
     forms_independent,
-    quotient_by_linear,
 )
 from hilbcalc.presentation import CyclicModule, series_of_cyclic
 from hilbcalc.series import (
@@ -117,7 +116,7 @@ def quotient_module(
     if f.nvars != M.ring_dim:
         raise ValueError("form lives in a different ring")
     elim = eliminate_form(f)
-    return CyclicModule(M.ring_dim - 1, quotient_by_linear(M.ideal, f), M.shift), elim
+    return CyclicModule(M.ring_dim - 1, elim.map_ideal(M.ideal), M.shift), elim
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,23 @@ def verify_depth_sensitivity(
     )
 
 
+def _sensitivity_or_none(
+    M: CyclicModule, fs: Sequence[LinearForm], i: int, seed: int, trials: int
+) -> Optional[DepthSensitivityReport]:
+    """verify_depth_sensitivity's report, or None when fs is not certified
+    admissible: the suites record that as a failed check."""
+    try:
+        return verify_depth_sensitivity(M, fs, i, seed=seed, trials=trials)
+    except NotAdmissible:
+        return None
+
+
+def _sensitivity_detail(rep: Optional[DepthSensitivityReport]) -> str:
+    if rep is None:
+        return "not certified admissible"
+    return f"e_i {rep.e_module} -> {rep.e_quotient}, defects {rep.defect_lengths}"
+
+
 # ---------------------------------------------------------------------------
 # the two hand-built families behind the golden tables
 
@@ -322,20 +339,15 @@ def run_maximal_times_prime_suite(
                 f"quotient-table[i={i}]", QT == expected_q, f"got {QT.coeffs}"
             )
         )
-        rep = verify_depth_sensitivity(M, fs, i, seed=seed, trials=trials)
+        rep = _sensitivity_or_none(M, fs, i, seed, trials)
         ok = (
-            rep.parity_ok
+            rep is not None
+            and rep.parity_ok
             and rep.equivalence_ok
             and not rep.equality
             and rep.defect_lengths == (d - s,) * (s - i)
         )
-        checks.append(
-            CheckResult(
-                f"sensitivity[i={i}]",
-                ok,
-                f"e_i {rep.e_module} -> {rep.e_quotient}, defects {rep.defect_lengths}",
-            )
-        )
+        checks.append(CheckResult(f"sensitivity[i={i}]", ok, _sensitivity_detail(rep)))
     return SuiteResult(
         "maximal-times-prime", (("d", d), ("s", s)), tuple(checks)
     )
@@ -445,32 +457,28 @@ def run_two_prime_product_suite(
                 not is_superficial(M, fs[0]).is_superficial,
             )
         )
-        certificate = find_superficial_sequence(M, fs, seed=seed, trials=trials)
-        checks.append(
-            CheckResult(f"certified[i={i}]", certificate.verdict == CERTIFIED)
-        )
+        rep = _sensitivity_or_none(M, fs, i, seed, trials)
+        checks.append(CheckResult(f"certified[i={i}]", rep is not None))
         _, modules = superficial_chain(M, fs)
         got = module_table(modules[-1]).e(i)
         want = r + 1 if i == 0 else (-1) ** i * r
         checks.append(CheckResult(f"quotient-value[i={i}]", got == want, str(got)))
-        rep = verify_depth_sensitivity(M, fs, i, seed=seed, trials=trials)
         checks.append(
             CheckResult(
                 f"sensitivity[i={i}]",
-                rep.parity_ok
+                rep is not None
+                and rep.parity_ok
                 and rep.equivalence_ok
                 and not rep.equality
                 and rep.depth_value == 1,
-                f"e_i {rep.e_module} -> {rep.e_quotient}",
+                _sensitivity_detail(rep),
             )
         )
 
     for i in range(s - r, s):
         fs = [_diagonal_form(r, s, j) for j in range(r - s + i + 1, r + 1)]
-        certificate = find_superficial_sequence(M, fs, seed=seed, trials=trials)
-        checks.append(
-            CheckResult(f"certified[i={i}]", certificate.verdict == CERTIFIED)
-        )
+        rep = _sensitivity_or_none(M, fs, i, seed, trials)
+        checks.append(CheckResult(f"certified[i={i}]", rep is not None))
         _, modules = superficial_chain(M, fs)
         QT = module_table(modules[-1])
         want = (-1) ** (s - r) * r if i == s - r else (-1) ** i * (s - 1 - i)
@@ -494,16 +502,16 @@ def run_two_prime_product_suite(
                     f"cross-expansion[i={i}]", QT == cross, f"got {QT.coeffs}"
                 )
             )
-        rep = verify_depth_sensitivity(M, fs, i, seed=seed, trials=trials)
         expect_equality = i == s - 1
         checks.append(
             CheckResult(
                 f"sensitivity[i={i}]",
-                rep.parity_ok
+                rep is not None
+                and rep.parity_ok
                 and rep.equivalence_ok
                 and rep.equality == expect_equality
                 and rep.depth_value == 1,
-                f"e_i {rep.e_module} -> {rep.e_quotient}",
+                _sensitivity_detail(rep),
             )
         )
     return SuiteResult("two-prime-product", (("r", r), ("s", s)), tuple(checks))

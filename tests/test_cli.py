@@ -1,10 +1,13 @@
 """End-to-end exit-status and report contracts for the driver."""
 
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
-from hilbcalc.cli import format_t_polynomial, main
+from hilbcalc.cli import _HANDLERS, build_parser, format_t_polynomial, main
+from hilbcalc.dsl import COMMANDS
 
 FIXTURE = """\
 ring x1 x2 y1;
@@ -347,6 +350,53 @@ class TestPaperExamples:
         )
         check_names = {c["name"] for c in suite["checks"]}
         assert any(n.startswith("sensitivity[i=") for n in check_names)
+
+    def test_uncertified_trials_fail_without_traceback(self, capsys):
+        # with one trial some ssops are not certified admissible; the
+        # suites record that as failed checks instead of raising
+        code, out, err = invoke(capsys, "paper-examples", "--trials", "1", "--json")
+        assert code == 1
+        assert err == ""
+        report = json.loads(out)
+        assert report["status"] == "fail"
+        failed = {
+            c["name"]
+            for cell in report["cells"]
+            for c in cell.get("checks", ())
+            if not c["ok"]
+        }
+        assert any(n.startswith("sensitivity[i=") for n in failed)
+        _, full, _ = invoke(capsys, "paper-examples", "--json")
+        names = [
+            [c["name"] for c in cell.get("checks", ())] for cell in report["cells"]
+        ]
+        assert names == [
+            [c["name"] for c in cell.get("checks", ())]
+            for cell in json.loads(full)["cells"]
+        ]
+
+
+class TestCommandTable:
+    def test_one_command_list_everywhere(self):
+        """The handlers, the one-shot subcommands and the command table of
+        docs/dsl.md all name exactly the script commands of dsl.COMMANDS."""
+        keywords = set(COMMANDS)
+        assert set(_HANDLERS) == keywords
+        sub = next(
+            a
+            for a in build_parser(0)._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        oneshot = set(sub.choices) - {"run", "paper-examples"}
+        assert oneshot == {"oracle-check" if k == "oracle" else k for k in keywords}
+        doc = (Path(__file__).parents[1] / "docs" / "dsl.md").read_text()
+        table = doc.split("## Commands", 1)[1].split("\n## ", 1)[0]
+        documented = {
+            line.split("`")[1].split()[0]
+            for line in table.splitlines()
+            if line.startswith("| `")
+        }
+        assert documented == keywords
 
 
 def test_t_polynomial_formatting():

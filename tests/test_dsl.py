@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbcalc.dsl import (
+    COMMANDS,
     DslError,
     FormsDecl,
     IdealDecl,
@@ -186,6 +187,73 @@ class TestPrettyPrinter:
         s = parse_text("ring x y; ideal I = x^2 - 2*x*y + 1/3*y^2;")
         gen = s.ideals()["I"].generators[0]
         assert format_polynomial(gen, ("x", "y")) == "x^2 - 2*x*y + 1/3*y^2"
+
+
+# Pinned per command: its canonical line, and the full error text when
+# the script stops right after its keyword and right after its module
+# name.
+GRAMMAR_PREFIX = "ring x y;\nideal I = x*y;\nmodule M = R/I;\nforms F = x - y;\n"
+GRAMMAR_GOLDEN = {
+    "series": (
+        "series M;",
+        "5:7: unexpected end of input (expected a module name)",
+        "5:9: unexpected end of input (expected ;)",
+    ),
+    "coeffs": (
+        "coeffs M;",
+        "5:7: unexpected end of input (expected a module name)",
+        "5:9: unexpected end of input (expected ;)",
+    ),
+    "depth": (
+        "depth M;",
+        "5:6: unexpected end of input (expected a module name)",
+        "5:8: unexpected end of input (expected ;)",
+    ),
+    "superficial": (
+        "superficial M F;",
+        "5:12: unexpected end of input (expected a module name)",
+        "5:14: unexpected end of input (expected a forms name)",
+    ),
+    "admissible": (
+        "admissible M F;",
+        "5:11: unexpected end of input (expected a module name)",
+        "5:13: unexpected end of input (expected a forms name)",
+    ),
+    "verify": (
+        "verify M F i=1;",
+        "5:7: unexpected end of input (expected a module name)",
+        "5:9: unexpected end of input (expected a forms name)",
+    ),
+    "oracle": (
+        "oracle M 7;",
+        "5:7: unexpected end of input (expected a module name)",
+        "5:9: unexpected end of input (expected an integer)",
+    ),
+}
+
+
+class TestCommandGrammar:
+    def test_golden_covers_the_table(self):
+        assert set(GRAMMAR_GOLDEN) == set(COMMANDS)
+
+    @pytest.mark.parametrize("keyword", sorted(GRAMMAR_GOLDEN))
+    def test_printed_line(self, keyword):
+        line = GRAMMAR_GOLDEN[keyword][0]
+        script = parse_text(GRAMMAR_PREFIX + line)
+        assert isinstance(list(script.commands())[0], COMMANDS[keyword])
+        assert pretty_print(script).splitlines()[-1] == line
+
+    @pytest.mark.parametrize("keyword", sorted(GRAMMAR_GOLDEN))
+    def test_error_after_keyword(self, keyword):
+        with pytest.raises(ParseError) as exc:
+            parse_text(GRAMMAR_PREFIX + keyword)
+        assert str(exc.value) == GRAMMAR_GOLDEN[keyword][1]
+
+    @pytest.mark.parametrize("keyword", sorted(GRAMMAR_GOLDEN))
+    def test_error_after_module(self, keyword):
+        with pytest.raises(ParseError) as exc:
+            parse_text(GRAMMAR_PREFIX + keyword + " M")
+        assert str(exc.value) == GRAMMAR_GOLDEN[keyword][2]
 
 
 TOKEN_POOL = [

@@ -124,6 +124,28 @@ def reference_map_polynomial(elim, p: Polynomial) -> Polynomial:
     return result
 
 
+def reference_forms_independent(forms: Sequence[LinearForm]) -> bool:
+    """Gauss-Jordan over Fraction, kept as the reference for the
+    IntEchelon test.  This is the earlier forms_independent body."""
+    if not forms:
+        return True
+    n = forms[0].nvars
+    rows = [list(f.coefficients) for f in forms]
+    rank = 0
+    for col in range(n):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        head = rows[rank][col]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / head
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank == len(forms)
+
+
 small_exponents = st.tuples(
     st.integers(0, 3), st.integers(0, 3)
 )
@@ -647,6 +669,12 @@ class TestIntegerSubstitution:
         elim = eliminate_form(f)
         expected = PolyIdeal(2, [reference_map_polynomial(elim, g) for g in I.generators])
         assert quotient_by_linear(I, f).canonical_key() == expected.canonical_key()
+        assert elim.map_ideal(I).canonical_key() == expected.canonical_key()
+
+    def test_map_ideal_rejects_another_ring(self):
+        elim = eliminate_form(LinearForm((Fraction(1), Fraction(2))))
+        with pytest.raises(RingMismatch):
+            elim.map_ideal(PolyIdeal(3, [P(3, (1, (1, 0, 0)))]))
 
 
 class TestForms:
@@ -662,6 +690,49 @@ class TestForms:
     def test_pivot_is_last_nonzero(self):
         f = LinearForm((Fraction(1), Fraction(2), Fraction(0)))
         assert f.pivot() == 1
+
+
+@st.composite
+def form_families(draw):
+    """Forms over 1-4 variables with rational and +-10^15 coefficients;
+    some families get a repeat or a combination of the earlier members
+    appended, so dependent families are common."""
+    n = draw(st.integers(1, 4))
+    rows = st.lists(coefficients, min_size=n, max_size=n).filter(any)
+    forms = [LinearForm(tuple(r)) for r in draw(st.lists(rows, max_size=4))]
+    kind = draw(st.sampled_from(["free", "repeat", "combination"]))
+    if kind == "repeat" and forms:
+        forms.append(draw(st.sampled_from(forms)))
+    elif kind == "combination" and forms:
+        cs = draw(st.lists(coefficients, min_size=len(forms), max_size=len(forms)))
+        combo = form_combination(cs, forms)
+        if combo is not None:
+            forms.append(combo)
+    return draw(st.permutations(forms))
+
+
+class TestFormsIndependentReference:
+    @settings(max_examples=300, deadline=None)
+    @given(form_families())
+    def test_agrees_with_fraction_gauss_jordan(self, forms):
+        assert forms_independent(forms) == reference_forms_independent(forms)
+
+    def test_edge_cases(self):
+        big = Fraction(10**15)
+        a = LinearForm((big, Fraction(1, 3), Fraction(0)))
+        b = LinearForm((Fraction(0), -big, Fraction(2, 7)))
+        c = form_combination([Fraction(-7, 5), big], [a, b])
+        z = LinearForm((Fraction(0), Fraction(0), Fraction(-1, 10**15)))
+        for forms, verdict in (
+            ([], True),
+            ([a, b], True),
+            ([a, b, c], False),
+            ([c, b, a], False),
+            ([a, a], False),
+            ([a, b, z], True),
+        ):
+            assert forms_independent(forms) is verdict
+            assert reference_forms_independent(forms) is verdict
 
 
 class TestRandomLinearForm:

@@ -97,6 +97,22 @@ class TestIsSuperficial:
             Q, _ = quotient_module(M, g)
             assert module_dimension(Q) == module_dimension(M) - 1
 
+    def test_quotient_builds_one_elimination(self, monkeypatch):
+        from hilbcalc import polyring, superficial
+
+        built = []
+        real = polyring.eliminate_form
+
+        def counting(f):
+            built.append(f)
+            return real(f)
+
+        monkeypatch.setattr(polyring, "eliminate_form", counting)
+        monkeypatch.setattr(superficial, "eliminate_form", counting)
+        Q, elim = quotient_module(PQ, Z1)
+        assert built == [Z1]
+        assert Q.ideal.canonical_key() == elim.map_ideal(PQ.ideal).canonical_key()
+
     def test_shift_invariant(self):
         shifted = CyclicModule(3, MP3.ideal, shift=2)
         assert is_superficial(shifted, lf(0, 0, 1)) == is_superficial(
