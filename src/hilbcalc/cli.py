@@ -48,6 +48,7 @@ from hilbcalc.presentation import (
     series_of_resolution,
 )
 from hilbcalc.series import (
+    MAX_SHIFT,
     binomial,
     expand,
     hilbert_coefficients,
@@ -536,8 +537,9 @@ def _default_seed() -> int:
         raise SystemExit(f"error: HILBCALC_SEED must be an integer, got {raw!r}")
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than `low`."""
+def _int_at_least(low: int, high: Optional[int] = None):
+    """An argparse type: an integer no smaller than `low` (and, given
+    `high`, no larger than it)."""
 
     def parse(text: str) -> int:
         try:
@@ -546,6 +548,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return parse
@@ -567,7 +571,7 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     inline = argparse.ArgumentParser(add_help=False)
     inline.add_argument("--ring", required=True, help="space-separated variables")
     inline.add_argument("--ideal", required=True, help="comma-separated generators")
-    inline.add_argument("--shift", type=_int_at_least(0), default=0)
+    inline.add_argument("--shift", type=_int_at_least(0, MAX_SHIFT), default=0)
 
     parser = argparse.ArgumentParser(
         prog="hilbcalc",
@@ -594,7 +598,9 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
         if "forms" in names:
             oneshot.add_argument("--forms", required=True, help="comma-separated forms")
         if "index" in names:
-            oneshot.add_argument("-i", "--index", type=int, required=True)
+            oneshot.add_argument(
+                "-i", "--index", type=_int_at_least(0), required=True
+            )
         if "degree" in names:
             oneshot.add_argument(
                 "--degree", type=_int_at_least(0), default=DEFAULT_CHECK_DEGREE

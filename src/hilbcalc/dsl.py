@@ -22,6 +22,7 @@ from hilbcalc.polyring import (
     LinearForm,
     Polynomial,
 )
+from hilbcalc.series import MAX_SHIFT
 
 # '/' is not needed by polynomial literals (rationals lex as one token)
 # but module declarations spell R/I with it
@@ -393,7 +394,15 @@ class _Parser:
         shift = 0
         if self.peek().kind == "shift":
             self.advance()
-            shift = int(self.expect("int", "an integer").text)
+            tok = self.expect("int", "an integer")
+            shift = int(tok.text)
+            if shift > MAX_SHIFT:
+                raise SemanticError(
+                    f"shift {shift} is above {MAX_SHIFT}, the largest a "
+                    "series numerator holds",
+                    tok.line,
+                    tok.column,
+                )
         name = self._declare(name_tok, "module")
         return ModuleDecl(name, ideal_name, shift)
 

@@ -9,8 +9,11 @@ denominator, each divisor contributes a primitive integer row computed once
 per order, and only remainder and quotient terms become Fractions again.
 Linear substitution works the same way: the image's numerators are
 summed as integers over one denominator and divided once per term.
-The Groebner engine is a plain Buchberger loop with the coprime and chain
-criteria, always returning the reduced monic basis.
+The Groebner engine is an incremental Buchberger loop: generators enter
+one at a time, S-pairs are skipped by the coprime and chain criteria and,
+for homogeneous input, by an exact lower bound on the Hilbert function of
+the next stage's quotient.  It always returns the reduced monic basis.
+Exponent arithmetic and the monomial Hilbert numerator live in `monomial`.
 """
 
 from __future__ import annotations
@@ -22,11 +25,21 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, le, sub
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from hilbcalc.linalg import IntEchelon
-
-Monomial = tuple[int, ...]
+from hilbcalc.monomial import (
+    Monomial,
+    _numerator_of_monomial,
+    minimalize_exponents,
+    monomial_degree,
+    monomial_div,
+    monomial_divides,
+    monomial_lcm,
+    monomial_mul,
+    monomials_coprime,
+)
+from hilbcalc.series import HilbertSeries, expand
 
 
 class RingMismatch(ValueError):
@@ -35,42 +48,6 @@ class RingMismatch(ValueError):
 
 class EmptySpan(ValueError):
     """A random draw was requested from an empty span."""
-
-
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    """Whether x^a divides x^b."""
-    return all(map(le, a, b))
-
-
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent vector of x^a / x^b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def monomials_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
-def minimalize_exponents(exps: Iterable[Monomial]) -> frozenset[Monomial]:
-    """Minimal generating exponents of a monomial ideal."""
-    pool = sorted(set(exps), key=monomial_degree)
-    kept: list[Monomial] = []
-    for m in pool:
-        if not any(monomial_divides(k, m) for k in kept):
-            kept.append(m)
-    return frozenset(kept)
 
 
 class MonomialOrder:
@@ -563,75 +540,116 @@ def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
     )
 
 
-def _reduced_basis(
-    gens: Sequence[Polynomial], nvars: int, order: MonomialOrder
-) -> tuple[Polynomial, ...]:
-    """Buchberger with the coprime and chain criteria; reduced monic output."""
-    G: list[Polynomial] = []
-    for g in gens:
-        if not g.is_zero:
-            G.append(g.monic(order))
-    if not G:
-        return ()
-
-    lms = [g.leading(order)[0] for g in G]
-    pairs: set[tuple[int, int]] = set()
-    done: set[tuple[int, int]] = set()
-
-    def push_pairs(j: int) -> None:
-        for i in range(j):
-            pairs.add((i, j))
-
-    for j in range(len(G)):
-        push_pairs(j)
-
-    def pair_priority(p):
-        # lowest lcm degree first, then the lcm lowest in the order (the
-        # largest key), then the earliest pair
-        m = monomial_lcm(lms[p[0]], lms[p[1]])
-        return (-monomial_degree(m), order.key(m), -p[0], -p[1])
-
-    while pairs:
-        i, j = max(pairs, key=pair_priority)
-        pairs.discard((i, j))
-        done.add((i, j))
-        if monomials_coprime(lms[i], lms[j]):
-            continue
-        pair_lcm = monomial_lcm(lms[i], lms[j])
-        # chain criterion: a third element dividing the lcm whose pairs with
-        # both ends were already treated makes this pair redundant
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            if monomial_divides(lms[k], pair_lcm):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in done and pjk in done:
-                    skip = True
-                    break
-        if skip:
-            continue
-        r = normal_form(_spoly(G[i], G[j], order), G, order)
-        if r.is_zero:
-            continue
-        G.append(r.monic(order))
-        lms.append(G[-1].leading(order)[0])
-        push_pairs(len(G) - 1)
-
-    # minimalize: drop elements whose leading monomial another one divides
-    # (lowest leading monomial first, so a divisor comes before its multiples)
+def _minimal(
+    G: list[Polynomial], lms: list[Monomial], order: MonomialOrder
+) -> tuple[list[Polynomial], list[Monomial]]:
+    """The elements of G whose leading monomial no other one divides, with
+    their leading monomials, lowest first (so a divisor precedes its
+    multiples)."""
     keep: list[int] = []
     for i in sorted(range(len(G)), key=lambda i: order.key(lms[i]), reverse=True):
         if not any(monomial_divides(lms[k], lms[i]) for k in keep):
             keep.append(i)
-    minimal = [G[i] for i in keep]
+    return [G[i] for i in keep], [lms[i] for i in keep]
+
+
+def _reduced_basis(
+    gens: Sequence[Polynomial], nvars: int, order: MonomialOrder
+) -> tuple[Polynomial, ...]:
+    """Incremental Buchberger with Hilbert-driven pruning; reduced monic output.
+
+    The generators enter one at a time, lowest degree first.  Each is
+    reduced against the basis so far and dropped if it reduces to zero;
+    otherwise a stage adds it and treats its S-pairs, lowest lcm degree
+    first, under the coprime and chain criteria.  After stage k the basis
+    is a Groebner basis of J = (f_1..f_k), cut down to its minimal part.
+
+    When every generator is homogeneous, adding a form f of degree e to J
+    has an exact lower bound: the sequence
+    0 -> ((J:f)/J)(-e) -> (R/J)(-e) -> R/J -> R/(J+f) -> 0 gives
+
+        H_{R/(J+f)}(n) >= H_{R/J}(n) - H_{R/J}(n - e),
+
+    with H_{R/J} read off the previous stage's leading monomials.  When a
+    pair of lcm degree n comes up and the degree-n monomials outside the
+    current leading monomials are exactly that many, those leading
+    monomials already span LT(J+f) in degree n.  Every degree-n
+    S-polynomial then reduces to zero, so the pair counts as treated and
+    is skipped (Traverso 1996).  The reduced basis is unique, so the
+    pruning changes only how many reductions it takes.
+    """
+    graded = all(g.is_homogeneous for g in gens)
+    G: list[Polynomial] = []
+    lms: list[Monomial] = []
+
+    def hilbert(exps: Sequence[Monomial], n: int) -> int:
+        """H_{R/(exps)}(n), from the memoised monomial numerator."""
+        if n < 0:
+            return 0
+        h = _numerator_of_monomial(nvars, minimalize_exponents(exps))
+        return expand(HilbertSeries(nvars, h), n)[n]
+
+    def add(p: Polynomial) -> None:
+        G.append(p.monic(order))
+        lms.append(G[-1].leading(order)[0])
+        j = len(G) - 1
+        for i in range(j):
+            # the pair taken next is the one of largest priority: lowest lcm
+            # degree first, then the lcm lowest in the order (the largest
+            # key), then the earliest pair
+            m = monomial_lcm(lms[i], lms[j])
+            pairs[i, j] = (-monomial_degree(m), order.key(m), -i, -j)
+
+    # untreated pairs of the current stage, with their priorities
+    pairs: dict[tuple[int, int], tuple] = {}
+    for f in sorted((g for g in gens if not g.is_zero), key=Polynomial.degree):
+        r = normal_form(f, G, order) if G else f
+        if r.is_zero:
+            continue
+        start = len(G)
+        previous = tuple(lms)
+        e = r.degree()
+        # (n, len(G)) -> whether the leading monomials span LT(J+f)_n
+        spanned: dict[tuple[int, int], bool] = {}
+        done: set[tuple[int, int]] = set()
+        add(r)
+        while pairs:
+            i, j = max(pairs, key=pairs.__getitem__)
+            del pairs[i, j]
+            done.add((i, j))
+            if monomials_coprime(lms[i], lms[j]):
+                continue
+            pair_lcm = monomial_lcm(lms[i], lms[j])
+            if graded:
+                n = monomial_degree(pair_lcm)
+                state = (n, len(G))
+                if state not in spanned:
+                    bound = hilbert(previous, n) - hilbert(previous, n - e)
+                    spanned[state] = hilbert(lms, n) == bound
+                if spanned[state]:
+                    continue
+            # chain criterion: a third element dividing the lcm whose pairs
+            # with both ends were already treated (in this stage, or in an
+            # earlier one when both are older) makes this pair redundant
+            if any(
+                k != i
+                and k != j
+                and monomial_divides(lms[k], pair_lcm)
+                and (max(i, k) < start or (min(i, k), max(i, k)) in done)
+                and (max(j, k) < start or (min(j, k), max(j, k)) in done)
+                for k in range(len(G))
+            ):
+                continue
+            r = normal_form(_spoly(G[i], G[j], order), G, order)
+            if not r.is_zero:
+                add(r)
+        G, lms = _minimal(G, lms, order)
+
     # tail-reduce each against the others
     reduced = []
-    for i, g in enumerate(minimal):
-        others = [h for j, h in enumerate(minimal) if j != i]
-        r = normal_form(g, others, order)
-        reduced.append(r.monic(order))
+    for i, g in enumerate(G):
+        others = [h for j, h in enumerate(G) if j != i]
+        reduced.append(normal_form(g, others, order).monic(order))
     reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
     return tuple(reduced)
 

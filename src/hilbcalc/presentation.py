@@ -2,27 +2,16 @@
 
 Two presentation shapes cover everything downstream: cyclic quotients
 (R/I)(-r) and finite free resolutions given by twist multisets.  The
-series of a monomial quotient comes from the pivot recursion
-
-    series(R/I) = t * series(R/(I : x)) + series(R/(I + (x)))
-
-with memoization on minimal generator sets; general ideals pass through
-their initial ideal first.
+series of a monomial quotient comes from the memoised pivot recursion in
+`monomial`; general ideals pass through their initial ideal first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from hilbcalc.polyring import (
-    DegRevLex,
-    Monomial,
-    PolyIdeal,
-    Polynomial,
-    buchberger,
-    minimalize_exponents,
-    monomial_degree,
-)
+from hilbcalc.monomial import _numerator_of_monomial, minimalize_exponents
+from hilbcalc.polyring import DegRevLex, PolyIdeal, Polynomial, buchberger
 from hilbcalc.series import (
     DEFAULT_TRUNCATION,
     CoefficientTable,
@@ -102,67 +91,6 @@ class ResolutionPresentation:
 def series_of_resolution(P: ResolutionPresentation) -> HilbertSeries:
     """Alternating sum of twisted free series over the resolution."""
     return P._series()
-
-
-# numerators of R/I for monomial ideals I, keyed on (d, minimal generating
-# exponents of I)
-_MONOMIAL_NUMERATORS: dict[tuple[int, frozenset[Monomial]], IntPolynomial] = {}
-
-
-def _pivot_step(d: int, exps: frozenset[Monomial]):
-    """The numerator of a base case, or the memo keys of the pivot split
-    (I : x) and I + (x) whose numerators give t * h(I : x) + h(I + (x))."""
-    if not exps:
-        return IntPolynomial.one()
-    zero_exp = (0,) * d
-    if zero_exp in exps:
-        return IntPolynomial.zero()
-    if all(sum(1 for m in exps if m[i]) <= 1 for i in range(d)):
-        # pairwise coprime generators (no variable shared) form a regular
-        # sequence, so the numerator is the product of the (1 - t^deg m)
-        h = IntPolynomial.one()
-        for m in exps:
-            h = h - h.times_t_power(monomial_degree(m))
-        return h
-    # two generators share a variable, so some generator is not a variable
-    pivot_gen = next(m for m in sorted(exps) if monomial_degree(m) > 1)
-    pivot_var = next(i for i, e in enumerate(pivot_gen) if e > 0)
-    x = tuple(1 if i == pivot_var else 0 for i in range(d))
-    colon_exps = minimalize_exponents(
-        tuple(e - (1 if i == pivot_var and e > 0 else 0) for i, e in enumerate(m))
-        for m in exps
-    )
-    plus_exps = minimalize_exponents(set(exps) | {x})
-    return (d, colon_exps), (d, plus_exps)
-
-
-def _numerator_of_monomial(d: int, exps: frozenset[Monomial]) -> IntPolynomial:
-    """Numerator of R/I for the monomial ideal minimally generated by exps.
-
-    Walks the pivot recursion with an explicit stack, so a chain of
-    thousands of pivot steps needs no Python recursion; every node reached
-    is memoised in _MONOMIAL_NUMERATORS.
-    """
-    memo = _MONOMIAL_NUMERATORS
-    root = (d, exps)
-    # entries are (node, None) before the node's step is taken and
-    # (node, (colon, plus)) once both children sit above it on the stack
-    stack = [(root, None)]
-    while stack:
-        node, split = stack.pop()
-        if node in memo:
-            continue
-        if split is None:
-            step = _pivot_step(*node)
-            if isinstance(step, IntPolynomial):
-                memo[node] = step
-                continue
-            colon, plus = step
-            stack += [(node, step), (plus, None), (colon, None)]
-        else:
-            colon, plus = split
-            memo[node] = memo[colon].times_t_power(1) + memo[plus]
-    return memo[root]
 
 
 def series_of_monomial_quotient(d: int, I: PolyIdeal) -> HilbertSeries:

@@ -15,6 +15,10 @@ from typing import Iterable, Sequence, Union
 
 DEFAULT_TRUNCATION = 64
 
+# The largest module shift accepted.  Numerators are dense, so a module
+# shifted by r carries at least r + 1 coefficients in every series.
+MAX_SHIFT = 10**6
+
 
 class InexactDivision(ArithmeticError):
     """Division of a numerator by a power of (1 - t) left a remainder."""

@@ -3,11 +3,11 @@ cannot mask a defect in another."""
 
 import pytest
 
-from hilbcalc import presentation, superficial
+from hilbcalc import monomial, presentation, superficial
 
 
 @pytest.fixture(autouse=True)
 def empty_memo_tables():
     presentation._IDEAL_SERIES.clear()
-    presentation._MONOMIAL_NUMERATORS.clear()
+    monomial._MONOMIAL_NUMERATORS.clear()
     superficial._DEPTH_CACHE.clear()

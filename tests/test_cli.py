@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -109,6 +112,22 @@ class TestRun:
         code, _, err = invoke(capsys, "run", str(p))
         assert code == 2
         assert "expected" in err
+
+    def test_huge_shift_exits_2(self, capsys, tmp_path):
+        # the dense numerator of a shift this large overflowed into a
+        # traceback with exit 1
+        p = tmp_path / "shift.hc"
+        p.write_text(
+            "ring x;\nideal I = x;\nmodule M = R/I shift 99999999999999999999;\n"
+            "series M;\n"
+        )
+        code, out, err = invoke(capsys, "run", str(p))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: 3:22: shift 99999999999999999999 is above 1000000, "
+            "the largest a series numerator holds\n"
+        )
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "run", str(tmp_path / "absent.hc"))
@@ -276,6 +295,16 @@ class TestOneShot:
                 ["coeffs", "--shift", "-1"], "--shift: must be at least 0", id="shift"
             ),
             pytest.param(
+                ["series", "--shift", "99999999999999999999"],
+                "--shift: must be at most 1000000, got 99999999999999999999",
+                id="huge-shift",
+            ),
+            pytest.param(
+                ["verify", "--forms", "x", "-i", "-1"],
+                "-i/--index: must be at least 0, got -1",
+                id="index",
+            ),
+            pytest.param(
                 ["oracle-check", "--degree", "-1"],
                 "--degree: must be at least 0",
                 id="degree",
@@ -405,3 +434,15 @@ def test_t_polynomial_formatting():
     assert format_t_polynomial([-3]) == "-3"
     assert format_t_polynomial([0, 0]) == "0"
     assert format_t_polynomial([0, -2, 5]) == "-2*t + 5*t^2"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run(
+        [sys.executable, "-m", "hilbcalc", "series", "--ring", "x y", "--ideal", "x*y",
+         "--json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["status"] == "pass"

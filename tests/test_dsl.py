@@ -22,6 +22,7 @@ from hilbcalc.dsl import (
     tokenize,
 )
 from hilbcalc.polyring import LinearForm, Polynomial
+from hilbcalc.series import MAX_SHIFT
 
 FIXTURE = (
     "ring x1 x2 y1; ideal I = x1*y1, x2*y1; module M = R/I; "
@@ -127,6 +128,13 @@ class TestParser:
     def test_module_shift(self):
         s = parse_text("ring x; ideal I = x; module M = R/I shift 2; series M;")
         assert s.modules()["M"].shift == 2
+
+    def test_shift_bound(self):
+        s = parse_text(f"ring x; ideal I = x; module M = R/I shift {MAX_SHIFT};")
+        assert s.modules()["M"].shift == MAX_SHIFT
+        with pytest.raises(SemanticError, match=f"shift {MAX_SHIFT + 1} is above") as exc:
+            parse_text(f"ring x; ideal I = x;\nmodule M = R/I shift {MAX_SHIFT + 1};")
+        assert (exc.value.line, exc.value.column) == (2, 22)
 
     def test_rational_coefficients(self):
         s = parse_text("ring x y; ideal I = 1/2*x^2 + y^2;")

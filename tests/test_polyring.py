@@ -146,6 +146,82 @@ def reference_forms_independent(forms: Sequence[LinearForm]) -> bool:
     return rank == len(forms)
 
 
+def reference_reduced_basis(
+    gens: Sequence[Polynomial], nvars: int, order: MonomialOrder
+) -> tuple[Polynomial, ...]:
+    """Plain Buchberger with the coprime and chain criteria, all generators
+    at once, kept as the reference for the incremental loop.  This is the
+    earlier _reduced_basis body; it divides through polyring.normal_form so
+    a test can count its reductions."""
+    G: list[Polynomial] = []
+    for g in gens:
+        if not g.is_zero:
+            G.append(g.monic(order))
+    if not G:
+        return ()
+
+    lms = [g.leading(order)[0] for g in G]
+    pairs: set[tuple[int, int]] = set()
+    done: set[tuple[int, int]] = set()
+
+    def push_pairs(j: int) -> None:
+        for i in range(j):
+            pairs.add((i, j))
+
+    for j in range(len(G)):
+        push_pairs(j)
+
+    def pair_priority(p):
+        m = monomial_lcm(lms[p[0]], lms[p[1]])
+        return (-sum(m), order.key(m), -p[0], -p[1])
+
+    while pairs:
+        i, j = max(pairs, key=pair_priority)
+        pairs.discard((i, j))
+        done.add((i, j))
+        if polyring.monomials_coprime(lms[i], lms[j]):
+            continue
+        pair_lcm = monomial_lcm(lms[i], lms[j])
+        skip = False
+        for k in range(len(G)):
+            if k in (i, j):
+                continue
+            if monomial_divides(lms[k], pair_lcm):
+                pik = (min(i, k), max(i, k))
+                pjk = (min(j, k), max(j, k))
+                if pik in done and pjk in done:
+                    skip = True
+                    break
+        if skip:
+            continue
+        r = polyring.normal_form(polyring._spoly(G[i], G[j], order), G, order)
+        if r.is_zero:
+            continue
+        G.append(r.monic(order))
+        lms.append(G[-1].leading(order)[0])
+        push_pairs(len(G) - 1)
+
+    keep: list[int] = []
+    for i in sorted(range(len(G)), key=lambda i: order.key(lms[i]), reverse=True):
+        if not any(monomial_divides(lms[k], lms[i]) for k in keep):
+            keep.append(i)
+    minimal = [G[i] for i in keep]
+    reduced = []
+    for i, g in enumerate(minimal):
+        others = [h for j, h in enumerate(minimal) if j != i]
+        r = polyring.normal_form(g, others, order)
+        reduced.append(r.monic(order))
+    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
+    return tuple(reduced)
+
+
+def reference_buchberger(I: PolyIdeal, order: MonomialOrder) -> tuple[Polynomial, ...]:
+    """buchberger with the reference loop for non-monomial ideals."""
+    if I.is_monomial:
+        return buchberger(I, order)
+    return reference_reduced_basis(I.generators, I.ring_dim, order)
+
+
 small_exponents = st.tuples(
     st.integers(0, 3), st.integers(0, 3)
 )
@@ -427,6 +503,110 @@ def test_golden_reduced_basis_of_three_quadrics():
     ]
     golden = Path(__file__).parent / "data" / "quadrics_6_vars_basis.json"
     assert json.dumps(rows, separators=(",", ":")) == golden.read_text()
+
+
+def _form(draw, deg: int, dense: bool) -> Polynomial:
+    """A degree-deg form in 3 variables: every monomial of that degree, or
+    one to four of them, with nonzero coefficients."""
+    support = [m for m in itertools.product(range(deg + 1), repeat=3) if sum(m) == deg]
+    if not dense:
+        support = draw(
+            st.lists(st.sampled_from(support), min_size=1, max_size=4, unique=True)
+        )
+    return Polynomial(3, {m: draw(coefficients.filter(bool)) for m in support})
+
+
+@st.composite
+def staged_ideals(draw):
+    """Homogeneous ideals shaped for the incremental loop, generators in a
+    drawn (not degree-sorted) order: dense forms of mixed degrees (a
+    regular sequence, so the Hilbert bound is attained), multiples of one
+    common factor (x*f, y*f: the bound is not attained), ideals with a
+    redundant generator (a combination of the others, or a rescaled
+    copy), and sparse random forms."""
+    shape = draw(st.sampled_from(["regular", "common-factor", "redundant", "sparse"]))
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    if shape == "regular":
+        gens = [_form(draw, d, dense=True) for d in degrees]
+    elif shape == "common-factor":
+        f = _form(draw, draw(st.integers(1, 2)), dense=draw(st.booleans()))
+        gens = [_form(draw, d, dense=False) * f for d in degrees]
+    elif shape == "redundant":
+        gens = [_form(draw, d, dense=draw(st.booleans())) for d in degrees]
+        extra = Polynomial.zero(3)
+        for g in gens:
+            m = (0, 0, 0) if g.degree() == 3 else draw(
+                st.sampled_from(
+                    [m for m in itertools.product(range(4), repeat=3)
+                     if sum(m) == 3 - g.degree()]
+                )
+            )
+            extra = extra + g.term_mul(draw(coefficients.filter(bool)), m)
+        gens.append(extra if not extra.is_zero else gens[0] * Fraction(-3, 2))
+    else:
+        gens = [_form(draw, d, dense=False) for d in degrees]
+    return PolyIdeal(3, draw(st.permutations(gens)))
+
+
+def _counting_division(mp) -> list[bool]:
+    """Patch polyring.normal_form to record, per call, whether the
+    remainder was zero; returns the record."""
+    zero: list[bool] = []
+    original = polyring.normal_form
+
+    def counted(f, basis, order=None):
+        r = original(f, basis, order)
+        zero.append(r.is_zero)
+        return r
+
+    mp.setattr(polyring, "normal_form", counted)
+    return zero
+
+
+class TestIncrementalBuchberger:
+    @settings(max_examples=200, deadline=None)
+    @given(staged_ideals(), st.sampled_from(ORDERS))
+    def test_same_reduced_basis_as_reference(self, I, order):
+        assert buchberger(I, order) == reference_buchberger(I, order)
+
+    @pytest.mark.parametrize("order", ORDERS, ids=lambda o: o.cache_token())
+    def test_common_factor_and_redundant_generators(self, order):
+        x, y, z = (var(3, i) for i in range(3))
+        f = x * x - y * z + z * z * Fraction(2, 3)
+        for gens in (
+            [y * f, x * f],
+            [x * f, y * f, z * f, (x + y) * f],
+            [x * y - z * z, x * x, (x * y - z * z) * z + x * x * y],
+            [x * x * x - y * y * z, x * y, y * y, x + y - z],
+        ):
+            I = PolyIdeal(3, gens)
+            assert buchberger(I, order) == reference_buchberger(I, order)
+
+    @settings(max_examples=40, deadline=None)
+    @given(staged_ideals(), st.integers(1, 2), st.data())
+    def test_colon_matches_reference(self, I, deg, data):
+        # colon's auxiliary ideal is not homogeneous, so this runs the loop
+        # without the Hilbert bound
+        g = _form(data.draw, deg, dense=data.draw(st.booleans()))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyring, "_reduced_basis", reference_reduced_basis)
+            expected = colon(I, g)
+        assert colon(I, g) == expected
+
+    def test_complete_intersection_has_no_zero_reduction(self):
+        # 3 generic quadrics in 6 variables: a regular sequence, whose
+        # Koszul syzygies the coprime and chain criteria cannot see; the
+        # Hilbert bound skips every one of them
+        I = PolyIdeal(6, bench_quadrics(6, 3, 0))
+        order = DegRevLex(6)
+        with pytest.MonkeyPatch.context() as mp:
+            zero = _counting_division(mp)
+            G = buchberger(I, order)
+        assert zero and not any(zero)
+        with pytest.MonkeyPatch.context() as mp:
+            zero = _counting_division(mp)
+            assert reference_buchberger(I, order) == G
+        assert any(zero)
 
 
 class TestBuchberger:
