@@ -499,27 +499,57 @@ def _check_fragment(text: str, what: str) -> str:
     return text
 
 
-def _oneshot_script(args: argparse.Namespace) -> str:
+def _oneshot_script(args: argparse.Namespace) -> tuple[str, list[tuple[str, int, int]]]:
+    """The script a one-shot subcommand runs, and where each option value
+    sits in it: (option, start, end) character offsets."""
     cls = COMMANDS[args.keyword]
     names = [field.name for field in dataclasses.fields(cls)]
-    parts = [f"ring {_check_fragment(args.ring, '--ring')};"]
-    parts.append(f"ideal I = {_check_fragment(args.ideal, '--ideal')};")
-    tail = f" shift {args.shift}" if args.shift else ""
-    parts.append(f"module M = R/I{tail};")
+    lines: list[str] = []
+    spans: list[tuple[str, int, int]] = []
+
+    def statement(head: str, option: Optional[str] = None, value: str = "") -> None:
+        if option is not None:
+            start = sum(len(line) + 1 for line in lines) + len(head)
+            spans.append((option, start, start + len(_check_fragment(value, option))))
+        lines.append(f"{head}{value};")
+
+    statement("ring ", "--ring", args.ring)
+    statement("ideal I = ", "--ideal", args.ideal)
+    if args.shift:
+        statement("module M = R/I shift ", "--shift", str(args.shift))
+    else:
+        statement("module M = R/I")
     if "forms" in names:
-        parts.append(f"forms F = {_check_fragment(args.forms, '--forms')};")
+        statement("forms F = ", "--forms", args.forms)
     named = {"module": "M", "forms": "F"}
     cmd = cls(*(named[n] if n in named else getattr(args, n) for n in names))
-    parts.append(f"{format_command(cmd)};")
-    return "\n".join(parts)
+    statement(format_command(cmd))
+    return "\n".join(lines), spans
 
 
-def _execute_text(text: str, opts: Options) -> int:
+def _option_error(exc: DslError, text: str, spans: list[tuple[str, int, int]]) -> str:
+    """A language error in a one-shot script, placed in the option value it
+    came from; an error outside every value keeps its script position."""
+    if exc.line < 1:
+        return str(exc)
+    lines = text.split("\n")
+    at = sum(len(line) + 1 for line in lines[: exc.line - 1]) + exc.column - 1
+    for option, start, end in spans:
+        if at == end:
+            # the ';' closing the statement is not part of the value
+            message = exc.message.replace("unexpected ';'", "unexpected end of value", 1)
+            return f"{option}: {message}"
+        if start <= at < end:
+            return f"{option}, column {at - start + 1}: {exc.message}"
+    return str(exc)
+
+
+def _execute_text(text: str, opts: Options, describe=str) -> int:
     t0 = time.perf_counter()
     try:
         script = parse_text(text)
     except DslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {describe(exc)}", file=sys.stderr)
         return EXIT_LANGUAGE
     report, lines = execute_script(script, opts)
     elapsed = time.perf_counter() - t0
@@ -631,11 +661,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_OK if report["status"] == "pass" else EXIT_VERIFICATION
 
     try:
-        text = _oneshot_script(args)
+        text, spans = _oneshot_script(args)
     except DslError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LANGUAGE
-    return _execute_text(text, opts)
+    return _execute_text(text, opts, lambda exc: _option_error(exc, text, spans))
 
 
 if __name__ == "__main__":

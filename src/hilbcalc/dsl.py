@@ -34,6 +34,7 @@ class DslError(ValueError):
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
+        self.message = message
         self.line = line
         self.column = column
 

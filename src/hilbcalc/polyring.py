@@ -380,6 +380,17 @@ def forms_independent(forms: Sequence[LinearForm]) -> bool:
     return True
 
 
+def _primitive_key(g: Polynomial) -> tuple:
+    """The terms of the primitive integer multiple of g whose first term,
+    in sorted order, is positive."""
+    _, ints = clear_denominators(g.terms)
+    terms = sorted(ints.items())
+    content = gcd(*ints.values())
+    if terms[0][1] < 0:
+        content = -content
+    return tuple((m, c // content) for m, c in terms)
+
+
 class PolyIdeal:
     """Homogeneous ideal given by explicit generators.
 
@@ -436,15 +447,25 @@ class PolyIdeal:
         return minimalize_exponents(next(iter(g.terms)) for g in self.generators)
 
     def canonical_key(self):
+        """(ring_dim, sorted set of the generators' primitive forms).
+
+        Each generator is cleared of denominators, divided by its content
+        and signed so that its first term in sorted order is positive, so
+        the key ignores the scale of every generator.  Series, depth
+        screens and socle series do not change when a generator is
+        multiplied by a nonzero scalar, so the memos keyed on it hit
+        across scalings.
+        """
         if self._cached_key is None:
             self._cached_key = (
                 self.ring_dim,
-                tuple(sorted(g.canonical_key() for g in self.generators)),
+                tuple(sorted({_primitive_key(g) for g in self.generators})),
             )
         return self._cached_key
 
     def __eq__(self, other) -> bool:
-        # Structural equality of generator sets, not ideal-theoretic equality.
+        # The same generators up to nonzero scalars, not ideal-theoretic
+        # equality.
         if not isinstance(other, PolyIdeal):
             return NotImplemented
         return self.canonical_key() == other.canonical_key()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence, Union
 
 DEFAULT_TRUNCATION = 64
@@ -177,32 +178,35 @@ class IntPolynomial:
         return p
 
     def div_one_minus_t(self, k: int = 1) -> "IntPolynomial":
-        """Exact division by (1 - t)^k; raises InexactDivision on remainder."""
-        p = self
+        """Exact division by (1 - t)^k; raises InexactDivision on remainder.
+
+        p = (1 - t) q  <=>  q_i is the i-th prefix sum of p, and the
+        division is exact iff the last prefix sum, p(1), is zero.  The k
+        steps run on plain lists and only the quotient becomes an
+        IntPolynomial.
+        """
+        if k == 0 or self.is_zero:
+            return self
+        cs = self.coeffs
         for _ in range(k):
-            if p.is_zero:
-                continue
-            # p = (1 - t) q  <=>  q_i is the i-th prefix sum, exact iff p(1) = 0
-            acc = 0
-            q = []
-            for c in p.coeffs:
-                acc += c
-                q.append(acc)
-            if q[-1] != 0:
+            cs = list(accumulate(cs))
+            if cs.pop():
                 raise InexactDivision("numerator not divisible by (1 - t)")
-            p = IntPolynomial(tuple(q[:-1]))
-        return p
+        return IntPolynomial(tuple(cs))
 
     def multiplicity_at_one(self) -> int:
-        """Largest k with (1 - t)^k dividing self; undefined for zero."""
+        """Largest k with (1 - t)^k dividing self; undefined for zero.
+
+        The same prefix sums as div_one_minus_t, on plain lists, until one
+        leaves a remainder; no IntPolynomial is built.
+        """
         if self.is_zero:
             raise ValueError("multiplicity at 1 is undefined for the zero polynomial")
+        cs = self.coeffs
         k = 0
-        p = self
         while True:
-            try:
-                p = p.div_one_minus_t()
-            except InexactDivision:
+            cs = list(accumulate(cs))
+            if cs.pop():
                 return k
             k += 1
 
@@ -213,11 +217,20 @@ class IntPolynomial:
         return acc
 
     def taylor_at_one(self) -> tuple[int, ...]:
-        """Coefficients of self written in powers of (t - 1), trimmed."""
-        out = []
-        n = len(self.coeffs)
-        for i in range(n):
-            out.append(sum(binomial(j, i) * self.coeffs[j] for j in range(i, n)))
+        """Coefficients of self written in powers of (t - 1), trimmed.
+
+        The i-th one is the sum of C(j, i) c_j over the nonzero c_j.  Each
+        nonzero term walks its row of binomials by the step C(j, i + 1) =
+        C(j, i) (j - i) / (i + 1), so a sparse numerator such as a shifted
+        one costs its number of terms times its length, with no binomial
+        computed from scratch.
+        """
+        out = [0] * len(self.coeffs)
+        for j, c in enumerate(self.coeffs):
+            if c:
+                for i in range(j + 1):
+                    out[i] += c
+                    c = c * (j - i) // (i + 1)
         while out and out[-1] == 0:
             out.pop()
         return tuple(out)
@@ -319,8 +332,9 @@ def relative_coefficient(S: HilbertSeries, i: int) -> int:
     """
     if i < 0:
         raise ValueError("coefficient index must be a natural")
-    h = S.numerator
-    return sum(binomial(j, i) * h.coeffs[j] for j in range(i, len(h.coeffs)))
+    return sum(
+        c * math.comb(j, i) for j, c in enumerate(S.numerator.coeffs) if c and j >= i
+    )
 
 
 def shift(S: HilbertSeries, r: int) -> HilbertSeries:

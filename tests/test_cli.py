@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -276,6 +277,47 @@ class TestOneShot:
     def test_inline_parse_error(self, capsys):
         code, _, err = invoke(capsys, "series", "--ring", "x1", "--ideal", "x1 +")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["series", "--ring", "x1", "--ideal", "x1 +"],
+                "error: --ideal: unexpected end of value (expected a ring variable)\n",
+                id="ideal-end",
+            ),
+            pytest.param(
+                ["verify", "--ring", "x y", "--ideal", "x*y", "--forms", "x^2", "-i", "0"],
+                "error: --forms, column 1: form must have degree exactly 1, got [2]\n",
+                id="forms",
+            ),
+            pytest.param(
+                ["series", "--ring", "x y", "--ideal", "x*y,\n y@"],
+                "error: --ideal, column 8: illegal character '@'\n",
+                id="ideal-second-line",
+            ),
+            pytest.param(
+                ["series", "--ring", "x R", "--ideal", "x"],
+                "error: --ring, column 3: R names the ambient ring and cannot be a variable\n",
+                id="ring",
+            ),
+        ],
+    )
+    def test_language_errors_name_the_option(self, capsys, argv, message):
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2
+        assert err == message
+
+    def test_coeffs_of_a_large_shift(self, capsys):
+        # (R/(xy))(-r) has h-polynomial t^r (1 + t), so e_i = C(r, i) + C(r+1, i)
+        r = 1000
+        code, out, _ = invoke(
+            capsys, "coeffs", "--ring", "x y", "--ideal", "x*y", "--shift", str(r), "--json"
+        )
+        assert code == 0
+        (entry,) = json.loads(out)["commands"]
+        assert entry["dimension"] == 1
+        assert entry["table"] == [math.comb(r, i) + math.comb(r + 1, i) for i in range(r + 2)]
 
     @pytest.mark.parametrize(
         "argv, message",

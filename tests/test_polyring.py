@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clear_memos
 from hilbcalc import polyring
 from hilbcalc.oracle import graded_dimension, monomials_of_degree
 from hilbcalc.polyring import (
@@ -39,7 +40,7 @@ from hilbcalc.polyring import (
     quotient_by_linear,
     random_linear_form,
 )
-from hilbcalc.presentation import CyclicModule
+from hilbcalc.presentation import CyclicModule, series_of_cyclic
 
 
 def P(nvars, *terms):
@@ -936,3 +937,71 @@ class TestRandomLinearForm:
         a = LinearForm((Fraction(1), Fraction(0)))
         with pytest.raises(ValueError):
             random_linear_form(2, span=[a, a], seed=0)
+
+
+def generators_up_to_scalars(I: PolyIdeal) -> tuple:
+    """Reference for the ideal key: each generator divided by the
+    coefficient of its first monomial in sorted order, as a set."""
+    normed = set()
+    for g in I.generators:
+        lead = g.terms[min(g.terms)]
+        normed.add(frozenset((m, c / lead) for m, c in g.terms.items()))
+    return I.ring_dim, frozenset(normed)
+
+
+nonzero_scalars = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+
+
+@st.composite
+def ideal_pairs(draw):
+    """(I, J, scaled): J is I with every generator scaled, shuffled and
+    possibly repeated at another scale, or I with one generator
+    perturbed by a term of its degree, or an unrelated ideal."""
+    I = draw(small_homogeneous_ideals())
+    kind = draw(st.sampled_from(["scaled", "perturbed", "unrelated"]))
+    gens = list(I.generators)
+    if kind == "scaled":
+        gens = [g * draw(nonzero_scalars) for g in gens]
+        if gens and draw(st.booleans()):
+            gens.append(draw(st.sampled_from(gens)) * draw(nonzero_scalars))
+        gens = draw(st.permutations(gens))
+        return I, PolyIdeal(3, gens), True
+    if kind == "perturbed" and gens:
+        j = draw(st.integers(0, len(gens) - 1))
+        deg = gens[j].homogeneous_degree()
+        support = [m for m in itertools.product(range(deg + 1), repeat=3) if sum(m) == deg]
+        extra = Polynomial.from_monomial(3, draw(st.sampled_from(support)), draw(nonzero_scalars))
+        gens[j] = gens[j] + extra
+        return I, PolyIdeal(3, gens), False
+    return I, draw(small_homogeneous_ideals()), False
+
+
+class TestScaleInvariantKey:
+    @settings(max_examples=200, deadline=None)
+    @given(ideal_pairs())
+    def test_key_is_equality_up_to_scalars(self, pair):
+        I, J, scaled = pair
+        same = generators_up_to_scalars(I) == generators_up_to_scalars(J)
+        assert same or not scaled
+        assert (I.canonical_key() == J.canonical_key()) == same
+        assert (I == J) == same and (hash(I) == hash(J) or not same)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ideal_pairs().filter(lambda pair: pair[2]))
+    def test_scaled_ideals_have_the_same_series(self, pair):
+        I, J, _ = pair
+        clear_memos()
+        S = series_of_cyclic(CyclicModule(3, I))
+        clear_memos()
+        assert series_of_cyclic(CyclicModule(3, J)) == S
+
+    def test_fixed_cases(self):
+        g = P(2, (Fraction(3, 2), (2, 0)), (-3, (1, 1)))
+        scaled = PolyIdeal(2, [g * Fraction(-4, 9), P(2, (5, (0, 2)))])
+        assert PolyIdeal(2, [P(2, (1, (0, 2))), g]).canonical_key() == scaled.canonical_key()
+        # x^2 - 2xy and x^2 + 2xy are not multiples of each other
+        flipped = P(2, (Fraction(3, 2), (2, 0)), (3, (1, 1)))
+        assert PolyIdeal(2, [g]) != PolyIdeal(2, [flipped])
+        # the dedupe of the generators stays exact
+        assert len(PolyIdeal(2, [g, 2 * g]).generators) == 2
+        assert PolyIdeal(2, [g, 2 * g]) == PolyIdeal(2, [g])

@@ -358,3 +358,113 @@ class TestRegularQuotient:
         assert regular_quotient_coeffs(
             hilbert_coefficients(S), k
         ) == hilbert_coefficients(quotient)
+
+
+# ---------------------------------------------------------------------------
+# the plain kernels the list-based ones replaced, kept as references
+
+
+def reference_div_one_minus_t(p: IntPolynomial, k: int = 1) -> IntPolynomial:
+    for _ in range(k):
+        if p.is_zero:
+            continue
+        acc = 0
+        q = []
+        for c in p.coeffs:
+            acc += c
+            q.append(acc)
+        if q[-1] != 0:
+            raise InexactDivision("numerator not divisible by (1 - t)")
+        p = IntPolynomial(tuple(q[:-1]))
+    return p
+
+
+def reference_multiplicity_at_one(p: IntPolynomial) -> int:
+    k = 0
+    while True:
+        try:
+            p = reference_div_one_minus_t(p)
+        except InexactDivision:
+            return k
+        k += 1
+
+
+def reference_taylor_at_one(p: IntPolynomial) -> tuple[int, ...]:
+    out = []
+    n = len(p.coeffs)
+    for i in range(n):
+        out.append(sum(binomial(j, i) * p.coeffs[j] for j in range(i, n)))
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def reference_relative_coefficient(S: HilbertSeries, i: int) -> int:
+    h = S.numerator
+    return sum(binomial(j, i) * h.coeffs[j] for j in range(i, len(h.coeffs)))
+
+
+@st.composite
+def one_minus_t_multiples(draw):
+    """(1 - t)^k h as raw coefficients, trailing zeros included, with k."""
+    h = draw(st.lists(small_ints, max_size=8))
+    k = draw(st.integers(0, 5))
+    cs = IntPolynomial(tuple(h)).times_one_minus_t(k).coeffs
+    return cs + (0,) * draw(st.integers(0, 3)), k
+
+
+@st.composite
+def numerators(draw):
+    """Dense, sparse and shifted numerators."""
+    kind = draw(st.sampled_from(["dense", "sparse", "shifted"]))
+    if kind == "dense":
+        return IntPolynomial(tuple(draw(st.lists(small_ints, max_size=12))))
+    terms = draw(st.dictionaries(st.integers(0, 40), small_ints, max_size=4))
+    r = draw(st.integers(0, 300)) if kind == "shifted" else 0
+    return IntPolynomial.from_coeffs(
+        terms.get(j, 0) for j in range(max(terms, default=-1) + 1)
+    ).times_t_power(r)
+
+
+class TestKernelsAgainstReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(one_minus_t_multiples(), st.integers(0, 7))
+    def test_division_matches_reference(self, problem, k):
+        cs, _ = problem
+        p = IntPolynomial(cs)
+        try:
+            expected = reference_div_one_minus_t(p, k)
+        except InexactDivision:
+            with pytest.raises(InexactDivision):
+                p.div_one_minus_t(k)
+            return
+        assert p.div_one_minus_t(k) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(one_minus_t_multiples())
+    def test_multiplicity_matches_reference(self, problem):
+        cs, k = problem
+        p = IntPolynomial(cs)
+        if p.is_zero:
+            with pytest.raises(ValueError):
+                p.multiplicity_at_one()
+            return
+        m = p.multiplicity_at_one()
+        assert m == reference_multiplicity_at_one(p)
+        assert m >= k
+
+    def test_zero_and_edge_cases(self):
+        zero = IntPolynomial.zero()
+        assert zero.div_one_minus_t(3) == zero
+        assert IntPolynomial((2, -2)).div_one_minus_t(0) == IntPolynomial((2, -2))
+        assert IntPolynomial((2, -2)).div_one_minus_t() == IntPolynomial((2,))
+        with pytest.raises(InexactDivision):
+            IntPolynomial((2, -2)).div_one_minus_t(2)
+        assert IntPolynomial((5,)).multiplicity_at_one() == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(numerators(), st.integers(0, 8))
+    def test_taylor_and_relative_coefficient_match_reference(self, p, i):
+        assert p.taylor_at_one() == reference_taylor_at_one(p)
+        S = HilbertSeries(2, p)
+        assert relative_coefficient(S, i) == reference_relative_coefficient(S, i)

@@ -7,19 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clear_memos
 from hilbcalc.linalg import FractionEchelon
 from hilbcalc.oracle import monomials_of_degree
-from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial, colon
+from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial, colon, eliminate_form
 from hilbcalc.presentation import CyclicModule, module_dimension, series_of_cyclic
 from hilbcalc.sampling import random_independent_forms, random_module
 from hilbcalc.superficial import (
     CERTIFIED,
+    CUT_MEMO_SIZE,
     NOT_SSOP,
     PROBABLY_NOT_ADMISSIBLE,
     QuotientChain,
     STOP_DIMENSION_ZERO,
     STOP_TRIALS_EXHAUSTED,
     SuperficialityReport,
+    _cut,
     _screen,
     _screen_passes,
     depth,
@@ -530,3 +533,44 @@ class TestScreen:
         screen = _screen(I)
         if not _screen_passes(screen, f):
             assert not is_regular(M, f)
+
+
+class TestCutMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(screen_problems(), st.integers(0, 3), st.sampled_from(SCALES[1:]))
+    def test_memo_matches_an_uncached_build(self, problem, r, c):
+        I, f = problem
+        clear_memos()
+        M = CyclicModule(I.ring_dim, I, shift=r)
+        Q, elim = quotient_module(M, f)
+        expected = eliminate_form(f)
+        assert elim == expected
+        assert Q.ideal.generators == expected.map_ideal(I).generators
+        assert (Q.ring_dim, Q.shift) == (I.ring_dim - 1, r)
+        # a repeat is a hit on the same objects
+        hits = _cut.cache_info().hits
+        Q2, elim2 = quotient_module(M, f)
+        assert _cut.cache_info().hits == hits + 1
+        assert Q2 == Q and Q2.ideal is Q.ideal and elim2 is elim
+        # so is the same ideal with its generators rescaled
+        J = PolyIdeal(I.ring_dim, [g * Fraction(c) for g in I.generators])
+        Q3, _ = quotient_module(CyclicModule(I.ring_dim, J), f)
+        assert _cut.cache_info().hits == hits + 2
+        assert Q3.ideal.canonical_key() == expected.map_ideal(J).canonical_key()
+
+    def test_repeats_build_no_elimination_and_the_memo_is_bounded(self, monkeypatch):
+        from hilbcalc import superficial
+
+        built = []
+        real = superficial.eliminate_form
+        monkeypatch.setattr(superficial, "eliminate_form", lambda f: built.append(f) or real(f))
+        for _ in range(3):
+            quotient_module(PQ, Z1)
+        assert built == [Z1]
+        forms = [lf(1, k, 1) for k in range(CUT_MEMO_SIZE + 1)]
+        for f in forms:
+            quotient_module(PQ, f)
+        assert _cut.cache_info().currsize == CUT_MEMO_SIZE
+        # the least recently used cut was evicted and is built again
+        quotient_module(PQ, Z1)
+        assert built[-1] == Z1 and len(built) == CUT_MEMO_SIZE + 3
