@@ -7,7 +7,8 @@ Every script command of `dsl.COMMANDS` is also a one-shot subcommand
 
 Exit status: 0 when every command succeeds and every verification
 passes, 1 on a verification failure, 2 on a lex/parse/semantic error
-or an invalid option.
+or an invalid option, 3 on an internal error (an exception the program
+did not anticipate, reported as one line on standard error).
 JSON reports are byte-identical for identical (script, seed, trials):
 elapsed time is shown on the human side only.
 """
@@ -75,6 +76,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_LANGUAGE = 2
+EXIT_INTERNAL = 3
 
 DEFAULT_MAX_DEGREE = 64
 
@@ -642,6 +644,15 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser(_default_seed())
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(args)
+    except Exception as exc:  # SystemExit and KeyboardInterrupt pass through
+        message = ": ".join([type(exc).__name__, " ".join(str(exc).split())])
+        print(f"error: internal: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     opts = _options_from(args)
 
     if args.subcommand == "run":

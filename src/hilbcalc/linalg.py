@@ -2,14 +2,16 @@
 
 Kept deliberately small: one integer echelon, IntEchelon, holds primitive
 ``{column: int}`` pivot rows and is the only elimination routine the
-package runs.  The brute-force oracle's int_rank inserts every row of a
-large Macaulay matrix into one; the depth screen keeps the degree-two
-part of an ideal in one and stacks each candidate's rows on it as an
-overlay that never copies it; polyring.forms_independent inserts the
-denominator-cleared forms into one and stops at the first dependent row.  FractionEchelon, a reduced echelon form
-over the rationals, is no longer used by the package: it stays because
-the benchmark tracer wraps FractionEchelon.insert by name and the tests
-use it as a reference.
+package runs.  The brute-force oracle builds one per degree and inserts
+the Macaulay rows that its degree walk cannot already tell are
+dependent; the depth screen keeps the degree-two part of an ideal in one
+and stacks each candidate's rows on it as an overlay that never copies
+it; polyring.forms_independent inserts the denominator-cleared forms
+into one and stops at the first dependent row.  int_rank, the rank of a
+whole matrix, and FractionEchelon, a reduced echelon form over the
+rationals, are no longer used by the package: they stay because the
+benchmark tracer wraps them by name and the tests use them as
+references.
 """
 
 from __future__ import annotations
@@ -89,12 +91,14 @@ def int_rank(rows: Iterable[Sequence[int]]) -> int:
     """Rank of an integer matrix by sparse fraction-free row elimination.
 
     Every row goes into one IntEchelon; the rank is its pivot count.
+    Unused by the package, which inserts its rows into IntEchelon
+    directly; kept for the benchmark tracer and the tests.
 
-    Pivoting on the last column suits the oracle's Macaulay matrices,
-    whose columns list monomials lexicographically, so the last nonzero
-    column is the lex-largest monomial: on the degree-8 matrix of three
-    quadrics in five variables (630 x 495) it took 1.25 s against 3.2 s
-    for first-column pivoting (CPython 3.11, 2-vCPU host).
+    Pivoting on the last column suits Macaulay matrices whose columns
+    list monomials lexicographically, so the last nonzero column is the
+    lex-largest monomial: on the degree-8 matrix of three quadrics in
+    five variables (630 x 495) it took 1.25 s against 3.2 s for
+    first-column pivoting (CPython 3.11, 2-vCPU host).
     """
     echelon = IntEchelon()
     for entries in rows:

@@ -1,89 +1,100 @@
 """Brute-force graded dimension counts, independent of the series engine.
 
-Monomial quotients are checked by literally counting standard monomials;
-everything else goes through the rank of the degree-n multiplication
-matrix on the original generators.  No Groebner bases, no series
-recursion, so agreement with `series_of_cyclic` is meaningful evidence.
+Monomial quotients are checked by literally counting standard monomials.
+For every other ideal I the degree-n piece of I is the span of the rows
+x^a * g_j of the degree-n Macaulay matrix on the original generators, and
+its dimension is the rank of those rows.  No Groebner basis and no series
+is computed, so agreement with `series_of_cyclic` is meaningful evidence.
+
+The ranks come from one walk over the degrees 0..N with one integer
+echelon per degree.  Rows go in generator by generator, and within one
+generator in the lex order of a.  A row that is dependent on the rows
+before it is remembered for the next degree, and there every row
+x^(a+e_i) * g_j above a remembered x^a * g_j is skipped without any
+reduction.  This is exact because the row order is multiplicative: if
+x^a * g_j is a combination of rows before it, x^(a+e_i) * g_j is x_i
+times that combination, whose rows x^(b+e_i) * g_k all come before it
+too (k < j, or k = j and b before a in lex order).  A skipped row is
+then itself dependent and is remembered, so by induction the skipped
+rows never change the span (the syzygy criterion of Faugere's F5, on
+Macaulay matrices).  In the full degree-9 matrix of two generic quadrics
+in four variables, 56 of 240 rows are dependent and take about 85% of
+the reduction steps; the walk over the degrees 0..9 reduces one row to
+zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
-from hilbcalc.linalg import int_rank
-from hilbcalc.polyring import (
-    Monomial,
-    PolyIdeal,
-    clear_denominators,
-    monomial_divides,
-    monomial_mul,
-)
+from hilbcalc.linalg import IntEchelon
+# monomials_of_degree lives in the exponent layer; it stays importable from
+# here as part of the oracle's API
+from hilbcalc.monomial import monomial_divides, monomial_mul, monomials_of_degree
+from hilbcalc.polyring import PolyIdeal, clear_denominators
 from hilbcalc.presentation import CyclicModule, series_of_cyclic
 from hilbcalc.series import expand
 
 DEFAULT_CHECK_DEGREE = 12
 
 
-@lru_cache(maxsize=None)
-def monomials_of_degree(d: int, n: int) -> tuple[Monomial, ...]:
-    """All exponent vectors of total degree n over d variables."""
-    if n < 0:
-        return ()
-    if d == 0:
-        return ((),) if n == 0 else ()
-    if d == 1:
-        return ((n,),)
-    out = []
-    for e in range(n + 1):
-        for rest in monomials_of_degree(d - 1, n - e):
-            out.append((e,) + rest)
-    return tuple(out)
-
-
-def _ideal_rank(I: PolyIdeal, n: int) -> int:
-    """dim of the degree-n piece of I, by Macaulay matrix rank."""
+def _ideal_ranks(I: PolyIdeal, top: int) -> list[int]:
+    """dim I_n for n = 0..top, by one walk over the degrees that skips
+    every row above a row already known to be dependent."""
     d = I.ring_dim
-    targets = monomials_of_degree(d, n)
-    cols = {m: j for j, m in enumerate(targets)}
-    rows = []
-    for g in I.generators:
-        dg = g.degree()
-        if dg > n:
-            continue
-        entries = clear_denominators(g.terms)[1].items()
-        for m in monomials_of_degree(d, n - dg):
-            row = [0] * len(targets)
-            for mg, c in entries:
-                row[cols[monomial_mul(m, mg)]] = c
-            rows.append(row)
-    return int_rank(rows)
+    units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    gens = [
+        (g.homogeneous_degree(), clear_denominators(g.terms)[1].items())
+        for g in I.generators
+    ]
+    # dead[j]: the multipliers a whose row x^a * g_j was dependent on the
+    # rows before it in the previous degree
+    dead: list[set] = [set() for _ in gens]
+    ranks = []
+    for n in range(top + 1):
+        cols = {m: c for c, m in enumerate(monomials_of_degree(d, n))}
+        echelon = IntEchelon()
+        for j, (dg, terms) in enumerate(gens):
+            known = {monomial_mul(a, x) for a in dead[j] for x in units}
+            for a in monomials_of_degree(d, n - dg):
+                if a not in known and not echelon.insert(
+                    {cols[monomial_mul(a, m)]: c for m, c in terms}
+                ):
+                    known.add(a)
+            dead[j] = known
+        ranks.append(echelon.rank)
+    return ranks
+
+
+def graded_profile(M: CyclicModule, max_degree: int) -> tuple[int, ...]:
+    """Lengths of the degree pieces 0..max_degree of M, counted from
+    scratch: standard monomials for a monomial ideal, otherwise the
+    monomials of each degree minus the rank of the Macaulay rows, from
+    one walk over the degrees (see the module docstring)."""
+    I, d, s = M.ideal, M.ring_dim, M.shift
+    top = max_degree - s
+    totals = [len(monomials_of_degree(d, n)) for n in range(top + 1)]
+    if I.is_zero:
+        counts = totals
+    elif I.is_monomial:
+        gens = I.monomial_exponents()
+        counts = [
+            sum(
+                1
+                for m in monomials_of_degree(d, n)
+                if not any(monomial_divides(g, m) for g in gens)
+            )
+            for n in range(top + 1)
+        ]
+    else:
+        counts = [t - r for t, r in zip(totals, _ideal_ranks(I, top))]
+    return tuple(counts[n - s] if n >= s else 0 for n in range(max_degree + 1))
 
 
 def graded_dimension(M: CyclicModule, degree: int) -> int:
     """Length of the degree piece of M, counted from scratch."""
-    n = degree - M.shift
-    if n < 0:
-        return 0
-    I = M.ideal
-    d = M.ring_dim
-    total = len(monomials_of_degree(d, n))
-    if I.is_zero:
-        return total
-    if I.is_monomial:
-        gens = I.monomial_exponents()
-        standard = sum(
-            1
-            for m in monomials_of_degree(d, n)
-            if not any(monomial_divides(g, m) for g in gens)
-        )
-        return standard
-    return total - _ideal_rank(I, n)
-
-
-def graded_profile(M: CyclicModule, max_degree: int) -> tuple[int, ...]:
-    return tuple(graded_dimension(M, n) for n in range(max_degree + 1))
+    return graded_profile(M, degree)[degree] if degree >= 0 else 0
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from hilbcalc.linalg import IntEchelon
-from hilbcalc.oracle import monomials_of_degree
+from hilbcalc.monomial import monomials_of_degree
 from hilbcalc.polyring import (
     LinearElimination,
     LinearForm,

@@ -4,7 +4,7 @@ clear_memos reaches every memo the package keeps."""
 
 import pytest
 
-from hilbcalc import monomial, oracle, presentation, superficial
+from hilbcalc import monomial, presentation, superficial
 
 
 def clear_memos() -> None:
@@ -12,7 +12,7 @@ def clear_memos() -> None:
     monomial._MONOMIAL_NUMERATORS.clear()
     superficial._DEPTH_CACHE.clear()
     superficial._cut.cache_clear()
-    oracle.monomials_of_degree.cache_clear()
+    monomial.monomials_of_degree.cache_clear()
 
 
 @pytest.fixture(autouse=True)

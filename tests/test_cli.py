@@ -10,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from hilbcalc.cli import _HANDLERS, build_parser, format_t_polynomial, main
+from hilbcalc import cli
+from hilbcalc.cli import (
+    EXIT_INTERNAL,
+    _HANDLERS,
+    build_parser,
+    format_t_polynomial,
+    main,
+)
 from hilbcalc.dsl import COMMANDS
 
 FIXTURE = """\
@@ -363,6 +370,25 @@ class TestOneShot:
         code, _, err = invoke(capsys, "coeffs", "--ring", "x", "--ideal", "1/0*x")
         assert code == 2
         assert "zero denominator" in err
+
+    def test_internal_error_exits_3(self, capsys):
+        # the dense series numerator cannot hold this exponent
+        code, out, err = invoke(
+            capsys, "series", "--ring", "x", "--ideal", "x^99999999999999999999"
+        )
+        assert code == EXIT_INTERNAL == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: internal: OverflowError: ")
+        assert "Traceback" not in err
+
+    def test_interrupt_is_not_an_internal_error(self, capsys, monkeypatch):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "series_of_cyclic", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["series", "--ring", "x", "--ideal", "x"])
 
 
 class TestSeedHandling:

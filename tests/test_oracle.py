@@ -8,18 +8,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbcalc import polyring, presentation
+from hilbcalc.linalg import int_rank
+from hilbcalc.monomial import monomial_mul
 from hilbcalc.oracle import (
     DEFAULT_CHECK_DEGREE,
     SeriesCheck,
-    _ideal_rank,
     graded_dimension,
     graded_profile,
     monomials_of_degree,
     verify_series,
 )
-from hilbcalc.polyring import PolyIdeal, Polynomial
+from hilbcalc.polyring import PolyIdeal, Polynomial, clear_denominators
 from hilbcalc.presentation import CyclicModule
 from hilbcalc.series import binomial
+
+
+def _ideal_rank(I, n):
+    """dim of the degree-n piece of I, by the rank of the full Macaulay
+    matrix: every row x^a * g_j, none skipped.  The reference the
+    oracle's degree walk is checked against."""
+    d = I.ring_dim
+    targets = monomials_of_degree(d, n)
+    cols = {m: j for j, m in enumerate(targets)}
+    rows = []
+    for g in I.generators:
+        dg = g.degree()
+        if dg > n:
+            continue
+        entries = clear_denominators(g.terms)[1].items()
+        for m in monomials_of_degree(d, n - dg):
+            row = [0] * len(targets)
+            for mg, c in entries:
+                row[cols[monomial_mul(m, mg)]] = c
+            rows.append(row)
+    return int_rank(rows)
 
 
 def monomial_ideal(d, *exps):
@@ -43,6 +65,34 @@ def generic_quadrics(d, count, seed):
 # series (1 + t)^2 / (1 - t)^2, so 1, 4, 8, ..., 4n
 QUADRICS = CyclicModule(4, generic_quadrics(4, 2, seed=0))
 QUADRICS_PROFILE = (1,) + tuple(4 * n for n in range(1, 13))
+
+
+@st.composite
+def homogeneous_ideals(draw):
+    """1-4 variables, 1-3 generators of degree 1-3 with rational
+    coefficients, plus the product of two of them (which forces syzygies
+    beyond the Koszul ones of the generators) and a scaled copy of one."""
+    d = draw(st.integers(1, 4))
+    coeff = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+    def form(deg):
+        support = draw(
+            st.lists(
+                st.sampled_from(monomials_of_degree(d, deg)),
+                min_size=1,
+                max_size=4,
+                unique=True,
+            )
+        )
+        return Polynomial(d, {m: draw(coeff) for m in support})
+
+    gens = [form(draw(st.integers(1, 3))) for _ in range(draw(st.integers(1, 3)))]
+    gens = [g for g in gens if not g.is_zero]
+    if gens:
+        gens.append(gens[0] * gens[-1])
+        gens.append(gens[-1] * draw(st.sampled_from([Fraction(-2), Fraction(3, 5)])))
+    # the walk inserts rows generator by generator, so the order matters
+    return PolyIdeal(d, draw(st.permutations(gens)))
 
 
 class TestMonomialEnumeration:
@@ -101,6 +151,41 @@ class TestGradedDimension:
         with pytest.raises(AssertionError):
             presentation.series_of_cyclic(QUADRICS)
         assert graded_profile(QUADRICS, 6) == QUADRICS_PROFILE[:7]
+
+    @settings(max_examples=100, deadline=None)
+    @given(homogeneous_ideals())
+    def test_walk_matches_full_matrix_rank(self, I):
+        top = 7
+        M = CyclicModule(I.ring_dim, I)
+        profile = graded_profile(M, top)
+        expected = tuple(
+            len(monomials_of_degree(I.ring_dim, n)) - _ideal_rank(I, n)
+            for n in range(top + 1)
+        )
+        assert profile == expected
+        assert all(graded_dimension(M, n) == profile[n] for n in range(top + 1))
+
+    def test_five_variable_quadrics_to_degree_ten(self, monkeypatch):
+        # three generic quadrics in five variables: a complete intersection
+        # with series (1 + t)^3 / (1 - t)^2, so 1, 5, 12, then 8n - 4
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle must not compute a Groebner basis")
+
+        monkeypatch.setattr(polyring, "buchberger", refuse)
+        monkeypatch.setattr(presentation, "buchberger", refuse)
+        M = CyclicModule(5, generic_quadrics(5, 3, seed=0))
+        assert graded_profile(M, 10) == (1, 5) + tuple(8 * n - 4 for n in range(2, 11))
+
+    def test_degree_edges(self):
+        for I in (QUADRICS.ideal, PolyIdeal(4), PolyIdeal(4, [Polynomial.one(4)])):
+            M = CyclicModule(4, I, shift=2)
+            assert graded_profile(M, -1) == ()
+            assert graded_dimension(M, -3) == 0
+            # degrees below the shift are empty
+            assert graded_profile(M, 1) == (0, 0)
+            assert graded_dimension(M, 1) == 0
+        assert graded_profile(CyclicModule(4, PolyIdeal(4), shift=2), 4) == (0, 0, 1, 4, 10)
+        assert graded_dimension(CyclicModule(4, QUADRICS.ideal, shift=2), 5) == 12
 
     def test_unit_ideal_vanishes(self):
         M = CyclicModule(2, PolyIdeal(2, [Polynomial.one(2)]))
