@@ -278,6 +278,19 @@ class _Parser:
             )
         return self.advance()
 
+    def expect_degree(self, what: str) -> int:
+        """A shift or exponent literal, at most MAX_SHIFT (numerators are dense)."""
+        tok = self.expect("int", "an integer")
+        n = int(tok.text)
+        if n > MAX_SHIFT:
+            raise SemanticError(
+                f"{what} {n} is above {MAX_SHIFT}, the largest a series "
+                "numerator holds",
+                tok.line,
+                tok.column,
+            )
+        return n
+
     # -- statements --------------------------------------------------------
 
     def parse_script(self) -> Script:
@@ -395,15 +408,7 @@ class _Parser:
         shift = 0
         if self.peek().kind == "shift":
             self.advance()
-            tok = self.expect("int", "an integer")
-            shift = int(tok.text)
-            if shift > MAX_SHIFT:
-                raise SemanticError(
-                    f"shift {shift} is above {MAX_SHIFT}, the largest a "
-                    "series numerator holds",
-                    tok.line,
-                    tok.column,
-                )
+            shift = self.expect_degree("shift")
         name = self._declare(name_tok, "module")
         return ModuleDecl(name, ideal_name, shift)
 
@@ -451,7 +456,7 @@ class _Parser:
             op = self.advance().kind
             term = self.parse_term()
             poly = poly + term if op == "+" else poly - term
-        degrees = {sum(m) for m in poly.terms}
+        degrees = {sum(m) for m in poly.nums}
         if len(degrees) > 1:
             raise SemanticError(
                 f"inhomogeneous polynomial: mixes degrees {sorted(degrees)}",
@@ -486,7 +491,7 @@ class _Parser:
             exponent = 1
             if self.peek().kind == "^":
                 self.advance()
-                exponent = int(self.expect("int", "an integer").text)
+                exponent = self.expect_degree("exponent")
             e = [0] * d
             e[idx] = exponent
             poly = poly * Polynomial.from_monomial(d, tuple(e))
@@ -501,7 +506,7 @@ class _Parser:
     def parse_linear_form(self) -> LinearForm:
         start = self.peek()
         poly = self.parse_polynomial()
-        degrees = sorted({sum(m) for m in poly.terms})
+        degrees = sorted({sum(m) for m in poly.nums})
         if degrees != [1]:
             shown = degrees if degrees else "the zero form"
             raise SemanticError(
@@ -541,11 +546,10 @@ def parse_text(text: str) -> Script:
 def format_polynomial(poly: Polynomial, variables: Sequence[str]) -> str:
     if poly.is_zero:
         return "0"
-    order = DegRevLex(poly.nvars)
-    monomials = sorted(poly.terms, key=order.key)
+    terms = poly.terms
     pieces: list[str] = []
-    for m in monomials:
-        c = poly.terms[m]
+    for m in sorted(terms, key=DegRevLex(poly.nvars).key):
+        c = terms[m]
         factors = []
         for k, e in enumerate(m):
             if e == 1:

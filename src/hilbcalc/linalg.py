@@ -2,12 +2,12 @@
 
 Kept deliberately small: one integer echelon, IntEchelon, holds primitive
 ``{column: int}`` pivot rows and is the only elimination routine the
-package runs.  The brute-force oracle builds one per degree and inserts
-the Macaulay rows that its degree walk cannot already tell are
-dependent; the depth screen keeps the degree-two part of an ideal in one
-and stacks each candidate's rows on it as an overlay that never copies
-it; polyring.forms_independent inserts the denominator-cleared forms
-into one and stops at the first dependent row.  int_rank, the rank of a
+package runs.  Polynomial rows are the generators' stored integer
+numerators: the brute-force oracle inserts, degree by degree, the
+Macaulay rows its walk cannot already tell are dependent, and the depth
+screen keeps the degree-two part of an ideal in one echelon and stacks
+each candidate's rows on it without copying it.  forms_independent
+clears each linear form of denominators.  int_rank, the rank of a
 whole matrix, and FractionEchelon, a reduced echelon form over the
 rationals, are no longer used by the package: they stay because the
 benchmark tracer wraps them by name and the tests use them as

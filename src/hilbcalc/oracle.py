@@ -32,7 +32,7 @@ from hilbcalc.linalg import IntEchelon
 # monomials_of_degree lives in the exponent layer; it stays importable from
 # here as part of the oracle's API
 from hilbcalc.monomial import monomial_divides, monomial_mul, monomials_of_degree
-from hilbcalc.polyring import PolyIdeal, clear_denominators
+from hilbcalc.polyring import PolyIdeal
 from hilbcalc.presentation import CyclicModule, series_of_cyclic
 from hilbcalc.series import expand
 
@@ -45,7 +45,7 @@ def _ideal_ranks(I: PolyIdeal, top: int) -> list[int]:
     d = I.ring_dim
     units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
     gens = [
-        (g.homogeneous_degree(), clear_denominators(g.terms)[1].items())
+        (g.homogeneous_degree(), g.nums.items())
         for g in I.generators
     ]
     # dead[j]: the multipliers a whose row x^a * g_j was dependent on the

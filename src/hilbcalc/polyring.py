@@ -1,19 +1,18 @@
 """Multivariate polynomial arithmetic over the rationals.
 
-Polynomials are dictionaries mapping exponent tuples to nonzero Fraction
-coefficients.  Monomial orders are small strategy objects producing sort
-keys, and the leading monomial has the smallest key, so leading terms come
-from min() over the support and a heap pops them in order.  Division is one
-fraction-free kernel: the pending terms are integers over one common
-denominator, each divisor contributes a primitive integer row computed once
-per order, and only remainder and quotient terms become Fractions again.
-Linear substitution works the same way: the image's numerators are
-summed as integers over one denominator and divided once per term.
-The Groebner engine is an incremental Buchberger loop: generators enter
-one at a time, S-pairs are skipped by the coprime and chain criteria and,
-for homogeneous input, by an exact lower bound on the Hilbert function of
-the next stage's quotient.  It always returns the reduced monic basis.
-Exponent arithmetic and the monomial Hilbert numerator live in `monomial`.
+A polynomial is stored as integer numerators {exponent tuple: int} over
+one positive denominator, in lowest terms, so equal polynomials store
+equal parts; `terms` is the {exponent tuple: Fraction} view for printing
+and the public API.  Monomial orders are small strategy objects producing
+sort keys, and the leading monomial has the smallest key, so leading terms
+come from min() over the support and a heap pops them in order.  Division
+and linear substitution work on the numerators, and one gcd puts each
+result in lowest terms.  The Groebner engine is an incremental Buchberger
+loop: generators enter one at a time, S-pairs are skipped by the coprime
+and chain criteria and, for homogeneous input, by an exact lower bound on
+the Hilbert function of the next stage's quotient.  It always returns the
+reduced monic basis.  Exponent arithmetic and the monomial Hilbert
+numerator live in `monomial`.
 """
 
 from __future__ import annotations
@@ -133,26 +132,43 @@ def _coerce_coeff(c) -> Fraction:
     raise TypeError(f"coefficients must be rational, got {type(c).__name__}")
 
 
-class Polynomial:
-    """Sparse polynomial over the rationals in a fixed number of variables."""
+def _lowest(nvars: int, nums: dict, den: int) -> "Polynomial":
+    """The polynomial nums / den, for nonzero integer numerators and a
+    nonzero den of either sign, in lowest terms."""
+    g = gcd(den, *nums.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        nums = {m: v // g for m, v in nums.items()}
+    p = object.__new__(Polynomial)
+    p.nvars, p.nums, p.den, p._key, p._row = nvars, nums, den, None, None
+    return p
 
-    __slots__ = ("nvars", "terms", "_key", "_row")
+
+class Polynomial:
+    """Sparse polynomial over the rationals in a fixed number of variables.
+
+    nums maps exponent tuples to nonzero integer numerators over den > 0,
+    with gcd(den, *nums.values()) = 1; instances are not changed after
+    construction.  The constructor takes {exponent tuple: int or Fraction}.
+    """
+
+    __slots__ = ("nvars", "nums", "den", "_key", "_row")
 
     def __init__(self, nvars: int, terms: Optional[dict] = None):
+        terms = terms or {}
+        for m, c in terms.items():
+            if len(m) != nvars:
+                raise RingMismatch(
+                    f"exponent tuple of length {len(m)} in a ring of {nvars}"
+                )
+            if not isinstance(c, int):
+                _coerce_coeff(c)  # raises unless c is a Fraction
         self.nvars = nvars
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            for m, c in terms.items():
-                if len(m) != nvars:
-                    raise RingMismatch(
-                        f"exponent tuple of length {len(m)} in a ring of {nvars}"
-                    )
-                c = _coerce_coeff(c)
-                if c != 0:
-                    clean[tuple(m)] = c
-        self.terms = clean
-        self._key = None
-        self._row = None
+        self.den, nums = clear_denominators(terms)
+        self.nums = {tuple(m): c for m, c in nums.items() if c}
+        self._key = self._row = None
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -160,7 +176,7 @@ class Polynomial:
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
+        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Polynomial":
@@ -168,30 +184,34 @@ class Polynomial:
             raise RingMismatch(f"variable index {i} out of range for {nvars}")
         exp = [0] * nvars
         exp[i] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        return cls(nvars, {tuple(exp): 1})
 
     @classmethod
     def from_monomial(cls, nvars: int, m: Monomial, c=1) -> "Polynomial":
-        return cls(nvars, {tuple(m): _coerce_coeff(c)})
+        return cls(nvars, {tuple(m): c})
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The coefficients as {exponent tuple: Fraction}, built on access."""
+        den = self.den
+        return {m: Fraction(v, den) for m, v in self.nums.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def canonical_key(self):
         if self._key is None:
-            self._key = tuple(
-                sorted((m, (c.numerator, c.denominator)) for m, c in self.terms.items())
-            )
+            self._key = (self.den, tuple(sorted(self.nums.items())))
         return self._key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
+        return (self.nvars, self.den, self.nums) == (other.nvars, other.den, other.nums)
 
     def __hash__(self) -> int:
         return hash((self.nvars, self.canonical_key()))
@@ -202,64 +222,58 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = out.get(m, 0) + c
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {m: v * a for m, v in self.nums.items()} if a != 1 else dict(self.nums)
+        for m, v in other.nums.items():
+            v = out.get(m, 0) + v * b
             if v:
                 out[m] = v
             else:
                 out.pop(m, None)
-        p = Polynomial(self.nvars)
-        p.terms = out
-        return p
+        return _lowest(self.nvars, out, den)
 
     def __neg__(self) -> "Polynomial":
-        p = Polynomial(self.nvars)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        return p
+        return _lowest(self.nvars, {m: -v for m, v in self.nums.items()}, self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce_coeff(other)
-            if c == 0:
-                return Polynomial.zero(self.nvars)
-            p = Polynomial(self.nvars)
-            p.terms = {m: a * c for m, a in self.terms.items()}
-            return p
+            return self.term_mul(other, (0,) * self.nvars)
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+        out: dict[Monomial, int] = {}
+        for m1, c1 in self.nums.items():
+            for m2, c2 in other.nums.items():
                 m = monomial_mul(m1, m2)
                 v = out.get(m, 0) + c1 * c2
                 if v:
                     out[m] = v
                 else:
                     out.pop(m, None)
-        p = Polynomial(self.nvars)
-        p.terms = out
-        return p
+        return _lowest(self.nvars, out, self.den * other.den)
 
     __rmul__ = __mul__
 
-    def term_mul(self, c: Fraction, m: Monomial) -> "Polynomial":
-        p = Polynomial(self.nvars)
-        p.terms = {monomial_mul(m, m1): c * c1 for m1, c1 in self.terms.items()}
-        return p
+    def term_mul(self, c, m: Monomial) -> "Polynomial":
+        """self times c x^m, for c an int or a Fraction."""
+        a = c.numerator
+        if not a:
+            return Polynomial(self.nvars)
+        out = {monomial_mul(m, m1): a * v for m1, v in self.nums.items()}
+        return _lowest(self.nvars, out, self.den * c.denominator)
 
     def degree(self) -> int:
-        if not self.terms:
+        if not self.nums:
             return -1
-        return max(monomial_degree(m) for m in self.terms)
+        return max(monomial_degree(m) for m in self.nums)
 
     def homogeneous_degree(self) -> Optional[int]:
         """Common total degree of all terms, or None if mixed or zero."""
-        degs = {monomial_degree(m) for m in self.terms}
+        degs = {monomial_degree(m) for m in self.nums}
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -268,11 +282,15 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return self.is_zero or self.homogeneous_degree() is not None
 
-    def leading(self, order: MonomialOrder) -> tuple[Monomial, Fraction]:
-        if not self.terms:
+    def leading_monomial(self, order: MonomialOrder) -> Monomial:
+        if not self.nums:
             raise ValueError("zero polynomial has no leading term")
-        m = min(self.terms, key=order.key)
-        return m, self.terms[m]
+        return min(self.nums, key=order.key)
+
+    def leading(self, order: MonomialOrder) -> tuple[Monomial, Fraction]:
+        """(leading monomial, its coefficient as in `terms`)."""
+        m = self.leading_monomial(order)
+        return m, Fraction(self.nums[m], self.den)
 
     def division_row(self, order: MonomialOrder) -> tuple[Monomial, int, tuple]:
         """Primitive integer multiple of self as (lm, lc, tail), lc > 0.
@@ -283,31 +301,31 @@ class Polynomial:
         """
         token = order.cache_token()
         if self._row is None or self._row[0] != token:
-            lm, _ = self.leading(order)
-            _, ints = clear_denominators(self.terms)
-            content = gcd(*ints.values())
-            if ints[lm] < 0:
+            lm = self.leading_monomial(order)
+            nums = self.nums
+            content = gcd(*nums.values())
+            if nums[lm] < 0:
                 content = -content
-            lc = ints.pop(lm) // content
-            tail = tuple((m, v // content) for m, v in ints.items())
-            self._row = (token, (lm, lc, tail))
+            tail = tuple((m, v // content) for m, v in nums.items() if m != lm)
+            self._row = (token, (lm, nums[lm] // content, tail))
         return self._row[1]
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
-        _, c = self.leading(order)
-        if c == 1:
+        c = self.nums[self.leading_monomial(order)]
+        if c == self.den:
             return self
-        return self * (Fraction(1) / c)
+        return _lowest(self.nvars, self.nums, c)
 
     def is_term(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.nums) == 1
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "Polynomial(0)"
+        terms = self.terms
         bits = []
-        for m in sorted(self.terms, key=lambda m: (-monomial_degree(m), m)):
-            bits.append(f"{self.terms[m]}*x^{list(m)}")
+        for m in sorted(terms, key=lambda m: (-monomial_degree(m), m)):
+            bits.append(f"{terms[m]}*x^{list(m)}")
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
@@ -335,20 +353,20 @@ class LinearForm:
         raise AssertionError("unreachable: form validated nonzero")
 
     def to_polynomial(self) -> Polynomial:
-        n = self.nvars
-        terms = {}
-        for i, c in enumerate(self.coefficients):
-            if c != 0:
-                exp = [0] * n
-                exp[i] = 1
-                terms[tuple(exp)] = c
-        return Polynomial(n, terms)
+        return _linear_polynomial(self.coefficients)
 
     def scaled(self, c) -> "LinearForm":
         c = _coerce_coeff(c)
         if c == 0:
             raise ValueError("cannot scale a form to zero")
         return LinearForm(tuple(c * x for x in self.coefficients))
+
+
+def _linear_polynomial(coeffs: Sequence) -> Polynomial:
+    """sum c_i x_i, in as many variables as there are coefficients."""
+    n = len(coeffs)
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    return Polynomial(n, dict(zip(units, coeffs)))
 
 
 def form_combination(
@@ -383,9 +401,8 @@ def forms_independent(forms: Sequence[LinearForm]) -> bool:
 def _primitive_key(g: Polynomial) -> tuple:
     """The terms of the primitive integer multiple of g whose first term,
     in sorted order, is positive."""
-    _, ints = clear_denominators(g.terms)
-    terms = sorted(ints.items())
-    content = gcd(*ints.values())
+    terms = sorted(g.nums.items())
+    content = gcd(*g.nums.values())
     if terms[0][1] < 0:
         content = -content
     return tuple((m, c // content) for m, c in terms)
@@ -402,8 +419,7 @@ class PolyIdeal:
 
     def __init__(self, ring_dim: int, generators: Iterable[Polynomial] = ()):
         self.ring_dim = ring_dim
-        gens: list[Polynomial] = []
-        seen = set()
+        gens: dict[tuple, Polynomial] = {}
         is_unit = False
         for g in generators:
             if not isinstance(g, Polynomial):
@@ -419,13 +435,8 @@ class PolyIdeal:
             if g.homogeneous_degree() == 0:
                 is_unit = True
                 continue
-            key = g.canonical_key()
-            if key not in seen:
-                seen.add(key)
-                gens.append(g)
-        if is_unit:
-            gens = [Polynomial.one(ring_dim)]
-        self.generators = tuple(gens)
+            gens.setdefault(g.canonical_key(), g)
+        self.generators = (Polynomial.one(ring_dim),) if is_unit else tuple(gens.values())
         self._cached_key = None
 
     @property
@@ -444,13 +455,13 @@ class PolyIdeal:
         """Minimal generating exponents; only for monomial ideals."""
         if not self.is_monomial:
             raise ValueError("not a monomial ideal")
-        return minimalize_exponents(next(iter(g.terms)) for g in self.generators)
+        return minimalize_exponents(next(iter(g.nums)) for g in self.generators)
 
     def canonical_key(self):
         """(ring_dim, sorted set of the generators' primitive forms).
 
-        Each generator is cleared of denominators, divided by its content
-        and signed so that its first term in sorted order is positive, so
+        Each generator's numerators are divided by their content and
+        signed so that its first term in sorted order is positive, so
         the key ignores the scale of every generator.  Series, depth
         screens and socle series do not change when a generator is
         multiplied by a nonzero scalar, so the memos keyed on it hit
@@ -477,6 +488,12 @@ class PolyIdeal:
         return f"PolyIdeal(d={self.ring_dim}, gens={len(self.generators)})"
 
 
+def _over_one_den(nvars: int, terms: dict) -> Polynomial:
+    """The polynomial with the terms {m: (c, d)}, each (c / d) x^m."""
+    den = lcm(*{d for _, d in terms.values()})
+    return _lowest(nvars, {m: c * (den // d) for m, (c, d) in terms.items()}, den)
+
+
 def _divide(
     f: Polynomial,
     rows: Sequence[tuple[Monomial, int, tuple]],
@@ -485,19 +502,21 @@ def _divide(
 ) -> Polynomial:
     """Remainder of f under division by the divisor rows, leading term first.
 
-    The pending terms are integers over one common denominator den.  A
-    heap pops the next pending monomial by order key; an entry whose term
-    has cancelled is skipped.  Cancelling c x^m against the row with
-    lm | m multiplies the pending row by a = lc/g and subtracts b = c/g
-    times the shifted tail (g = gcd(c, lc)), then divides the pending row
-    and den by their content.  With one row, quotient collects the
-    quotient by that row, keyed by shift.
+    The pending terms are f's numerators over its den.  A heap pops the
+    next pending monomial by order key; an entry whose term has cancelled
+    is skipped.  Cancelling c x^m against the row with lm | m multiplies
+    the pending row by a = lc/g and subtracts b = c/g times the shifted
+    tail (g = gcd(c, lc)), then divides the pending row and den by their
+    content.  A remainder term is kept as (c, den) of its moment, and one
+    lcm and one gcd put the remainder over one denominator at the end.
+    With one row, quotient collects the quotient by that row made monic
+    the same way, keyed by shift.
     """
     key = order.key
-    den, work = clear_denominators(f.terms)
+    den, work = f.den, dict(f.nums)
     heap = [(key(m), m) for m in work]
     heapify(heap)
-    remainder: dict[Monomial, Fraction] = {}
+    remainder: dict[Monomial, tuple[int, int]] = {}
     while heap:
         m = heappop(heap)[1]
         c = work.pop(m, 0)
@@ -507,13 +526,13 @@ def _divide(
             if all(map(le, lm, m)):
                 break
         else:
-            remainder[m] = Fraction(c, den)
+            remainder[m] = c, den
             continue
         shift = tuple(map(sub, m, lm))
         g = gcd(c, lc)
         a, b = lc // g, c // g
         if quotient is not None:
-            quotient[shift] = Fraction(c, den * lc)
+            quotient[shift] = c, den
         if a != 1:
             den *= a
             work = {t: v * a for t, v in work.items()}
@@ -532,9 +551,7 @@ def _divide(
         if k != 1:
             den //= k
             work = {t: v // k for t, v in work.items()}
-    out = Polynomial(f.nvars)
-    out.terms = remainder
-    return out
+    return _over_one_den(f.nvars, remainder)
 
 
 def normal_form(
@@ -553,12 +570,15 @@ def normal_form(
 
 
 def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    lmf, lcf = f.leading(order)
-    lmg, lcg = g.leading(order)
+    """x^u f / lc(f) - x^v g / lc(g): with a, b the leading numerators of
+    f and g, the integer polynomial b x^u f.nums - a x^v g.nums over a b."""
+    lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
     top = monomial_lcm(lmf, lmg)
-    return f.term_mul(Fraction(1) / lcf, monomial_div(top, lmf)) - g.term_mul(
-        Fraction(1) / lcg, monomial_div(top, lmg)
+    a, b = f.nums[lmf], g.nums[lmg]
+    diff = f.term_mul(b * f.den, monomial_div(top, lmf)) - g.term_mul(
+        a * g.den, monomial_div(top, lmg)
     )
+    return _lowest(f.nvars, diff.nums, a * b)
 
 
 def _minimal(
@@ -612,7 +632,7 @@ def _reduced_basis(
 
     def add(p: Polynomial) -> None:
         G.append(p.monic(order))
-        lms.append(G[-1].leading(order)[0])
+        lms.append(G[-1].leading_monomial(order))
         j = len(G) - 1
         for i in range(j):
             # the pair taken next is the one of largest priority: lowest lcm
@@ -671,7 +691,7 @@ def _reduced_basis(
     for i, g in enumerate(G):
         others = [h for j, h in enumerate(G) if j != i]
         reduced.append(normal_form(g, others, order).monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading(order)[0]))
+    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
     return tuple(reduced)
 
 
@@ -690,7 +710,7 @@ def initial_ideal(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> PolyId
     """Monomial ideal of leading terms of the reduced Groebner basis."""
     order = order or DegRevLex(I.ring_dim)
     gens = [
-        Polynomial.from_monomial(I.ring_dim, g.leading(order)[0])
+        Polynomial.from_monomial(I.ring_dim, g.leading_monomial(order))
         for g in buchberger(I, order)
     ]
     return PolyIdeal(I.ring_dim, gens)
@@ -698,27 +718,17 @@ def initial_ideal(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> PolyId
 
 def _exact_divide(p: Polynomial, f: Polynomial, order: MonomialOrder) -> Polynomial:
     """Quotient p / f for p a multiple of f."""
-    row = f.division_row(order)
-    quot: dict[Monomial, Fraction] = {}
-    if _divide(p, [row], order, quot):
+    quot: dict[Monomial, tuple[int, int]] = {}
+    if _divide(p, [f.division_row(order)], order, quot):
         raise ArithmeticError("polynomial is not a multiple of the divisor")
-    # quot divides by the integer row, which is f times lc_row / lc_f
-    scale = row[1] / f.terms[row[0]]
-    out = Polynomial(p.nvars)
-    out.terms = {m: c * scale for m, c in quot.items()}
-    return out
+    # quot is p / monic(f); p / f is that over lc(f) = nums[lm] / den
+    lc = f.nums[f.leading_monomial(order)]
+    quot = {m: (c * f.den, d * lc) for m, (c, d) in quot.items()}
+    return _over_one_den(p.nvars, quot)
 
 
 def _lift_adding_aux(p: Polynomial) -> Polynomial:
-    out = Polynomial(p.nvars + 1)
-    out.terms = {(0,) + m: c for m, c in p.terms.items()}
-    return out
-
-
-def _drop_aux(p: Polynomial) -> Polynomial:
-    out = Polynomial(p.nvars - 1)
-    out.terms = {m[1:]: c for m, c in p.terms.items()}
-    return out
+    return _lowest(p.nvars + 1, {(0,) + m: c for m, c in p.nums.items()}, p.den)
 
 
 def colon(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
@@ -738,7 +748,7 @@ def colon(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
     if I.is_unit:
         return PolyIdeal(I.ring_dim, (Polynomial.one(I.ring_dim),))
     if I.is_monomial and f.is_term():
-        fm = next(iter(f.terms))
+        fm = next(iter(f.nums))
         gens = [
             Polynomial.from_monomial(I.ring_dim, tuple(max(a - b, 0) for a, b in zip(m, fm)))
             for m in I.monomial_exponents()
@@ -754,8 +764,9 @@ def colon(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
     ambient_order = DegRevLex(d)
     gens = []
     for p in basis:
-        if all(m[0] == 0 for m in p.terms):
-            gens.append(_exact_divide(_drop_aux(p), f, ambient_order))
+        if all(m[0] == 0 for m in p.nums):
+            dropped = _lowest(d, {m[1:]: c for m, c in p.nums.items()}, p.den)
+            gens.append(_exact_divide(dropped, f, ambient_order))
     return PolyIdeal(d, gens)
 
 
@@ -776,15 +787,8 @@ class LinearElimination:
         """(L, powers): the replacement is rep/L with rep an integer form,
         and powers[e] holds rep^e as a {monomial: int} dict, grown on demand
         by map_polynomial and kept for every later call."""
-        n = self.nvars - 1
-        L, ints = clear_denominators(dict(enumerate(self.replacement)))
-        rep = {}
-        for i, c in ints.items():
-            if c:
-                exp = [0] * n
-                exp[i] = 1
-                rep[tuple(exp)] = c
-        return L, [{(0,) * n: 1}, rep]
+        rep = _linear_polynomial(self.replacement)
+        return rep.den, [{(0,) * rep.nvars: 1}, rep.nums]
 
     def old_index(self, new_index: int) -> int:
         """Original ring index of a surviving variable."""
@@ -796,19 +800,18 @@ class LinearElimination:
         With p = sum (c_m/den) x^m and the replacement rep/L, the term of
         pivot exponent e maps to c_m L^(E-e) rep^e x^base over den L^E, E
         the largest pivot exponent in p; the integer numerators are summed
-        in one dict and each divided once.  The image is the same exact
-        rational polynomial, terms in the same order, as summing the
-        Fraction products term by term.
+        in one dict and one gcd puts the image in lowest terms.  The image
+        is the same exact rational polynomial, terms in the same order, as
+        summing the Fraction products term by term.
         """
         if p.nvars != self.nvars:
             raise RingMismatch("polynomial is not in the eliminated ring")
-        image = Polynomial(self.nvars - 1)
-        if not p.terms:
-            return image
+        if not p.nums:
+            return Polynomial(self.nvars - 1)
         pv = self.pivot
         L, powers = self._integer_powers
         rep = powers[1]
-        E = max(m[pv] for m in p.terms)
+        E = max(m[pv] for m in p.nums)
         while len(powers) <= E:
             step: dict[Monomial, int] = {}
             for m1, c1 in powers[-1].items():
@@ -820,10 +823,9 @@ class LinearElimination:
                     else:
                         step.pop(m, None)
             powers.append(step)
-        den, ints = clear_denominators(p.terms)
         scales = [L ** (E - e) for e in range(E + 1)]
         acc: dict[Monomial, int] = {}
-        for m, c in ints.items():
+        for m, c in p.nums.items():
             e = m[pv]
             base = m[:pv] + m[pv + 1 :]
             c *= scales[e]
@@ -834,9 +836,7 @@ class LinearElimination:
                     acc[m1] = v
                 else:
                     del acc[m1]
-        den *= scales[0]
-        image.terms = {m: Fraction(v, den) for m, v in acc.items()}
-        return image
+        return _lowest(self.nvars - 1, acc, p.den * scales[0])
 
     def map_ideal(self, I: PolyIdeal) -> PolyIdeal:
         """Generators of I rewritten in the d-1 variable ring."""

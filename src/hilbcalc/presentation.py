@@ -8,10 +8,11 @@ series of a monomial quotient comes from the memoised pivot recursion in
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from hilbcalc.monomial import _numerator_of_monomial, minimalize_exponents
-from hilbcalc.polyring import DegRevLex, PolyIdeal, Polynomial, buchberger
+from hilbcalc.polyring import DegRevLex, LinearForm, PolyIdeal, buchberger
 from hilbcalc.series import (
     DEFAULT_TRUNCATION,
     CoefficientTable,
@@ -118,7 +119,7 @@ def series_of_cyclic(M: CyclicModule) -> HilbertSeries:
             base = series_of_monomial_quotient(d, I)
         else:
             order = DegRevLex(d)
-            exps = frozenset(g.leading(order)[0] for g in buchberger(I, order))
+            exps = frozenset(g.leading_monomial(order) for g in buchberger(I, order))
             base = HilbertSeries(d, _numerator_of_monomial(d, minimalize_exponents(exps)))
         _IDEAL_SERIES[key] = base
     return shift(base, M.shift) if M.shift else base
@@ -214,9 +215,7 @@ def determinantal_check_module(seed: int = 0) -> CyclicModule:
     pipeline on an actual ideal.  The draw is deterministic in the seed;
     callers should confirm the quotient has dimension one.
     """
-    import random as _random
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     d = 3
     while True:
         entries = []
@@ -225,13 +224,7 @@ def determinantal_check_module(seed: int = 0) -> CyclicModule:
                 cs = [rng.randint(-3, 3) for _ in range(d)]
                 if any(cs):
                     break
-            terms = {}
-            for i, c in enumerate(cs):
-                if c:
-                    exp = [0] * d
-                    exp[i] = 1
-                    terms[tuple(exp)] = c
-            entries.append(Polynomial(d, terms))
+            entries.append(LinearForm(tuple(cs)).to_polynomial())
         row1, row2 = entries[:3], entries[3:]
         minors = []
         for a, b in ((0, 1), (0, 2), (1, 2)):

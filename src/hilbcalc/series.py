@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 DEFAULT_TRUNCATION = 64
 
@@ -92,10 +93,6 @@ class IntPolynomial:
         while cs and cs[-1] == 0:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "IntPolynomial":
-        return cls(tuple(coeffs))
 
     @classmethod
     def zero(cls) -> "IntPolynomial":
@@ -256,11 +253,18 @@ class HilbertSeries:
     def is_zero(self) -> bool:
         return self.numerator.is_zero
 
-    def _reduced_key(self):
+    @cached_property
+    def _dimension(self) -> Dim:
+        """Pole order at t = 1, computed once per series."""
         if self.numerator.is_zero:
+            return MINUS_INFINITY
+        return self.ambient_dim - self.numerator.multiplicity_at_one()
+
+    def _reduced_key(self):
+        s = self._dimension
+        if s is MINUS_INFINITY:
             return ("zero",)
-        v = self.numerator.multiplicity_at_one()
-        return (self.ambient_dim - v, self.numerator.div_one_minus_t(v).coeffs)
+        return (s, self.numerator.div_one_minus_t(self.ambient_dim - s).coeffs)
 
     def __eq__(self, other) -> bool:
         # Equality after cancelling common (1 - t) factors.
@@ -302,9 +306,7 @@ class CoefficientTable:
 
 def series_dimension(S: HilbertSeries) -> Dim:
     """Pole order of S at t = 1; the sentinel for the zero series."""
-    if S.numerator.is_zero:
-        return MINUS_INFINITY
-    return S.ambient_dim - S.numerator.multiplicity_at_one()
+    return S._dimension
 
 
 def h_polynomial(S: HilbertSeries) -> IntPolynomial:

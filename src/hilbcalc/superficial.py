@@ -338,7 +338,7 @@ def _screen(I: PolyIdeal) -> tuple[IntEchelon, int, list[list[int]]]:
     Returns (base, expected, cols).  base is an integer echelon over
     the degree-two monomials holding the degree-two part of I: the
     quadric generators and x_k*g for each linear generator g, each
-    generator cleared of denominators by their lcm.  The linear
+    generator as its integer numerators.  The linear
     generators go into a second echelon of rank r, and expected = d - r
     is the dimension of the degree-one part of R/I, the rank the rows
     x_k*f must add to base.  cols[k][j] is the column of x_j*x_k.
@@ -353,12 +353,12 @@ def _screen(I: PolyIdeal) -> tuple[IntEchelon, int, list[list[int]]]:
     for g in I.generators:
         dg = g.homogeneous_degree()
         if dg == 1:
-            row = {m.index(1): c for m, c in clear_denominators(g.terms)[1].items()}
+            row = {m.index(1): c for m, c in g.nums.items()}
             for k in range(d):
                 base.insert({cols[k][j]: c for j, c in row.items()})
             lin.insert(row)
         elif dg == 2:
-            base.insert({index[m]: c for m, c in clear_denominators(g.terms)[1].items()})
+            base.insert({index[m]: c for m, c in g.nums.items()})
     return base, d - lin.rank, cols
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from hilbcalc.monomial import monomial_divides
 from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial
 from hilbcalc.presentation import (
     COMPLETE_INTERSECTION_2,
@@ -255,8 +256,6 @@ def _degree_one_socle_witness(I: PolyIdeal, index: int) -> bool:
     """Exactly check that variable `index` is a nonzero socle element of
     R/I, for monomial I: the variable is outside I but every product
     with a variable falls in."""
-    from hilbcalc.polyring import monomial_divides
-
     d = I.ring_dim
     gens = I.monomial_exponents()
     v = tuple(1 if k == index else 0 for k in range(d))

@@ -136,6 +136,13 @@ class TestParser:
             parse_text(f"ring x; ideal I = x;\nmodule M = R/I shift {MAX_SHIFT + 1};")
         assert (exc.value.line, exc.value.column) == (2, 22)
 
+    def test_exponent_bound(self):
+        s = parse_text(f"ring x y; ideal I = x^{MAX_SHIFT}*y;")
+        assert s.ideals()["I"].generators[0].nums == {(MAX_SHIFT, 1): 1}
+        with pytest.raises(SemanticError, match=f"exponent {MAX_SHIFT + 1} is above") as exc:
+            parse_text(f"ring x y;\nideal I = y*x^{MAX_SHIFT + 1};")
+        assert (exc.value.line, exc.value.column) == (2, 15)
+
     def test_rational_coefficients(self):
         s = parse_text("ring x y; ideal I = 1/2*x^2 + y^2;")
         gen = s.ideals()["I"].generators[0]

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -92,9 +93,7 @@ def reference_normal_form(
                 work[mm] = v
             else:
                 work.pop(mm, None)
-    out = Polynomial(f.nvars)
-    out.terms = remainder
-    return out
+    return Polynomial(f.nvars, remainder)
 
 
 def reference_map_polynomial(elim, p: Polynomial) -> Polynomial:
@@ -856,6 +855,64 @@ class TestIntegerSubstitution:
         elim = eliminate_form(LinearForm((Fraction(1), Fraction(2))))
         with pytest.raises(RingMismatch):
             elim.map_ideal(PolyIdeal(3, [P(3, (1, (1, 0, 0)))]))
+
+
+def _fraction_free(fn, *args):
+    """fn(*args) with every Fraction construction and operation raising."""
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("a Fraction was built or used")
+
+    operations = (
+        "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+        "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+        "__pow__", "__rpow__", "__neg__", "__pos__", "__abs__", "__eq__", "__lt__",
+        "__le__", "__gt__", "__ge__", "__bool__", "__hash__",
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(forbidden))
+        for name in operations:
+            mp.setattr(Fraction, name, forbidden)
+        return fn(*args)
+
+
+class TestIntegerRepresentation:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3), coefficients, max_size=6),
+        st.sampled_from(ORDERS),
+    )
+    def test_one_stored_form_per_value(self, terms, order):
+        p = Polynomial(3, terms)
+        assert p.den > 0
+        assert math.gcd(p.den, *p.nums.values()) == 1
+        assert p.terms == {m: c for m, c in terms.items() if c}
+        assert Polynomial(3, p.terms) == p
+        rebuilt = [p * 3 * Fraction(1, 3), (p + p) * Fraction(1, 2), -(-p)]
+        if p:
+            rebuilt.append(p.monic(order) * p.leading(order)[1])
+        for q in rebuilt:
+            assert (q.den, q.nums) == (p.den, p.nums)
+            assert q == p and hash(q) == hash(p)
+
+    def test_kernels_build_no_fraction(self):
+        g = P(3, (Fraction(-7, 5), (1, 1, 0)), (10**15, (0, 0, 2)), (1, (0, 1, 0)))
+        h = P(3, (-3, (0, 2, 0)), (Fraction(2, 3), (1, 0, 0)))
+        f = g * h + P(3, (Fraction(5, 6), (2, 0, 1)), (Fraction(-1, 4), (0, 1, 2)))
+        for order in ORDERS:
+            assert _fraction_free(normal_form, f, [g, h], order) == (
+                reference_normal_form(f, [g, h], order)
+            )
+        q1 = P(3, (Fraction(-7, 5), (1, 1, 0)), (10**15, (0, 0, 2)), (1, (0, 1, 1)))
+        q2 = P(3, (-3, (0, 2, 0)), (Fraction(2, 3), (1, 0, 1)))
+        I = PolyIdeal(3, [q1, q2, P(3, (Fraction(1, 2), (2, 1, 0)), (3, (0, 0, 3)))])
+        for order in ORDERS:
+            assert _fraction_free(buchberger, I, order) == reference_buchberger(I, order)
+        monomial = PolyIdeal(3, [P(3, (Fraction(2, 3), (1, 1, 0))), P(3, (5, (0, 0, 2)))])
+        assert _fraction_free(buchberger, monomial) == buchberger(monomial)
+        elim = eliminate_form(LinearForm((Fraction(2, 3), Fraction(0), Fraction(-7, 5))))
+        image = _fraction_free(elim.map_polynomial, f)
+        assert image == reference_map_polynomial(elim, f)
 
 
 class TestForms:

@@ -421,8 +421,8 @@ def numerators(draw):
         return IntPolynomial(tuple(draw(st.lists(small_ints, max_size=12))))
     terms = draw(st.dictionaries(st.integers(0, 40), small_ints, max_size=4))
     r = draw(st.integers(0, 300)) if kind == "shifted" else 0
-    return IntPolynomial.from_coeffs(
-        terms.get(j, 0) for j in range(max(terms, default=-1) + 1)
+    return IntPolynomial(
+        tuple(terms.get(j, 0) for j in range(max(terms, default=-1) + 1))
     ).times_t_power(r)
 
 
