@@ -566,7 +566,8 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SystemExit(f"error: HILBCALC_SEED must be an integer, got {raw!r}")
+        print(f"error: HILBCALC_SEED must be an integer, got {raw!r}", file=sys.stderr)
+        raise SystemExit(EXIT_LANGUAGE) from None
 
 
 def _int_at_least(low: int, high: Optional[int] = None):

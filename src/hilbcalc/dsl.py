@@ -468,7 +468,7 @@ class _Parser:
     def parse_term(self) -> Polynomial:
         d = len(self.variables)
         tok = self.peek()
-        coeff = Fraction(1)
+        coeff = 1
         if tok.kind in ("int", "rat"):
             self.advance()
             try:
@@ -479,8 +479,7 @@ class _Parser:
                 ) from None
             if self.peek().kind == "*":
                 self.advance()
-        factors = 0
-        poly = Polynomial.one(d) * coeff
+        e = [0] * d
         while True:
             v = self.expect("ident", "a ring variable")
             idx = self.var_index.get(v.text)
@@ -492,16 +491,20 @@ class _Parser:
             if self.peek().kind == "^":
                 self.advance()
                 exponent = self.expect_degree("exponent")
-            e = [0] * d
-            e[idx] = exponent
-            poly = poly * Polynomial.from_monomial(d, tuple(e))
-            factors += 1
+            e[idx] += exponent
+            if e[idx] > MAX_SHIFT:
+                raise SemanticError(
+                    f"exponent of {v.text} reaches {e[idx]} in one term, above "
+                    f"{MAX_SHIFT}, the largest a series numerator holds",
+                    v.line,
+                    v.column,
+                )
             if self.peek().kind == "*":
                 self.advance()
                 continue
             if self.peek().kind == "ident":
                 continue
-            return poly
+            return Polynomial.from_monomial(d, tuple(e), coeff)
 
     def parse_linear_form(self) -> LinearForm:
         start = self.peek()
@@ -514,11 +517,10 @@ class _Parser:
                 start.line,
                 start.column,
             )
-        d = len(self.variables)
-        coeffs = [Fraction(0)] * d
-        for m, c in poly.terms.items():
-            coeffs[next(k for k, e in enumerate(m) if e)] = c
-        return LinearForm(tuple(coeffs))
+        nums = [0] * len(self.variables)
+        for m, c in poly.nums.items():
+            nums[m.index(1)] = c
+        return LinearForm.from_numerators(nums, poly.den)
 
 
 def describe(tok: Token) -> str:

@@ -7,7 +7,7 @@ numerators: the brute-force oracle inserts, degree by degree, the
 Macaulay rows its walk cannot already tell are dependent, and the depth
 screen keeps the degree-two part of an ideal in one echelon and stacks
 each candidate's rows on it without copying it.  forms_independent
-clears each linear form of denominators.  int_rank, the rank of a
+inserts each linear form's stored numerators.  int_rank, the rank of a
 whole matrix, and FractionEchelon, a reduced echelon form over the
 rationals, are no longer used by the package: they stay because the
 benchmark tracer wraps them by name and the tests use them as

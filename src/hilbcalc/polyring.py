@@ -3,16 +3,17 @@
 A polynomial is stored as integer numerators {exponent tuple: int} over
 one positive denominator, in lowest terms, so equal polynomials store
 equal parts; `terms` is the {exponent tuple: Fraction} view for printing
-and the public API.  Monomial orders are small strategy objects producing
-sort keys, and the leading monomial has the smallest key, so leading terms
-come from min() over the support and a heap pops them in order.  Division
-and linear substitution work on the numerators, and one gcd puts each
-result in lowest terms.  The Groebner engine is an incremental Buchberger
-loop: generators enter one at a time, S-pairs are skipped by the coprime
-and chain criteria and, for homogeneous input, by an exact lower bound on
-the Hilbert function of the next stage's quotient.  It always returns the
-reduced monic basis.  Exponent arithmetic and the monomial Hilbert
-numerator live in `monomial`.
+and the public API.  A linear form keeps a tuple of numerators the same
+way, viewed as `coefficients`.  Monomial orders are small strategy objects
+producing sort keys, and the leading monomial has the smallest key, so
+leading terms come from min() over the support and a heap pops them in
+order.  Division and linear substitution work on the numerators, and one
+gcd puts each result in lowest terms.  The Groebner engine is an
+incremental Buchberger loop: generators enter one at a time, S-pairs are
+skipped by the coprime and chain criteria and, for homogeneous input, by
+an exact lower bound on the Hilbert function of the next stage's quotient.
+It always returns the reduced monic basis.  Exponent arithmetic and the
+monomial Hilbert numerator live in `monomial`.
 """
 
 from __future__ import annotations
@@ -118,18 +119,13 @@ def compare_monomials(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
 
 
 def clear_denominators(coeffs: dict) -> tuple[int, dict]:
-    """(den, ints) with den the lcm of the denominators of the rational
-    values of coeffs and ints the same keys holding value * den."""
+    """(den, ints) with den the lcm of the denominators of the int or
+    Fraction values of coeffs and ints the same keys holding value * den."""
+    for c in coeffs.values():
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficients must be rational, got {type(c).__name__}")
     den = lcm(*(c.denominator for c in coeffs.values()))
     return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
-
-
-def _coerce_coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficients must be rational, got {type(c).__name__}")
 
 
 def _lowest(nvars: int, nums: dict, den: int) -> "Polynomial":
@@ -163,8 +159,6 @@ class Polynomial:
                 raise RingMismatch(
                     f"exponent tuple of length {len(m)} in a ring of {nvars}"
                 )
-            if not isinstance(c, int):
-                _coerce_coeff(c)  # raises unless c is a Fraction
         self.nvars = nvars
         self.den, nums = clear_denominators(terms)
         self.nums = {tuple(m): c for m, c in nums.items() if c}
@@ -329,44 +323,63 @@ class Polynomial:
         return "Polynomial(" + " + ".join(bits) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearForm:
-    """Nonzero homogeneous degree-one form, stored as its coefficient vector."""
+    """Nonzero homogeneous degree-one form sum (nums[i] / den) x_i.
 
-    coefficients: tuple[Fraction, ...]
+    The integer numerators nums sit over den > 0 with
+    gcd(den, *nums) = 1, so equal forms store equal parts.  The
+    constructor takes a sequence of ints and Fractions; `coefficients`
+    is the Fraction view, built on access.
+    """
 
-    def __post_init__(self) -> None:
-        cs = tuple(_coerce_coeff(c) for c in self.coefficients)
-        if not cs or all(c == 0 for c in cs):
+    nums: tuple[int, ...]
+    den: int
+
+    def __init__(self, coefficients: Sequence):
+        den, nums = clear_denominators(dict(enumerate(coefficients)))
+        self._set(list(nums.values()), den)
+
+    @classmethod
+    def from_numerators(cls, nums: Sequence[int], den: int) -> "LinearForm":
+        """The form sum (nums[i] / den) x_i, for a nonzero den of either sign."""
+        f = object.__new__(cls)
+        f._set(nums, den)
+        return f
+
+    def _set(self, nums: Sequence[int], den: int) -> None:
+        if not any(nums):
             raise ValueError("a linear form must have a nonzero coefficient")
-        object.__setattr__(self, "coefficients", cs)
+        g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple(v // g for v in nums))
+        object.__setattr__(self, "den", den // g)
+
+    @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     @property
     def nvars(self) -> int:
-        return len(self.coefficients)
+        return len(self.nums)
 
     def pivot(self) -> int:
         """Largest variable index carrying a nonzero coefficient."""
-        for i in range(len(self.coefficients) - 1, -1, -1):
-            if self.coefficients[i] != 0:
-                return i
-        raise AssertionError("unreachable: form validated nonzero")
+        return max(i for i, c in enumerate(self.nums) if c)
 
     def to_polynomial(self) -> Polynomial:
-        return _linear_polynomial(self.coefficients)
+        return _lowest(len(self.nums), _linear_terms(self.nums), self.den)
 
     def scaled(self, c) -> "LinearForm":
-        c = _coerce_coeff(c)
-        if c == 0:
+        den, a = clear_denominators({0: c})
+        if not a[0]:
             raise ValueError("cannot scale a form to zero")
-        return LinearForm(tuple(c * x for x in self.coefficients))
+        return LinearForm.from_numerators([a[0] * v for v in self.nums], self.den * den)
 
 
-def _linear_polynomial(coeffs: Sequence) -> Polynomial:
-    """sum c_i x_i, in as many variables as there are coefficients."""
-    n = len(coeffs)
-    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
-    return Polynomial(n, dict(zip(units, coeffs)))
+def _linear_terms(nums: Sequence[int]) -> dict[Monomial, int]:
+    """{x_k: nums[k]} over the nonzero nums, keyed by exponent tuple."""
+    n = len(nums)
+    return {tuple(int(i == k) for i in range(n)): v for k, v in enumerate(nums) if v}
 
 
 def form_combination(
@@ -376,24 +389,23 @@ def form_combination(
     if not forms:
         raise EmptySpan("no forms to combine")
     n = forms[0].nvars
-    acc = [Fraction(0)] * n
-    for c, f in zip(coeffs, forms):
-        c = _coerce_coeff(c)
+    cden, cnums = clear_denominators(dict(enumerate(coeffs)))
+    den = lcm(*(f.den for f in forms))
+    acc = [0] * n
+    for c, f in zip(cnums.values(), forms):
         if f.nvars != n:
             raise RingMismatch("forms over different variable counts")
-        for i, x in enumerate(f.coefficients):
+        c *= den // f.den
+        for i, x in enumerate(f.nums):
             acc[i] += c * x
-    if all(v == 0 for v in acc):
-        return None
-    return LinearForm(tuple(acc))
+    return LinearForm.from_numerators(acc, cden * den) if any(acc) else None
 
 
 def forms_independent(forms: Sequence[LinearForm]) -> bool:
     """True when the forms are linearly independent over the rationals."""
     echelon = IntEchelon()
     for f in forms:
-        nonzero = {j: c for j, c in enumerate(f.coefficients) if c}
-        if not echelon.insert(clear_denominators(nonzero)[1]):
+        if not echelon.insert({j: c for j, c in enumerate(f.nums) if c}):
             return False
     return True
 
@@ -775,20 +787,26 @@ class LinearElimination:
     """Substitution killing one variable along a linear form.
 
     Solving f = 0 for its pivot variable rewrites every polynomial into
-    the ring on the remaining variables; degrees are preserved.
+    the ring on the remaining variables; degrees are preserved.  The
+    pivot's replacement is the integer form rep over one den > 0,
+    indexed by the surviving variables.
     """
 
     nvars: int
     pivot: int
-    replacement: tuple[Fraction, ...]  # indexed by the surviving variables
+    rep: tuple[int, ...]
+    den: int
+
+    @property
+    def replacement(self) -> tuple[Fraction, ...]:
+        """The replacement's coefficients as Fractions, built on access."""
+        return tuple(Fraction(v, self.den) for v in self.rep)
 
     @cached_property
-    def _integer_powers(self) -> tuple[int, list[dict[Monomial, int]]]:
-        """(L, powers): the replacement is rep/L with rep an integer form,
-        and powers[e] holds rep^e as a {monomial: int} dict, grown on demand
+    def _integer_powers(self) -> list[dict[Monomial, int]]:
+        """powers[e] holds rep^e as a {monomial: int} dict, grown on demand
         by map_polynomial and kept for every later call."""
-        rep = _linear_polynomial(self.replacement)
-        return rep.den, [{(0,) * rep.nvars: 1}, rep.nums]
+        return [{(0,) * (self.nvars - 1): 1}, _linear_terms(self.rep)]
 
     def old_index(self, new_index: int) -> int:
         """Original ring index of a surviving variable."""
@@ -808,8 +826,8 @@ class LinearElimination:
             raise RingMismatch("polynomial is not in the eliminated ring")
         if not p.nums:
             return Polynomial(self.nvars - 1)
-        pv = self.pivot
-        L, powers = self._integer_powers
+        pv, L = self.pivot, self.den
+        powers = self._integer_powers
         rep = powers[1]
         E = max(m[pv] for m in p.nums)
         while len(powers) <= E:
@@ -847,30 +865,20 @@ class LinearElimination:
     def map_form(self, g: LinearForm) -> Optional[LinearForm]:
         if g.nvars != self.nvars:
             raise RingMismatch("form is not in the eliminated ring")
-        n = self.nvars - 1
-        acc = [Fraction(0)] * n
-        for i, c in enumerate(g.coefficients):
-            if c == 0:
-                continue
-            if i == self.pivot:
-                for j, r in enumerate(self.replacement):
-                    acc[j] += c * r
-            else:
-                j = i if i < self.pivot else i - 1
-                acc[j] += c
-        if all(v == 0 for v in acc):
-            return None
-        return LinearForm(tuple(acc))
+        pv, L = self.pivot, self.den
+        c = g.nums[pv]
+        rest = g.nums[:pv] + g.nums[pv + 1 :]
+        acc = [v * L + c * r for v, r in zip(rest, self.rep)]
+        return LinearForm.from_numerators(acc, g.den * L) if any(acc) else None
 
 
 def eliminate_form(f: LinearForm) -> LinearElimination:
     """Elimination data solving f = 0 for its pivot variable."""
     p = f.pivot()
-    cp = f.coefficients[p]
-    replacement = tuple(
-        -c / cp for i, c in enumerate(f.coefficients) if i != p
-    )
-    return LinearElimination(nvars=f.nvars, pivot=p, replacement=replacement)
+    cp = f.nums[p]
+    rep = [-c if cp > 0 else c for i, c in enumerate(f.nums) if i != p]
+    g = gcd(cp, *rep)
+    return LinearElimination(f.nvars, p, tuple(v // g for v in rep), abs(cp) // g)
 
 
 def quotient_by_linear(I: PolyIdeal, f: LinearForm) -> PolyIdeal:
@@ -909,4 +917,4 @@ def random_linear_form(
     while True:
         cs = [rng.randint(-bound, bound) for _ in range(d)]
         if any(cs):
-            return LinearForm(tuple(Fraction(c) for c in cs))
+            return LinearForm(cs)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial, forms_independent
 from hilbcalc.presentation import CyclicModule, module_dimension
@@ -49,7 +48,7 @@ def random_independent_forms(
         raise ValueError("cannot draw more independent forms than variables")
     forms: list[LinearForm] = []
     while len(forms) < count:
-        c = tuple(Fraction(rng.randint(-bound, bound)) for _ in range(d))
+        c = [rng.randint(-bound, bound) for _ in range(d)]
         if not any(c):
             continue
         candidate = LinearForm(c)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
@@ -38,7 +37,6 @@ from hilbcalc.polyring import (
     LinearElimination,
     LinearForm,
     PolyIdeal,
-    clear_denominators,
     eliminate_form,
     form_combination,
     forms_independent,
@@ -174,10 +172,10 @@ class QuotientChain:
     def pull(self, f: LinearForm) -> LinearForm:
         """A form of the last ring lifted to the first, zero on the cut
         variables."""
-        coeffs = list(f.coefficients)
+        nums = list(f.nums)
         for elim in reversed(self.eliminations):
-            coeffs.insert(elim.pivot, Fraction(0))
-        return LinearForm(tuple(coeffs))
+            nums.insert(elim.pivot, 0)
+        return LinearForm.from_numerators(nums, f.den)
 
 
 def _socle_cut(
@@ -365,12 +363,11 @@ def _screen(I: PolyIdeal) -> tuple[IntEchelon, int, list[list[int]]]:
 def _screen_passes(screen, f: LinearForm) -> bool:
     """True unless multiplication by f drops rank on the degree-one part.
 
-    The rows x_k*f, with f cleared of denominators, go into an overlay on
+    The rows x_k*f, from f's integer numerators, go into an overlay on
     the screen's base echelon; its own pivot count is the rank they add.
     """
     base, expected, cols = screen
-    coeffs = clear_denominators(dict(enumerate(f.coefficients)))[1]
-    nonzero = [(j, c) for j, c in coeffs.items() if c]
+    nonzero = [(j, c) for j, c in enumerate(f.nums) if c]
     overlay = IntEchelon(base)
     for col in cols:
         overlay.insert({col[j]: c for j, c in nonzero})

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from hilbcalc.monomial import monomial_divides
@@ -243,9 +242,7 @@ class SuiteResult:
 
 
 def _variable_form(d: int, index: int) -> LinearForm:
-    return LinearForm(
-        tuple(Fraction(1) if k == index else Fraction(0) for k in range(d))
-    )
+    return LinearForm([int(k == index) for k in range(d)])
 
 
 def _monomial_ideal(d: int, exps) -> PolyIdeal:
@@ -383,10 +380,10 @@ def two_prime_product_table(r: int, s: int) -> CoefficientTable:
 def _diagonal_form(r: int, s: int, j: int) -> LinearForm:
     """z_j = y_j - x_j, 1-based j <= r."""
     d = r + s
-    coeffs = [Fraction(0)] * d
-    coeffs[j - 1] = Fraction(-1)
-    coeffs[s + j - 1] = Fraction(1)
-    return LinearForm(tuple(coeffs))
+    coeffs = [0] * d
+    coeffs[j - 1] = -1
+    coeffs[s + j - 1] = 1
+    return LinearForm(coeffs)
 
 
 def _cross_expansion_table(r: int, s: int, i: int) -> CoefficientTable:

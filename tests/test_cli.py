@@ -232,6 +232,26 @@ class TestOneShot:
         assert code == 0
         assert "certified" in out
 
+    RATIONAL_FORMS = (
+        "admissible", "--ring", "x y z", "--ideal", "x*z, y*z",
+        "--forms", "1/2*x - z, 3*y + 1/7*z",
+    )
+
+    def test_admissible_rational_forms(self, capsys):
+        code, out, _ = invoke(capsys, *self.RATIONAL_FORMS, "--json")
+        assert code == 0
+        (entry,) = json.loads(out)["commands"]
+        assert entry["verdict"] == "certified"
+        assert entry["witness"] == [["1/2", "0", "-1"], ["0", "3", "1/7"]]
+        code, out, _ = invoke(capsys, *self.RATIONAL_FORMS)
+        assert code == 0
+        assert _without_elapsed(out) == (
+            "seed 0, trials 32, max degree 64\n"
+            "admissible M F: certified, witness 1/2*x - z; 3*y + 1/7*z, "
+            "trials used 0: PASS\n"
+            "status: pass\n"
+        )
+
     def test_admissible_not_ssop_has_null_witness(self, capsys):
         code, out, _ = invoke(
             capsys, "admissible", "--ring", "x y", "--ideal", "x*y",
@@ -384,6 +404,18 @@ class TestOneShot:
             "1000000, the largest a series numerator holds\n"
         )
 
+    def test_accumulated_exponent_exits_2(self, capsys):
+        # each literal is in range; the term's exponent of x is not
+        code, out, err = invoke(
+            capsys, "series", "--ring", "x y", "--ideal", "x^600000*x^600000*y, y^2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: --ideal, column 10: exponent of x reaches 1200000 in one term, "
+            "above 1000000, the largest a series numerator holds\n"
+        )
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise RuntimeError("boom")
@@ -420,9 +452,12 @@ class TestSeedHandling:
 
     def test_bad_env_seed(self, capsys, monkeypatch):
         monkeypatch.setenv("HILBCALC_SEED", "not-a-number")
-        with pytest.raises(SystemExit, match="HILBCALC_SEED"):
+        with pytest.raises(SystemExit) as exc:
             main(["depth", "--ring", "x1", "--ideal", "x1"])
-        capsys.readouterr()
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: HILBCALC_SEED must be an integer, got 'not-a-number'\n"
 
 
 class TestPaperExamples:

@@ -143,6 +143,19 @@ class TestParser:
             parse_text(f"ring x y;\nideal I = y*x^{MAX_SHIFT + 1};")
         assert (exc.value.line, exc.value.column) == (2, 15)
 
+    def test_exponent_bound_per_variable_and_term(self):
+        # each literal is in range, but x reaches 2 * MAX_SHIFT in one term
+        half = MAX_SHIFT // 2 + 1
+        s = parse_text(f"ring x y; ideal I = x^{MAX_SHIFT - 1}*y*x, x^{half}*y^{half};")
+        assert s.ideals()["I"].generators[0].nums == {(MAX_SHIFT, 1): 1}
+        message = f"exponent of x reaches {2 * half} in one term"
+        with pytest.raises(SemanticError, match=message) as exc:
+            parse_text(f"ring x y;\nideal I = x^{half}*y*x^{half}, y^2;")
+        assert (exc.value.line, exc.value.column) == (2, 22)
+        # the bound is per term: separate terms reach it each on their own
+        s = parse_text(f"ring x y; ideal I = x^{MAX_SHIFT}*y + x*y^{MAX_SHIFT};")
+        assert s.ideals()["I"].generators[0].degree() == MAX_SHIFT + 1
+
     def test_rational_coefficients(self):
         s = parse_text("ring x y; ideal I = 1/2*x^2 + y^2;")
         gen = s.ideals()["I"].generators[0]

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, Groebner bases, and the ideal operations."""
 
+import ast
 import itertools
 import json
 import math
@@ -42,6 +43,12 @@ from hilbcalc.polyring import (
     random_linear_form,
 )
 from hilbcalc.presentation import CyclicModule, series_of_cyclic
+from hilbcalc.superficial import (
+    QuotientChain,
+    depth,
+    find_superficial_sequence,
+    superficial_chain,
+)
 
 
 def P(nvars, *terms):
@@ -913,6 +920,54 @@ class TestIntegerRepresentation:
         elim = eliminate_form(LinearForm((Fraction(2, 3), Fraction(0), Fraction(-7, 5))))
         image = _fraction_free(elim.map_polynomial, f)
         assert image == reference_map_polynomial(elim, f)
+
+
+    def test_search_layer_builds_no_fraction(self):
+        gens = [
+            P(4, (1, (1, 0, 1, 0)), (Fraction(-2, 3), (0, 2, 0, 0))),
+            P(4, (Fraction(1, 5), (0, 1, 0, 1))),
+            P(4, (3, (1, 0, 0, 1))),
+        ]
+        M = CyclicModule(4, PolyIdeal(4, gens))
+        fs = [
+            LinearForm((Fraction(1, 2), 0, -1, 0)),
+            LinearForm((0, 3, Fraction(1, 7), Fraction(-2, 5))),
+        ]
+        calls = [
+            (depth, M),
+            (find_superficial_sequence, M, fs),
+            (superficial_chain, M, fs),
+            (form_combination, [Fraction(2, 3), -4], fs),
+            (eliminate_form(fs[0]).map_form, fs[1]),
+            (forms_independent, fs),
+        ]
+        for fn, *args in calls:
+            clear_memos()
+            got = _fraction_free(fn, *args)
+            clear_memos()
+            assert got == fn(*args)
+        chain = QuotientChain((M,)).cut(fs[0])
+        pushed = _fraction_free(chain.push, fs[1])
+        assert pushed == eliminate_form(fs[0]).map_form(fs[1])
+        lifted = _fraction_free(chain.pull, pushed)
+        cs = pushed.coefficients
+        assert lifted.coefficients == cs[:2] + (0,) + cs[2:]
+
+    def test_only_boundary_modules_import_fractions(self):
+        # Fraction is built where input is parsed (dsl), in the views and
+        # leading() of polyring, and in linalg's FractionEchelon
+        importers = set()
+        for path in Path(polyring.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if "fractions" in names:
+                    importers.add(path.stem)
+        assert importers == {"dsl", "linalg", "polyring"}
 
 
 class TestForms:
