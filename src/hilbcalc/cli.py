@@ -596,7 +596,7 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=default_seed)
     common.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS)
     common.add_argument(
-        "--max-degree", type=_int_at_least(0), default=DEFAULT_MAX_DEGREE
+        "--max-degree", type=_int_at_least(0, MAX_SHIFT), default=DEFAULT_MAX_DEGREE
     )
     common.add_argument("--json", action="store_true")
     common.add_argument("--quiet", action="store_true")
@@ -636,7 +636,7 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
             )
         if "degree" in names:
             oneshot.add_argument(
-                "--degree", type=_int_at_least(0), default=DEFAULT_CHECK_DEGREE
+                "--degree", type=_int_at_least(0, MAX_SHIFT), default=DEFAULT_CHECK_DEGREE
             )
 
     return parser

@@ -279,7 +279,8 @@ class _Parser:
         return self.advance()
 
     def expect_degree(self, what: str) -> int:
-        """A shift or exponent literal, at most MAX_SHIFT (numerators are dense)."""
+        """A shift, exponent or oracle degree literal, at most MAX_SHIFT
+        (numerators and oracle counts are dense)."""
         tok = self.expect("int", "an integer")
         n = int(tok.text)
         if n > MAX_SHIFT:
@@ -429,6 +430,9 @@ class _Parser:
             if field.name in ("module", "forms"):
                 tok = self.expect("ident", f"a {field.name} name")
                 args.append(self._lookup(tok, field.name))
+                continue
+            if field.name == "degree":
+                args.append(self.expect_degree("oracle degree"))
                 continue
             if field.name == "index":
                 self.expect("i")

@@ -19,6 +19,15 @@ the scale-invariant ideal key, so an ideal that differs only by the
 scale of its generators gets the quotient of the first one, which
 differs from its own by the same scalars.
 
+On a monomial ideal I, depth judges a candidate by its support alone.
+The zerodivisors on R/I are the union of its associated primes, and each
+of those is generated by variables, (x_i : i in S) (Herzog and Hibi,
+Monomial Ideals, ch. 1).  A linear form lies in (x_i : i in S) exactly
+when its support {i : f_i != 0} is a subset of S.  So f is a zerodivisor
+iff its support is, and a zerodivisor support stays one on every nonempty
+subset: once a candidate is proven a zerodivisor, later candidates whose
+support lies inside its support fail with no cut.
+
 Positive claims (regular, superficial, certified sequences) are exact.
 Negative claims that rest on exhausting random candidates are Monte
 Carlo and say so in their certificates.
@@ -391,14 +400,22 @@ def depth(
     dimension-zero stop is exact as well; stopping on exhausted trials
     leaves open that a cleverer candidate exists.  The zero module stops
     at the dimension-zero terminal immediately.
+
+    When the current quotient ideal is monomial, a candidate's verdict
+    is its support's (see the module docstring): a candidate whose
+    support lies inside that of a proven zerodivisor fails with no
+    screen and no cut, and once the full variable set is such a support,
+    every remaining candidate fails.  Each candidate gets the verdict
+    the full test would give, so the certificate is the same.
     """
     if bound < 1:
         raise ValueError("coefficient bound must be positive")
+    M = M.drop_shift()
     key = (M.key(), seed, trials, bound)
     hit = _DEPTH_CACHE.get(key)
     if hit is not None:
         return hit
-    chain = QuotientChain((M.drop_shift(),))
+    chain = QuotientChain((M,))
     links: list[LinearForm] = []
     rng = random.Random(seed)
     while True:
@@ -407,15 +424,25 @@ def depth(
             cert = DepthCertificate(len(links), tuple(links), STOP_DIMENSION_ZERO, 0)
             break
         screen = _screen(chain.last.ideal)
+        monomial = chain.last.ideal.is_monomial
+        full = (1 << chain.last.ring_dim) - 1
+        dead: list[int] = []  # supports (bit masks) of proven zerodivisors
         failures = 0
         found = None
         for coeffs in _combination_stream(chain.last.ring_dim, rng, bound):
-            f = LinearForm(coeffs)
-            if _screen_passes(screen, f):
-                D, cut = _socle_cut(chain, f)
-                if D.is_zero:
-                    found = f
-                    break
+            support = sum(1 << j for j, c in enumerate(coeffs) if c)
+            if all(support | k != k for k in dead):
+                f = LinearForm(coeffs)
+                if _screen_passes(screen, f):
+                    D, cut = _socle_cut(chain, f)
+                    if D.is_zero:
+                        found = f
+                        break
+                if monomial:
+                    if support == full:
+                        failures = trials
+                        break
+                    dead.append(support)
             failures += 1
             if failures >= trials:
                 break

@@ -137,6 +137,19 @@ class TestRun:
             "the largest a series numerator holds\n"
         )
 
+    def test_huge_oracle_degree_exits_2(self, capsys, tmp_path):
+        # the oracle counted every degree up to the literal and ended in an
+        # internal MemoryError (exit 3)
+        p = tmp_path / "oracle.hc"
+        p.write_text("ring x;\nideal I = x^2;\nmodule M = R/I;\noracle M 99999999999;\n")
+        code, out, err = invoke(capsys, "run", str(p), "--max-degree", "1000000")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: 4:10: oracle degree 99999999999 is above 1000000, "
+            "the largest a series numerator holds\n"
+        )
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "run", str(tmp_path / "absent.hc"))
         assert code == 2
@@ -377,6 +390,17 @@ class TestOneShot:
                 ["oracle-check", "--degree", "-1"],
                 "--degree: must be at least 0",
                 id="degree",
+            ),
+            # degrees this large ended in an internal MemoryError (exit 3)
+            pytest.param(
+                ["oracle-check", "--degree", "99999999999", "--max-degree", "1000000"],
+                "--degree: must be at most 1000000, got 99999999999",
+                id="huge-degree",
+            ),
+            pytest.param(
+                ["oracle-check", "--degree", "9", "--max-degree", "99999999999999"],
+                "--max-degree: must be at most 1000000, got 99999999999999",
+                id="huge-max-degree",
             ),
         ],
     )

@@ -13,18 +13,24 @@ from hilbcalc.oracle import monomials_of_degree
 from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial, colon, eliminate_form
 from hilbcalc.presentation import CyclicModule, module_dimension, series_of_cyclic
 from hilbcalc.sampling import random_independent_forms, random_module
+from hilbcalc.series import series_dimension
 from hilbcalc.superficial import (
     CERTIFIED,
     CUT_MEMO_SIZE,
+    DEFAULT_COEFF_BOUND,
+    DEFAULT_TRIALS,
     NOT_SSOP,
     PROBABLY_NOT_ADMISSIBLE,
+    DepthCertificate,
     QuotientChain,
     STOP_DIMENSION_ZERO,
     STOP_TRIALS_EXHAUSTED,
     SuperficialityReport,
+    _combination_stream,
     _cut,
     _screen,
     _screen_passes,
+    _socle_cut,
     depth,
     find_superficial_sequence,
     is_regular,
@@ -390,6 +396,9 @@ class TestDepth:
     def test_shift_invariant(self):
         shifted = CyclicModule(3, PQ.ideal, shift=3)
         assert depth(shifted).depth == depth(PQ).depth
+        # the certificate is computed on the unshifted module and kept once
+        assert depth(shifted) is depth(PQ)
+        assert depth(CyclicModule(3, PQ.ideal, shift=7)) is depth(PQ)
 
     @pytest.mark.parametrize("bound", [0, -1])
     def test_nonpositive_bound_refused(self, bound):
@@ -400,6 +409,157 @@ class TestDepth:
             depth(M, bound=bound)
         with pytest.raises(ValueError, match="coefficient bound must be positive"):
             find_superficial_sequence(PQ, [lf(0, 1, 0)], bound=bound)
+
+
+def reference_depth(
+    M: CyclicModule,
+    seed: int = 0,
+    trials: int = DEFAULT_TRIALS,
+    bound: int = DEFAULT_COEFF_BOUND,
+) -> DepthCertificate:
+    """The earlier depth loop, which tested every candidate with the
+    screen and a cut, kept verbatim (without its memo) as the reference
+    for the support rule on monomial ideals."""
+    chain = QuotientChain((M.drop_shift(),))
+    links: list[LinearForm] = []
+    rng = random.Random(seed)
+    while True:
+        S = series_of_cyclic(chain.last)
+        if S.is_zero or series_dimension(S) <= 0:
+            cert = DepthCertificate(len(links), tuple(links), STOP_DIMENSION_ZERO, 0)
+            break
+        screen = _screen(chain.last.ideal)
+        failures = 0
+        found = None
+        for coeffs in _combination_stream(chain.last.ring_dim, rng, bound):
+            f = LinearForm(coeffs)
+            if _screen_passes(screen, f):
+                D, cut = _socle_cut(chain, f)
+                if D.is_zero:
+                    found = f
+                    break
+            failures += 1
+            if failures >= trials:
+                break
+        if found is None:
+            cert = DepthCertificate(
+                len(links), tuple(links), STOP_TRIALS_EXHAUSTED, failures
+            )
+            break
+        links.append(chain.pull(found))
+        chain = cut
+    return cert
+
+
+@st.composite
+def monomial_modules(draw, d_min=2, d_max=4):
+    """R/I for a nonzero monomial ideal I in d_min..d_max variables, no
+    generator a unit."""
+    d = draw(st.integers(d_min, d_max))
+    exps = draw(
+        st.sets(
+            st.tuples(*[st.integers(0, 3)] * d).filter(any), min_size=1, max_size=5
+        )
+    )
+    return CyclicModule(d, mono(d, *exps))
+
+
+def form_on(d, support, coeffs):
+    """The linear form with coeffs[k] on the k-th member of support."""
+    nums = [0] * d
+    for j, c in zip(sorted(support), coeffs):
+        nums[j] = c
+    return LinearForm(tuple(nums))
+
+
+class TestSupportRule:
+    """On a monomial ideal a linear form is a zerodivisor iff its support
+    lies in the variable set of an associated prime; depth leans on it."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(monomial_modules(), st.data())
+    def test_verdict_depends_on_support_only(self, M, data):
+        d = M.ring_dim
+        support = data.draw(st.sets(st.integers(0, d - 1), min_size=1))
+        nonzero = st.integers(-4, 4).filter(bool)
+        coeffs = st.lists(nonzero, min_size=len(support), max_size=len(support))
+        f = form_on(d, support, data.draw(coeffs))
+        g = form_on(d, support, data.draw(coeffs))
+        regular = is_regular(M, f)
+        assert is_regular(M, g) is regular
+        if regular:
+            return
+        # a zerodivisor support stays one on every nonempty subset
+        ordered = sorted(support)
+        for mask in range(1, 1 << len(ordered)):
+            sub = [j for k, j in enumerate(ordered) if mask >> k & 1]
+            assert not is_regular(M, form_on(d, sub, [f.nums[j] for j in sub]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        monomial_modules(2, 5),
+        st.integers(0, 3),
+        st.integers(0, 2**16),
+        st.integers(1, 40),
+        st.integers(1, 3),
+    )
+    def test_depth_matches_the_full_test(self, M, r, seed, trials, bound):
+        shifted = CyclicModule(M.ring_dim, M.ideal, r)
+        assert depth(shifted, seed, trials, bound) == reference_depth(
+            shifted, seed, trials, bound
+        )
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_depth_matches_the_full_test_on_sampled_modules(self, seed):
+        rng = random.Random(seed)
+        M = random_module(rng, rng.randint(3, 6), min_dim=1)
+        for trials in (4, 64):
+            assert depth(M, seed, trials) == reference_depth(M, seed, trials)
+
+    def test_non_monomial_ideals_take_the_full_test(self):
+        # x, y and x + y divide zero on R/(xy(x+y)(x-y)), yet x + 2y is
+        # regular: the support rule holds for monomial ideals only
+        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+        M = CyclicModule(2, PolyIdeal(2, [x * y * (x + y) * (x - y)]))
+        for seed in range(4):
+            cert = depth(M, seed)
+            assert cert.depth == 1
+            assert cert == reference_depth(M, seed)
+
+    @staticmethod
+    def screened(monkeypatch):
+        """The candidates depth puts through the screen, in order."""
+        from hilbcalc import superficial
+
+        tested = []
+        real = superficial._screen_passes
+        monkeypatch.setattr(
+            superficial, "_screen_passes", lambda s, f: tested.append(f) or real(s, f)
+        )
+        return tested
+
+    def test_a_known_zerodivisor_support_is_not_tested_again(self, monkeypatch):
+        # PQ = R/(x1*y1, x2*y1) has associated primes (y1) and (x1, x2):
+        # x1 - x2 has the support of x1 + x2 and is rejected untested.  On
+        # the quotient by x1 + y1 three candidates decide all 32.
+        tested = self.screened(monkeypatch)
+        cert = depth(PQ)
+        assert (cert.chain, cert.failed_trials) == ((lf(1, 0, 1),), 32)
+        assert tested == [
+            *(lf(1, 0, 0), lf(0, 1, 0), lf(0, 0, 1), lf(1, 1, 0), lf(1, 0, 1)),
+            *(lf(1, 0), lf(0, 1), lf(1, 1)),
+        ]
+
+    def test_full_support_zerodivisor_ends_the_step(self, monkeypatch):
+        # (x^2, xy) = (x) cap (x, y)^2: x, y and x + y are zerodivisors, so
+        # three candidates decide a billion
+        tested = self.screened(monkeypatch)
+        M = CyclicModule(2, mono(2, (2, 0), (1, 1)))
+        cert = depth(M, trials=10**9)
+        assert (cert.depth, cert.stop_evidence) == (0, STOP_TRIALS_EXHAUSTED)
+        assert cert.failed_trials == 10**9
+        assert tested == [lf(1, 0), lf(0, 1), lf(1, 1)]
+        assert depth(M, trials=64) == reference_depth(M, trials=64)
 
 
 def reference_screen(I: PolyIdeal) -> tuple[FractionEchelon, int, dict, int]:

@@ -241,7 +241,72 @@ class TestSuites:
         assert details["sensitivity[i=2]"].startswith("e_i 0 -> 0")
 
 
+# (instance seed, i, depth_value, depth_exact) of every instance of
+# run_random_sensitivity_suite(count=20, seed=S, d_max=6, depth_trials=64),
+# recorded before depth judged monomial candidates by their support.
+PINNED_DEPTHS = {
+    4: [
+        (506909419, 0, 3, True),
+        (506909419, 1, 3, True),
+        (506909419, 2, 3, True),
+        (651328766, 0, 1, False),
+        (651328766, 1, 1, True),
+        (221547363, 0, 2, True),
+        (221547363, 1, 2, True),
+        (850528596, 0, 3, False),
+        (850528596, 1, 3, True),
+        (850528596, 2, 3, True),
+        (850528596, 3, 3, True),
+        (1028383521, 0, 4, True),
+        (1028383521, 1, 4, True),
+        (1028383521, 2, 4, True),
+        (1028383521, 3, 4, True),
+        (332800429, 0, 2, True),
+        (332800429, 1, 2, True),
+        (193488809, 0, 5, True),
+        (193488809, 1, 5, True),
+        (193488809, 2, 5, True),
+        (193488809, 3, 5, True),
+        (193488809, 4, 5, True),
+    ],
+    9: [
+        (994300727, 0, 2, True),
+        (994300727, 1, 2, True),
+        (801681272, 0, 2, True),
+        (801681272, 1, 2, True),
+        (573666814, 0, 3, True),
+        (573666814, 1, 3, True),
+        (573666814, 2, 3, True),
+        (297511125, 0, 2, True),
+        (297511125, 1, 2, True),
+        (399743235, 0, 3, True),
+        (399743235, 1, 3, True),
+        (399743235, 2, 3, True),
+        (13819176, 0, 3, True),
+        (13819176, 1, 3, True),
+        (13819176, 2, 3, True),
+        (726548507, 0, 0, False),
+        (726548507, 1, 0, False),
+        (995834408, 0, 1, False),
+        (995834408, 1, 1, True),
+        (173548139, 0, 4, True),
+        (173548139, 1, 4, True),
+        (173548139, 2, 4, True),
+        (173548139, 3, 4, True),
+    ],
+}
+
+
 class TestRandomSuite:
+    @pytest.mark.parametrize("seed", sorted(PINNED_DEPTHS))
+    def test_depth_certificates_pinned(self, seed):
+        res = run_random_sensitivity_suite(count=20, seed=seed, d_max=6, depth_trials=64)
+        got = [
+            (x.seed, x.i, x.report.depth_value, x.report.depth_exact)
+            for x in res.instances
+        ]
+        assert got == PINNED_DEPTHS[seed]
+
     def test_small_run_is_clean_and_deterministic(self):
         a = run_random_sensitivity_suite(count=6, seed=11)
         b = run_random_sensitivity_suite(count=6, seed=11)
