@@ -8,12 +8,15 @@ way, viewed as `coefficients`.  Monomial orders are small strategy objects
 producing sort keys, and the leading monomial has the smallest key, so
 leading terms come from min() over the support and a heap pops them in
 order.  Division and linear substitution work on the numerators, and one
-gcd puts each result in lowest terms.  The Groebner engine is an
+gcd puts each result in lowest terms.  The Groebner engine is one
 incremental Buchberger loop: generators enter one at a time, S-pairs are
 skipped by the coprime and chain criteria and, for homogeneous input, by
 an exact lower bound on the Hilbert function of the next stage's quotient.
-It always returns the reduced monic basis.  Exponent arithmetic and the
-monomial Hilbert numerator live in `monomial`.
+Its coefficient work is a kernel: over the rationals it returns the
+reduced monic basis; mod 2^31 - 1 it top-reduces only and returns leading
+monomials that certify a Hilbert series, never an initial ideal (see
+`presentation`).  Exponent arithmetic and the monomial Hilbert numerator
+live in `monomial`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from hilbcalc.monomial import (
     monomial_mul,
     monomials_coprime,
 )
-from hilbcalc.series import HilbertSeries, expand
+from hilbcalc.series import HilbertSeries, IntPolynomial, coefficient
 
 
 class RingMismatch(ValueError):
@@ -606,16 +609,139 @@ def _minimal(
     return [G[i] for i in keep], [lms[i] for i in keep]
 
 
+class Uncertified(ArithmeticError):
+    """A stage of a modular run missed the exact rational lower bound."""
+
+
+class RationalKernel:
+    """Exact coefficients for `_reduced_basis`.
+
+    Elements are monic Polynomials reduced fully by `normal_form`, and the
+    result is the reduced monic basis: each element tail-reduced against
+    the others, listed leading monomial first in the order.
+    """
+
+    exact = True
+
+    def __init__(self, order: MonomialOrder):
+        self.order = order
+
+    def enter(self, f: Polynomial, G: list[Polynomial]) -> Optional[Polynomial]:
+        r = normal_form(f, G, self.order) if G else f
+        return None if r.is_zero else r.monic(self.order)
+
+    def spair(self, G: list[Polynomial], i: int, j: int) -> Optional[Polynomial]:
+        order = self.order
+        r = normal_form(_spoly(G[i], G[j], order), G, order)
+        return None if r.is_zero else r.monic(order)
+
+    def lead(self, g: Polynomial) -> Monomial:
+        return g.leading_monomial(self.order)
+
+    def finish(self, G: list[Polynomial]) -> tuple[Polynomial, ...]:
+        order = self.order
+        reduced = []
+        for i, g in enumerate(G):
+            others = [h for j, h in enumerate(G) if j != i]
+            reduced.append(normal_form(g, others, order).monic(order))
+        reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+        return tuple(reduced)
+
+
+# the prime of the modular kernel, the largest below 2^31
+_PRIME = 2**31 - 1
+
+
+class ModPKernel:
+    """Coefficients mod the prime 2^31 - 1 for `_reduced_basis`.
+
+    An element is (lm, tail): a polynomial mod p with leading monomial lm,
+    leading coefficient 1 and the other terms the (monomial, residue)
+    pairs of tail.  A generator enters as its primitive integer numerators
+    mod p.  Only the leading term of a pending polynomial is reduced, by
+    the first element whose leading monomial divides it, and the basis
+    gets no final tail reduction: the result is the leading monomials
+    alone.  They are those
+    of elements of the ideal mod p, so they bound the rational Hilbert
+    function from above and certify a series only where they meet the
+    rational lower bound (see `_reduced_basis`).
+    """
+
+    exact = False
+
+    def __init__(self, order: MonomialOrder):
+        self.order = order
+
+    def enter(self, f: Polynomial, G: list[tuple]) -> Optional[tuple]:
+        content = gcd(*f.nums.values())
+        return self._top_reduce({m: v // content % _PRIME for m, v in f.nums.items()}, G)
+
+    def spair(self, G: list[tuple], i: int, j: int) -> Optional[tuple]:
+        (lmi, taili), (lmj, tailj) = G[i], G[j]
+        top = monomial_lcm(lmi, lmj)
+        u, v = monomial_div(top, lmi), monomial_div(top, lmj)
+        work = {monomial_mul(m, u): c for m, c in taili}
+        for m, c in tailj:
+            m = monomial_mul(m, v)
+            work[m] = (work.get(m, 0) - c) % _PRIME
+        return self._top_reduce(work, G)
+
+    def lead(self, g: tuple) -> Monomial:
+        return g[0]
+
+    def finish(self, G: list[tuple]) -> tuple[Monomial, ...]:
+        return tuple(lm for lm, _ in G)
+
+    def _top_reduce(self, work: dict, G: list[tuple]) -> Optional[tuple]:
+        """The residues work, top-reduced by G and made monic; None for zero.
+
+        A heap pops the pending monomials by order key; a residue that has
+        cancelled to 0 stays in work until popped and is skipped.  Every
+        monomial a reduction step writes lies below the popped one, so no
+        monomial enters the heap twice.
+        """
+        key = self.order.key
+        heap = [(key(m), m) for m in work]
+        heapify(heap)
+        while heap:
+            m = heappop(heap)[1]
+            c = work.pop(m)
+            if not c:
+                continue
+            for lm, tail in G:
+                if all(map(le, lm, m)):
+                    break
+            else:
+                inv = pow(c, -1, _PRIME)
+                return m, tuple((t, v * inv % _PRIME) for t, v in work.items() if v)
+            shift = tuple(map(sub, m, lm))
+            for mt, ct in tail:
+                mm = tuple(map(add, mt, shift))
+                v = work.get(mm)
+                if v is None:
+                    work[mm] = -c * ct % _PRIME
+                    heappush(heap, (key(mm), mm))
+                else:
+                    work[mm] = (v - c * ct) % _PRIME
+        return None
+
+
 def _reduced_basis(
-    gens: Sequence[Polynomial], nvars: int, order: MonomialOrder
-) -> tuple[Polynomial, ...]:
-    """Incremental Buchberger with Hilbert-driven pruning; reduced monic output.
+    gens: Sequence[Polynomial],
+    nvars: int,
+    order: MonomialOrder,
+    kernel: Optional[RationalKernel | ModPKernel] = None,
+):
+    """Incremental Buchberger with Hilbert-driven pruning.
 
     The generators enter one at a time, lowest degree first.  Each is
     reduced against the basis so far and dropped if it reduces to zero;
     otherwise a stage adds it and treats its S-pairs, lowest lcm degree
     first, under the coprime and chain criteria.  After stage k the basis
     is a Groebner basis of J = (f_1..f_k), cut down to its minimal part.
+    The kernel does the coefficient work: entering a generator, reducing
+    an S-pair, and the result, `kernel.finish` of the last basis.  It is
+    `RationalKernel` unless one is given.
 
     When every generator is homogeneous, adding a form f of degree e to J
     has an exact lower bound: the sequence
@@ -630,21 +756,37 @@ def _reduced_basis(
     S-polynomial then reduces to zero, so the pair counts as treated and
     is skipped (Traverso 1996).  The reduced basis is unique, so the
     pruning changes only how many reductions it takes.
+
+    A kernel that is not exact, `ModPKernel`, takes homogeneous
+    generators, certifies its stages against that bound and raises
+    Uncertified at the first miss.  Its leading monomials belong to
+    elements of the ideal mod p, whose Macaulay matrices have at most
+    their rational rank in each degree, so their Hilbert function is at
+    least H_{R/(J+f)} over Q whatever the prime, and a pruning mistake
+    mod p can only raise it further.  Over a
+    certified J the bound is exact, so a stage whose Hilbert numerator is
+    (1 - t^e) times the previous one has the rational series, and a stage
+    that ends anywhere above it cannot.  A stage therefore also stops at
+    the first finished degree whose count exceeds the bound, and a
+    generator that reduces to zero mod p misses it at once.  Only the
+    series is certified, never the leading monomials themselves.
     """
+    kernel = kernel or RationalKernel(order)
     graded = all(g.is_homogeneous for g in gens)
-    G: list[Polynomial] = []
+    G: list = []
     lms: list[Monomial] = []
 
-    def hilbert(exps: Sequence[Monomial], n: int) -> int:
-        """H_{R/(exps)}(n), from the memoised monomial numerator."""
-        if n < 0:
-            return 0
-        h = _numerator_of_monomial(nvars, minimalize_exponents(exps))
-        return expand(HilbertSeries(nvars, h), n)[n]
+    def numerator(exps: Sequence[Monomial]) -> IntPolynomial:
+        """The Hilbert numerator of R/(exps), memoised in `monomial`."""
+        return _numerator_of_monomial(nvars, minimalize_exponents(exps))
 
-    def add(p: Polynomial) -> None:
-        G.append(p.monic(order))
-        lms.append(G[-1].leading_monomial(order))
+    def hilbert(exps: Sequence[Monomial], n: int) -> int:
+        """H_{R/(exps)}(n)."""
+        return coefficient(HilbertSeries(nvars, numerator(exps)), n)
+
+    def add(g) -> None:
+        G.append(g)
+        lms.append(kernel.lead(g))
         j = len(G) - 1
         for i in range(j):
             # the pair taken next is the one of largest priority: lowest lcm
@@ -656,55 +798,61 @@ def _reduced_basis(
     # untreated pairs of the current stage, with their priorities
     pairs: dict[tuple[int, int], tuple] = {}
     for f in sorted((g for g in gens if not g.is_zero), key=Polynomial.degree):
-        r = normal_form(f, G, order) if G else f
-        if r.is_zero:
-            continue
-        start = len(G)
         previous = tuple(lms)
-        e = r.degree()
-        # (n, len(G)) -> whether the leading monomials span LT(J+f)_n
-        spanned: dict[tuple[int, int], bool] = {}
-        done: set[tuple[int, int]] = set()
-        add(r)
-        while pairs:
-            i, j = max(pairs, key=pairs.__getitem__)
-            del pairs[i, j]
-            done.add((i, j))
-            if monomials_coprime(lms[i], lms[j]):
-                continue
-            pair_lcm = monomial_lcm(lms[i], lms[j])
-            if graded:
-                n = monomial_degree(pair_lcm)
+        e = f.degree()
+        r = kernel.enter(f, G)
+        if r is not None:
+            start = len(G)
+            # (n, len(G)) -> whether the leading monomials span LT(J+f)_n
+            spanned: dict[tuple[int, int], bool] = {}
+
+            def spans(n: int) -> bool:
                 state = (n, len(G))
                 if state not in spanned:
                     bound = hilbert(previous, n) - hilbert(previous, n - e)
                     spanned[state] = hilbert(lms, n) == bound
-                if spanned[state]:
-                    continue
-            # chain criterion: a third element dividing the lcm whose pairs
-            # with both ends were already treated (in this stage, or in an
-            # earlier one when both are older) makes this pair redundant
-            if any(
-                k != i
-                and k != j
-                and monomial_divides(lms[k], pair_lcm)
-                and (max(i, k) < start or (min(i, k), max(i, k)) in done)
-                and (max(j, k) < start or (min(j, k), max(j, k)) in done)
-                for k in range(len(G))
-            ):
-                continue
-            r = normal_form(_spoly(G[i], G[j], order), G, order)
-            if not r.is_zero:
-                add(r)
-        G, lms = _minimal(G, lms, order)
+                return spanned[state]
 
-    # tail-reduce each against the others
-    reduced = []
-    for i, g in enumerate(G):
-        others = [h for j, h in enumerate(G) if j != i]
-        reduced.append(normal_form(g, others, order).monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
-    return tuple(reduced)
+            done: set[tuple[int, int]] = set()
+            add(r)
+            # degrees up to top are finished: the pairs come in rising lcm
+            # degree, and a new element's pairs lie above its own degree
+            top = e
+            while pairs:
+                i, j = max(pairs, key=pairs.__getitem__)
+                n = -pairs.pop((i, j))[0]
+                done.add((i, j))
+                if not kernel.exact and n > top:
+                    if not spans(top):
+                        raise Uncertified(f"degree {top} above the bound")
+                    top = n
+                if monomials_coprime(lms[i], lms[j]):
+                    continue
+                if graded and spans(n):
+                    continue
+                # chain criterion: a third element dividing the lcm whose
+                # pairs with both ends were already treated (in this stage,
+                # or in an earlier one when both are older) makes this pair
+                # redundant
+                pair_lcm = monomial_lcm(lms[i], lms[j])
+                if any(
+                    k != i
+                    and k != j
+                    and monomial_divides(lms[k], pair_lcm)
+                    and (max(i, k) < start or (min(i, k), max(i, k)) in done)
+                    and (max(j, k) < start or (min(j, k), max(j, k)) in done)
+                    for k in range(len(G))
+                ):
+                    continue
+                r = kernel.spair(G, i, j)
+                if r is not None:
+                    add(r)
+            G, lms = _minimal(G, lms, order)
+        if not kernel.exact:
+            h = numerator(previous)
+            if numerator(lms) != h - h.times_t_power(e):
+                raise Uncertified(f"stage of degree {e} above the bound")
+    return kernel.finish(G)
 
 
 def buchberger(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> tuple[Polynomial, ...]:

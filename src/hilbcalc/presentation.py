@@ -3,7 +3,29 @@
 Two presentation shapes cover everything downstream: cyclic quotients
 (R/I)(-r) and finite free resolutions given by twist multisets.  The
 series of a monomial quotient comes from the memoised pivot recursion in
-`monomial`; general ideals pass through their initial ideal first.
+`monomial`; general ideals pass through leading monomials first.
+
+For a non-monomial ideal I = (f_1..f_k) in d variables, a run of the
+incremental Buchberger loop mod p = 2^31 - 1 comes first, and its series
+is exact once it is certified by two bounds:
+
+- Upper: in each degree the mod-p Macaulay matrix has at most its
+  rational rank, so H_p(R/J) >= H_Q(R/J) for every prime, read off the
+  leading monomials of any elements of J mod p.
+- Lower: 0 -> ((J:f)/J)(-e) -> (R/J)(-e) -> R/J -> R/(J+f) -> 0 gives
+  H_Q(R/(J+f)) >= (1 - t^e) H_Q(R/J) for f of degree e.
+
+Starting from H(R/0) = 1/(1-t)^d, a stage whose mod-p numerator equals
+(1 - t^e_k) times the previous one has that exact rational series.  An
+unlucky prime, a zerodivisor or a redundant generator only misses the
+bound, and then the rational loop runs instead.  A stage stops at the
+first finished degree whose count exceeds the bound.  A single generator
+needs no basis at all.  More generators than variables, or two generators
+that one variable divides, go straight to the rational loop, because a
+regular sequence has at most d members and no two of them share a
+factor.  Only the series is certified, never the initial ideal: for
+(p x + y, z^2) the rational initial ideal is (x, z^2) and the mod-p one
+is (y, z^2), so `buchberger`, `initial_ideal` and `colon` stay rational.
 """
 
 from __future__ import annotations
@@ -12,7 +34,15 @@ import random
 from dataclasses import dataclass
 
 from hilbcalc.monomial import _numerator_of_monomial, minimalize_exponents
-from hilbcalc.polyring import DegRevLex, LinearForm, PolyIdeal, buchberger
+from hilbcalc.polyring import (
+    DegRevLex,
+    LinearForm,
+    ModPKernel,
+    PolyIdeal,
+    Uncertified,
+    _reduced_basis,
+    buchberger,
+)
 from hilbcalc.series import (
     DEFAULT_TRUNCATION,
     CoefficientTable,
@@ -109,7 +139,14 @@ _IDEAL_SERIES: dict[tuple, HilbertSeries] = {}
 
 
 def series_of_cyclic(M: CyclicModule) -> HilbertSeries:
-    """Series of (R/I)(-r); non-monomial ideals go through initial ideals."""
+    """Series of (R/I)(-r).
+
+    A monomial I gives its numerator directly.  Otherwise one generator of
+    degree e gives 1 - t^e.  Up to d generators, no two divisible by one
+    variable, first try a mod-p run, whose series counts only when every
+    stage meets the exact rational bound (see the module docstring).  The
+    leading monomials of the rational reduced basis give the rest.
+    """
     I = M.ideal
     key = I.canonical_key()
     base = _IDEAL_SERIES.get(key)
@@ -118,11 +155,40 @@ def series_of_cyclic(M: CyclicModule) -> HilbertSeries:
         if I.is_monomial:
             base = series_of_monomial_quotient(d, I)
         else:
-            order = DegRevLex(d)
-            exps = frozenset(g.leading_monomial(order) for g in buchberger(I, order))
-            base = HilbertSeries(d, _numerator_of_monomial(d, minimalize_exponents(exps)))
+            base = HilbertSeries(d, _numerator_of_ideal(d, I))
         _IDEAL_SERIES[key] = base
     return shift(base, M.shift) if M.shift else base
+
+
+def _numerator_of_ideal(d: int, I: PolyIdeal) -> IntPolynomial:
+    """Hilbert numerator of R/I for a non-monomial ideal I."""
+    gens = I.generators
+    order = DegRevLex(d)
+    if len(gens) == 1:
+        one = IntPolynomial.one()
+        return one - one.times_t_power(gens[0].degree())
+    if len(gens) <= d and not _common_variable(gens):
+        try:
+            exps = _reduced_basis(gens, d, order, ModPKernel(order))
+        except Uncertified:
+            pass
+        else:
+            return _numerator_of_monomial(d, minimalize_exponents(exps))
+    exps = frozenset(g.leading_monomial(order) for g in buchberger(I, order))
+    return _numerator_of_monomial(d, minimalize_exponents(exps))
+
+
+def _common_variable(gens) -> bool:
+    """Whether some variable divides two of the generators.  A common
+    factor c of f and g makes g a zerodivisor mod f (g (f/c) lies in (f)),
+    so such generators are no regular sequence."""
+    seen: set[int] = set()
+    for g in gens:
+        factors = set.intersection(*({i for i, a in enumerate(m) if a} for m in g.nums))
+        if factors & seen:
+            return True
+        seen |= factors
+    return False
 
 
 def module_dimension(M: CyclicModule) -> Dim:

@@ -382,6 +382,20 @@ def expand(S: HilbertSeries, max_degree: int = DEFAULT_TRUNCATION) -> list[int]:
     return out
 
 
+def coefficient(S: HilbertSeries, n: int) -> int:
+    """The degree-n coefficient of S, expand(S, n)[n] without the others:
+    the sum of h_j C(n - j + d - 1, d - 1) over the nonzero h_j, j <= n.
+    Degrees below zero read as zero."""
+    h, d = S.numerator.coeffs, S.ambient_dim
+    if n < 0:
+        return 0
+    if d == 0:
+        return h[n] if n < len(h) else 0
+    return sum(
+        c * math.comb(n - j + d - 1, d - 1) for j, c in enumerate(h[: n + 1]) if c
+    )
+
+
 def partial_sum_threshold(S: HilbertSeries) -> int:
     """Least n from which the closed partial sum formula is guaranteed."""
     s = series_dimension(S)

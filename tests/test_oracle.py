@@ -148,6 +148,10 @@ class TestGradedDimension:
 
         monkeypatch.setattr(polyring, "buchberger", refuse)
         monkeypatch.setattr(presentation, "buchberger", refuse)
+        # a complete intersection gets its series from a mod-p run, so the
+        # guard refuses that kernel too
+        monkeypatch.setattr(polyring, "ModPKernel", refuse)
+        monkeypatch.setattr(presentation, "ModPKernel", refuse)
         with pytest.raises(AssertionError):
             presentation.series_of_cyclic(QUADRICS)
         assert graded_profile(QUADRICS, 6) == QUADRICS_PROFILE[:7]

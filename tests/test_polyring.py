@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_memos
-from hilbcalc import polyring
+from hilbcalc import polyring, presentation
 from hilbcalc.oracle import graded_dimension, monomials_of_degree
 from hilbcalc.polyring import (
     DegRevLex,
@@ -42,7 +42,7 @@ from hilbcalc.polyring import (
     quotient_by_linear,
     random_linear_form,
 )
-from hilbcalc.presentation import CyclicModule, series_of_cyclic
+from hilbcalc.presentation import CyclicModule, module_table, series_of_cyclic
 from hilbcalc.superficial import (
     QuotientChain,
     depth,
@@ -510,6 +510,18 @@ def test_golden_reduced_basis_of_three_quadrics():
     ]
     golden = Path(__file__).parent / "data" / "quadrics_6_vars_basis.json"
     assert json.dumps(rows, separators=(",", ":")) == golden.read_text()
+
+
+def test_golden_table_of_five_quadrics_without_a_rational_basis(monkeypatch):
+    # 5 generic quadrics in 9 variables are a regular sequence, so the
+    # modular run certifies the series (1 + t)^5 / (1 - t)^4 on its own
+    def refuse(*args, **kwargs):
+        raise AssertionError("a complete intersection needs no rational basis")
+
+    monkeypatch.setattr(polyring, "buchberger", refuse)
+    monkeypatch.setattr(presentation, "buchberger", refuse)
+    M = CyclicModule(9, PolyIdeal(9, bench_quadrics(9, 5, 0)))
+    assert module_table(M).coeffs == (32, 80, 80, 40, 10, 1)
 
 
 def _form(draw, deg: int, dense: bool) -> Polynomial:

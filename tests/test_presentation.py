@@ -1,13 +1,21 @@
 """Module presentations and their series, checked against direct counts."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import clear_memos
+from hilbcalc import polyring, presentation
+from hilbcalc.monomial import (
+    _numerator_of_monomial,
+    minimalize_exponents,
+    monomials_of_degree,
+)
 from hilbcalc.oracle import verify_series
-from hilbcalc.polyring import PolyIdeal, Polynomial
+from hilbcalc.polyring import DegRevLex, PolyIdeal, Polynomial, buchberger, initial_ideal
 from hilbcalc.presentation import (
     BadParams,
     CyclicModule,
@@ -121,6 +129,147 @@ class TestCyclicSeries:
         M0 = CyclicModule(4, mp_ideal(4, 2))
         M3 = CyclicModule(4, mp_ideal(4, 2), shift=3)
         assert module_dimension(M0) == module_dimension(M3) == 2
+
+
+def rational_series(I: PolyIdeal) -> HilbertSeries:
+    """The series read off the leading monomials of the rational reduced
+    basis, the route every non-monomial ideal took before the modular
+    certificate."""
+    d = I.ring_dim
+    order = DegRevLex(d)
+    exps = frozenset(g.leading_monomial(order) for g in buchberger(I, order))
+    return HilbertSeries(d, _numerator_of_monomial(d, minimalize_exponents(exps)))
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("this series must not need that computation")
+
+
+@st.composite
+def certificate_ideals(draw):
+    """Homogeneous ideals in 2-5 variables: generic complete intersections
+    of mixed degree, generators with a common factor, redundant generators,
+    more generators than variables, and pairs that agree mod the kernel's
+    prime, with small, rational or 10^15-sized coefficients.  Dense coefficients come from a drawn seed, so the draw
+    stays small."""
+    d = draw(st.integers(2, 5))
+    top = 3 if d <= 3 else 2
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    style = draw(st.sampled_from(["small", "rational", "huge"]))
+
+    def coefficient():
+        c = rng.randint(-5, 5)
+        if style == "rational":
+            return Fraction(c, rng.randint(1, 9))
+        if style == "huge" and c:
+            return c * 10**15 + rng.randint(-5, 5)
+        return c
+
+    def form(deg: int) -> Polynomial:
+        while True:
+            terms = {m: coefficient() for m in monomials_of_degree(d, deg)}
+            if any(terms.values()):
+                return Polynomial(d, terms)
+
+    def forms(count: int) -> list[Polynomial]:
+        return [form(draw(st.integers(1, top))) for _ in range(count)]
+
+    kind = draw(
+        st.sampled_from(["generic", "common factor", "redundant", "many", "unlucky"])
+    )
+    if kind == "generic":
+        gens = forms(draw(st.integers(2, d)))
+    elif kind == "common factor":
+        factor = form(1)
+        gens = [factor * g for g in forms(2)] + forms(draw(st.integers(0, d - 2)))
+    elif kind == "redundant":
+        gens = forms(draw(st.integers(1, d - 1)))
+        deg = max(g.degree() for g in gens) + draw(st.integers(0, 1))
+        extra = Polynomial(d)
+        for g in gens:
+            if g.degree() < deg:
+                extra = extra + form(deg - g.degree()) * g
+            else:
+                extra = extra + g * draw(st.sampled_from([1, -3, Fraction(5, 2)]))
+        gens.append(extra)
+    elif kind == "many":
+        gens = forms(d + draw(st.integers(1, 2)))
+    else:
+        # g and g + p h agree mod p, so the modular run loses a generator
+        gens = forms(draw(st.integers(1, d - 1)))
+        g = gens[0]
+        gens.append(g + form(g.degree()) * polyring._PRIME)
+    return PolyIdeal(d, draw(st.permutations(gens)))
+
+
+class TestModularCertificate:
+    @settings(max_examples=150, deadline=None)
+    @given(certificate_ideals())
+    def test_series_equals_rational_basis(self, I):
+        clear_memos()
+        expected = rational_series(I)
+        clear_memos()
+        assert series_of_cyclic(CyclicModule(I.ring_dim, I)) == expected
+
+    def test_unlucky_prime_falls_back(self, monkeypatch):
+        # mod p the two generators are x^2 twice, so the second one reduces
+        # to zero and misses the bound; over Q they are a regular sequence
+        p = polyring._PRIME
+        x2 = Polynomial(2, {(2, 0): 1})
+        I = PolyIdeal(2, [x2, Polynomial(2, {(2, 0): 1, (0, 2): p})])
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return buchberger(*args, **kwargs)
+
+        monkeypatch.setattr(presentation, "buchberger", counted)
+        S = series_of_cyclic(CyclicModule(2, I))
+        assert S.numerator == IntPolynomial((1, 0, -2, 0, 1))
+        assert len(calls) == 1
+
+    def test_series_only_never_the_initial_ideal(self, monkeypatch):
+        # the leading monomials mod p are (y, z^2), over Q (x, z^2): the
+        # series agree, the initial ideal comes from the rational basis
+        p = polyring._PRIME
+        I = PolyIdeal(
+            3, [Polynomial(3, {(1, 0, 0): p, (0, 1, 0): 1}), Polynomial(3, {(0, 0, 2): 1})]
+        )
+        with monkeypatch.context() as mp:
+            mp.setattr(polyring, "buchberger", refuse)
+            mp.setattr(presentation, "buchberger", refuse)
+            S = series_of_cyclic(CyclicModule(3, I))
+        assert S.numerator == IntPolynomial((1, -1, -1, 1))
+        lead = sorted(next(iter(g.nums)) for g in initial_ideal(I).generators)
+        assert lead == [(0, 0, 2), (1, 0, 0)]
+
+    def test_exits_without_a_modular_run(self, monkeypatch):
+        monkeypatch.setattr(polyring, "ModPKernel", refuse)
+        monkeypatch.setattr(presentation, "ModPKernel", refuse)
+        # a principal ideal needs no basis at all
+        with monkeypatch.context() as mp:
+            mp.setattr(polyring, "buchberger", refuse)
+            mp.setattr(presentation, "buchberger", refuse)
+            f = Polynomial(3, {(3, 0, 0): 2, (1, 1, 1): Fraction(-1, 3), (0, 0, 3): 5})
+            S = series_of_cyclic(CyclicModule(3, PolyIdeal(3, [f])))
+        assert S.numerator == IntPolynomial((1, 0, 0, -1))
+        # generators sharing the variable x, and more generators than
+        # variables, go straight to the rational basis
+        xy_xz = PolyIdeal(
+            3, [Polynomial(3, {(1, 1, 0): 1, (2, 0, 0): 1}), Polynomial(3, {(1, 0, 1): 1})]
+        )
+        many = PolyIdeal(
+            2,
+            [
+                Polynomial(2, {(2, 0): 1, (1, 1): 1}),
+                Polynomial(2, {(0, 2): 1, (1, 1): 2}),
+                Polynomial(2, {(2, 0): 3, (0, 2): 1}),
+            ],
+        )
+        for I in (xy_xz, many):
+            S = series_of_cyclic(CyclicModule(I.ring_dim, I))
+            clear_memos()
+            assert S == rational_series(I)
 
 
 class TestResolutionSeries:

@@ -15,6 +15,7 @@ from hilbcalc.series import (
     IntPolynomial,
     MixedAmbient,
     binomial,
+    coefficient,
     combine,
     expand,
     h_polynomial,
@@ -468,3 +469,18 @@ class TestKernelsAgainstReferences:
         assert p.taylor_at_one() == reference_taylor_at_one(p)
         S = HilbertSeries(2, p)
         assert relative_coefficient(S, i) == reference_relative_coefficient(S, i)
+
+
+class TestCoefficient:
+    @settings(max_examples=300, deadline=None)
+    @given(numerators(), st.integers(0, 6), st.integers(0, 60))
+    def test_matches_expand(self, h, d, n):
+        S = HilbertSeries(d, h)
+        assert coefficient(S, n) == expand(S, n)[n]
+
+    def test_edges(self):
+        S = HilbertSeries(3, IntPolynomial((1, 0, -2, 1)))
+        assert [coefficient(S, n) for n in range(7)] == [1, 3, 4, 5, 6, 7, 8]
+        assert coefficient(S, -1) == coefficient(S, -5) == 0
+        assert coefficient(HilbertSeries(0, IntPolynomial((2, 1))), 3) == 0
+        assert coefficient(HilbertSeries(4, IntPolynomial.zero()), 3) == 0
