@@ -85,29 +85,37 @@ _MONOMIAL_NUMERATORS: dict[tuple[int, frozenset[Monomial]], IntPolynomial] = {}
 
 def _pivot_step(d: int, exps: frozenset[Monomial]):
     """The numerator of a base case, or the memo keys of the pivot split
-    (I : x) and I + (x) whose numerators give t * h(I : x) + h(I + (x))."""
+    (I : x) and I + (x) whose numerators give t * h(I : x) + h(I + (x)).
+
+    x is the variable in the most generators (Bigatti), and both children
+    come out minimally generated.  I + (x) is x and the generators x does
+    not divide.  I : x is the generators m/x of those x divides, which stay
+    incomparable, and the generators without x that no m/x divides; none
+    of those divides an m/x, since it would then divide m.
+    """
     if not exps:
         return IntPolynomial.one()
     zero_exp = (0,) * d
     if zero_exp in exps:
         return IntPolynomial.zero()
-    if all(sum(1 for m in exps if m[i]) <= 1 for i in range(d)):
+    # the number of generators each variable divides
+    counts = [len(exps) - column.count(0) for column in zip(*exps)]
+    v = max(range(d), key=counts.__getitem__)
+    if counts[v] <= 1:
         # pairwise coprime generators (no variable shared) form a regular
         # sequence, so the numerator is the product of the (1 - t^deg m)
         h = IntPolynomial.one()
         for m in exps:
             h = h - h.times_t_power(monomial_degree(m))
         return h
-    # two generators share a variable, so some generator is not a variable
-    pivot_gen = next(m for m in sorted(exps) if monomial_degree(m) > 1)
-    pivot_var = next(i for i, e in enumerate(pivot_gen) if e > 0)
-    x = tuple(1 if i == pivot_var else 0 for i in range(d))
-    colon_exps = minimalize_exponents(
-        tuple(e - (1 if i == pivot_var and e > 0 else 0) for i, e in enumerate(m))
-        for m in exps
-    )
-    plus_exps = minimalize_exponents(set(exps) | {x})
-    return (d, colon_exps), (d, plus_exps)
+    # x divides two minimal generators, so x itself is not one
+    plus = [m for m in exps if not m[v]]
+    lowered = [m[:v] + (m[v] - 1,) + m[v + 1 :] for m in exps if m[v]]
+    # only an m/x free of x can divide a generator without x
+    free = [m for m in lowered if not m[v]]
+    colon = lowered + [m for m in plus if not any(monomial_divides(f, m) for f in free)]
+    plus.append(zero_exp[:v] + (1,) + zero_exp[v + 1 :])
+    return (d, frozenset(colon)), (d, frozenset(plus))
 
 
 def _numerator_of_monomial(d: int, exps: frozenset[Monomial]) -> IntPolynomial:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, le, sub
@@ -799,6 +799,13 @@ def _reduced_basis(
     pairs: dict[tuple[int, int], tuple] = {}
     for f in sorted((g for g in gens if not g.is_zero), key=Polynomial.degree):
         previous = tuple(lms)
+
+        @cache
+        def before() -> HilbertSeries:
+            """H(R/J) for the ideal J of the earlier stages: built once per
+            stage, and only if the stage reads its bound."""
+            return HilbertSeries(nvars, numerator(previous))
+
         e = f.degree()
         r = kernel.enter(f, G)
         if r is not None:
@@ -809,7 +816,7 @@ def _reduced_basis(
             def spans(n: int) -> bool:
                 state = (n, len(G))
                 if state not in spanned:
-                    bound = hilbert(previous, n) - hilbert(previous, n - e)
+                    bound = coefficient(before(), n) - coefficient(before(), n - e)
                     spanned[state] = hilbert(lms, n) == bound
                 return spanned[state]
 
@@ -849,7 +856,7 @@ def _reduced_basis(
                     add(r)
             G, lms = _minimal(G, lms, order)
         if not kernel.exact:
-            h = numerator(previous)
+            h = before().numerator
             if numerator(lms) != h - h.times_t_power(e):
                 raise Uncertified(f"stage of degree {e} above the bound")
     return kernel.finish(G)

@@ -10,6 +10,7 @@ produced here is exact.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -82,6 +83,30 @@ def binomial(m: int, n: int) -> int:
     return math.comb(m, n)
 
 
+_INT_ONLY = frozenset({int})
+
+
+def _as_int(c) -> int:
+    """c as an int: ints and Rationals of denominator 1, such as
+    Fraction(4, 1), are accepted; anything else is a TypeError, never a
+    truncation."""
+    if isinstance(c, numbers.Rational) and c.denominator == 1:
+        return int(c)
+    raise TypeError(f"coefficients must be integers, got {c!r}")
+
+
+def _trimmed_ints(cs) -> tuple[int, ...]:
+    """cs as a tuple of ints without trailing zeros.  A tuple of plain
+    ints, what every kernel here builds, is trimmed without a copy of each
+    entry."""
+    if type(cs) is not tuple or not _INT_ONLY.issuperset(map(type, cs)):
+        cs = tuple(map(_as_int, cs))
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    return cs if n == len(cs) else cs[:n]
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """Dense univariate polynomial over the integers, trailing zeros trimmed."""
@@ -89,10 +114,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = tuple(int(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", _trimmed_ints(self.coeffs))
 
     @classmethod
     def zero(cls) -> "IntPolynomial":
@@ -138,7 +160,11 @@ class IntPolynomial:
         return IntPolynomial(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return IntPolynomial(tuple(out))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -287,10 +313,7 @@ class CoefficientTable:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        cs = tuple(int(c) for c in self.coeffs)
-        while cs and cs[-1] == 0:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "coeffs", _trimmed_ints(self.coeffs))
 
     def e(self, i: int) -> int:
         """e_i, with indices past the stored table reading as zero."""
@@ -364,21 +387,17 @@ def combine(terms: Sequence[tuple[int, HilbertSeries]]) -> HilbertSeries:
 
 
 def expand(S: HilbertSeries, max_degree: int = DEFAULT_TRUNCATION) -> list[int]:
-    """Power series coefficients of S in degrees 0..max_degree."""
+    """Power series coefficients of S in degrees 0..max_degree.
+
+    Dividing by (1 - t) takes prefix sums, so the numerator, cut or padded
+    to max_degree + 1 terms, goes through ambient_dim prefix-sum passes.
+    """
     if max_degree < 0:
         raise ValueError("max_degree must be a natural")
-    d = S.ambient_dim
-    h = S.numerator.coeffs
-    out = []
-    for n in range(max_degree + 1):
-        if d == 0:
-            out.append(h[n] if n < len(h) else 0)
-        else:
-            acc = 0
-            for j in range(min(n, len(h) - 1) + 1):
-                if h[j]:
-                    acc += h[j] * binomial(n - j + d - 1, d - 1)
-            out.append(acc)
+    h = S.numerator.coeffs[: max_degree + 1]
+    out = list(h) + [0] * (max_degree + 1 - len(h))
+    for _ in range(S.ambient_dim):
+        out = list(accumulate(out))
     return out
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +69,21 @@ class TestIntPolynomial:
     def test_trims_trailing_zeros(self):
         assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
         assert IntPolynomial((0, 0)).is_zero
+
+    def test_integral_coefficients_are_accepted(self):
+        p = IntPolynomial([Fraction(4, 2), True, 0])
+        assert p.coeffs == (2, 1)
+        assert all(type(c) is int for c in p.coeffs)
+        assert p == IntPolynomial((2, 1))
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), 2.9, 2.0, "3", None])
+    def test_non_integer_coefficients_are_refused(self, bad):
+        with pytest.raises(TypeError):
+            IntPolynomial((1, bad))
+        with pytest.raises(TypeError):
+            HilbertSeries(1, [bad])
+        with pytest.raises(TypeError):
+            CoefficientTable(1, (bad,))
 
     def test_arithmetic(self):
         p = IntPolynomial((1, 1))
@@ -185,6 +201,7 @@ class TestHilbertCoefficients:
 
     def test_table_trims(self):
         assert CoefficientTable(2, (1, 0, 0)).coeffs == (1,)
+        assert CoefficientTable(2, [Fraction(3), 0]).coeffs == (3,)
 
 
 class TestRelativeCoefficient:
@@ -400,6 +417,17 @@ def reference_taylor_at_one(p: IntPolynomial) -> tuple[int, ...]:
     return tuple(out)
 
 
+def reference_expand(S: HilbertSeries, max_degree: int) -> list[int]:
+    """h_j C(n - j + d - 1, d - 1) summed over j <= n, one degree at a time."""
+    d, h = S.ambient_dim, S.numerator.coeffs
+    if d == 0:
+        return [h[n] if n < len(h) else 0 for n in range(max_degree + 1)]
+    return [
+        sum(h[j] * binomial(n - j + d - 1, d - 1) for j in range(min(n + 1, len(h))))
+        for n in range(max_degree + 1)
+    ]
+
+
 def reference_relative_coefficient(S: HilbertSeries, i: int) -> int:
     h = S.numerator
     return sum(binomial(j, i) * h.coeffs[j] for j in range(i, len(h.coeffs)))
@@ -428,6 +456,15 @@ def numerators(draw):
 
 
 class TestKernelsAgainstReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(numerators(), st.integers(0, 6), st.data())
+    def test_expand_matches_reference(self, h, d, data):
+        # max_degree runs from 0 to past the numerator's length, so the
+        # numerator is both cut and padded; d = 0 expands to h itself
+        max_degree = data.draw(st.integers(0, len(h.coeffs) + 8))
+        S = HilbertSeries(d, h)
+        assert expand(S, max_degree) == reference_expand(S, max_degree)
+
     @settings(max_examples=300, deadline=None)
     @given(one_minus_t_multiples(), st.integers(0, 7))
     def test_division_matches_reference(self, problem, k):
