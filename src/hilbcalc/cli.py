@@ -477,12 +477,21 @@ def render_paper_examples(report: dict, opts: Options) -> list[str]:
 
 
 def _emit(report: dict, opts: Options, lines: list[str], elapsed: float) -> None:
-    if opts.as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    elif not opts.quiet:
-        for line in lines:
-            print(line)
-        print(f"elapsed {elapsed:.2f}s")
+    """Print the report.  A reader that closes standard output early ends
+    the printing quietly: the rest of the report is dropped, and fd 1 then
+    points at the null device so the flush at exit finds no broken pipe."""
+    try:
+        if opts.as_json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        elif not opts.quiet:
+            for line in lines:
+                print(line)
+            print(f"elapsed {elapsed:.2f}s")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _options_from(args: argparse.Namespace) -> Options:

@@ -95,14 +95,14 @@ def tokenize(text: str) -> list[Token]:
             col += end - pos
             pos = end
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             end = pos
-            while end < n and text[end].isdigit():
+            while end < n and text[end].isdecimal():
                 end += 1
             # a/b with no interior whitespace is one rational literal
-            if end < n and text[end] == "/" and end + 1 < n and text[end + 1].isdigit():
+            if end < n and text[end] == "/" and end + 1 < n and text[end + 1].isdecimal():
                 end += 1
-                while end < n and text[end].isdigit():
+                while end < n and text[end].isdecimal():
                     end += 1
                 tokens.append(Token("rat", text[pos:end], line, start_col))
             else:
@@ -455,11 +455,20 @@ class _Parser:
         if self.peek().kind in ("+", "-"):
             if self.advance().kind == "-":
                 sign = -1
-        poly = self.parse_term() * sign
-        while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            term = self.parse_term()
-            poly = poly + term if op == "+" else poly - term
+        # the terms summed in one dict, a monomial dropped when it cancels,
+        # as Polynomial addition drops it
+        terms: dict = {}
+        while True:
+            m, c = self.parse_term()
+            v = terms.get(m, 0) + sign * c
+            if v:
+                terms[m] = v
+            else:
+                terms.pop(m, None)
+            if self.peek().kind not in ("+", "-"):
+                break
+            sign = 1 if self.advance().kind == "+" else -1
+        poly = Polynomial(len(self.variables), terms)
         degrees = {sum(m) for m in poly.nums}
         if len(degrees) > 1:
             raise SemanticError(
@@ -469,14 +478,15 @@ class _Parser:
             )
         return poly
 
-    def parse_term(self) -> Polynomial:
+    def parse_term(self) -> tuple[tuple[int, ...], int | Fraction]:
+        """One term: its exponent tuple and its coefficient."""
         d = len(self.variables)
         tok = self.peek()
         coeff = 1
         if tok.kind in ("int", "rat"):
             self.advance()
             try:
-                coeff = Fraction(tok.text)
+                coeff = int(tok.text) if tok.kind == "int" else Fraction(tok.text)
             except ZeroDivisionError:
                 raise SemanticError(
                     f"zero denominator in literal {tok.text}", tok.line, tok.column
@@ -508,7 +518,7 @@ class _Parser:
                 continue
             if self.peek().kind == "ident":
                 continue
-            return Polynomial.from_monomial(d, tuple(e), coeff)
+            return tuple(e), coeff
 
     def parse_linear_form(self) -> LinearForm:
         start = self.peek()

@@ -13,10 +13,10 @@ incremental Buchberger loop: generators enter one at a time, S-pairs are
 skipped by the coprime and chain criteria and, for homogeneous input, by
 an exact lower bound on the Hilbert function of the next stage's quotient.
 Its coefficient work is a kernel: over the rationals it returns the
-reduced monic basis; mod 2^31 - 1 it top-reduces only and returns leading
-monomials that certify a Hilbert series, never an initial ideal (see
-`presentation`).  Exponent arithmetic and the monomial Hilbert numerator
-live in `monomial`.
+reduced monic basis; mod 2^31 - 1 it top-reduces only, on monomials packed
+into single ints, and returns leading monomials that certify a Hilbert
+series, never an initial ideal (see `presentation`).  Exponent arithmetic
+and the monomial Hilbert numerator live in `monomial`.
 """
 
 from __future__ import annotations
@@ -653,74 +653,126 @@ _PRIME = 2**31 - 1
 
 
 class ModPKernel:
-    """Coefficients mod the prime 2^31 - 1 for `_reduced_basis`.
+    """Coefficients mod the prime 2^31 - 1 for `_reduced_basis`, in the
+    degree reverse lexicographic order only.
 
-    An element is (lm, tail): a polynomial mod p with leading monomial lm,
-    leading coefficient 1 and the other terms the (monomial, residue)
-    pairs of tail.  A generator enters as its primitive integer numerators
-    mod p.  Only the leading term of a pending polynomial is reduced, by
-    the first element whose leading monomial divides it, and the basis
-    gets no final tail reduction: the result is the leading monomials
-    alone.  They are those
-    of elements of the ideal mod p, so they bound the rational Hilbert
+    Inside the kernel a monomial m of degree n with exponents e_i is one
+    int, K(m) = -n 2^(B d) + sum e_i 2^(B i), with B-bit fields whose top
+    bit, the guard bit, stays clear (Bachmann & Schoenemann 1998):
+
+    - ascending K is ascending `DegRevLex.key`: degree first, then the
+      fields from the last variable down, which are the low B d bits
+      R(m) = K(m) & (2^(B d) - 1);
+    - K(m u) = K(m) + K(u), so a shift is one addition;
+    - with `guards` the mask of the guard bits, lm divides m exactly
+      when ((R(m) | guards) - R(lm)) & guards == guards: each field of m
+      borrows from its own guard bit, and keeps it only if its exponent
+      is at least lm's.
+
+    The fields hold exponents up to `limit`, sized from the generators'
+    degrees with headroom.  A homogeneous polynomial of degree n has no
+    exponent above n, so one degree check per entering generator and per
+    S-pair lcm guards them; a run that would pass the limit raises
+    Uncertified and the rational loop answers instead.
+
+    An element is (K(lm), R(lm), tail): a polynomial mod p with leading
+    monomial lm, leading coefficient 1 and the other terms the (K(m),
+    residue) pairs of tail.  A generator enters as its primitive integer
+    numerators mod p.  Only the leading term of a pending polynomial is
+    reduced, by the first element whose leading monomial divides it, and
+    the basis gets no final tail reduction: the result is the leading
+    monomials alone, unpacked to exponent tuples.  They are those of
+    elements of the ideal mod p, so they bound the rational Hilbert
     function from above and certify a series only where they meet the
     rational lower bound (see `_reduced_basis`).
     """
 
     exact = False
 
-    def __init__(self, order: MonomialOrder):
-        self.order = order
+    def __init__(self, order: MonomialOrder, gens: Sequence[Polynomial]):
+        if type(order) is not DegRevLex:
+            raise TypeError(f"ModPKernel packs degrevlex monomials, not {order.name}")
+        self.nvars = d = order.nvars
+        # exponents up to limit = 2^(B-1) - 1, at least twice the sum of the
+        # generators' degrees: in generic coordinates the degrevlex basis of
+        # a regular sequence stays below that sum (Macaulay's bound)
+        self.field = B = max(2 * sum(g.degree() for g in gens), 1).bit_length() + 1
+        self.limit = (1 << (B - 1)) - 1
+        self.width = B * d
+        self.mask = (1 << self.width) - 1
+        self.guards = sum(1 << (B * i + B - 1) for i in range(d))
+
+    def _pack(self, m: Monomial) -> int:
+        k = 0
+        for e in reversed(m):
+            k = k << self.field | e
+        return k - (sum(m) << self.width)
+
+    def _unpack(self, k: int) -> Monomial:
+        B, r = self.field, k & self.mask
+        return tuple(r >> (B * i) & self.limit for i in range(self.nvars))
+
+    def _guard(self, n: int) -> None:
+        """Refuse a polynomial of degree n when its exponents may not fit."""
+        if n > self.limit:
+            raise Uncertified(f"degree {n} above the exponent field limit {self.limit}")
 
     def enter(self, f: Polynomial, G: list[tuple]) -> Optional[tuple]:
+        self._guard(f.degree())
         content = gcd(*f.nums.values())
-        return self._top_reduce({m: v // content % _PRIME for m, v in f.nums.items()}, G)
+        pack = self._pack
+        work = {pack(m): v // content % _PRIME for m, v in f.nums.items()}
+        return self._top_reduce(work, G)
 
     def spair(self, G: list[tuple], i: int, j: int) -> Optional[tuple]:
-        (lmi, taili), (lmj, tailj) = G[i], G[j]
-        top = monomial_lcm(lmi, lmj)
-        u, v = monomial_div(top, lmi), monomial_div(top, lmj)
-        work = {monomial_mul(m, u): c for m, c in taili}
+        (ki, _, taili), (kj, _, tailj) = G[i], G[j]
+        top = monomial_lcm(self._unpack(ki), self._unpack(kj))
+        self._guard(monomial_degree(top))
+        ktop = self._pack(top)
+        u, v = ktop - ki, ktop - kj
+        work = {m + u: c for m, c in taili}
         for m, c in tailj:
-            m = monomial_mul(m, v)
+            m += v
             work[m] = (work.get(m, 0) - c) % _PRIME
         return self._top_reduce(work, G)
 
     def lead(self, g: tuple) -> Monomial:
-        return g[0]
+        return self._unpack(g[0])
 
     def finish(self, G: list[tuple]) -> tuple[Monomial, ...]:
-        return tuple(lm for lm, _ in G)
+        return tuple(self._unpack(g[0]) for g in G)
 
     def _top_reduce(self, work: dict, G: list[tuple]) -> Optional[tuple]:
         """The residues work, top-reduced by G and made monic; None for zero.
 
-        A heap pops the pending monomials by order key; a residue that has
+        A heap pops the pending monomials in order; a residue that has
         cancelled to 0 stays in work until popped and is skipped.  Every
         monomial a reduction step writes lies below the popped one, so no
         monomial enters the heap twice.
         """
-        key = self.order.key
-        heap = [(key(m), m) for m in work]
+        mask, guards = self.mask, self.guards
+        heap = list(work)
         heapify(heap)
         while heap:
-            m = heappop(heap)[1]
+            m = heappop(heap)
             c = work.pop(m)
             if not c:
                 continue
-            for lm, tail in G:
-                if all(map(le, lm, m)):
+            r = m & mask | guards
+            for lm, rlm, tail in G:
+                if (r - rlm) & guards == guards:
                     break
             else:
                 inv = pow(c, -1, _PRIME)
-                return m, tuple((t, v * inv % _PRIME) for t, v in work.items() if v)
-            shift = tuple(map(sub, m, lm))
+                tail = tuple((t, v * inv % _PRIME) for t, v in work.items() if v)
+                return m, m & mask, tail
+            shift = m - lm
             for mt, ct in tail:
-                mm = tuple(map(add, mt, shift))
+                mm = mt + shift
                 v = work.get(mm)
                 if v is None:
                     work[mm] = -c * ct % _PRIME
-                    heappush(heap, (key(mm), mm))
+                    heappush(heap, mm)
                 else:
                     work[mm] = (v - c * ct) % _PRIME
         return None

@@ -18,12 +18,13 @@ is exact once it is certified by two bounds:
 Starting from H(R/0) = 1/(1-t)^d, a stage whose mod-p numerator equals
 (1 - t^e_k) times the previous one has that exact rational series.  An
 unlucky prime, a zerodivisor or a redundant generator only misses the
-bound, and then the rational loop runs instead.  A stage stops at the
-first finished degree whose count exceeds the bound.  A single generator
-needs no basis at all.  More generators than variables, or two generators
-that one variable divides, go straight to the rational loop, because a
-regular sequence has at most d members and no two of them share a
-factor.  Only the series is certified, never the initial ideal: for
+bound, and a run whose degrees pass the packed exponent fields of
+`ModPKernel` stops; either way the rational loop runs instead.  A stage
+stops at the first finished degree whose count exceeds the bound.  A
+single generator needs no basis at all.  More generators than variables,
+or two generators that one variable divides, go straight to the rational
+loop, because a regular sequence has at most d members and no two of them
+share a factor.  Only the series is certified, never the initial ideal: for
 (p x + y, z^2) the rational initial ideal is (x, z^2) and the mod-p one
 is (y, z^2), so `buchberger`, `initial_ideal` and `colon` stay rational.
 """
@@ -169,7 +170,7 @@ def _numerator_of_ideal(d: int, I: PolyIdeal) -> IntPolynomial:
         return one - one.times_t_power(gens[0].degree())
     if len(gens) <= d and not _common_variable(gens):
         try:
-            exps = _reduced_basis(gens, d, order, ModPKernel(order))
+            exps = _reduced_basis(gens, d, order, ModPKernel(order, gens))
         except Uncertified:
             pass
         else:

@@ -585,3 +585,25 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["status"] == "pass"
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that stops after 10 bytes of a long report: the run still
+    exits with its own status, with no internal error."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "hilbcalc", "coeffs", "--ring", "x y z", "--ideal", "x^2",
+         "--shift", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    try:
+        assert len(child.stdout.read(10)) == 10
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 0, stderr
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert "internal" not in stderr

@@ -168,6 +168,43 @@ class TestParser:
         assert gens[0] == Polynomial.from_monomial(2, (1, 1))
         assert gens[1] == Polynomial.from_monomial(2, (2, 0), 2)
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("+-"),
+                st.sampled_from(["", "1", "3", "2/4", "7/3", "0"]),
+                st.sampled_from([(2, 0, 0), (1, 1, 0), (0, 1, 1), (0, 0, 2)]),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_literal_is_the_sum_of_its_terms(self, terms):
+        """One pass over the terms gives the Polynomial sum of the terms,
+        down to the order of its numerators."""
+        pieces, expected = [], Polynomial(3)
+        for sign, coeff, m in terms:
+            factors = [f"{v}^{e}" for v, e in zip("xyz", m) if e]
+            pieces.append(f"{sign} {'*'.join(([coeff] if coeff else []) + factors)}")
+            term = Polynomial.from_monomial(3, m, Fraction(coeff or 1))
+            expected = expected + term if sign == "+" else expected - term
+        try:
+            s = parse_text(f"ring x y z; ideal I = {' '.join(pieces)};")
+        except SemanticError as exc:
+            assert expected.is_zero and "cancels to zero" in str(exc)
+            return
+        (gen,) = s.ideals()["I"].generators
+        assert list(gen.nums.items()) == list(expected.nums.items())
+        assert gen.den == expected.den
+
+    def test_only_decimal_digits_make_numbers(self):
+        # a superscript two is a digit to str.isdigit but no integer literal
+        with pytest.raises(LexError, match="illegal character"):
+            parse_text("ring x; ideal I = ²*x;")
+        s = parse_text("ring x; ideal I = ٣*x;")
+        assert s.ideals()["I"].generators[0] == Polynomial.from_monomial(1, (1,), 3)
+
     def test_cancelling_generator_is_dropped(self):
         s = parse_text("ring x y; ideal I = x - x, y;")
         assert len(s.ideals()["I"].generators) == 1

@@ -2,6 +2,9 @@
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
+from operator import add, le, sub
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +15,23 @@ from hilbcalc import polyring, presentation
 from hilbcalc.monomial import (
     _numerator_of_monomial,
     minimalize_exponents,
+    monomial_div,
+    monomial_lcm,
+    monomial_mul,
     monomials_of_degree,
 )
 from hilbcalc.oracle import verify_series
-from hilbcalc.polyring import DegRevLex, PolyIdeal, Polynomial, buchberger, initial_ideal
+from hilbcalc.polyring import (
+    DegRevLex,
+    EliminationOrder,
+    ModPKernel,
+    PolyIdeal,
+    Polynomial,
+    Uncertified,
+    _reduced_basis,
+    buchberger,
+    initial_ideal,
+)
 from hilbcalc.presentation import (
     BadParams,
     CyclicModule,
@@ -270,6 +286,159 @@ class TestModularCertificate:
             S = series_of_cyclic(CyclicModule(I.ring_dim, I))
             clear_memos()
             assert S == rational_series(I)
+
+
+class TupleModPKernel:
+    """The mod-p kernel on exponent tuples, as it was before monomials were
+    packed into ints: the reference for `ModPKernel`, step for step."""
+
+    exact = False
+
+    def __init__(self, order):
+        self.order = order
+
+    def enter(self, f, G):
+        content = gcd(*f.nums.values())
+        return self._top_reduce(
+            {m: v // content % polyring._PRIME for m, v in f.nums.items()}, G
+        )
+
+    def spair(self, G, i, j):
+        (lmi, taili), (lmj, tailj) = G[i], G[j]
+        top = monomial_lcm(lmi, lmj)
+        u, v = monomial_div(top, lmi), monomial_div(top, lmj)
+        work = {monomial_mul(m, u): c for m, c in taili}
+        for m, c in tailj:
+            m = monomial_mul(m, v)
+            work[m] = (work.get(m, 0) - c) % polyring._PRIME
+        return self._top_reduce(work, G)
+
+    def lead(self, g):
+        return g[0]
+
+    def finish(self, G):
+        return tuple(lm for lm, _ in G)
+
+    def _top_reduce(self, work, G):
+        p, key = polyring._PRIME, self.order.key
+        heap = [(key(m), m) for m in work]
+        heapify(heap)
+        while heap:
+            m = heappop(heap)[1]
+            c = work.pop(m)
+            if not c:
+                continue
+            for lm, tail in G:
+                if all(map(le, lm, m)):
+                    break
+            else:
+                inv = pow(c, -1, p)
+                return m, tuple((t, v * inv % p) for t, v in work.items() if v)
+            shift = tuple(map(sub, m, lm))
+            for mt, ct in tail:
+                mm = tuple(map(add, mt, shift))
+                v = work.get(mm)
+                if v is None:
+                    work[mm] = -c * ct % p
+                    heappush(heap, (key(mm), mm))
+                else:
+                    work[mm] = (v - c * ct) % p
+        return None
+
+
+def modular_run(I: PolyIdeal, kernel) -> tuple[list, object]:
+    """The leading monomial of every element a mod-p run adds, in order,
+    and its result: the final leading monomials, or Uncertified."""
+    order = DegRevLex(I.ring_dim)
+    gens = I.generators
+    k = kernel(order, gens)
+    steps: list = []
+    lead = k.lead
+    k.lead = lambda g: steps.append(lead(g)) or steps[-1]
+    try:
+        return steps, _reduced_basis(gens, I.ring_dim, order, k)
+    except Uncertified:
+        return steps, Uncertified
+
+
+def tuple_kernel(order, gens):
+    return TupleModPKernel(order)
+
+
+@st.composite
+def wide_ideals(draw):
+    """2-4 forms of degree 1-3 in 6-9 variables, sparse or dense, so that
+    a packed monomial spans many fields."""
+    d = draw(st.integers(6, 9))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from([0.1, 0.4, 1.0]))
+
+    def form(deg: int) -> Polynomial:
+        while True:
+            terms = {
+                m: rng.randint(-5, 5)
+                for m in monomials_of_degree(d, deg)
+                if rng.random() < density
+            }
+            if any(terms.values()):
+                return Polynomial(d, terms)
+
+    count = draw(st.integers(2, 4))
+    return PolyIdeal(d, [form(draw(st.integers(1, 3))) for _ in range(count)])
+
+
+def generic_quadrics(seed: int, d: int = 8, count: int = 4) -> PolyIdeal:
+    """count quadrics in d variables with coefficients from randint(-5, 5)."""
+    rng = random.Random(seed)
+
+    def quadric() -> Polynomial:
+        while True:
+            terms = {m: rng.randint(-5, 5) for m in monomials_of_degree(d, 2)}
+            if any(terms.values()):
+                return Polynomial(d, terms)
+
+    return PolyIdeal(d, [quadric() for _ in range(count)])
+
+
+class TestPackedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(certificate_ideals(), wide_ideals()))
+    def test_same_steps_as_the_tuple_kernel(self, I):
+        assert modular_run(I, ModPKernel) == modular_run(I, tuple_kernel)
+
+    def test_run_past_the_field_limit_falls_back(self):
+        # (x^n, x y^(n-1) - z^n) is a regular sequence whose degrevlex basis
+        # holds x^(n-k) z^(kn) for k = 1..n, up to z^(n^2): degree 36 at
+        # n = 6, past fields sized for generators of degree 6
+        n = 6
+        I = PolyIdeal(
+            3,
+            [
+                Polynomial(3, {(n, 0, 0): 1}),
+                Polynomial(3, {(1, n - 1, 0): 1, (0, 0, n): -1}),
+            ],
+        )
+        order = DegRevLex(3)
+        kernel = ModPKernel(order, I.generators)
+        assert kernel.limit < n * n
+        with pytest.raises(Uncertified, match="field limit"):
+            _reduced_basis(I.generators, 3, order, kernel)
+        assert max(map(sum, modular_run(I, tuple_kernel)[1])) == n * n
+        S = series_of_cyclic(CyclicModule(3, I))
+        clear_memos()
+        assert S == rational_series(I)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_generic_quadrics_stay_inside_the_fields(self, seed):
+        I = generic_quadrics(seed)
+        run = modular_run(I, ModPKernel)
+        assert run[1] is not Uncertified
+        assert run == modular_run(I, tuple_kernel)
+
+    def test_degrevlex_only(self):
+        f = Polynomial(3, {(1, 1, 0): 1, (0, 0, 2): 1})
+        with pytest.raises(TypeError, match="degrevlex"):
+            ModPKernel(EliminationOrder(3), [f])
 
 
 class TestResolutionSeries:
