@@ -94,6 +94,23 @@ class Options:
 # rendering helpers
 
 
+class TooLongToPrint(Exception):
+    """A computed integer has more digits than the interpreter converts to
+    text.  The run is refused with exit 2, not reported as a failed check."""
+
+
+def _int_text(n: int) -> str:
+    """str(n), refusing an integer past the interpreter's digit limit (the
+    only ValueError str raises on an int)."""
+    try:
+        return str(n)
+    except ValueError:
+        raise TooLongToPrint(
+            f"a result has more than {sys.get_int_max_str_digits()} digits, "
+            "the interpreter's limit for printing an integer"
+        ) from None
+
+
 def format_t_polynomial(coeffs: Sequence[int]) -> str:
     if not any(coeffs):
         return "0"
@@ -101,13 +118,13 @@ def format_t_polynomial(coeffs: Sequence[int]) -> str:
     for k, c in enumerate(coeffs):
         if c == 0:
             continue
-        mag = abs(c)
+        mag = _int_text(abs(c))
         if k == 0:
-            body = str(mag)
+            body = mag
         elif k == 1:
-            body = "t" if mag == 1 else f"{mag}*t"
+            body = "t" if mag == "1" else f"{mag}*t"
         else:
-            body = f"t^{k}" if mag == 1 else f"{mag}*t^{k}"
+            body = f"t^{k}" if mag == "1" else f"{mag}*t^{k}"
         if not pieces:
             pieces.append(body if c > 0 else f"-{body}")
         else:
@@ -182,7 +199,7 @@ def _run_coeffs(env: _Env, cmd, opts: Options) -> tuple[dict, str]:
     T = module_table(env.modules[cmd.module])
     dim = _dim_json(T.dim)
     fields = {"dimension": dim, "table": list(T.coeffs), "ok": True}
-    table = ", ".join(str(c) for c in T.coeffs)
+    table = ", ".join(map(_int_text, T.coeffs))
     return fields, f"dimension {dim}, e = ({table})"
 
 
@@ -269,7 +286,7 @@ def _run_verify(env: _Env, cmd, opts: Options) -> tuple[dict, str]:
     }
     exact = "exact" if rep.depth_exact else "probabilistic"
     return fields, (
-        f"e_{rep.i} {rep.e_module} -> {rep.e_quotient}, "
+        f"e_{rep.i} {_int_text(rep.e_module)} -> {_int_text(rep.e_quotient)}, "
         f"equality {'yes' if rep.equality else 'no'}, "
         f"depth {rep.depth_value} ({exact}), "
         f"parity {'ok' if rep.parity_ok else 'VIOLATED'}, "
@@ -319,6 +336,8 @@ def execute_script(script: Script, opts: Options) -> tuple[dict, list[str]]:
             entry["i" if name == "index" else name] = value
         try:
             result, text = _HANDLERS[keyword](env, cmd, opts)
+        except TooLongToPrint as exc:
+            raise TooLongToPrint(f"{keyword} {cmd.module}: {exc}") from None
         except ValueError as exc:
             result = {"error": str(exc), "ok": False}
             label = f"{keyword} {cmd.module}"
@@ -562,7 +581,11 @@ def _execute_text(text: str, opts: Options, describe=str) -> int:
     except DslError as exc:
         print(f"error: {describe(exc)}", file=sys.stderr)
         return EXIT_LANGUAGE
-    report, lines = execute_script(script, opts)
+    try:
+        report, lines = execute_script(script, opts)
+    except TooLongToPrint as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LANGUAGE
     elapsed = time.perf_counter() - t0
     _emit(report, opts, lines, elapsed)
     return EXIT_OK if report["status"] == "pass" else EXIT_VERIFICATION

@@ -9,9 +9,9 @@ the pivot recursion
     numerator(R/I) = t * numerator(R/(I : x)) + numerator(R/(I + (x)))
 
 that gives the Hilbert series numerator of R/I for a monomial ideal I.
-The series layer reads every non-monomial ideal through its initial ideal,
-and Buchberger reads the Hilbert function of its partial leading ideals,
-so both share one memo of numerators.
+The series layer reads every monomial ideal here, and Buchberger keeps
+the numerator of its partial leading ideals from those of their colons
+by one leading monomial, so both share one memo of numerators.
 """
 
 from __future__ import annotations

@@ -11,12 +11,16 @@ order.  Division and linear substitution work on the numerators, and one
 gcd puts each result in lowest terms.  The Groebner engine is one
 incremental Buchberger loop: generators enter one at a time, S-pairs are
 skipped by the coprime and chain criteria and, for homogeneous input, by
-an exact lower bound on the Hilbert function of the next stage's quotient.
-Its coefficient work is a kernel: over the rationals it returns the
-reduced monic basis; mod 2^31 - 1 it top-reduces only, on monomials packed
-into single ints, and returns leading monomials that certify a Hilbert
-series, never an initial ideal (see `presentation`).  Exponent arithmetic
-and the monomial Hilbert numerator live in `monomial`.
+an exact lower bound on the Hilbert function of the next stage's quotient,
+read off a Hilbert numerator the loop keeps up to date.  Its coefficient
+work is a kernel on monomials packed into single ints, one packing for
+both orders: over the rationals it reduces fully and fraction-free, mod
+2^31 - 1 it top-reduces only.  A run ends in leading monomials and their
+Hilbert numerator, which is all the series needs; only `buchberger` (and
+through it `initial_ideal` and `colon`) tail-reduces the rational run into
+the reduced monic basis.  The mod-p numerator certifies a series, never an
+initial ideal (see `presentation`).  Exponent arithmetic and the monomial
+Hilbert numerator live in `monomial`.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import Iterable, Optional, Sequence
 
 from hilbcalc.linalg import IntEchelon
@@ -36,7 +40,6 @@ from hilbcalc.monomial import (
     _numerator_of_monomial,
     minimalize_exponents,
     monomial_degree,
-    monomial_div,
     monomial_divides,
     monomial_lcm,
     monomial_mul,
@@ -266,11 +269,11 @@ class Polynomial:
     def degree(self) -> int:
         if not self.nums:
             return -1
-        return max(monomial_degree(m) for m in self.nums)
+        return max(map(sum, self.nums))
 
     def homogeneous_degree(self) -> Optional[int]:
         """Common total degree of all terms, or None if mixed or zero."""
-        degs = {monomial_degree(m) for m in self.nums}
+        degs = set(map(sum, self.nums))
         if len(degs) == 1:
             return degs.pop()
         return None
@@ -445,9 +448,10 @@ class PolyIdeal:
                 )
             if g.is_zero:
                 continue
-            if not g.is_homogeneous:
+            degree = g.homogeneous_degree()
+            if degree is None:
                 raise ValueError("ideal generators must be homogeneous")
-            if g.homogeneous_degree() == 0:
+            if degree == 0:
                 is_unit = True
                 continue
             gens.setdefault(g.canonical_key(), g)
@@ -584,21 +588,9 @@ def normal_form(
     return _divide(f, rows, order)
 
 
-def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    """x^u f / lc(f) - x^v g / lc(g): with a, b the leading numerators of
-    f and g, the integer polynomial b x^u f.nums - a x^v g.nums over a b."""
-    lmf, lmg = f.leading_monomial(order), g.leading_monomial(order)
-    top = monomial_lcm(lmf, lmg)
-    a, b = f.nums[lmf], g.nums[lmg]
-    diff = f.term_mul(b * f.den, monomial_div(top, lmf)) - g.term_mul(
-        a * g.den, monomial_div(top, lmg)
-    )
-    return _lowest(f.nvars, diff.nums, a * b)
-
-
 def _minimal(
-    G: list[Polynomial], lms: list[Monomial], order: MonomialOrder
-) -> tuple[list[Polynomial], list[Monomial]]:
+    G: list, lms: list[Monomial], order: MonomialOrder
+) -> tuple[list, list[Monomial]]:
     """The elements of G whose leading monomial no other one divides, with
     their leading monomials, lowest first (so a divisor precedes its
     multiples)."""
@@ -613,136 +605,256 @@ class Uncertified(ArithmeticError):
     """A stage of a modular run missed the exact rational lower bound."""
 
 
-class RationalKernel:
-    """Exact coefficients for `_reduced_basis`.
-
-    Elements are monic Polynomials reduced fully by `normal_form`, and the
-    result is the reduced monic basis: each element tail-reduced against
-    the others, listed leading monomial first in the order.
-    """
-
-    exact = True
-
-    def __init__(self, order: MonomialOrder):
-        self.order = order
-
-    def enter(self, f: Polynomial, G: list[Polynomial]) -> Optional[Polynomial]:
-        r = normal_form(f, G, self.order) if G else f
-        return None if r.is_zero else r.monic(self.order)
-
-    def spair(self, G: list[Polynomial], i: int, j: int) -> Optional[Polynomial]:
-        order = self.order
-        r = normal_form(_spoly(G[i], G[j], order), G, order)
-        return None if r.is_zero else r.monic(order)
-
-    def lead(self, g: Polynomial) -> Monomial:
-        return g.leading_monomial(self.order)
-
-    def finish(self, G: list[Polynomial]) -> tuple[Polynomial, ...]:
-        order = self.order
-        reduced = []
-        for i, g in enumerate(G):
-            others = [h for j, h in enumerate(G) if j != i]
-            reduced.append(normal_form(g, others, order).monic(order))
-        reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
-        return tuple(reduced)
-
-
 # the prime of the modular kernel, the largest below 2^31
 _PRIME = 2**31 - 1
 
 
-class ModPKernel:
-    """Coefficients mod the prime 2^31 - 1 for `_reduced_basis`, in the
-    degree reverse lexicographic order only.
+class _PackedKernel:
+    """Packed monomials and the basis elements of both kernels.
 
-    Inside the kernel a monomial m of degree n with exponents e_i is one
-    int, K(m) = -n 2^(B d) + sum e_i 2^(B i), with B-bit fields whose top
-    bit, the guard bit, stays clear (Bachmann & Schoenemann 1998):
+    Both orders the package defines are weight orders, so a monomial m
+    with exponents e_i is one int K(m) = sum e_i w_i that sorts like
+    `order.key` (Bachmann & Schoenemann 1998).  The low W = B d bits hold
+    the exponents in B-bit fields, variable i at bit B i, and the weights
+    put the order's leading criteria above them:
 
-    - ascending K is ascending `DegRevLex.key`: degree first, then the
-      fields from the last variable down, which are the low B d bits
-      R(m) = K(m) & (2^(B d) - 1);
+    - `DegRevLex`: K(m) = R(m) - deg(m) 2^W, degree first, then the
+      fields from the last variable down;
+    - `EliminationOrder` on variable a: K(m) = R(m) - deg'(m) 2^W -
+      m[a] 2^(W + B), with deg' the degree in the other variables, so
+      -m[a] comes first and -deg' next; the fields then compare the other
+      exponents from the last variable down, m[a] being equal by then.
+
+    Then:
+
+    - ascending K is ascending `order.key`, so a heap pops bare ints in
+      reduction order;
     - K(m u) = K(m) + K(u), so a shift is one addition;
-    - with `guards` the mask of the guard bits, lm divides m exactly
-      when ((R(m) | guards) - R(lm)) & guards == guards: each field of m
-      borrows from its own guard bit, and keeps it only if its exponent
-      is at least lm's.
+    - R(m) = K(m) & (2^W - 1), and with `guards` the mask of the fields'
+      top bits, lm divides m exactly when
+      ((R(m) | guards) - R(lm)) & guards == guards: each field of m
+      borrows from its own guard bit, and keeps it only if its exponent is
+      at least lm's.
 
-    The fields hold exponents up to `limit`, sized from the generators'
-    degrees with headroom.  A homogeneous polynomial of degree n has no
-    exponent above n, so one degree check per entering generator and per
-    S-pair lcm guards them; a run that would pass the limit raises
-    Uncertified and the rational loop answers instead.
+    The fields hold exponents up to `limit` = 2^(B-1) - 1, at first at
+    least twice the sum of the generators' degrees.  Every monomial a
+    reduction writes has degree at most that of the entering generator or
+    of the S-pair lcm: under degrevlex it lies below them, and under the
+    elimination order the generators are homogeneous, or homogeneous in
+    the other variables as in `colon`, and m[a] falls along the order.
+    So one degree check per generator and per S-pair guards the fields,
+    and a degree past the limit doubles B and re-packs the basis.
 
-    An element is (K(lm), R(lm), tail): a polynomial mod p with leading
-    monomial lm, leading coefficient 1 and the other terms the (K(m),
-    residue) pairs of tail.  A generator enters as its primitive integer
-    numerators mod p.  Only the leading term of a pending polynomial is
-    reduced, by the first element whose leading monomial divides it, and
-    the basis gets no final tail reduction: the result is the leading
-    monomials alone, unpacked to exponent tuples.  They are those of
-    elements of the ideal mod p, so they bound the rational Hilbert
-    function from above and certify a series only where they meet the
-    rational lower bound (see `_reduced_basis`).
+    An element is (K(lm), R(lm), lc, tail): leading monomial lm with
+    coefficient lc, and the other terms as (K(m), coefficient) pairs.
+    """
+
+    def __init__(self, order: MonomialOrder, gens: Sequence[Polynomial]):
+        if type(order) is DegRevLex:
+            self.aux = None
+        elif type(order) is EliminationOrder:
+            self.aux = a = order.aux_index
+            if not (
+                all(g.is_homogeneous for g in gens)
+                or all(len({sum(m) - m[a] for m in g.nums}) <= 1 for g in gens)
+            ):
+                raise ValueError(
+                    "an elimination run needs generators homogeneous in all "
+                    "variables or in the non-eliminated ones"
+                )
+        else:
+            raise TypeError(f"no packing for the {order.name} order")
+        self.order = order
+        self.nvars = order.nvars
+        self._fit(max(2 * sum(g.degree() for g in gens), 1).bit_length() + 1)
+
+    def _fit(self, B: int) -> None:
+        """Set up B-bit fields."""
+        d = self.nvars
+        self.field = B
+        self.limit = (1 << (B - 1)) - 1
+        self.width = W = B * d
+        self.mask = (1 << W) - 1
+        self.guards = sum(1 << (B * i + B - 1) for i in range(d))
+        self.shifts = tuple(B * i for i in range(d))
+        weights = [(1 << s) - (1 << W) for s in self.shifts]
+        if self.aux is not None:
+            weights[self.aux] -= (1 << (W + B)) - (1 << W)
+        self.weights = tuple(weights)
+
+    def _pack(self, m: Monomial) -> int:
+        return sum(map(mul, m, self.weights))
+
+    def _unpack(self, k: int) -> Monomial:
+        r, limit = k & self.mask, self.limit
+        return tuple(r >> s & limit for s in self.shifts)
+
+    def _element(self, lm: int, lc: int, tail: tuple) -> tuple:
+        return lm, lm & self.mask, lc, tail
+
+    def _room(self, n: int, G: list) -> None:
+        """Make the fields hold exponents up to n: double B until they do,
+        and re-pack the elements of G in place."""
+        if n <= self.limit:
+            return
+        unpack = self._unpack
+        rows = [
+            (unpack(k), lc, [(unpack(m), c) for m, c in tail]) for k, _, lc, tail in G
+        ]
+        B = self.field
+        while (1 << (B - 1)) - 1 < n:
+            B *= 2
+        self._fit(B)
+        pack = self._pack
+        G[:] = [
+            self._element(pack(lm), lc, tuple((pack(m), c) for m, c in tail))
+            for lm, lc, tail in rows
+        ]
+
+    def _shifts(self, G: list, i: int, j: int, top: Monomial) -> tuple[int, int]:
+        """The packed cofactors top/lm(G[i]) and top/lm(G[j]) of the S-pair
+        with lcm top, after making room for its degree."""
+        self._room(monomial_degree(top), G)
+        k = self._pack(top)
+        return k - G[i][0], k - G[j][0]
+
+    def lead(self, g: tuple) -> Monomial:
+        return self._unpack(g[0])
+
+
+class RationalKernel(_PackedKernel):
+    """Exact integer coefficients for `_buchberger_run`.
+
+    An element is the primitive integer multiple of a polynomial with
+    lc > 0, fully reduced when it enters.  Reduction is fraction-free, as
+    in `_divide`: cancelling c x^m against the first element whose leading
+    monomial divides it multiplies the pending terms by a = lc/g and
+    subtracts b = c/g times the shifted tail (g = gcd(c, lc)).  Once such a
+    scaling has left a denominator above 1, each step divides the pending
+    terms and the denominator by their common content.  A remainder term
+    keeps the denominator of its moment, and one lcm and one gcd make the
+    remainder primitive.  `reduced` tail-reduces a finished basis into the
+    reduced monic basis.
+    """
+
+    exact = True
+
+    def enter(self, f: Polynomial, G: list) -> Optional[tuple]:
+        self._room(f.degree(), G)
+        pack = self._pack
+        return self._reduce({pack(m): v for m, v in f.nums.items()}, G)
+
+    def spair(self, G: list, i: int, j: int, top: Monomial) -> Optional[tuple]:
+        u, v = self._shifts(G, i, j, top)
+        (_, _, ci, taili), (_, _, cj, tailj) = G[i], G[j]
+        g = gcd(ci, cj)
+        a, b = cj // g, ci // g
+        work = {m + u: a * c for m, c in taili}
+        for m, c in tailj:
+            m += v
+            w = work.get(m, 0) - b * c
+            if w:
+                work[m] = w
+            else:
+                del work[m]
+        return self._reduce(work, G)
+
+    def _reduce(self, work: dict, G: list) -> Optional[tuple]:
+        """The element of the remainder of the integer terms work under
+        division by G; None for zero."""
+        mask, guards = self.mask, self.guards
+        heap = list(work)
+        heapify(heap)
+        den = 1
+        remainder: dict[int, tuple[int, int]] = {}
+        while heap:
+            m = heappop(heap)
+            c = work.pop(m, 0)
+            if not c:
+                continue
+            r = m & mask | guards
+            for lm, rlm, lc, tail in G:
+                if (r - rlm) & guards == guards:
+                    break
+            else:
+                remainder[m] = c, den
+                continue
+            shift = m - lm
+            g = gcd(c, lc)
+            a, b = lc // g, c // g
+            if a != 1:
+                den *= a
+                work = {t: v * a for t, v in work.items()}
+            for mt, ct in tail:
+                mm = mt + shift
+                d = b * ct
+                v = work.get(mm)
+                if v is None:
+                    work[mm] = -d
+                    heappush(heap, mm)
+                elif v == d:
+                    del work[mm]
+                else:
+                    work[mm] = v - d
+            if den != 1:
+                k = gcd(den, *work.values())
+                if k != 1:
+                    den //= k
+                    work = {t: v // k for t, v in work.items()}
+        if not remainder:
+            return None
+        top = lcm(*{d for _, d in remainder.values()})
+        terms = iter([(m, c * (top // d)) for m, (c, d) in remainder.items()])
+        lm, lc = next(terms)
+        tail = tuple(terms)
+        content = gcd(lc, *(c for _, c in tail))
+        if lc < 0:
+            content = -content
+        return self._element(lm, lc // content, tuple((m, c // content) for m, c in tail))
+
+    def reduced(self, G: list) -> tuple[Polynomial, ...]:
+        """The reduced monic basis from a minimal one: each element
+        tail-reduced by the others, leading monomial first in the order."""
+        unpack, out = self._unpack, []
+        for i, (k, _, lc, tail) in enumerate(G):
+            lm, _, lc, tail = self._reduce({k: lc, **dict(tail)}, G[:i] + G[i + 1 :])
+            nums = {unpack(lm): lc}
+            nums.update((unpack(m), c) for m, c in tail)
+            out.append((lm, _lowest(self.nvars, nums, lc)))
+        out.sort(key=lambda row: row[0])
+        return tuple(g for _, g in out)
+
+
+class ModPKernel(_PackedKernel):
+    """Coefficients mod the prime 2^31 - 1 for `_buchberger_run`.
+
+    A generator enters as its primitive integer numerators mod p, and an
+    element is monic (lc = 1).  Only the leading term of a pending
+    polynomial is reduced, by the first element whose leading monomial
+    divides it.  The run's leading monomials are those of elements of the
+    ideal mod p, so they bound the rational Hilbert function from above and
+    certify a series only where they meet the rational lower bound (see
+    `_buchberger_run`), never an initial ideal.
     """
 
     exact = False
 
-    def __init__(self, order: MonomialOrder, gens: Sequence[Polynomial]):
-        if type(order) is not DegRevLex:
-            raise TypeError(f"ModPKernel packs degrevlex monomials, not {order.name}")
-        self.nvars = d = order.nvars
-        # exponents up to limit = 2^(B-1) - 1, at least twice the sum of the
-        # generators' degrees: in generic coordinates the degrevlex basis of
-        # a regular sequence stays below that sum (Macaulay's bound)
-        self.field = B = max(2 * sum(g.degree() for g in gens), 1).bit_length() + 1
-        self.limit = (1 << (B - 1)) - 1
-        self.width = B * d
-        self.mask = (1 << self.width) - 1
-        self.guards = sum(1 << (B * i + B - 1) for i in range(d))
-
-    def _pack(self, m: Monomial) -> int:
-        k = 0
-        for e in reversed(m):
-            k = k << self.field | e
-        return k - (sum(m) << self.width)
-
-    def _unpack(self, k: int) -> Monomial:
-        B, r = self.field, k & self.mask
-        return tuple(r >> (B * i) & self.limit for i in range(self.nvars))
-
-    def _guard(self, n: int) -> None:
-        """Refuse a polynomial of degree n when its exponents may not fit."""
-        if n > self.limit:
-            raise Uncertified(f"degree {n} above the exponent field limit {self.limit}")
-
-    def enter(self, f: Polynomial, G: list[tuple]) -> Optional[tuple]:
-        self._guard(f.degree())
+    def enter(self, f: Polynomial, G: list) -> Optional[tuple]:
+        self._room(f.degree(), G)
         content = gcd(*f.nums.values())
         pack = self._pack
         work = {pack(m): v // content % _PRIME for m, v in f.nums.items()}
         return self._top_reduce(work, G)
 
-    def spair(self, G: list[tuple], i: int, j: int) -> Optional[tuple]:
-        (ki, _, taili), (kj, _, tailj) = G[i], G[j]
-        top = monomial_lcm(self._unpack(ki), self._unpack(kj))
-        self._guard(monomial_degree(top))
-        ktop = self._pack(top)
-        u, v = ktop - ki, ktop - kj
-        work = {m + u: c for m, c in taili}
-        for m, c in tailj:
+    def spair(self, G: list, i: int, j: int, top: Monomial) -> Optional[tuple]:
+        u, v = self._shifts(G, i, j, top)
+        work = {m + u: c for m, c in G[i][3]}
+        for m, c in G[j][3]:
             m += v
             work[m] = (work.get(m, 0) - c) % _PRIME
         return self._top_reduce(work, G)
 
-    def lead(self, g: tuple) -> Monomial:
-        return self._unpack(g[0])
-
-    def finish(self, G: list[tuple]) -> tuple[Monomial, ...]:
-        return tuple(self._unpack(g[0]) for g in G)
-
-    def _top_reduce(self, work: dict, G: list[tuple]) -> Optional[tuple]:
+    def _top_reduce(self, work: dict, G: list) -> Optional[tuple]:
         """The residues work, top-reduced by G and made monic; None for zero.
 
         A heap pops the pending monomials in order; a residue that has
@@ -759,13 +871,13 @@ class ModPKernel:
             if not c:
                 continue
             r = m & mask | guards
-            for lm, rlm, tail in G:
+            for lm, rlm, _, tail in G:
                 if (r - rlm) & guards == guards:
                     break
             else:
                 inv = pow(c, -1, _PRIME)
                 tail = tuple((t, v * inv % _PRIME) for t, v in work.items() if v)
-                return m, m & mask, tail
+                return self._element(m, 1, tail)
             shift = m - lm
             for mt, ct in tail:
                 mm = mt + shift
@@ -778,12 +890,9 @@ class ModPKernel:
         return None
 
 
-def _reduced_basis(
-    gens: Sequence[Polynomial],
-    nvars: int,
-    order: MonomialOrder,
-    kernel: Optional[RationalKernel | ModPKernel] = None,
-):
+def _buchberger_run(
+    gens: Sequence[Polynomial], nvars: int, kernel: RationalKernel | ModPKernel
+) -> tuple[list, Optional[IntPolynomial]]:
     """Incremental Buchberger with Hilbert-driven pruning.
 
     The generators enter one at a time, lowest degree first.  Each is
@@ -791,20 +900,23 @@ def _reduced_basis(
     otherwise a stage adds it and treats its S-pairs, lowest lcm degree
     first, under the coprime and chain criteria.  After stage k the basis
     is a Groebner basis of J = (f_1..f_k), cut down to its minimal part.
-    The kernel does the coefficient work: entering a generator, reducing
-    an S-pair, and the result, `kernel.finish` of the last basis.  It is
-    `RationalKernel` unless one is given.
+    The kernel does the coefficient work, entering a generator and
+    reducing an S-pair, in the order `kernel.order`.  The result is the
+    last minimal basis, as kernel elements lowest leading monomial first,
+    and, when every generator is homogeneous, the Hilbert numerator of R
+    modulo its leading monomials (None otherwise).
 
-    When every generator is homogeneous, adding a form f of degree e to J
-    has an exact lower bound: the sequence
+    For homogeneous generators the run keeps h, the numerator of R/L for
+    the leading monomials L so far: adding an element with leading
+    monomial m sets h(L + (m)) = h(L) - t^deg(m) h(L : m) (Bigatti 1997).
+    Adding a form f of degree e to J has an exact lower bound: the sequence
     0 -> ((J:f)/J)(-e) -> (R/J)(-e) -> R/J -> R/(J+f) -> 0 gives
 
         H_{R/(J+f)}(n) >= H_{R/J}(n) - H_{R/J}(n - e),
 
-    with H_{R/J} read off the previous stage's leading monomials.  When a
-    pair of lcm degree n comes up and the degree-n monomials outside the
-    current leading monomials are exactly that many, those leading
-    monomials already span LT(J+f) in degree n.  Every degree-n
+    with H_{R/J} read off h at the start of the stage.  When a pair of lcm
+    degree n comes up and the degree-n monomials outside L are exactly
+    that many, L already spans LT(J+f) in degree n.  Every degree-n
     S-polynomial then reduces to zero, so the pair counts as treated and
     is skipped (Traverso 1996).  The reduced basis is unique, so the
     pruning changes only how many reductions it takes.
@@ -815,50 +927,44 @@ def _reduced_basis(
     elements of the ideal mod p, whose Macaulay matrices have at most
     their rational rank in each degree, so their Hilbert function is at
     least H_{R/(J+f)} over Q whatever the prime, and a pruning mistake
-    mod p can only raise it further.  Over a
-    certified J the bound is exact, so a stage whose Hilbert numerator is
-    (1 - t^e) times the previous one has the rational series, and a stage
-    that ends anywhere above it cannot.  A stage therefore also stops at
-    the first finished degree whose count exceeds the bound, and a
-    generator that reduces to zero mod p misses it at once.  Only the
-    series is certified, never the leading monomials themselves.
+    mod p can only raise it further.  Over a certified J the bound is
+    exact, so a stage whose numerator is (1 - t^e) times the previous one
+    has the rational series, and a stage that ends anywhere above it
+    cannot.  A stage therefore also stops at the first finished degree
+    whose count exceeds the bound, and a generator that reduces to zero
+    mod p misses it at once.  Only the series is certified, never the
+    leading monomials themselves.
     """
-    kernel = kernel or RationalKernel(order)
+    order = kernel.order
     graded = all(g.is_homogeneous for g in gens)
     G: list = []
     lms: list[Monomial] = []
-
-    def numerator(exps: Sequence[Monomial]) -> IntPolynomial:
-        """The Hilbert numerator of R/(exps), memoised in `monomial`."""
-        return _numerator_of_monomial(nvars, minimalize_exponents(exps))
-
-    def hilbert(exps: Sequence[Monomial], n: int) -> int:
-        """H_{R/(exps)}(n)."""
-        return coefficient(HilbertSeries(nvars, numerator(exps)), n)
+    h = IntPolynomial.one()
+    # untreated pairs of the current stage, with their priorities
+    pairs: dict[tuple[int, int], tuple] = {}
 
     def add(g) -> None:
+        nonlocal h
+        m = kernel.lead(g)
+        if graded:
+            quotient = minimalize_exponents(
+                tuple(a - b if a > b else 0 for a, b in zip(l, m)) for l in lms
+            )
+            h = h - _numerator_of_monomial(nvars, quotient).times_t_power(sum(m))
         G.append(g)
-        lms.append(kernel.lead(g))
+        lms.append(m)
         j = len(G) - 1
         for i in range(j):
             # the pair taken next is the one of largest priority: lowest lcm
             # degree first, then the lcm lowest in the order (the largest
             # key), then the earliest pair
-            m = monomial_lcm(lms[i], lms[j])
-            pairs[i, j] = (-monomial_degree(m), order.key(m), -i, -j)
+            top = monomial_lcm(lms[i], m)
+            pairs[i, j] = (-monomial_degree(top), order.key(top), -i, -j)
 
-    # untreated pairs of the current stage, with their priorities
-    pairs: dict[tuple[int, int], tuple] = {}
     for f in sorted((g for g in gens if not g.is_zero), key=Polynomial.degree):
-        previous = tuple(lms)
-
-        @cache
-        def before() -> HilbertSeries:
-            """H(R/J) for the ideal J of the earlier stages: built once per
-            stage, and only if the stage reads its bound."""
-            return HilbertSeries(nvars, numerator(previous))
-
         e = f.degree()
+        # H(R/J) for the ideal J of the earlier stages
+        before = HilbertSeries(nvars, h)
         r = kernel.enter(f, G)
         if r is not None:
             start = len(G)
@@ -868,8 +974,8 @@ def _reduced_basis(
             def spans(n: int) -> bool:
                 state = (n, len(G))
                 if state not in spanned:
-                    bound = coefficient(before(), n) - coefficient(before(), n - e)
-                    spanned[state] = hilbert(lms, n) == bound
+                    bound = coefficient(before, n) - coefficient(before, n - e)
+                    spanned[state] = coefficient(HilbertSeries(nvars, h), n) == bound
                 return spanned[state]
 
             done: set[tuple[int, int]] = set()
@@ -903,15 +1009,24 @@ def _reduced_basis(
                     for k in range(len(G))
                 ):
                     continue
-                r = kernel.spair(G, i, j)
+                r = kernel.spair(G, i, j, pair_lcm)
                 if r is not None:
                     add(r)
             G, lms = _minimal(G, lms, order)
         if not kernel.exact:
-            h = before().numerator
-            if numerator(lms) != h - h.times_t_power(e):
+            hb = before.numerator
+            if h != hb - hb.times_t_power(e):
                 raise Uncertified(f"stage of degree {e} above the bound")
-    return kernel.finish(G)
+    return G, h if graded else None
+
+
+def _reduced_basis(
+    gens: Sequence[Polynomial], nvars: int, order: MonomialOrder
+) -> tuple[Polynomial, ...]:
+    """The reduced monic Groebner basis of (gens): a rational run, then
+    each element of its minimal basis tail-reduced by the others."""
+    kernel = RationalKernel(order, gens)
+    return kernel.reduced(_buchberger_run(gens, nvars, kernel)[0])
 
 
 def buchberger(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> tuple[Polynomial, ...]:
@@ -923,7 +1038,6 @@ def buchberger(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> tuple[Pol
             for m in sorted(I.monomial_exponents(), key=order.key)
         )
     return _reduced_basis(I.generators, I.ring_dim, order)
-
 
 def initial_ideal(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> PolyIdeal:
     """Monomial ideal of leading terms of the reduced Groebner basis."""

@@ -18,15 +18,16 @@ is exact once it is certified by two bounds:
 Starting from H(R/0) = 1/(1-t)^d, a stage whose mod-p numerator equals
 (1 - t^e_k) times the previous one has that exact rational series.  An
 unlucky prime, a zerodivisor or a redundant generator only misses the
-bound, and a run whose degrees pass the packed exponent fields of
-`ModPKernel` stops; either way the rational loop runs instead.  A stage
-stops at the first finished degree whose count exceeds the bound.  A
-single generator needs no basis at all.  More generators than variables,
-or two generators that one variable divides, go straight to the rational
-loop, because a regular sequence has at most d members and no two of them
-share a factor.  Only the series is certified, never the initial ideal: for
-(p x + y, z^2) the rational initial ideal is (x, z^2) and the mod-p one
-is (y, z^2), so `buchberger`, `initial_ideal` and `colon` stay rational.
+bound, and the rational loop runs instead.  A stage stops at the first
+finished degree whose count exceeds the bound.  A single generator needs
+no basis at all.  More generators than variables, or two generators that
+one variable divides, go straight to the rational loop, because a regular
+sequence has at most d members and no two of them share a factor.  Either
+run ends in the Hilbert numerator of its leading monomials, with no
+tail-reduced basis.  Only the series is certified, never the initial
+ideal: for (p x + y, z^2) the rational initial ideal is (x, z^2) and the
+mod-p one is (y, z^2), so `buchberger`, `initial_ideal` and `colon` stay
+rational.
 """
 
 from __future__ import annotations
@@ -34,15 +35,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from hilbcalc.monomial import _numerator_of_monomial, minimalize_exponents
+from hilbcalc.monomial import _numerator_of_monomial
 from hilbcalc.polyring import (
     DegRevLex,
     LinearForm,
     ModPKernel,
     PolyIdeal,
+    RationalKernel,
     Uncertified,
-    _reduced_basis,
-    buchberger,
+    _buchberger_run,
 )
 from hilbcalc.series import (
     DEFAULT_TRUNCATION,
@@ -135,7 +136,7 @@ def series_of_monomial_quotient(d: int, I: PolyIdeal) -> HilbertSeries:
 
 
 # unshifted series of R/I, keyed on I.canonical_key(); the only route to
-# buchberger inside the package
+# a Groebner run inside the package
 _IDEAL_SERIES: dict[tuple, HilbertSeries] = {}
 
 
@@ -146,7 +147,7 @@ def series_of_cyclic(M: CyclicModule) -> HilbertSeries:
     degree e gives 1 - t^e.  Up to d generators, no two divisible by one
     variable, first try a mod-p run, whose series counts only when every
     stage meets the exact rational bound (see the module docstring).  The
-    leading monomials of the rational reduced basis give the rest.
+    leading monomials of a rational run give the rest.
     """
     I = M.ideal
     key = I.canonical_key()
@@ -170,13 +171,10 @@ def _numerator_of_ideal(d: int, I: PolyIdeal) -> IntPolynomial:
         return one - one.times_t_power(gens[0].degree())
     if len(gens) <= d and not _common_variable(gens):
         try:
-            exps = _reduced_basis(gens, d, order, ModPKernel(order, gens))
+            return _buchberger_run(gens, d, ModPKernel(order, gens))[1]
         except Uncertified:
             pass
-        else:
-            return _numerator_of_monomial(d, minimalize_exponents(exps))
-    exps = frozenset(g.leading_monomial(order) for g in buchberger(I, order))
-    return _numerator_of_monomial(d, minimalize_exponents(exps))
+    return _buchberger_run(gens, d, RationalKernel(order, gens))[1]
 
 
 def _common_variable(gens) -> bool:

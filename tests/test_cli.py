@@ -440,6 +440,19 @@ class TestOneShot:
             "above 1000000, the largest a series numerator holds\n"
         )
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_coefficient_past_the_digit_limit_exits_2(self, capsys, as_json):
+        # some e_i of this table have more digits than int prints by
+        # default; this used to be reported as a failed check (exit 1)
+        argv = ["coeffs", "--ring", "x y", "--ideal", "x^20000*y, y^3"]
+        code, out, err = invoke(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: coeffs M: a result has more than {sys.get_int_max_str_digits()} "
+            "digits, the interpreter's limit for printing an integer\n"
+        )
+
     def test_internal_error_exits_3(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise RuntimeError("boom")

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_memos
+from test_polyring import reference_spoly
 from hilbcalc import polyring, presentation
 from hilbcalc.monomial import (
     _numerator_of_monomial,
     minimalize_exponents,
     monomial_div,
-    monomial_lcm,
     monomial_mul,
     monomials_of_degree,
 )
@@ -24,13 +24,17 @@ from hilbcalc.oracle import verify_series
 from hilbcalc.polyring import (
     DegRevLex,
     EliminationOrder,
+    LinearForm,
     ModPKernel,
     PolyIdeal,
     Polynomial,
+    RationalKernel,
     Uncertified,
-    _reduced_basis,
+    _buchberger_run,
     buchberger,
+    colon,
     initial_ideal,
+    quotient_by_linear,
 )
 from hilbcalc.presentation import (
     BadParams,
@@ -46,6 +50,7 @@ from hilbcalc.presentation import (
     series_of_monomial_quotient,
     series_of_resolution,
 )
+from hilbcalc.sampling import random_monomial_ideal
 from hilbcalc.series import (
     HilbertSeries,
     IntPolynomial,
@@ -235,11 +240,12 @@ class TestModularCertificate:
         I = PolyIdeal(2, [x2, Polynomial(2, {(2, 0): 1, (0, 2): p})])
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return buchberger(*args, **kwargs)
+        class Counted(RationalKernel):
+            def __init__(self, *args):
+                calls.append(args)
+                super().__init__(*args)
 
-        monkeypatch.setattr(presentation, "buchberger", counted)
+        monkeypatch.setattr(presentation, "RationalKernel", Counted)
         S = series_of_cyclic(CyclicModule(2, I))
         assert S.numerator == IntPolynomial((1, 0, -2, 0, 1))
         assert len(calls) == 1
@@ -253,7 +259,7 @@ class TestModularCertificate:
         )
         with monkeypatch.context() as mp:
             mp.setattr(polyring, "buchberger", refuse)
-            mp.setattr(presentation, "buchberger", refuse)
+            mp.setattr(presentation, "RationalKernel", refuse)
             S = series_of_cyclic(CyclicModule(3, I))
         assert S.numerator == IntPolynomial((1, -1, -1, 1))
         lead = sorted(next(iter(g.nums)) for g in initial_ideal(I).generators)
@@ -265,7 +271,7 @@ class TestModularCertificate:
         # a principal ideal needs no basis at all
         with monkeypatch.context() as mp:
             mp.setattr(polyring, "buchberger", refuse)
-            mp.setattr(presentation, "buchberger", refuse)
+            mp.setattr(presentation, "RationalKernel", refuse)
             f = Polynomial(3, {(3, 0, 0): 2, (1, 1, 1): Fraction(-1, 3), (0, 0, 3): 5})
             S = series_of_cyclic(CyclicModule(3, PolyIdeal(3, [f])))
         assert S.numerator == IntPolynomial((1, 0, 0, -1))
@@ -303,9 +309,8 @@ class TupleModPKernel:
             {m: v // content % polyring._PRIME for m, v in f.nums.items()}, G
         )
 
-    def spair(self, G, i, j):
+    def spair(self, G, i, j, top):
         (lmi, taili), (lmj, tailj) = G[i], G[j]
-        top = monomial_lcm(lmi, lmj)
         u, v = monomial_div(top, lmi), monomial_div(top, lmj)
         work = {monomial_mul(m, u): c for m, c in taili}
         for m, c in tailj:
@@ -315,9 +320,6 @@ class TupleModPKernel:
 
     def lead(self, g):
         return g[0]
-
-    def finish(self, G):
-        return tuple(lm for lm, _ in G)
 
     def _top_reduce(self, work, G):
         p, key = polyring._PRIME, self.order.key
@@ -346,28 +348,75 @@ class TupleModPKernel:
         return None
 
 
-def modular_run(I: PolyIdeal, kernel) -> tuple[list, object]:
-    """The leading monomial of every element a mod-p run adds, in order,
-    and its result: the final leading monomials, or Uncertified."""
-    order = DegRevLex(I.ring_dim)
-    gens = I.generators
-    k = kernel(order, gens)
+class TupleRationalKernel:
+    """The rational kernel on exponent tuples, as it was before monomials
+    were packed into ints: monic Polynomials reduced fully by
+    `normal_form`.  The reference for `RationalKernel`, step for step."""
+
+    exact = True
+
+    def __init__(self, order, gens=()):
+        self.order = order
+
+    def enter(self, f, G):
+        r = polyring.normal_form(f, G, self.order) if G else f
+        return None if r.is_zero else r.monic(self.order)
+
+    def spair(self, G, i, j, top):
+        order = self.order
+        r = polyring.normal_form(reference_spoly(G[i], G[j], order), G, order)
+        return None if r.is_zero else r.monic(order)
+
+    def lead(self, g):
+        return g.leading_monomial(self.order)
+
+    def reduced(self, G):
+        order = self.order
+        reduced = []
+        for i, g in enumerate(G):
+            others = [h for j, h in enumerate(G) if j != i]
+            reduced.append(polyring.normal_form(g, others, order).monic(order))
+        reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+        return tuple(reduced)
+
+
+def terms_of(kernel, g) -> dict:
+    """An element a kernel adds, as {exponent tuple: coefficient} scaled to
+    leading coefficient 1."""
+    if isinstance(kernel, TupleRationalKernel):
+        return g.terms
+    if isinstance(kernel, TupleModPKernel):
+        return {g[0]: 1, **dict(g[1])}
+    k, _, lc, tail = g
+    unpack = kernel._unpack
+    return {unpack(k): 1, **{unpack(m): Fraction(c, lc) for m, c in tail}}
+
+
+def kernel_run(gens, nvars: int, kernel) -> tuple[list, object]:
+    """Every element a run on gens adds, in order, and its result: the
+    final leading monomials with the Hilbert numerator, or Uncertified."""
     steps: list = []
-    lead = k.lead
-    k.lead = lambda g: steps.append(lead(g)) or steps[-1]
+    lead = kernel.lead
+
+    def record(g):
+        steps.append(terms_of(kernel, g))
+        return lead(g)
+
+    kernel.lead = record
     try:
-        return steps, _reduced_basis(gens, I.ring_dim, order, k)
+        G, h = _buchberger_run(gens, nvars, kernel)
     except Uncertified:
         return steps, Uncertified
+    return steps, ([lead(g) for g in G], h)
 
 
-def tuple_kernel(order, gens):
-    return TupleModPKernel(order)
+def make_order(name: str, d: int):
+    return DegRevLex(d) if name == "degrevlex" else EliminationOrder(d, d // 2)
 
 
 @st.composite
-def wide_ideals(draw):
-    """2-4 forms of degree 1-3 in 6-9 variables, sparse or dense, so that
+def wide_ideals(draw, top: int = 3):
+    """2-4 forms of degree 1-top in 6-9 variables, sparse or dense, so that
     a packed monomial spans many fields."""
     d = draw(st.integers(6, 9))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -384,7 +433,23 @@ def wide_ideals(draw):
                 return Polynomial(d, terms)
 
     count = draw(st.integers(2, 4))
-    return PolyIdeal(d, [form(draw(st.integers(1, 3))) for _ in range(count)])
+    return PolyIdeal(d, [form(draw(st.integers(1, top))) for _ in range(count)])
+
+
+@st.composite
+def cut_ideals(draw):
+    """A random monomial ideal in 3-6 variables cut by one or two random
+    linear forms, as the sweep's quotient walk cuts them; redrawn until
+    the cut is not monomial."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    while True:
+        d = rng.randint(3, 6)
+        I = random_monomial_ideal(rng, d, max_gens=6)
+        for _ in range(rng.randint(1, 2)):
+            form = LinearForm([rng.randint(-5, 5) or 1 for _ in range(I.ring_dim)])
+            I = quotient_by_linear(I, form)
+        if not I.is_monomial and not I.is_unit:
+            return I
 
 
 def generic_quadrics(seed: int, d: int = 8, count: int = 4) -> PolyIdeal:
@@ -402,11 +467,84 @@ def generic_quadrics(seed: int, d: int = 8, count: int = 4) -> PolyIdeal:
 
 class TestPackedKernel:
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(certificate_ideals(), wide_ideals()))
+    @given(st.one_of(certificate_ideals(), wide_ideals(), cut_ideals()))
     def test_same_steps_as_the_tuple_kernel(self, I):
-        assert modular_run(I, ModPKernel) == modular_run(I, tuple_kernel)
+        gens, d = I.generators, I.ring_dim
+        order = DegRevLex(d)
+        packed = kernel_run(gens, d, ModPKernel(order, gens))
+        assert packed == kernel_run(gens, d, TupleModPKernel(order))
 
-    def test_run_past_the_field_limit_falls_back(self):
+    # forms of degree 3 in 9 variables can take minutes over Q under the
+    # elimination order, so the wide ideals here stop at degree 2
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(certificate_ideals(), wide_ideals(top=2), cut_ideals()),
+        st.sampled_from(["degrevlex", "elim"]),
+    )
+    def test_rational_run_has_the_tuple_kernel_steps(self, I, name):
+        gens, d = I.generators, I.ring_dim
+        order = make_order(name, d)
+        packed = kernel_run(gens, d, RationalKernel(order, gens))
+        assert packed == kernel_run(gens, d, TupleRationalKernel(order))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.one_of(certificate_ideals(), cut_ideals()),
+        st.sampled_from(["degrevlex", "elim"]),
+        st.data(),
+    )
+    def test_bases_initial_ideals_and_colons_match_the_tuple_kernel(self, I, name, data):
+        d = I.ring_dim
+        order = make_order(name, d)
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        g = Polynomial(d, {m: rng.randint(-3, 3) for m in monomials_of_degree(d, 1)})
+        if g.is_zero:
+            g = Polynomial.variable(d, 0)
+        # the run inside colon, on generators homogeneous only in the
+        # variables other than the auxiliary w
+        w, lift = Polynomial.variable(d + 1, 0), polyring._lift_adding_aux
+        aux = [w * lift(f) for f in I.generators] + [lift(g) - w * lift(g)]
+        elim = EliminationOrder(d + 1, 0)
+        packed = kernel_run(aux, d + 1, RationalKernel(elim, aux))
+        assert packed == kernel_run(aux, d + 1, TupleRationalKernel(elim))
+
+        def results():
+            return (
+                buchberger(I, order),
+                initial_ideal(I, order).generators,
+                colon(I, g).generators,
+            )
+
+        packed = results()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyring, "RationalKernel", TupleRationalKernel)
+            assert packed == results()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda d: st.lists(st.tuples(*[st.integers(0, 7)] * d), min_size=1, max_size=12)
+        ),
+        st.sampled_from(["degrevlex", "elim"]),
+        st.sampled_from([RationalKernel, ModPKernel]),
+    )
+    def test_ascending_packs_are_ascending_keys(self, ms, name, kernel):
+        d = len(ms[0])
+        order = make_order(name, d)
+        top = max(map(sum, ms))
+        k = kernel(order, [Polynomial.from_monomial(d, (max(top, 1),) + (0,) * (d - 1))])
+        assert top <= k.limit
+        assert sorted(ms, key=k._pack) == sorted(ms, key=order.key)
+        for a in ms:
+            assert k._unpack(k._pack(a)) == a
+            for b in ms:
+                ka, kb = k._pack(a), k._pack(b)
+                assert k._pack(monomial_mul(a, b)) == ka + kb
+                borrows = ((kb & k.mask | k.guards) - (ka & k.mask)) & k.guards
+                assert (borrows == k.guards) == all(map(le, a, b))
+
+    @pytest.mark.parametrize("kernel", [ModPKernel, RationalKernel])
+    def test_run_past_the_field_limit_widens(self, kernel):
         # (x^n, x y^(n-1) - z^n) is a regular sequence whose degrevlex basis
         # holds x^(n-k) z^(kn) for k = 1..n, up to z^(n^2): degree 36 at
         # n = 6, past fields sized for generators of degree 6
@@ -419,11 +557,19 @@ class TestPackedKernel:
             ],
         )
         order = DegRevLex(3)
-        kernel = ModPKernel(order, I.generators)
-        assert kernel.limit < n * n
-        with pytest.raises(Uncertified, match="field limit"):
-            _reduced_basis(I.generators, 3, order, kernel)
-        assert max(map(sum, modular_run(I, tuple_kernel)[1])) == n * n
+        k = kernel(order, I.generators)
+        limit = k.limit
+        assert limit < n * n
+        reference = TupleModPKernel if kernel is ModPKernel else TupleRationalKernel
+        run = kernel_run(I.generators, 3, k)
+        assert run[1] is not Uncertified
+        assert run == kernel_run(I.generators, 3, reference(order))
+        assert max(map(sum, run[1][0])) == n * n
+        assert k.limit >= n * n and k.field == 2 * limit.bit_length() + 2
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyring, "RationalKernel", TupleRationalKernel)
+            expected = buchberger(I)
+        assert buchberger(I) == expected
         S = series_of_cyclic(CyclicModule(3, I))
         clear_memos()
         assert S == rational_series(I)
@@ -431,14 +577,41 @@ class TestPackedKernel:
     @pytest.mark.parametrize("seed", range(8))
     def test_generic_quadrics_stay_inside_the_fields(self, seed):
         I = generic_quadrics(seed)
-        run = modular_run(I, ModPKernel)
-        assert run[1] is not Uncertified
-        assert run == modular_run(I, tuple_kernel)
+        gens, d = I.generators, I.ring_dim
+        k = ModPKernel(DegRevLex(d), gens)
+        field = k.field
+        run = kernel_run(gens, d, k)
+        assert run[1] is not Uncertified and k.field == field
+        assert run == kernel_run(gens, d, TupleModPKernel(DegRevLex(d)))
 
-    def test_degrevlex_only(self):
+    def test_elimination_order_packs(self):
+        # the aux exponent leads, then the degree of the others, then the
+        # others from the last variable down
+        order = EliminationOrder(3, aux_index=1)
         f = Polynomial(3, {(1, 1, 0): 1, (0, 0, 2): 1})
-        with pytest.raises(TypeError, match="degrevlex"):
-            ModPKernel(EliminationOrder(3), [f])
+        k = RationalKernel(order, [f])
+        ms = [(0, 1, 0), (3, 0, 0), (0, 0, 2), (1, 0, 1), (0, 2, 0), (2, 1, 0), (0, 0, 1)]
+        expected = [
+            (0, 2, 0), (2, 1, 0), (0, 1, 0), (3, 0, 0), (1, 0, 1), (0, 0, 2), (0, 0, 1)
+        ]
+        assert sorted(ms, key=k._pack) == sorted(ms, key=order.key) == expected
+        # colon's generators are homogeneous in the other variables only
+        w = Polynomial(3, {(0, 1, 1): 1, (0, 0, 1): -1})
+        RationalKernel(EliminationOrder(3, aux_index=1), [w])
+        with pytest.raises(ValueError, match="homogeneous"):
+            RationalKernel(EliminationOrder(3, aux_index=0), [w])
+        with pytest.raises(ValueError, match="homogeneous"):
+            RationalKernel(EliminationOrder(3, aux_index=1), [f, w])
+
+        class Lex(polyring.MonomialOrder):
+            name = "lex"
+
+            def key(self, m):
+                return tuple(-e for e in m)
+
+        for kernel in (RationalKernel, ModPKernel):
+            with pytest.raises(TypeError, match="no packing for the lex order"):
+                kernel(Lex(3), [f])
 
 
 class TestResolutionSeries:
