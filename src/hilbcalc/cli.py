@@ -620,10 +620,22 @@ def _int_at_least(low: int, high: Optional[int] = None):
     return parse
 
 
-_SUBCOMMAND_NAMES = {"oracle": "oracle-check"}
+# Subcommand name -> the script command it runs one-shot (None: the two
+# that are no script command), in the order help lists them.
+_SUBCOMMANDS: dict[str, Optional[str]] = {
+    "run": None,
+    "paper-examples": None,
+    **{("oracle-check" if k == "oracle" else k): k for k in COMMANDS},
+}
 
 
-def build_parser(default_seed: int) -> argparse.ArgumentParser:
+def build_parser(
+    default_seed: int, only: Optional[str] = None
+) -> argparse.ArgumentParser:
+    """The command-line parser.  Given `only`, a subcommand name, it
+    builds that subcommand alone: enough to parse an argv that starts with
+    it, including the top-level usage line of an "unrecognized arguments"
+    error.  Help, a missing or an unknown subcommand need the full build."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=default_seed)
     common.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS)
@@ -643,22 +655,28 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
         description="Exact Hilbert coefficients, superficial sequences, "
         "and depth sensitivity checks.",
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # A metavar would rename the action in the "required" and "invalid
+    # choice" errors, which only the full build can reach; the single
+    # subcommand build needs it to print every choice in its usage line.
+    metavar = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
 
-    run = sub.add_parser("run", parents=[common], help="execute a script file")
-    run.add_argument("script", help="path to a script")
-
-    sub.add_parser(
-        "paper-examples",
-        parents=[common],
-        help="run the builtin closed-form example suites",
-    )
-
-    for keyword, cls in COMMANDS.items():
-        names = {field.name for field in dataclasses.fields(cls)}
-        oneshot = sub.add_parser(
-            _SUBCOMMAND_NAMES.get(keyword, keyword), parents=[common, inline]
-        )
+    for name, keyword in _SUBCOMMANDS.items():
+        if only is not None and name != only:
+            continue
+        if name == "run":
+            run = sub.add_parser(name, parents=[common], help="execute a script file")
+            run.add_argument("script", help="path to a script")
+            continue
+        if name == "paper-examples":
+            sub.add_parser(
+                name,
+                parents=[common],
+                help="run the builtin closed-form example suites",
+            )
+            continue
+        names = {field.name for field in dataclasses.fields(COMMANDS[keyword])}
+        oneshot = sub.add_parser(name, parents=[common, inline])
         oneshot.set_defaults(keyword=keyword)
         if "forms" in names:
             oneshot.add_argument("--forms", required=True, help="comma-separated forms")
@@ -675,8 +693,10 @@ def build_parser(default_seed: int) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser(_default_seed())
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # most calls name a subcommand first: build only that one
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    args = build_parser(_default_seed(), only).parse_args(argv)
     try:
         return _dispatch(args)
     except Exception as exc:  # SystemExit and KeyboardInterrupt pass through

@@ -13,9 +13,11 @@ so scripts reproduce degrevlex results exactly.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from hilbcalc.polyring import (
     DegRevLex,
@@ -55,68 +57,87 @@ class SemanticError(DslError):
     pass
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "int", "rat", a keyword, or an operator char
     text: str
     line: int
     column: int
 
 
+# One alternative per token class, after the blanks before it.  Every
+# character that is not a blank falls into one of them (`illegal` last),
+# so finditer never skips text; it skips only blanks that end the input.
+# `[^\W\d]` is a letter, `_`, or a numeric character that is no decimal
+# digit (`²`, `½`); tokenize refuses the last as an illegal character.
+_TOKEN_PATTERN = re.compile(
+    r"[^\S\n]*(?:"
+    r"(?P<newline>\n)|(?P<comment>#[^\n]*)|(?P<word>[^\W\d]\w*)"
+    # a/b with no interior whitespace is one rational literal
+    r"|(?P<rat>\d+/\d+)|(?P<int>\d+)"
+    rf"|(?P<operator>[{re.escape(''.join(sorted(OPERATORS)))}])|(?P<illegal>\S))"
+)
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
     line = 1
-    col = 1
-    pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
+    line_start = 0  # offset of the current line's first character
+    for match in _TOKEN_PATTERN.finditer(text):
+        kind = match.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            pos += 1
+            line_start = match.end()
             continue
-        if ch.isspace():
-            pos += 1
-            col += 1
+        if kind == "comment":
             continue
-        if ch == "#":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-        start_col = col
-        if ch.isalpha() or ch == "_":
-            end = pos
-            while end < n and (text[end].isalnum() or text[end] == "_"):
-                end += 1
-            word = text[pos:end]
+        word = match[kind]
+        column = match.start(kind) - line_start + 1
+        if kind == "word":
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise LexError(f"illegal character {word[0]!r}", line, column)
             kind = word if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, line, start_col))
-            col += end - pos
-            pos = end
-            continue
-        if ch.isdecimal():
-            end = pos
-            while end < n and text[end].isdecimal():
-                end += 1
-            # a/b with no interior whitespace is one rational literal
-            if end < n and text[end] == "/" and end + 1 < n and text[end + 1].isdecimal():
-                end += 1
-                while end < n and text[end].isdecimal():
-                    end += 1
-                tokens.append(Token("rat", text[pos:end], line, start_col))
-            else:
-                tokens.append(Token("int", text[pos:end], line, start_col))
-            col += end - pos
-            pos = end
-            continue
-        if ch in OPERATORS:
-            tokens.append(Token(ch, ch, line, start_col))
-            pos += 1
-            col += 1
-            continue
-        raise LexError(f"illegal character {ch!r}", line, col)
+        elif kind == "operator":
+            kind = word
+        elif kind == "illegal":
+            raise LexError(f"illegal character {word!r}", line, column)
+        # tuple.__new__ skips the Python-level __new__ of a NamedTuple
+        tokens.append(tuple.__new__(Token, (kind, word, line, column)))
     return tokens
+
+
+def _integer(tok: Token, digits: str) -> int:
+    """The value of `digits`, a run of decimal digits in the literal `tok`.
+    A run longer than the interpreter converts is a language error at the
+    literal (str-to-int raises ValueError only for that)."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise SemanticError(
+            f"a literal has {len(digits)} digits, more than "
+            f"{sys.get_int_max_str_digits()}, the interpreter's limit for "
+            "reading an integer",
+            tok.line,
+            tok.column,
+        ) from None
+
+
+def _coefficient(tok: Token) -> int | Fraction:
+    """The value of an "int" or "rat" literal."""
+    if tok.kind == "int":
+        return _integer(tok, tok.text)
+    num, _, den = tok.text.partition("/")
+    numerator, denominator = _integer(tok, num), _integer(tok, den)
+    if not denominator:
+        raise SemanticError(
+            f"zero denominator in literal {tok.text}", tok.line, tok.column
+        )
+    return Fraction(numerator, denominator)
+
+
+def _unexpected(tok: Token, label: str) -> ParseError:
+    return ParseError(
+        f"unexpected {describe(tok)}", tok.line, tok.column, expected=[label]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -239,50 +260,47 @@ class Script:
                 yield s
 
 
-_EOF = Token("end of input", "", 0, 0)
-
-
 class _Parser:
     def __init__(self, tokens: Sequence[Token]):
         self.tokens = list(tokens)
-        self.pos = 0
         if self.tokens:
             last = self.tokens[-1]
-            self.eof = Token(
+            eof = Token(
                 "end of input", "", last.line, last.column + max(len(last.text), 1)
             )
         else:
-            self.eof = Token("end of input", "", 1, 1)
+            eof = Token("end of input", "", 1, 1)
+        # the list ends in the end-of-input token, and nothing moves past
+        # it, so reading the token after any other one needs no bounds check
+        self.tokens.append(eof)
+        self.pos = 0
         self.variables: Optional[tuple[str, ...]] = None
         self.var_index: dict[str, int] = {}
         # one table: names for ideals, modules, and form groups all share it
         self.symbols: dict[str, str] = {}
 
     def peek(self) -> Token:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eof
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
-        tok = self.peek()
-        if self.pos < len(self.tokens):
+        tok = self.tokens[self.pos]
+        if tok.kind != "end of input":
             self.pos += 1
         return tok
 
     def expect(self, kind: str, label: Optional[str] = None) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != kind:
-            raise ParseError(
-                f"unexpected {describe(tok)}",
-                tok.line,
-                tok.column,
-                expected=[label or kind],
-            )
-        return self.advance()
+            raise _unexpected(tok, label or kind)
+        self.pos += 1
+        return tok
 
-    def expect_degree(self, what: str) -> int:
+    def _degree(self, tok: Token, what: str) -> int:
         """A shift, exponent or oracle degree literal, at most MAX_SHIFT
         (numerators and oracle counts are dense)."""
-        tok = self.expect("int", "an integer")
-        n = int(tok.text)
+        if tok.kind != "int":
+            raise _unexpected(tok, "an integer")
+        n = _integer(tok, tok.text)
         if n > MAX_SHIFT:
             raise SemanticError(
                 f"{what} {n} is above {MAX_SHIFT}, the largest a series "
@@ -290,6 +308,11 @@ class _Parser:
                 tok.line,
                 tok.column,
             )
+        return n
+
+    def expect_degree(self, what: str) -> int:
+        n = self._degree(self.peek(), what)
+        self.pos += 1
         return n
 
     # -- statements --------------------------------------------------------
@@ -380,6 +403,7 @@ class _Parser:
         name_tok = self.expect("ident", "an ideal name")
         name = self._declare(name_tok, "ideal")
         self.expect("=")
+        first = self.peek()
         gens = [self.parse_polynomial()]
         while self.peek().kind == ",":
             self.advance()
@@ -390,8 +414,8 @@ class _Parser:
         if not kept:
             raise SemanticError(
                 f"every generator of {name} cancels to zero",
-                name_tok.line,
-                name_tok.column,
+                first.line,
+                first.column,
             )
         return IdealDecl(name, kept)
 
@@ -437,7 +461,8 @@ class _Parser:
             if field.name == "index":
                 self.expect("i")
                 self.expect("=")
-            args.append(int(self.expect("int", "an integer").text))
+            tok = self.expect("int", "an integer")
+            args.append(_integer(tok, tok.text))
         return cls(*args)
 
     # -- polynomial literals ------------------------------------------------
@@ -449,26 +474,74 @@ class _Parser:
             )
 
     def parse_polynomial(self) -> Polynomial:
-        start = self.peek()
+        # The literal grammar read by index into self.tokens, without
+        # peek/advance/expect: this loop runs once per token of every
+        # generator, most of the tokens of a script.
+        tokens = self.tokens
+        pos = self.pos
+        start = tokens[pos]
         self._require_ring(start)
+        var_index = self.var_index
+        d = len(self.variables)
         sign = 1
-        if self.peek().kind in ("+", "-"):
-            if self.advance().kind == "-":
-                sign = -1
+        if start.kind in ("+", "-"):
+            sign = -1 if start.kind == "-" else 1
+            pos += 1
         # the terms summed in one dict, a monomial dropped when it cancels,
         # as Polynomial addition drops it
         terms: dict = {}
         while True:
-            m, c = self.parse_term()
-            v = terms.get(m, 0) + sign * c
-            if v:
-                terms[m] = v
+            # one term: an optional coefficient, then one or more factors
+            # `variable ('^' INT)?`, with each '*' optional
+            tok = tokens[pos]
+            coeff = 1
+            if tok.kind in ("int", "rat"):
+                coeff = _coefficient(tok)
+                pos += 1
+                if tokens[pos].kind == "*":
+                    pos += 1
+            e = [0] * d
+            while True:
+                v = tokens[pos]
+                if v.kind != "ident":
+                    raise _unexpected(v, "a ring variable")
+                idx = var_index.get(v.text)
+                if idx is None:
+                    raise SemanticError(
+                        f"undeclared name {v.text}", v.line, v.column
+                    )
+                pos += 1
+                if tokens[pos].kind == "^":
+                    e[idx] += self._degree(tokens[pos + 1], "exponent")
+                    pos += 2
+                else:
+                    e[idx] += 1
+                if e[idx] > MAX_SHIFT:
+                    raise SemanticError(
+                        f"exponent of {v.text} reaches {e[idx]} in one term, "
+                        f"above {MAX_SHIFT}, the largest a series numerator "
+                        "holds",
+                        v.line,
+                        v.column,
+                    )
+                kind = tokens[pos].kind
+                if kind == "*":
+                    pos += 1
+                elif kind != "ident":
+                    break
+            m = tuple(e)
+            value = terms.get(m, 0) + sign * coeff
+            if value:
+                terms[m] = value
             else:
                 terms.pop(m, None)
-            if self.peek().kind not in ("+", "-"):
+            kind = tokens[pos].kind
+            if kind not in ("+", "-"):
                 break
-            sign = 1 if self.advance().kind == "+" else -1
-        poly = Polynomial(len(self.variables), terms)
+            sign = 1 if kind == "+" else -1
+            pos += 1
+        self.pos = pos
+        poly = Polynomial(d, terms)
         degrees = {sum(m) for m in poly.nums}
         if len(degrees) > 1:
             raise SemanticError(
@@ -477,48 +550,6 @@ class _Parser:
                 start.column,
             )
         return poly
-
-    def parse_term(self) -> tuple[tuple[int, ...], int | Fraction]:
-        """One term: its exponent tuple and its coefficient."""
-        d = len(self.variables)
-        tok = self.peek()
-        coeff = 1
-        if tok.kind in ("int", "rat"):
-            self.advance()
-            try:
-                coeff = int(tok.text) if tok.kind == "int" else Fraction(tok.text)
-            except ZeroDivisionError:
-                raise SemanticError(
-                    f"zero denominator in literal {tok.text}", tok.line, tok.column
-                ) from None
-            if self.peek().kind == "*":
-                self.advance()
-        e = [0] * d
-        while True:
-            v = self.expect("ident", "a ring variable")
-            idx = self.var_index.get(v.text)
-            if idx is None:
-                raise SemanticError(
-                    f"undeclared name {v.text}", v.line, v.column
-                )
-            exponent = 1
-            if self.peek().kind == "^":
-                self.advance()
-                exponent = self.expect_degree("exponent")
-            e[idx] += exponent
-            if e[idx] > MAX_SHIFT:
-                raise SemanticError(
-                    f"exponent of {v.text} reaches {e[idx]} in one term, above "
-                    f"{MAX_SHIFT}, the largest a series numerator holds",
-                    v.line,
-                    v.column,
-                )
-            if self.peek().kind == "*":
-                self.advance()
-                continue
-            if self.peek().kind == "ident":
-                continue
-            return tuple(e), coeff
 
     def parse_linear_form(self) -> LinearForm:
         start = self.peek()

@@ -566,10 +566,11 @@ def _divide(
                 del work[mm]
             else:
                 work[mm] = v - d
-        k = gcd(den, *work.values())
-        if k != 1:
-            den //= k
-            work = {t: v // k for t, v in work.items()}
+        if den != 1:
+            k = gcd(den, *work.values())
+            if k != 1:
+                den //= k
+                work = {t: v // k for t, v in work.items()}
     return _over_one_den(f.nvars, remainder)
 
 

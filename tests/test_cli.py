@@ -150,6 +150,19 @@ class TestRun:
             "the largest a series numerator holds\n"
         )
 
+    def test_literal_past_the_digit_limit_exits_2(self, capsys, tmp_path):
+        # int() of the literal raised ValueError: exit 3, "error: internal"
+        limit = sys.get_int_max_str_digits()
+        p = tmp_path / "huge.hc"
+        p.write_text(f"ring x;\nideal I = x^2 + 1/{'7' * (limit + 1)}*x^2;\n")
+        code, out, err = invoke(capsys, "run", str(p))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: 2:17: a literal has {limit + 1} digits, more than {limit}, "
+            "the interpreter's limit for reading an integer\n"
+        )
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "run", str(tmp_path / "absent.hc"))
         assert code == 2
@@ -341,6 +354,12 @@ class TestOneShot:
                 "error: --ring, column 3: R names the ambient ring and cannot be a variable\n",
                 id="ring",
             ),
+            # was placed at the ideal's name in the generated script (2:7)
+            pytest.param(
+                ["series", "--ring", "x y", "--ideal", "0*x"],
+                "error: --ideal, column 1: every generator of I cancels to zero\n",
+                id="zero-ideal",
+            ),
         ],
     )
     def test_language_errors_name_the_option(self, capsys, argv, message):
@@ -438,6 +457,23 @@ class TestOneShot:
         assert err == (
             "error: --ideal, column 10: exponent of x reaches 1200000 in one term, "
             "above 1000000, the largest a series numerator holds\n"
+        )
+
+    @pytest.mark.parametrize(
+        "ideal, column",
+        [("{n}*x", 1), ("x^{n}", 3), ("x + 1/{n}*x", 5)],
+        ids=["coefficient", "exponent", "denominator"],
+    )
+    def test_literal_past_the_digit_limit_exits_2(self, capsys, ideal, column):
+        # int() of the literal raised ValueError: exit 3, "error: internal"
+        limit = sys.get_int_max_str_digits()
+        ideal = ideal.format(n="7" * (limit + 1))
+        code, out, err = invoke(capsys, "series", "--ring", "x", "--ideal", ideal)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: --ideal, column {column}: a literal has {limit + 1} digits, "
+            f"more than {limit}, the interpreter's limit for reading an integer\n"
         )
 
     @pytest.mark.parametrize("as_json", [False, True])
@@ -555,6 +591,75 @@ class TestPaperExamples:
             [c["name"] for c in cell.get("checks", ())]
             for cell in json.loads(full)["cells"]
         ]
+
+
+# argv whose output must not depend on how much of the parser main builds:
+# help, usage and every kind of argparse error, at each level.
+PARSER_GOLDEN_ARGV = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["--seed", "3", "run", "f.hc"],
+    ["run"],
+    ["run", "--help"],
+    ["oracle-check", "-h"],
+    ["series"],
+    ["run", "f.hc", "--trials", "0"],
+    ["run", "f.hc", "extra"],
+    ["paper-examples", "--bogus"],
+    ["series", "--ring", "x y", "--ideal", "x^2", "--forms", "x"],
+    ["verify", "--ring", "x y", "--ideal", "x*y", "--forms", "x"],
+    ["series", "--ring", "x y", "--ideal", "x*y"],
+    ["run", "f.hc", "--json"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, _without_elapsed(out), err
+
+
+class TestSingleSubcommandParser:
+    @pytest.mark.parametrize("argv", PARSER_GOLDEN_ARGV, ids=" ".join)
+    def test_output_matches_the_full_parser(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.delenv("HILBCALC_SEED", raising=False)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.hc").write_text(FIXTURE)
+        full = build_parser(0)
+        names = next(
+            a for a in full._actions if isinstance(a, argparse._SubParsersAction)
+        ).choices
+        built = []
+
+        def spy(default_seed, only=None):
+            built.append(only)
+            return build_parser(default_seed, only)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        single = _outcome(capsys, argv)
+        # the comparison means something only if main took the short path
+        assert built == [argv[0] if argv and argv[0] in names else None]
+        monkeypatch.setattr(
+            cli, "build_parser", lambda default_seed, only=None: build_parser(default_seed)
+        )
+        assert _outcome(capsys, argv) == single
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: subcommand\n"),
+            (["bogus"], "argument subcommand: invalid choice: 'bogus'"),
+        ],
+    )
+    def test_full_build_names_the_subcommand_argument(self, capsys, argv, message):
+        # a metavar on the full build would rename the argument here
+        code, _, err = _outcome(capsys, argv)
+        assert code == 2
+        assert message in err
 
 
 class TestCommandTable:

@@ -1,3 +1,5 @@
+import string
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 
 from hilbcalc.dsl import (
     COMMANDS,
+    KEYWORDS,
+    OPERATORS,
     DslError,
     FormsDecl,
     IdealDecl,
@@ -15,6 +19,7 @@ from hilbcalc.dsl import (
     RingDecl,
     Script,
     SemanticError,
+    Token,
     VerifyCmd,
     format_polynomial,
     parse_text,
@@ -30,7 +35,96 @@ FIXTURE = (
 )
 
 
+def reference_tokenize(text: str) -> list[Token]:
+    """The character-by-character lexer that tokenize replaced, kept as the
+    reference its one-pattern scan must agree with."""
+    tokens: list[Token] = []
+    line = 1
+    col = 1
+    pos = 0
+    n = len(text)
+    while pos < n:
+        ch = text[pos]
+        if ch == "\n":
+            line += 1
+            col = 1
+            pos += 1
+            continue
+        if ch.isspace():
+            pos += 1
+            col += 1
+            continue
+        if ch == "#":
+            while pos < n and text[pos] != "\n":
+                pos += 1
+            continue
+        start_col = col
+        if ch.isalpha() or ch == "_":
+            end = pos
+            while end < n and (text[end].isalnum() or text[end] == "_"):
+                end += 1
+            word = text[pos:end]
+            kind = word if word in KEYWORDS else "ident"
+            tokens.append(Token(kind, word, line, start_col))
+            col += end - pos
+            pos = end
+            continue
+        if ch.isdecimal():
+            end = pos
+            while end < n and text[end].isdecimal():
+                end += 1
+            if end < n and text[end] == "/" and end + 1 < n and text[end + 1].isdecimal():
+                end += 1
+                while end < n and text[end].isdecimal():
+                    end += 1
+                tokens.append(Token("rat", text[pos:end], line, start_col))
+            else:
+                tokens.append(Token("int", text[pos:end], line, start_col))
+            col += end - pos
+            pos = end
+            continue
+        if ch in OPERATORS:
+            tokens.append(Token(ch, ch, line, start_col))
+            pos += 1
+            col += 1
+            continue
+        raise LexError(f"illegal character {ch!r}", line, col)
+    return tokens
+
+
+def _lexed(lexer, text):
+    try:
+        return lexer(text)
+    except LexError as exc:
+        return ("LexError", exc.message, exc.line, exc.column)
+
+
+# ASCII word characters, every operator, comment and blank characters, and
+# non-ASCII ones from each class the identifier rules tell apart: a digit
+# that is not decimal (²), a numeric character (½), a decimal digit (٣), a
+# lowercase letter (é) and a titlecase letter (ǅ).
+LEXER_ALPHABET = sorted(
+    set(string.ascii_letters + string.digits + "_#\n\t\r\x0b ²½٣éǅ") | OPERATORS
+)
+
+
 class TestTokenizer:
+    @given(st.text(alphabet=LEXER_ALPHABET, max_size=60))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_the_reference_lexer(self, text):
+        assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
+
+    @pytest.mark.parametrize(
+        "text", ["", "  \n\t", "x  ", "# a comment", "x # c\n  y²1", "1/2/3", "4/x"]
+    )
+    def test_matches_the_reference_lexer_at_the_edges(self, text):
+        assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
+
+    def test_tokens_are_named_tuples(self):
+        tok = tokenize("ring x;")[1]
+        assert tok == Token("ident", "x", 1, 6)
+        assert tuple(tok) == ("ident", "x", 1, 6)
+
     def test_ideal_statement(self):
         kinds = [t.kind for t in tokenize("ideal I = x1*y1, x2*y1;")]
         assert kinds == [
@@ -104,6 +198,27 @@ class TestParser:
             parse_text("ring x y;\nideal I = x^2 + 3/0*x*y;")
         assert (exc.value.line, exc.value.column) == (2, 17)
         assert str(exc.value).startswith("2:17: ")
+
+    @pytest.mark.parametrize(
+        "statement, literal",
+        [
+            ("ideal I = {n}*x;", "{n}"),
+            ("ideal I = x^{n};", "{n}"),
+            ("ideal I = 1/{n}*x;", "1/{n}"),
+            ("ideal I = {n}/2*x;", "{n}"),
+            ("ideal I = x; module M = R/I shift {n};", "{n}"),
+            ("ideal I = x; module M = R/I; oracle M {n};", "{n}"),
+            ("ideal I = x; module M = R/I; forms F = x; verify M F i={n};", "{n}"),
+        ],
+    )
+    def test_literal_past_the_digit_limit_is_a_language_error(
+        self, statement, literal
+    ):
+        # was an internal ValueError; now an error at the literal
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(SemanticError, match=f"has {digits} digits") as exc:
+            parse_text("ring x;\n" + statement.format(n="7" * digits))
+        assert (exc.value.line, exc.value.column) == (2, statement.index(literal) + 1)
 
     def test_two_rings_rejected(self):
         with pytest.raises(SemanticError, match="exactly one ring"):
@@ -212,8 +327,10 @@ class TestParser:
     def test_fully_cancelling_ideal_is_rejected(self):
         # there is no literal for the zero ideal, so accepting this would
         # break the print/parse round trip
-        with pytest.raises(SemanticError, match="cancels to zero"):
-            parse_text("ring x y; ideal I = x - x;")
+        with pytest.raises(SemanticError, match="cancels to zero") as exc:
+            parse_text("ring x y;\nideal I = x - x, 0*y;")
+        # placed at the first generator, which a one-shot --ideal can name
+        assert (exc.value.line, exc.value.column) == (2, 11)
 
     def test_parse_error_carries_expectations(self):
         with pytest.raises(ParseError) as exc:
