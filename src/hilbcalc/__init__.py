@@ -35,9 +35,6 @@ from hilbcalc.series import (
     expand,
     h_polynomial,
     hilbert_coefficients,
-    partial_sum_check,
-    regular_quotient_coeffs,
-    relative_coefficient,
     series_dimension,
     shift,
 )
@@ -56,7 +53,6 @@ from hilbcalc.theorem import (
     run_maximal_times_prime_suite,
     run_random_sensitivity_suite,
     run_two_prime_product_suite,
-    superficial_quotient_audit,
     two_prime_product_module,
     verify_depth_sensitivity,
 )
@@ -92,11 +88,8 @@ __all__ = [
     "maximal_times_prime_module",
     "module_dimension",
     "module_table",
-    "partial_sum_check",
     "quotient_by_linear",
     "quotient_module",
-    "regular_quotient_coeffs",
-    "relative_coefficient",
     "run_maximal_times_prime_suite",
     "run_random_sensitivity_suite",
     "run_two_prime_product_suite",
@@ -106,7 +99,6 @@ __all__ = [
     "shift",
     "socle_series",
     "superficial_chain",
-    "superficial_quotient_audit",
     "two_prime_product_module",
     "verify_depth_sensitivity",
     "verify_series",

@@ -236,7 +236,9 @@ def _run_superficial(env: _Env, cmd, opts: Options) -> tuple[dict, str]:
         for r in reports
     ]
     ok = all(r.is_superficial for r in reports)
-    socles = ", ".join(str(r.socle_length) for r in reports)
+    socles = ", ".join(
+        "-" if r.socle_length is None else str(r.socle_length) for r in reports
+    )
     return {"steps": steps, "ok": ok}, f"socle lengths ({socles}): {_mark(ok)}"
 
 
@@ -620,12 +622,28 @@ def _int_at_least(low: int, high: Optional[int] = None):
     return parse
 
 
-# Subcommand name -> the script command it runs one-shot (None: the two
-# that are no script command), in the order help lists them.
-_SUBCOMMANDS: dict[str, Optional[str]] = {
-    "run": None,
-    "paper-examples": None,
-    **{("oracle-check" if k == "oracle" else k): k for k in COMMANDS},
+# Subcommand name -> (the script command it runs one-shot, None for the
+# two that are no script command; its help line), in the order help
+# lists them.
+_SUBCOMMANDS: dict[str, tuple[Optional[str], str]] = {
+    "run": (None, "execute a script file"),
+    "paper-examples": (None, "run the builtin closed-form example suites"),
+    "series": ("series", "Hilbert series numerator and dimension"),
+    "coeffs": ("coeffs", "full coefficient table (e_0, ..., e_D)"),
+    "depth": ("depth", "depth certificate: chain of regular forms plus stop reason"),
+    "superficial": ("superficial", "audit a given chain of forms step by step"),
+    "admissible": (
+        "admissible",
+        "search for a certified superficial system of parameters",
+    ),
+    "verify": (
+        "verify",
+        "the depth-sensitivity check for e_i along given forms (-i N)",
+    ),
+    "oracle-check": (
+        "oracle",
+        "compare series expansion against brute-force graded dimensions",
+    ),
 }
 
 
@@ -661,22 +679,16 @@ def build_parser(
     metavar = None if only is None else "{" + ",".join(_SUBCOMMANDS) + "}"
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
 
-    for name, keyword in _SUBCOMMANDS.items():
+    for name, (keyword, help_line) in _SUBCOMMANDS.items():
         if only is not None and name != only:
             continue
-        if name == "run":
-            run = sub.add_parser(name, parents=[common], help="execute a script file")
-            run.add_argument("script", help="path to a script")
-            continue
-        if name == "paper-examples":
-            sub.add_parser(
-                name,
-                parents=[common],
-                help="run the builtin closed-form example suites",
-            )
+        if keyword is None:
+            command = sub.add_parser(name, parents=[common], help=help_line)
+            if name == "run":
+                command.add_argument("script", help="path to a script")
             continue
         names = {field.name for field in dataclasses.fields(COMMANDS[keyword])}
-        oneshot = sub.add_parser(name, parents=[common, inline])
+        oneshot = sub.add_parser(name, parents=[common, inline], help=help_line)
         oneshot.set_defaults(keyword=keyword)
         if "forms" in names:
             oneshot.add_argument("--forms", required=True, help="comma-separated forms")
@@ -696,7 +708,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # most calls name a subcommand first: build only that one
     only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    args = build_parser(_default_seed(), only).parse_args(argv)
+    parser = build_parser(_default_seed(), only)
+    # no option precedes the subcommand but help (argparse takes "--h"
+    # for --help): say so rather than read the option's value as the name
+    lead = argv[0].split("=", 1)[0] if argv else ""
+    if lead.startswith("-") and not "--help".startswith(lead) and lead != "-h":
+        parser.error(
+            f"option {lead} precedes the subcommand; options follow the subcommand"
+        )
+    args = parser.parse_args(argv)
     try:
         return _dispatch(args)
     except Exception as exc:  # SystemExit and KeyboardInterrupt pass through

@@ -25,7 +25,6 @@ Hilbert numerator live in `monomial`.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -107,21 +106,6 @@ class EliminationOrder(MonomialOrder):
 
     def cache_token(self) -> str:
         return f"{self.name}:{self.nvars}:{self.aux_index}"
-
-
-def compare_monomials(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
-    """-1, 0 or 1 as a is below, equal to, or above b in the order."""
-    if len(a) != order.nvars or len(b) != order.nvars:
-        raise RingMismatch(
-            f"monomials of lengths {len(a)}, {len(b)} under an order on "
-            f"{order.nvars} variables"
-        )
-    ka, kb = order.key(a), order.key(b)
-    if ka < kb:
-        return 1
-    if ka > kb:
-        return -1
-    return 0
 
 
 def clear_denominators(coeffs: dict) -> tuple[int, dict]:
@@ -1204,39 +1188,10 @@ def eliminate_form(f: LinearForm) -> LinearElimination:
 
 
 def quotient_by_linear(I: PolyIdeal, f: LinearForm) -> PolyIdeal:
-    """Generators of I rewritten in the d-1 variable ring along f = 0."""
+    """Generators of I rewritten in the d-1 variable ring along f = 0.
+
+    Unused by the package, which calls LinearElimination.map_ideal;
+    kept because the benchmark tracer wraps it by name."""
     if f.nvars != I.ring_dim:
         raise RingMismatch("form is not in the ideal's ring")
     return eliminate_form(f).map_ideal(I)
-
-
-def random_linear_form(
-    d: int,
-    span: Optional[Sequence[LinearForm]] = None,
-    seed: int = 0,
-    bound: int = 100,
-) -> LinearForm:
-    """Deterministic pseudo-random form, optionally inside a given span."""
-    if bound < 1:
-        raise ValueError("coefficient bound must be positive")
-    rng = random.Random(seed)
-    if span is not None:
-        if len(span) == 0:
-            raise EmptySpan("cannot draw from an empty span")
-        if not forms_independent(span):
-            raise ValueError("span members must be linearly independent")
-        for f in span:
-            if f.nvars != d:
-                raise RingMismatch("span member outside the ring")
-        while True:
-            cs = [rng.randint(-bound, bound) for _ in span]
-            if any(cs):
-                combo = form_combination(cs, span)
-                assert combo is not None
-                return combo
-    if d < 1:
-        raise EmptySpan("no variables to draw from")
-    while True:
-        cs = [rng.randint(-bound, bound) for _ in range(d)]
-        if any(cs):
-            return LinearForm(cs)

@@ -349,19 +349,6 @@ def hilbert_coefficients(S: HilbertSeries) -> CoefficientTable:
     return CoefficientTable(s, h_polynomial(S).taylor_at_one())
 
 
-def relative_coefficient(S: HilbertSeries, i: int) -> int:
-    """i-th Taylor coefficient of the raw numerator at t = 1.
-
-    Unlike hilbert_coefficients this depends on the ambient dimension,
-    not only on the reduced series.
-    """
-    if i < 0:
-        raise ValueError("coefficient index must be a natural")
-    return sum(
-        c * math.comb(j, i) for j, c in enumerate(S.numerator.coeffs) if c and j >= i
-    )
-
-
 def shift(S: HilbertSeries, r: int) -> HilbertSeries:
     """Series of the same module with degrees shifted up by r."""
     if r < 0:
@@ -413,63 +400,3 @@ def coefficient(S: HilbertSeries, n: int) -> int:
     return sum(
         c * math.comb(n - j + d - 1, d - 1) for j, c in enumerate(h[: n + 1]) if c
     )
-
-
-def partial_sum_threshold(S: HilbertSeries) -> int:
-    """Least n from which the closed partial sum formula is guaranteed."""
-    s = series_dimension(S)
-    if s is MINUS_INFINITY:
-        raise ValueError("partial sums need a nonzero series")
-    return h_polynomial(S).degree - max(s, 0)
-
-
-@dataclass(frozen=True)
-class PartialSumCheck:
-    equal: bool
-    threshold: int
-    left: int
-    right: int
-
-    def __bool__(self) -> bool:
-        return self.equal
-
-
-def partial_sum_check(S: HilbertSeries, n: int) -> PartialSumCheck:
-    """Compare sum of lengths through degree n with the binomial closed form.
-
-    The closed form is guaranteed only for n at or past the reported
-    threshold; below it both sides are still evaluated and compared.
-    """
-    if S.numerator.is_zero:
-        raise ValueError("partial sums need a nonzero series")
-    if n < 0:
-        raise ValueError("degree bound must be a natural")
-    s = series_dimension(S)
-    table = hilbert_coefficients(S)
-    left = sum(expand(S, n))
-    right = 0
-    if isinstance(s, int):
-        for i in range(0, max(s, -1) + 1):
-            right += (-1) ** i * table.e(i) * binomial(n + s - i, s - i)
-    return PartialSumCheck(
-        equal=(left == right),
-        threshold=partial_sum_threshold(S),
-        left=left,
-        right=right,
-    )
-
-
-def regular_quotient_coeffs(T: CoefficientTable, k: int) -> CoefficientTable:
-    """Table of M/fM for f a degree-k regular element, from the table of M."""
-    if k < 1:
-        raise ValueError("regular element degree must be positive")
-    if not T.coeffs:
-        raise ValueError("quotient by a regular element needs a nonzero module")
-    if T.dim is MINUS_INFINITY:
-        raise ValueError("quotient by a regular element needs a nonzero module")
-    top = len(T.coeffs) + k - 1
-    coeffs = tuple(
-        sum(binomial(k, j + 1) * T.e(n - j) for j in range(0, min(n, k - 1) + 1))
-        for n in range(top)
-    )
-    return CoefficientTable(T.dim - 1, coeffs)

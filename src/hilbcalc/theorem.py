@@ -36,7 +36,6 @@ from hilbcalc.presentation import (
 from hilbcalc.sampling import random_independent_forms, random_module
 from hilbcalc.series import (
     CoefficientTable,
-    HilbertSeries,
     IntPolynomial,
     combine,
     hilbert_coefficients,
@@ -68,10 +67,6 @@ class NotAdmissible(ValueError):
         self.certificate = certificate
 
 
-class NotSuperficial(ValueError):
-    """The audited form is not superficial for the module."""
-
-
 @dataclass(frozen=True)
 class DepthSensitivityReport:
     """Everything the three assertions say about one (M, fs, i) instance.
@@ -91,51 +86,6 @@ class DepthSensitivityReport:
     depth_exact: bool
     equivalence_ok: bool
     defect_lengths: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AuditEntry:
-    index: int
-    before: int
-    after: int
-    expected_after: int
-
-    @property
-    def ok(self) -> bool:
-        return self.after == self.expected_after
-
-
-@dataclass(frozen=True)
-class QuotientAudit:
-    """Per-index outcome of the coefficient transfer under one
-    superficial quotient: e_j unchanged below s-1, corrected by the
-    signed socle length at j = s-1."""
-
-    socle_length: int
-    entries: tuple[AuditEntry, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-
-def superficial_quotient_audit(M: CyclicModule, g: LinearForm) -> QuotientAudit:
-    """Check how one superficial quotient moves the coefficient table."""
-    s = module_dimension(M)
-    if not isinstance(s, int) or s < 1:
-        raise BadIndex("audit needs a module of positive dimension")
-    (report,), (after_module,) = superficial_chain(M, [g])
-    if not report.is_superficial:
-        raise NotSuperficial("form is not superficial for this module")
-    before = module_table(M)
-    after = module_table(after_module)
-    entries = []
-    for j in range(s):
-        expected = before.e(j)
-        if j == s - 1:
-            expected += (-1) ** (s - 1) * report.socle_length
-        entries.append(AuditEntry(j, before.e(j), after.e(j), expected))
-    return QuotientAudit(report.socle_length, tuple(entries))
 
 
 def verify_depth_sensitivity(

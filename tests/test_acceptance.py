@@ -25,11 +25,8 @@ from hilbcalc.sampling import random_monomial_ideal
 from hilbcalc.series import (
     HilbertSeries,
     binomial,
+    expand,
     hilbert_coefficients,
-    partial_sum_check,
-    partial_sum_threshold,
-    regular_quotient_coeffs,
-    relative_coefficient,
     series_dimension,
     shift,
 )
@@ -42,6 +39,12 @@ from hilbcalc.theorem import (
     run_random_sensitivity_suite,
     run_two_prime_product_suite,
     two_prime_product_module,
+)
+from test_series import (
+    reference_partial_sum,
+    reference_partial_sum_threshold,
+    reference_regular_quotient_coeffs,
+    relative_coefficients_align,
 )
 
 # shifted free modules beyond the catalogue's r <= 8, for the binomial tables
@@ -235,10 +238,7 @@ def test_7_coefficient_identities_across_inventory():
         d = S.ambient_dim
         s = series_dimension(S)
         codim = d - s
-        for i in range(codim):
-            ok = ok and relative_coefficient(S, i) == 0
-        for i in range(codim, codim + len(T.coeffs) + 3):
-            ok = ok and relative_coefficient(S, i) == (-1) ** codim * T.e(i - codim)
+        ok = ok and relative_coefficients_align(S, codim + len(T.coeffs) + 3)
         for r in range(11):
             Tr = hilbert_coefficients(shift(S, r))
             for i in range(len(Tr.coeffs) + 2):
@@ -250,13 +250,12 @@ def test_7_coefficient_identities_across_inventory():
                 quotient = HilbertSeries(
                     d, S.numerator - S.numerator.times_t_power(k)
                 )
-                ok = ok and hilbert_coefficients(quotient) == regular_quotient_coeffs(
-                    T, k
-                )
-        start = max(partial_sum_threshold(S), 0)
-        for n in range(start, partial_sum_threshold(S) + 21):
-            if n >= 0:
-                ok = ok and partial_sum_check(S, n).equal
+                ok = ok and hilbert_coefficients(
+                    quotient
+                ) == reference_regular_quotient_coeffs(T, k)
+        threshold = reference_partial_sum_threshold(S)
+        for n in range(max(threshold, 0), threshold + 21):
+            ok = ok and sum(expand(S, n)) == reference_partial_sum(T, n)
         assert ok, f"identity failure at {label}"
     elapsed = time.perf_counter() - t0
     _report(

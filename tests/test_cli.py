@@ -251,6 +251,15 @@ class TestOneShot:
         assert code == 0
         assert "socle lengths (0)" in out
 
+    def test_superficial_failed_step_prints_a_dash(self, capsys):
+        args = ("--ring", "x y", "--ideal", "x^2", "--forms", "x, y")
+        code, out, _ = invoke(capsys, "superficial", *args)
+        assert code == 1
+        assert "socle lengths (-, 0): FAIL" in out
+        _, out, _ = invoke(capsys, "superficial", *args, "--json")
+        (entry,) = json.loads(out)["commands"]
+        assert [step["socle_length"] for step in entry["steps"]] == [None, 0]
+
     def test_admissible(self, capsys):
         code, out, _ = invoke(
             capsys, "admissible", *self.RING, "--forms", "y1 - x1"
@@ -660,6 +669,49 @@ class TestSingleSubcommandParser:
         code, _, err = _outcome(capsys, argv)
         assert code == 2
         assert message in err
+
+
+class TestTopLevelParser:
+    def test_help_describes_every_subcommand(self, capsys):
+        code, out, _ = _outcome(capsys, ["-h"])
+        assert code == 0
+        flat = " ".join(out.split())
+        for name, (_, help_line) in cli._SUBCOMMANDS.items():
+            assert help_line
+            assert f" {name} {help_line} " in flat
+
+    def test_one_shot_help_is_worded_as_in_the_readme(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        table = readme.split("## Subcommands", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in table.splitlines():
+            if line.startswith("| `"):
+                name, text = (cell.strip() for cell in line.strip("|").split("|"))
+                rows[name.strip("`").split()[0]] = text.replace("`", "")
+        for name, (keyword, help_line) in cli._SUBCOMMANDS.items():
+            if keyword is not None:
+                assert help_line == rows[name]
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--seed", "3", "run", "f.hc"], "--seed"),
+            (["--max-degree=4", "series"], "--max-degree"),
+            (["--json"], "--json"),
+            (["-x", "run"], "-x"),
+        ],
+    )
+    def test_option_before_the_subcommand_is_named(self, capsys, argv, option):
+        code, out, err = _outcome(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err.endswith(
+            f"error: option {option} precedes the subcommand; "
+            "options follow the subcommand\n"
+        )
+
+    def test_help_abbreviation_still_prints_help(self, capsys):
+        assert _outcome(capsys, ["--he"]) == _outcome(capsys, ["--help"])
 
 
 class TestCommandTable:

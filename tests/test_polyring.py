@@ -29,7 +29,6 @@ from hilbcalc.polyring import (
     RingMismatch,
     buchberger,
     colon,
-    compare_monomials,
     eliminate_form,
     form_combination,
     forms_independent,
@@ -40,11 +39,11 @@ from hilbcalc.polyring import (
     monomial_mul,
     normal_form,
     quotient_by_linear,
-    random_linear_form,
 )
 from hilbcalc.presentation import CyclicModule, module_table, series_of_cyclic
 from hilbcalc.superficial import (
     QuotientChain,
+    _combination_stream,
     depth,
     find_superficial_sequence,
     superficial_chain,
@@ -273,27 +272,24 @@ class TestMonomialHelpers:
 
 
 class TestOrders:
+    # keys sort from the top of the order down: the larger monomial has
+    # the smaller key
     def test_degrevlex_examples(self):
         order = DegRevLex(2)
-        # x1^2 beats x1 x2
-        assert compare_monomials((2, 0), (1, 1), order) == 1
-        assert compare_monomials((1, 1), (1, 1), order) == 0
+        # x1^2 beats x1 x2, which beats x2^2
+        assert order.key((2, 0)) < order.key((1, 1)) < order.key((0, 2))
 
     def test_elimination_blocks(self):
         # auxiliary w is variable 0; w*x1 beats x1^3 despite lower degree
         order = EliminationOrder(2, aux_index=0)
-        assert compare_monomials((1, 1), (0, 3), order) == 1
-
-    def test_ring_mismatch(self):
-        with pytest.raises(RingMismatch):
-            compare_monomials((1, 0), (1, 0, 0), DegRevLex(2))
+        assert order.key((1, 1)) < order.key((0, 3))
 
     @given(st.lists(small_exponents, min_size=2, max_size=2))
     def test_degrevlex_total(self, ms):
+        # distinct monomials get distinct keys, so no two tie
         a, b = ms
-        c = compare_monomials(a, b, DegRevLex(2))
-        assert c == -compare_monomials(b, a, DegRevLex(2))
-        assert (c == 0) == (a == b)
+        order = DegRevLex(2)
+        assert (order.key(a) == order.key(b)) == (a == b)
 
 
 class TestPolynomialArithmetic:
@@ -1072,26 +1068,22 @@ class TestFormsIndependentReference:
 
 
 class TestRandomLinearForm:
-    def test_deterministic(self):
-        assert random_linear_form(3, seed=7) == random_linear_form(3, seed=7)
-        assert random_linear_form(3, seed=7) != random_linear_form(3, seed=8)
-
+    # the package draws a form in a span as the span's combination with a
+    # coefficient vector from superficial._combination_stream
     def test_span_membership(self):
         span = [
             LinearForm((Fraction(1), Fraction(0), Fraction(1))),
             LinearForm((Fraction(0), Fraction(1), Fraction(0))),
         ]
-        g = random_linear_form(3, span=span, seed=3)
-        assert not forms_independent(span + [g])
+        stream = _combination_stream(len(span), random.Random(3), 100)
+        for coeffs in itertools.islice(stream, 12):
+            g = form_combination(coeffs, span)
+            assert g is not None
+            assert not forms_independent(span + [g])
 
     def test_empty_span_rejected(self):
         with pytest.raises(EmptySpan):
-            random_linear_form(3, span=[], seed=0)
-
-    def test_dependent_span_rejected(self):
-        a = LinearForm((Fraction(1), Fraction(0)))
-        with pytest.raises(ValueError):
-            random_linear_form(2, span=[a, a], seed=0)
+            form_combination([], [])
 
 
 def generators_up_to_scalars(I: PolyIdeal) -> tuple:

@@ -21,10 +21,6 @@ from hilbcalc.series import (
     expand,
     h_polynomial,
     hilbert_coefficients,
-    partial_sum_check,
-    partial_sum_threshold,
-    regular_quotient_coeffs,
-    relative_coefficient,
     series_dimension,
     shift,
 )
@@ -208,22 +204,13 @@ class TestRelativeCoefficient:
     def test_vanishing_below_codim(self):
         # R/p with p spanned by the first two of four variables: h = (1-t)^2
         S = HilbertSeries(4, IntPolynomial.one().times_one_minus_t(2))
-        assert relative_coefficient(S, 0) == 0
-        assert relative_coefficient(S, 1) == 0
-        assert relative_coefficient(S, 2) == 1
+        assert hilbert_coefficients(S) == CoefficientTable(2, (1,))
+        assert [reference_relative_coefficient(S, i) for i in range(4)] == [0, 0, 1, 0]
+        assert relative_coefficients_align(S, 8)
 
     def test_alignment_with_table(self):
         S = HilbertSeries(3, IntPolynomial((1, 0, -2, 1)))
-        T = hilbert_coefficients(S)
-        d, s = S.ambient_dim, T.dim
-        for i in range(0, 10):
-            if i < d - s:
-                assert relative_coefficient(S, i) == 0
-            else:
-                assert relative_coefficient(S, i) == (-1) ** (d - s) * T.e(i - d + s)
-            # and back
-        for i in range(0, 8):
-            assert T.e(i) == (-1) ** (d - s) * relative_coefficient(S, i + d - s)
+        assert relative_coefficients_align(S, 12)
 
 
 class TestShift:
@@ -306,56 +293,59 @@ class TestExpand:
 class TestPartialSums:
     def test_full_ring(self):
         S = HilbertSeries(2, IntPolynomial.one())
-        res = partial_sum_check(S, 5)
-        assert res.equal
-        assert res.left == 21 == res.right
+        T = hilbert_coefficients(S)
+        assert sum(expand(S, 5)) == 21 == reference_partial_sum(T, 5)
 
     def test_at_degree_zero(self):
         S = HilbertSeries(3, IntPolynomial((1, 0, -2, 1)))
-        res = partial_sum_check(S, 0)
-        assert res.equal
-        assert res.left == 1
+        T = hilbert_coefficients(S)
+        assert sum(expand(S, 0)) == 1 == reference_partial_sum(T, 0)
 
     def test_threshold_reported(self):
         S = HilbertSeries(3, IntPolynomial((1, 0, -2, 1)))
-        assert partial_sum_threshold(S) == 0
-        assert partial_sum_check(S, 4).threshold == 0
+        assert reference_partial_sum_threshold(S) == 0
 
     def test_window_past_threshold(self):
         S = HilbertSeries(3, IntPolynomial((1, 0, -2, 1)))
-        t0 = partial_sum_threshold(S)
+        T = hilbert_coefficients(S)
+        t0 = reference_partial_sum_threshold(S)
         for n in range(t0, t0 + 21):
-            assert partial_sum_check(S, n).equal
+            assert sum(expand(S, n)) == reference_partial_sum(T, n)
 
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            partial_sum_check(HilbertSeries(2, IntPolynomial.zero()), 3)
+
+def one_minus_t_power(k: int) -> IntPolynomial:
+    """1 - t^k, the numerator factor of a quotient by a degree-k regular
+    element."""
+    return IntPolynomial((1,) + (0,) * (k - 1) + (-1,))
 
 
 class TestRegularQuotient:
     def test_free_module_hypersurface(self):
         T = CoefficientTable(4, (1,))
-        out = regular_quotient_coeffs(T, 3)
-        assert out.dim == 3
-        assert out.coeffs == (3, 3, 1)
+        quotient = HilbertSeries(4, one_minus_t_power(3))
+        out = hilbert_coefficients(quotient)
+        assert out == CoefficientTable(3, (3, 3, 1))
+        assert out == reference_regular_quotient_coeffs(T, 3)
 
     def test_degree_one_identity(self):
-        T = CoefficientTable(2, (1, -1, -1))
-        out = regular_quotient_coeffs(T, 1)
-        assert out.dim == 1
-        assert out.coeffs == (1, -1, -1)
+        # 1 + t - t^2 = 1 - (t - 1) - (t - 1)^2
+        h = IntPolynomial((1, 1, -1))
+        T = hilbert_coefficients(HilbertSeries(2, h))
+        assert T == CoefficientTable(2, (1, -1, -1))
+        out = hilbert_coefficients(HilbertSeries(2, h * one_minus_t_power(1)))
+        assert out == CoefficientTable(1, (1, -1, -1))
+        assert out == reference_regular_quotient_coeffs(T, 1)
 
     def test_successive_matches_convolution(self):
-        T = CoefficientTable(4, (1,))
-        out = regular_quotient_coeffs(regular_quotient_coeffs(T, 2), 3)
+        quotient = HilbertSeries(4, one_minus_t_power(2) * one_minus_t_power(3))
+        out = hilbert_coefficients(quotient)
+        assert out == reference_regular_quotient_coeffs(
+            reference_regular_quotient_coeffs(CoefficientTable(4, (1,)), 2), 3
+        )
         for i in range(6):
             assert out.e(i) == sum(
                 binomial(2, i - j + 1) * binomial(3, j + 1) for j in range(i + 1)
             )
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            regular_quotient_coeffs(CoefficientTable(2, ()), 1)
 
     @settings(max_examples=40)
     @given(
@@ -371,9 +361,8 @@ class TestRegularQuotient:
             return
         s_dim = d_extra  # embed so that the module has positive dimension
         S = HilbertSeries(h.multiplicity_at_one() + s_dim, h)
-        one_minus_tk = IntPolynomial((1,) + (0,) * (k - 1) + (-1,))
-        quotient = HilbertSeries(S.ambient_dim, h * one_minus_tk)
-        assert regular_quotient_coeffs(
+        quotient = HilbertSeries(S.ambient_dim, h * one_minus_t_power(k))
+        assert reference_regular_quotient_coeffs(
             hilbert_coefficients(S), k
         ) == hilbert_coefficients(quotient)
 
@@ -431,6 +420,46 @@ def reference_expand(S: HilbertSeries, max_degree: int) -> list[int]:
 def reference_relative_coefficient(S: HilbertSeries, i: int) -> int:
     h = S.numerator
     return sum(binomial(j, i) * h.coeffs[j] for j in range(i, len(h.coeffs)))
+
+
+def relative_coefficients_align(S: HilbertSeries, top: int) -> bool:
+    """The relative coefficients 0..top-1 of a nonzero S, the Taylor
+    coefficients of its raw numerator at t = 1, against its table: zero
+    below the number c of (1 - t) factors the table divides out, and
+    (-1)^c e_{i-c} from c on."""
+    T = hilbert_coefficients(S)
+    c = S.ambient_dim - max(T.dim, 0)
+    return all(
+        reference_relative_coefficient(S, i)
+        == (0 if i < c else (-1) ** c * T.e(i - c))
+        for i in range(top)
+    )
+
+
+def reference_partial_sum(T: CoefficientTable, n: int) -> int:
+    """The closed form of the lengths through degree n, read off the
+    table of a nonzero module: the sum over i <= s of
+    (-1)^i e_i C(n + s - i, s - i).  It holds from
+    reference_partial_sum_threshold on."""
+    s = T.dim
+    return sum((-1) ** i * T.e(i) * binomial(n + s - i, s - i) for i in range(s + 1))
+
+
+def reference_partial_sum_threshold(S: HilbertSeries) -> int:
+    """The least n from which the partial sum closed form is guaranteed."""
+    return h_polynomial(S).degree - series_dimension(S)
+
+
+def reference_regular_quotient_coeffs(T: CoefficientTable, k: int) -> CoefficientTable:
+    """The table of M/fM for f a degree-k regular element, from the table
+    of a nonzero M of positive dimension."""
+    return CoefficientTable(
+        T.dim - 1,
+        tuple(
+            sum(binomial(k, j + 1) * T.e(n - j) for j in range(min(n, k - 1) + 1))
+            for n in range(len(T.coeffs) + k - 1)
+        ),
+    )
 
 
 @st.composite
@@ -504,8 +533,8 @@ class TestKernelsAgainstReferences:
     @given(numerators(), st.integers(0, 8))
     def test_taylor_and_relative_coefficient_match_reference(self, p, i):
         assert p.taylor_at_one() == reference_taylor_at_one(p)
-        S = HilbertSeries(2, p)
-        assert relative_coefficient(S, i) == reference_relative_coefficient(S, i)
+        if not p.is_zero:
+            assert relative_coefficients_align(HilbertSeries(2, p), i + 1)
 
 
 class TestCoefficient:

@@ -11,17 +11,15 @@ from hilbcalc.presentation import (
     module_dimension,
     module_table,
 )
-from hilbcalc.superficial import NOT_SSOP, PROBABLY_NOT_ADMISSIBLE
+from hilbcalc.superficial import NOT_SSOP, PROBABLY_NOT_ADMISSIBLE, superficial_chain
 from hilbcalc.theorem import (
     BadIndex,
     NotAdmissible,
-    NotSuperficial,
     maximal_times_prime_module,
     maximal_times_prime_table,
     run_maximal_times_prime_suite,
     run_random_sensitivity_suite,
     run_two_prime_product_suite,
-    superficial_quotient_audit,
     two_prime_product_module,
     two_prime_product_table,
     verify_depth_sensitivity,
@@ -169,47 +167,42 @@ class TestVerifyWorkedValues:
 
 
 class TestQuotientAudit:
+    # one superficial quotient of a module of dimension s leaves e_j alone
+    # below s - 1 and moves e_{s-1} by (-1)^(s-1) times the socle length
     def test_superficial_with_socle(self):
         M = maximal_times_prime_module(3, 1)
-        audit = superficial_quotient_audit(M, var_form(3, 2))
-        assert audit.socle_length == 2
-        assert audit.ok
-        assert len(audit.entries) == 1
-        entry = audit.entries[0]
-        assert (entry.before, entry.after, entry.expected_after) == (1, 3, 3)
+        assert module_dimension(M) == 1
+        (report,), (after,) = superficial_chain(M, [var_form(3, 2)])
+        assert report.is_superficial
+        assert report.socle_length == 2
+        assert (module_table(M).e(0), module_table(after).e(0)) == (1, 3)
 
     def test_regular_form_changes_nothing(self):
         M = two_prime_product_module(1, 2)
-        audit = superficial_quotient_audit(M, z_form(1, 2, 1))
-        assert audit.socle_length == 0
-        assert audit.ok
-        assert all(e.before == e.after for e in audit.entries)
-        assert len(audit.entries) == 2
+        assert module_dimension(M) == 2
+        (report,), (after,) = superficial_chain(M, [z_form(1, 2, 1)])
+        assert report.is_superficial
+        assert report.socle_length == 0
+        assert [module_table(after).e(j) for j in range(2)] == [
+            module_table(M).e(j) for j in range(2)
+        ]
 
     def test_even_dimension_sign(self):
         # s = 3: the correction enters with a plus sign at index 2
         M = maximal_times_prime_module(4, 3)
-        audit = superficial_quotient_audit(M, var_form(4, 3))
-        assert audit.ok
-        last = audit.entries[-1]
-        assert last.expected_after == last.before + audit.socle_length
+        assert module_dimension(M) == 3
+        (report,), (after,) = superficial_chain(M, [var_form(4, 3)])
+        assert report.is_superficial
+        assert report.socle_length == 1
+        before, quotient = module_table(M), module_table(after)
+        assert [quotient.e(j) for j in range(2)] == [before.e(j) for j in range(2)]
+        assert quotient.e(2) == before.e(2) + report.socle_length
 
     def test_rejects_non_superficial(self):
         M = maximal_times_prime_module(3, 1)
-        with pytest.raises(NotSuperficial):
-            superficial_quotient_audit(M, var_form(3, 0))
-
-    def test_rejects_dimension_zero(self):
-        from hilbcalc.polyring import PolyIdeal
-
-        zero_dim = CyclicModule(
-            2,
-            PolyIdeal(
-                2, [var_form(2, 0).to_polynomial(), var_form(2, 1).to_polynomial()]
-            ),
-        )
-        with pytest.raises(BadIndex):
-            superficial_quotient_audit(zero_dim, var_form(2, 0))
+        (report,), _ = superficial_chain(M, [var_form(3, 0)])
+        assert not report.is_superficial
+        assert report.socle_length is None
 
 
 class TestSuites:
