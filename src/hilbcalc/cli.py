@@ -27,9 +27,6 @@ from typing import Optional, Sequence
 from hilbcalc.dsl import (
     COMMANDS,
     DslError,
-    FormsDecl,
-    IdealDecl,
-    ModuleDecl,
     Script,
     command_keyword,
     format_command,
@@ -160,18 +157,17 @@ class _Env:
     def __init__(self, script: Script):
         self.variables = script.variables
         d = len(self.variables)
-        self.ideals: dict[str, PolyIdeal] = {}
-        self.modules: dict[str, CyclicModule] = {}
-        self.groups: dict[str, tuple[LinearForm, ...]] = {}
-        for stmt in script.statements:
-            if isinstance(stmt, IdealDecl):
-                self.ideals[stmt.name] = PolyIdeal(d, list(stmt.generators))
-            elif isinstance(stmt, ModuleDecl):
-                self.modules[stmt.name] = CyclicModule(
-                    d, self.ideals[stmt.ideal_name], stmt.shift
-                )
-            elif isinstance(stmt, FormsDecl):
-                self.groups[stmt.name] = stmt.forms
+        self.ideals: dict[str, PolyIdeal] = {
+            name: PolyIdeal(d, list(decl.generators))
+            for name, decl in script.ideals().items()
+        }
+        self.modules: dict[str, CyclicModule] = {
+            name: CyclicModule(d, self.ideals[decl.ideal_name], decl.shift)
+            for name, decl in script.modules().items()
+        }
+        self.groups: dict[str, tuple[LinearForm, ...]] = {
+            name: decl.forms for name, decl in script.form_groups().items()
+        }
 
 
 # Each handler returns its entry's result fields and its human line, both
@@ -706,6 +702,9 @@ def build_parser(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # no option precedes the subcommand, so a leading "--" ends none
+    if argv[:1] == ["--"]:
+        del argv[0]
     # most calls name a subcommand first: build only that one
     only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     parser = build_parser(_default_seed(), only)

@@ -7,18 +7,19 @@ and the public API.  A linear form keeps a tuple of numerators the same
 way, viewed as `coefficients`.  Monomial orders are small strategy objects
 producing sort keys, and the leading monomial has the smallest key, so
 leading terms come from min() over the support and a heap pops them in
-order.  Division and linear substitution work on the numerators, and one
-gcd puts each result in lowest terms.  The Groebner engine is one
-incremental Buchberger loop: generators enter one at a time, S-pairs are
-skipped by the coprime and chain criteria and, for homogeneous input, by
-an exact lower bound on the Hilbert function of the next stage's quotient,
-read off a Hilbert numerator the loop keeps up to date.  Its coefficient
-work is a kernel on monomials packed into single ints, one packing for
-both orders: over the rationals it reduces fully and fraction-free, mod
-2^31 - 1 it top-reduces only.  A run ends in leading monomials and their
-Hilbert numerator, which is all the series needs; only `buchberger` (and
-through it `initial_ideal` and `colon`) tail-reduces the rational run into
-the reduced monic basis.  The mod-p numerator certifies a series, never an
+order.  Linear substitution works on the numerators, and one gcd puts
+each result in lowest terms.  The Groebner engine is one incremental
+Buchberger loop: generators enter one at a time, S-pairs are skipped by
+the coprime and chain criteria and, for homogeneous input, by an exact
+lower bound on the Hilbert function of the next stage's quotient, read
+off a Hilbert numerator the loop keeps up to date.  Its coefficient work
+is a kernel on monomials packed into single ints, one packing for both
+orders: over the rationals it reduces fully and fraction-free, and the
+same loop is the plain division of `normal_form` and of `colon`'s exact
+quotients; mod 2^31 - 1 it top-reduces only.  A run ends in leading
+monomials and their Hilbert numerator, which is all the series needs;
+only `buchberger` (and through it `initial_ideal` and `colon`)
+tail-reduces the rational run into the reduced monic basis.  The mod-p numerator certifies a series, never an
 initial ideal (see `presentation`).  Exponent arithmetic and the monomial
 Hilbert numerator live in `monomial`.
 """
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, mul, sub
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from hilbcalc.linalg import IntEchelon
@@ -128,7 +129,7 @@ def _lowest(nvars: int, nums: dict, den: int) -> "Polynomial":
         den //= g
         nums = {m: v // g for m, v in nums.items()}
     p = object.__new__(Polynomial)
-    p.nvars, p.nums, p.den, p._key, p._row = nvars, nums, den, None, None
+    p.nvars, p.nums, p.den, p._key = nvars, nums, den, None
     return p
 
 
@@ -140,7 +141,7 @@ class Polynomial:
     construction.  The constructor takes {exponent tuple: int or Fraction}.
     """
 
-    __slots__ = ("nvars", "nums", "den", "_key", "_row")
+    __slots__ = ("nvars", "nums", "den", "_key")
 
     def __init__(self, nvars: int, terms: Optional[dict] = None):
         terms = terms or {}
@@ -152,7 +153,7 @@ class Polynomial:
         self.nvars = nvars
         self.den, nums = clear_denominators(terms)
         self.nums = {tuple(m): c for m, c in nums.items() if c}
-        self._key = self._row = None
+        self._key = None
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
@@ -275,24 +276,6 @@ class Polynomial:
         """(leading monomial, its coefficient as in `terms`)."""
         m = self.leading_monomial(order)
         return m, Fraction(self.nums[m], self.den)
-
-    def division_row(self, order: MonomialOrder) -> tuple[Monomial, int, tuple]:
-        """Primitive integer multiple of self as (lm, lc, tail), lc > 0.
-
-        Built once per order and kept on the polynomial, so a basis element
-        that divides many times is converted once; tail holds the other
-        terms as (monomial, int) pairs.
-        """
-        token = order.cache_token()
-        if self._row is None or self._row[0] != token:
-            lm = self.leading_monomial(order)
-            nums = self.nums
-            content = gcd(*nums.values())
-            if nums[lm] < 0:
-                content = -content
-            tail = tuple((m, v // content) for m, v in nums.items() if m != lm)
-            self._row = (token, (lm, nums[lm] // content, tail))
-        return self._row[1]
 
     def monic(self, order: MonomialOrder) -> "Polynomial":
         c = self.nums[self.leading_monomial(order)]
@@ -497,80 +480,24 @@ def _over_one_den(nvars: int, terms: dict) -> Polynomial:
     return _lowest(nvars, {m: c * (den // d) for m, (c, d) in terms.items()}, den)
 
 
-def _divide(
-    f: Polynomial,
-    rows: Sequence[tuple[Monomial, int, tuple]],
-    order: MonomialOrder,
-    quotient: Optional[dict] = None,
-) -> Polynomial:
-    """Remainder of f under division by the divisor rows, leading term first.
-
-    The pending terms are f's numerators over its den.  A heap pops the
-    next pending monomial by order key; an entry whose term has cancelled
-    is skipped.  Cancelling c x^m against the row with lm | m multiplies
-    the pending row by a = lc/g and subtracts b = c/g times the shifted
-    tail (g = gcd(c, lc)), then divides the pending row and den by their
-    content.  A remainder term is kept as (c, den) of its moment, and one
-    lcm and one gcd put the remainder over one denominator at the end.
-    With one row, quotient collects the quotient by that row made monic
-    the same way, keyed by shift.
-    """
-    key = order.key
-    den, work = f.den, dict(f.nums)
-    heap = [(key(m), m) for m in work]
-    heapify(heap)
-    remainder: dict[Monomial, tuple[int, int]] = {}
-    while heap:
-        m = heappop(heap)[1]
-        c = work.pop(m, 0)
-        if not c:
-            continue
-        for lm, lc, tail in rows:
-            if all(map(le, lm, m)):
-                break
-        else:
-            remainder[m] = c, den
-            continue
-        shift = tuple(map(sub, m, lm))
-        g = gcd(c, lc)
-        a, b = lc // g, c // g
-        if quotient is not None:
-            quotient[shift] = c, den
-        if a != 1:
-            den *= a
-            work = {t: v * a for t, v in work.items()}
-        for mt, ct in tail:
-            mm = tuple(map(add, mt, shift))
-            d = b * ct
-            v = work.get(mm)
-            if v is None:
-                work[mm] = -d
-                heappush(heap, (key(mm), mm))
-            elif v == d:
-                del work[mm]
-            else:
-                work[mm] = v - d
-        if den != 1:
-            k = gcd(den, *work.values())
-            if k != 1:
-                den //= k
-                work = {t: v // k for t, v in work.items()}
-    return _over_one_den(f.nvars, remainder)
-
-
 def normal_form(
     f: Polynomial, basis: Sequence[Polynomial], order: Optional[MonomialOrder] = None
 ) -> Polynomial:
-    """Remainder of f under multivariate division by basis."""
+    """Exact remainder of f under multivariate division by basis, each term
+    divided by the first element whose leading monomial divides it.  The
+    division is `RationalKernel`'s, so it takes the two orders the kernel
+    packs (TypeError otherwise), and under an elimination order f and basis
+    must be homogeneous in all variables or in the non-eliminated ones
+    (ValueError otherwise)."""
     order = order or DegRevLex(f.nvars)
-    rows = []
+    divisors = []
     for g in basis:
         if g.is_zero:
             continue
         if g.nvars != f.nvars:
             raise RingMismatch("division across different rings")
-        rows.append(g.division_row(order))
-    return _divide(f, rows, order)
+        divisors.append(g)
+    return RationalKernel(order, [f, *divisors]).divide(f, divisors)
 
 
 def _minimal(
@@ -623,12 +550,13 @@ class _PackedKernel:
 
     The fields hold exponents up to `limit` = 2^(B-1) - 1, at first at
     least twice the sum of the generators' degrees.  Every monomial a
-    reduction writes has degree at most that of the entering generator or
-    of the S-pair lcm: under degrevlex it lies below them, and under the
-    elimination order the generators are homogeneous, or homogeneous in
+    reduction writes has degree at most that of the entering generator, the
+    dividend or the S-pair lcm: under degrevlex it lies below them, and
+    under the elimination order the input is homogeneous, or homogeneous in
     the other variables as in `colon`, and m[a] falls along the order.
     So one degree check per generator and per S-pair guards the fields,
-    and a degree past the limit doubles B and re-packs the basis.
+    and a degree past the limit doubles B and re-packs the basis; a
+    division packs its dividend among the generators and needs no check.
 
     An element is (K(lm), R(lm), lc, tail): leading monomial lm with
     coefficient lc, and the other terms as (K(m), coefficient) pairs.
@@ -644,8 +572,8 @@ class _PackedKernel:
                 or all(len({sum(m) - m[a] for m in g.nums}) <= 1 for g in gens)
             ):
                 raise ValueError(
-                    "an elimination run needs generators homogeneous in all "
-                    "variables or in the non-eliminated ones"
+                    "packing under an elimination order needs input homogeneous "
+                    "in all variables or in the non-eliminated ones"
                 )
         else:
             raise TypeError(f"no packing for the {order.name} order")
@@ -708,18 +636,20 @@ class _PackedKernel:
 
 
 class RationalKernel(_PackedKernel):
-    """Exact integer coefficients for `_buchberger_run`.
+    """Exact integer coefficients for `_buchberger_run`, and the division of
+    `normal_form` and `colon`.
 
     An element is the primitive integer multiple of a polynomial with
-    lc > 0, fully reduced when it enters.  Reduction is fraction-free, as
-    in `_divide`: cancelling c x^m against the first element whose leading
-    monomial divides it multiplies the pending terms by a = lc/g and
-    subtracts b = c/g times the shifted tail (g = gcd(c, lc)).  Once such a
-    scaling has left a denominator above 1, each step divides the pending
-    terms and the denominator by their common content.  A remainder term
-    keeps the denominator of its moment, and one lcm and one gcd make the
-    remainder primitive.  `reduced` tail-reduces a finished basis into the
-    reduced monic basis.
+    lc > 0; in a run it is fully reduced when it enters.  Reduction is
+    fraction-free (`_remainder`): cancelling c x^m against the first
+    element whose leading monomial divides it multiplies the pending terms
+    by a = lc/g and subtracts b = c/g times the shifted tail
+    (g = gcd(c, lc)).  Once such a scaling has left a denominator above 1,
+    each step divides the pending terms and the denominator by their common
+    content.  A remainder term keeps the denominator of its moment; one lcm
+    and one gcd make a run's remainder primitive, and `divide` puts a
+    division's remainder over one denominator instead.  `reduced`
+    tail-reduces a finished basis into the reduced monic basis.
     """
 
     exact = True
@@ -744,9 +674,31 @@ class RationalKernel(_PackedKernel):
                 del work[m]
         return self._reduce(work, G)
 
-    def _reduce(self, work: dict, G: list) -> Optional[tuple]:
-        """The element of the remainder of the integer terms work under
-        division by G; None for zero."""
+    def divide(
+        self, f: Polynomial, divisors: Sequence[Polynomial], quotient: Optional[dict] = None
+    ) -> Polynomial:
+        """Exact remainder of f under division by the nonzero divisors, tried
+        in the order given, each as its unreduced primitive element.  With
+        one divisor, quotient collects the quotient of f by that divisor
+        made monic, as {shift: (c, d)}, each (c / d) x^shift."""
+        pack, unpack = self._pack, self._unpack
+        # reduced by nothing, a divisor comes out as its primitive element
+        rows = [self._reduce({pack(m): v for m, v in g.nums.items()}, []) for g in divisors]
+        # the loop starts from f's numerators, so its pairs are over f.den too
+        steps = None if quotient is None else {}
+        remainder = self._remainder({pack(m): v for m, v in f.nums.items()}, rows, steps)
+        den = f.den
+        if steps:
+            quotient.update((unpack(u), (c, d * den)) for u, (c, d) in steps.items())
+        return _over_one_den(
+            self.nvars, {unpack(m): (c, d * den) for m, (c, d) in remainder.items()}
+        )
+
+    def _remainder(self, work: dict, G: list, quotient: Optional[dict] = None) -> dict:
+        """The remainder of the integer terms work under division by G, as
+        {K(m): (c, den)} in the order of the heap, leading term first.
+        quotient, if given, collects the same pair for each reduced term,
+        keyed by the packed shift m / lm of its divisor."""
         mask, guards = self.mask, self.guards
         heap = list(work)
         heapify(heap)
@@ -765,6 +717,8 @@ class RationalKernel(_PackedKernel):
                 remainder[m] = c, den
                 continue
             shift = m - lm
+            if quotient is not None:
+                quotient[shift] = c, den
             g = gcd(c, lc)
             a, b = lc // g, c // g
             if a != 1:
@@ -786,6 +740,12 @@ class RationalKernel(_PackedKernel):
                 if k != 1:
                     den //= k
                     work = {t: v // k for t, v in work.items()}
+        return remainder
+
+    def _reduce(self, work: dict, G: list) -> Optional[tuple]:
+        """The element of the remainder of the integer terms work under
+        division by G; None for zero."""
+        remainder = self._remainder(work, G)
         if not remainder:
             return None
         top = lcm(*{d for _, d in remainder.values()})
@@ -1037,7 +997,7 @@ def initial_ideal(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> PolyId
 def _exact_divide(p: Polynomial, f: Polynomial, order: MonomialOrder) -> Polynomial:
     """Quotient p / f for p a multiple of f."""
     quot: dict[Monomial, tuple[int, int]] = {}
-    if _divide(p, [f.division_row(order)], order, quot):
+    if RationalKernel(order, (p, f)).divide(p, [f], quot):
         raise ArithmeticError("polynomial is not a multiple of the divisor")
     # quot is p / monic(f); p / f is that over lc(f) = nums[lm] / den
     lc = f.nums[f.leading_monomial(order)]

@@ -259,9 +259,6 @@ class IntPolynomial:
         return tuple(out)
 
 
-ONE_MINUS_T = IntPolynomial((1, -1))
-
-
 @dataclass(frozen=True, eq=False)
 class HilbertSeries:
     """numerator / (1 - t)^ambient_dim as a formal power series."""

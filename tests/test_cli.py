@@ -713,6 +713,16 @@ class TestTopLevelParser:
     def test_help_abbreviation_still_prints_help(self, capsys):
         assert _outcome(capsys, ["--he"]) == _outcome(capsys, ["--help"])
 
+    def test_leading_end_of_options_marker_is_dropped(self, capsys):
+        demo = str(Path(__file__).parents[1] / "scripts" / "demo.hc")
+        for extra in ([], ["--json"]):
+            expected = _outcome(capsys, ["run", demo, *extra])
+            assert expected[0] == 0
+            assert _outcome(capsys, ["--", "run", demo, *extra]) == expected
+        code, out, err = _outcome(capsys, ["--"])
+        assert (code, out) == (2, "")
+        assert "the following arguments are required: subcommand\n" in err
+
 
 class TestCommandTable:
     def test_one_command_list_everywhere(self):

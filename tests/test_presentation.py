@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_memos
-from test_polyring import reference_spoly
+from test_polyring import reference_normal_form, reference_spoly
 from hilbcalc import polyring, presentation
 from hilbcalc.monomial import (
     _numerator_of_monomial,
@@ -350,8 +350,8 @@ class TupleModPKernel:
 
 class TupleRationalKernel:
     """The rational kernel on exponent tuples, as it was before monomials
-    were packed into ints: monic Polynomials reduced fully by
-    `normal_form`.  The reference for `RationalKernel`, step for step."""
+    were packed into ints: monic Polynomials reduced fully by Fraction long
+    division.  The reference for `RationalKernel`, step for step."""
 
     exact = True
 
@@ -359,12 +359,12 @@ class TupleRationalKernel:
         self.order = order
 
     def enter(self, f, G):
-        r = polyring.normal_form(f, G, self.order) if G else f
+        r = reference_normal_form(f, G, self.order) if G else f
         return None if r.is_zero else r.monic(self.order)
 
     def spair(self, G, i, j, top):
         order = self.order
-        r = polyring.normal_form(reference_spoly(G[i], G[j], order), G, order)
+        r = reference_normal_form(reference_spoly(G[i], G[j], order), G, order)
         return None if r.is_zero else r.monic(order)
 
     def lead(self, g):
@@ -375,9 +375,16 @@ class TupleRationalKernel:
         reduced = []
         for i, g in enumerate(G):
             others = [h for j, h in enumerate(G) if j != i]
-            reduced.append(polyring.normal_form(g, others, order).monic(order))
+            reduced.append(reference_normal_form(g, others, order).monic(order))
         reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
         return tuple(reduced)
+
+
+def tuple_reduced_basis(gens, nvars: int, order) -> tuple:
+    """`polyring._reduced_basis` on the tuple kernel, which leaves the exact
+    division in `colon` to the packed one."""
+    kernel = TupleRationalKernel(order)
+    return kernel.reduced(polyring._buchberger_run(gens, nvars, kernel)[0])
 
 
 def terms_of(kernel, g) -> dict:
@@ -517,7 +524,7 @@ class TestPackedKernel:
 
         packed = results()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polyring, "RationalKernel", TupleRationalKernel)
+            mp.setattr(polyring, "_reduced_basis", tuple_reduced_basis)
             assert packed == results()
 
     @settings(max_examples=100, deadline=None)
