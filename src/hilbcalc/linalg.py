@@ -150,6 +150,3 @@ class FractionEchelon:
                 self._rows[col] = row
                 return True
         return False
-
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))

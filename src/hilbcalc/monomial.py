@@ -1,8 +1,8 @@
 """Monomials as exponent tuples, and the Hilbert numerator of a monomial
 quotient.
 
-This is the layer below polynomials: the exponent arithmetic the division
-kernel and Buchberger's criteria use, the lex-ordered monomials of one
+This is the layer below polynomials: the exponent arithmetic of
+polynomial products and monomial ideals, the lex-ordered monomials of one
 degree that the oracle and the depth screen index their columns by, and
 the pivot recursion
 
@@ -17,7 +17,7 @@ by one leading monomial, so both share one memo of numerators.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add, le, sub
+from operator import add, le
 from typing import Iterable
 
 from hilbcalc.series import IntPolynomial
@@ -53,19 +53,6 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """Whether x^a divides x^b."""
     return all(map(le, a, b))
-
-
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    """Exponent vector of x^a / x^b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
-def monomials_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 def minimalize_exponents(exps: Iterable[Monomial]) -> frozenset[Monomial]:

@@ -4,24 +4,25 @@ A polynomial is stored as integer numerators {exponent tuple: int} over
 one positive denominator, in lowest terms, so equal polynomials store
 equal parts; `terms` is the {exponent tuple: Fraction} view for printing
 and the public API.  A linear form keeps a tuple of numerators the same
-way, viewed as `coefficients`.  Monomial orders are small strategy objects
-producing sort keys, and the leading monomial has the smallest key, so
-leading terms come from min() over the support and a heap pops them in
-order.  Linear substitution works on the numerators, and one gcd puts
-each result in lowest terms.  The Groebner engine is one incremental
+way, viewed as `coefficients`.  The package has two monomial orders,
+`DegRevLex` and `EliminationOrder`, whose sort keys put the leading
+monomial first, so leading terms come from min() over the support.
+Linear substitution works on the numerators, and one gcd puts each
+result in lowest terms.  The Groebner engine is one incremental
 Buchberger loop: generators enter one at a time, S-pairs are skipped by
 the coprime and chain criteria and, for homogeneous input, by an exact
 lower bound on the Hilbert function of the next stage's quotient, read
-off a Hilbert numerator the loop keeps up to date.  Its coefficient work
-is a kernel on monomials packed into single ints, one packing for both
-orders: over the rationals it reduces fully and fraction-free, and the
-same loop is the plain division of `normal_form` and of `colon`'s exact
-quotients; mod 2^31 - 1 it top-reduces only.  A run ends in leading
-monomials and their Hilbert numerator, which is all the series needs;
-only `buchberger` (and through it `initial_ideal` and `colon`)
-tail-reduces the rational run into the reduced monic basis.  The mod-p numerator certifies a series, never an
-initial ideal (see `presentation`).  Exponent arithmetic and the monomial
-Hilbert numerator live in `monomial`.
+off a Hilbert numerator the loop keeps up to date.  The loop and its
+kernels work on monomials packed into single ints, one packing for each
+of the two orders: over the rationals the kernel reduces fully and
+fraction-free, and the same loop is the plain division of `normal_form`
+and of `colon`'s exact quotients; mod 2^31 - 1 it top-reduces only.  A
+run ends in leading monomials and their Hilbert numerator, which is all
+the series and `initial_ideal` need; only `buchberger` and `colon`
+tail-reduce the rational run into the reduced monic basis.  The mod-p
+numerator certifies a series, never an initial ideal (see
+`presentation`).  Exponent arithmetic and the monomial Hilbert numerator
+live in `monomial`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Iterable, Optional, Sequence
 
 from hilbcalc.linalg import IntEchelon
@@ -40,10 +41,7 @@ from hilbcalc.monomial import (
     _numerator_of_monomial,
     minimalize_exponents,
     monomial_degree,
-    monomial_divides,
-    monomial_lcm,
     monomial_mul,
-    monomials_coprime,
 )
 from hilbcalc.series import HilbertSeries, IntPolynomial, coefficient
 
@@ -56,48 +54,37 @@ class EmptySpan(ValueError):
     """A random draw was requested from an empty span."""
 
 
-class MonomialOrder:
-    """Base for term orders; subclasses provide key().
+class DegRevLex:
+    """Degree reverse lexicographic order, the default everywhere.
 
     Keys sort ascending from the top of the order down: the leading
-    monomial of a support has the smallest key, so min() finds it, an
-    ascending sort lists terms leading first, and a heap pops them in
-    reduction order.
+    monomial of a support has the smallest key, so min() finds it and an
+    ascending sort lists terms leading first.  The Groebner kernels pack
+    this order and `EliminationOrder` into ints (`_PackedKernel`) and take
+    no other order.
     """
-
-    name = "order"
 
     def __init__(self, nvars: int):
         self.nvars = nvars
 
     def key(self, m: Monomial):
-        raise NotImplementedError
-
-    def cache_token(self) -> str:
-        return f"{self.name}:{self.nvars}"
-
-
-class DegRevLex(MonomialOrder):
-    """Degree reverse lexicographic order, the default everywhere."""
-
-    name = "degrevlex"
-
-    def key(self, m: Monomial):
         return (-sum(m), m[::-1])
 
+    def cache_token(self) -> str:
+        """The order and its ring; the benchmark's tracer keys calls by it."""
+        return f"degrevlex:{self.nvars}"
 
-class EliminationOrder(MonomialOrder):
+
+class EliminationOrder:
     """Block order putting one designated variable ahead of the rest.
 
     Any monomial containing the auxiliary variable beats every monomial
     that avoids it, so the auxiliary-free part of a Groebner basis
-    generates the eliminated ideal.
+    generates the eliminated ideal.  Keys sort as `DegRevLex`'s do.
     """
 
-    name = "elim"
-
     def __init__(self, nvars: int, aux_index: int = 0):
-        super().__init__(nvars)
+        self.nvars = nvars
         self.aux_index = aux_index
 
     def key(self, m: Monomial):
@@ -106,7 +93,11 @@ class EliminationOrder(MonomialOrder):
         return (-m[a], -sum(rest), rest[::-1])
 
     def cache_token(self) -> str:
-        return f"{self.name}:{self.nvars}:{self.aux_index}"
+        """The order and its ring; the benchmark's tracer keys calls by it."""
+        return f"elim:{self.nvars}:{self.aux_index}"
+
+
+Order = DegRevLex | EliminationOrder
 
 
 def clear_denominators(coeffs: dict) -> tuple[int, dict]:
@@ -267,17 +258,17 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return self.is_zero or self.homogeneous_degree() is not None
 
-    def leading_monomial(self, order: MonomialOrder) -> Monomial:
+    def leading_monomial(self, order: Order) -> Monomial:
         if not self.nums:
             raise ValueError("zero polynomial has no leading term")
         return min(self.nums, key=order.key)
 
-    def leading(self, order: MonomialOrder) -> tuple[Monomial, Fraction]:
+    def leading(self, order: Order) -> tuple[Monomial, Fraction]:
         """(leading monomial, its coefficient as in `terms`)."""
         m = self.leading_monomial(order)
         return m, Fraction(self.nums[m], self.den)
 
-    def monic(self, order: MonomialOrder) -> "Polynomial":
+    def monic(self, order: Order) -> "Polynomial":
         c = self.nums[self.leading_monomial(order)]
         if c == self.den:
             return self
@@ -341,12 +332,6 @@ class LinearForm:
 
     def to_polynomial(self) -> Polynomial:
         return _lowest(len(self.nums), _linear_terms(self.nums), self.den)
-
-    def scaled(self, c) -> "LinearForm":
-        den, a = clear_denominators({0: c})
-        if not a[0]:
-            raise ValueError("cannot scale a form to zero")
-        return LinearForm.from_numerators([a[0] * v for v in self.nums], self.den * den)
 
 
 def _linear_terms(nums: Sequence[int]) -> dict[Monomial, int]:
@@ -481,7 +466,7 @@ def _over_one_den(nvars: int, terms: dict) -> Polynomial:
 
 
 def normal_form(
-    f: Polynomial, basis: Sequence[Polynomial], order: Optional[MonomialOrder] = None
+    f: Polynomial, basis: Sequence[Polynomial], order: Optional[Order] = None
 ) -> Polynomial:
     """Exact remainder of f under multivariate division by basis, each term
     divided by the first element whose leading monomial divides it.  The
@@ -500,17 +485,14 @@ def normal_form(
     return RationalKernel(order, [f, *divisors]).divide(f, divisors)
 
 
-def _minimal(
-    G: list, lms: list[Monomial], order: MonomialOrder
-) -> tuple[list, list[Monomial]]:
-    """The elements of G whose leading monomial no other one divides, with
-    their leading monomials, lowest first (so a divisor precedes its
-    multiples)."""
-    keep: list[int] = []
-    for i in sorted(range(len(G)), key=lambda i: order.key(lms[i]), reverse=True):
-        if not any(monomial_divides(lms[k], lms[i]) for k in keep):
-            keep.append(i)
-    return [G[i] for i in keep], [lms[i] for i in keep]
+def _minimal(G: list, kernel: RationalKernel | ModPKernel) -> list:
+    """The elements of G whose leading monomial no other one divides, lowest
+    leading monomial first (so a divisor precedes its multiples)."""
+    keep: list = []
+    for g in sorted(G, key=itemgetter(0), reverse=True):
+        if not any(kernel.divides(k[0], g[0]) for k in keep):
+            keep.append(g)
+    return keep
 
 
 class Uncertified(ArithmeticError):
@@ -522,7 +504,8 @@ _PRIME = 2**31 - 1
 
 
 class _PackedKernel:
-    """Packed monomials and the basis elements of both kernels.
+    """Packed monomials, for both kernels' basis elements and for the pair
+    loop of `_buchberger_run`, which compares and combines them as ints.
 
     Both orders the package defines are weight orders, so a monomial m
     with exponents e_i is one int K(m) = sum e_i w_i that sorts like
@@ -532,37 +515,44 @@ class _PackedKernel:
 
     - `DegRevLex`: K(m) = R(m) - deg(m) 2^W, degree first, then the
       fields from the last variable down;
-    - `EliminationOrder` on variable a: K(m) = R(m) - deg'(m) 2^W -
-      m[a] 2^(W + B), with deg' the degree in the other variables, so
-      -m[a] comes first and -deg' next; the fields then compare the other
-      exponents from the last variable down, m[a] being equal by then.
+    - `EliminationOrder` on variable a: K(m) = R(m) - deg(m) 2^W -
+      m[a] 2^(W + B), so -m[a] comes first and -deg next, which for equal
+      m[a] is -deg' with deg' the degree in the other variables; the fields
+      then compare the other exponents from the last variable down, m[a]
+      being equal by then.
 
     Then:
 
     - ascending K is ascending `order.key`, so a heap pops bare ints in
       reduction order;
-    - K(m u) = K(m) + K(u), so a shift is one addition;
+    - K(m u) = K(m) + K(u), so a shift is one addition, and m and u are
+      coprime exactly when K(lcm(m, u)) = K(m) + K(u);
+    - deg(m) is the low B bits of -(K(m) >> W);
     - R(m) = K(m) & (2^W - 1), and with `guards` the mask of the fields'
-      top bits, lm divides m exactly when
-      ((R(m) | guards) - R(lm)) & guards == guards: each field of m
-      borrows from its own guard bit, and keeps it only if its exponent is
-      at least lm's.
+      top bits, (R(m) | guards) - R(u) keeps the guard bit of exactly the
+      fields where m's exponent is at least u's, above the difference of
+      the two.  So u divides m when every guard bit stays, and the fields
+      that keep theirs are R(m : u) for the colon m : u = m / gcd(m, u).
+      Field d - 1 of R(m : u) times a 1 in every field sums the fields, so
+      K(m : u) follows, and K(lcm(m, u)) = K(u) + K(m : u).
 
     The fields hold exponents up to `limit` = 2^(B-1) - 1, at first at
-    least twice the sum of the generators' degrees.  Every monomial a
+    least twice the sum of the generators' degrees, so the degree of a
+    product of two fitting monomials stays below 2^B.  Every monomial a
     reduction writes has degree at most that of the entering generator, the
     dividend or the S-pair lcm: under degrevlex it lies below them, and
     under the elimination order the input is homogeneous, or homogeneous in
     the other variables as in `colon`, and m[a] falls along the order.
-    So one degree check per generator and per S-pair guards the fields,
-    and a degree past the limit doubles B and re-packs the basis; a
-    division packs its dividend among the generators and needs no check.
+    So `room`, called by the run for each generator and each S-pair,
+    guards the fields, and a degree past the limit doubles B and re-packs
+    the basis; a division packs its dividend among the generators and needs
+    no check.
 
     An element is (K(lm), R(lm), lc, tail): leading monomial lm with
     coefficient lc, and the other terms as (K(m), coefficient) pairs.
     """
 
-    def __init__(self, order: MonomialOrder, gens: Sequence[Polynomial]):
+    def __init__(self, order: Order, gens: Sequence[Polynomial]):
         if type(order) is DegRevLex:
             self.aux = None
         elif type(order) is EliminationOrder:
@@ -576,23 +566,22 @@ class _PackedKernel:
                     "in all variables or in the non-eliminated ones"
                 )
         else:
-            raise TypeError(f"no packing for the {order.name} order")
-        self.order = order
+            raise TypeError(f"no packing for the {type(order).__name__} order")
         self.nvars = order.nvars
         self._fit(max(2 * sum(g.degree() for g in gens), 1).bit_length() + 1)
 
     def _fit(self, B: int) -> None:
         """Set up B-bit fields."""
-        d = self.nvars
         self.field = B
         self.limit = (1 << (B - 1)) - 1
-        self.width = W = B * d
+        self.width = W = B * self.nvars
         self.mask = (1 << W) - 1
-        self.guards = sum(1 << (B * i + B - 1) for i in range(d))
-        self.shifts = tuple(B * i for i in range(d))
+        self.shifts = tuple(range(0, W, B))
+        self.ones = sum(1 << s for s in self.shifts)
+        self.guards = self.ones << (B - 1)
         weights = [(1 << s) - (1 << W) for s in self.shifts]
         if self.aux is not None:
-            weights[self.aux] -= (1 << (W + B)) - (1 << W)
+            weights[self.aux] -= 1 << (W + B)
         self.weights = tuple(weights)
 
     def _pack(self, m: Monomial) -> int:
@@ -605,11 +594,11 @@ class _PackedKernel:
     def _element(self, lm: int, lc: int, tail: tuple) -> tuple:
         return lm, lm & self.mask, lc, tail
 
-    def _room(self, n: int, G: list) -> None:
+    def room(self, n: int, G: list) -> bool:
         """Make the fields hold exponents up to n: double B until they do,
-        and re-pack the elements of G in place."""
+        and re-pack the elements of G in place.  Whether it re-packed."""
         if n <= self.limit:
-            return
+            return False
         unpack = self._unpack
         rows = [
             (unpack(k), lc, [(unpack(m), c) for m, c in tail]) for k, _, lc, tail in G
@@ -623,16 +612,35 @@ class _PackedKernel:
             self._element(pack(lm), lc, tuple((pack(m), c) for m, c in tail))
             for lm, lc, tail in rows
         ]
+        return True
 
-    def _shifts(self, G: list, i: int, j: int, top: Monomial) -> tuple[int, int]:
-        """The packed cofactors top/lm(G[i]) and top/lm(G[j]) of the S-pair
-        with lcm top, after making room for its degree."""
-        self._room(monomial_degree(top), G)
-        k = self._pack(top)
-        return k - G[i][0], k - G[j][0]
+    def degree(self, k: int) -> int:
+        """The degree of the monomial packed as k, below 2^B."""
+        return -(k >> self.width) & ((1 << self.field) - 1)
 
-    def lead(self, g: tuple) -> Monomial:
-        return self._unpack(g[0])
+    def divides(self, u: int, m: int) -> bool:
+        """Whether u divides m."""
+        mask, guards = self.mask, self.guards
+        return ((m & mask | guards) - (u & mask)) & guards == guards
+
+    def _colon(self, m: int, u: int) -> int:
+        """The fields of m : u, exponents max(m_i - u_i, 0)."""
+        diff = (m & self.mask | self.guards) - (u & self.mask)
+        kept = diff & self.guards
+        return diff & (kept - (kept >> (self.field - 1)))
+
+    def colon(self, m: int, u: int) -> Monomial:
+        """The exponent tuple of m : u."""
+        return self._unpack(self._colon(m, u))
+
+    def lcm(self, m: int, u: int) -> int:
+        """K(lcm(m, u)) = K(u) + K(m : u)."""
+        r = self._colon(m, u)
+        B, W = self.field, self.width
+        t = r * self.ones >> (W - B) & ((1 << B) - 1)
+        if self.aux is not None:
+            t += (r >> self.shifts[self.aux] & self.limit) << B
+        return u + r - (t << W)
 
 
 class RationalKernel(_PackedKernel):
@@ -655,13 +663,12 @@ class RationalKernel(_PackedKernel):
     exact = True
 
     def enter(self, f: Polynomial, G: list) -> Optional[tuple]:
-        self._room(f.degree(), G)
         pack = self._pack
         return self._reduce({pack(m): v for m, v in f.nums.items()}, G)
 
-    def spair(self, G: list, i: int, j: int, top: Monomial) -> Optional[tuple]:
-        u, v = self._shifts(G, i, j, top)
-        (_, _, ci, taili), (_, _, cj, tailj) = G[i], G[j]
+    def spair(self, G: list, i: int, j: int, top: int) -> Optional[tuple]:
+        (ki, _, ci, taili), (kj, _, cj, tailj) = G[i], G[j]
+        u, v = top - ki, top - kj
         g = gcd(ci, cj)
         a, b = cj // g, ci // g
         work = {m + u: a * c for m, c in taili}
@@ -679,8 +686,8 @@ class RationalKernel(_PackedKernel):
     ) -> Polynomial:
         """Exact remainder of f under division by the nonzero divisors, tried
         in the order given, each as its unreduced primitive element.  With
-        one divisor, quotient collects the quotient of f by that divisor
-        made monic, as {shift: (c, d)}, each (c / d) x^shift."""
+        one divisor, quotient collects the quotient of f by that divisor as
+        {shift: (c, d)}, each (c / d) x^shift."""
         pack, unpack = self._pack, self._unpack
         # reduced by nothing, a divisor comes out as its primitive element
         rows = [self._reduce({pack(m): v for m, v in g.nums.items()}, []) for g in divisors]
@@ -689,7 +696,12 @@ class RationalKernel(_PackedKernel):
         remainder = self._remainder({pack(m): v for m, v in f.nums.items()}, rows, steps)
         den = f.den
         if steps:
-            quotient.update((unpack(u), (c, d * den)) for u, (c, d) in steps.items())
+            # steps divide by g made monic, and g's lc is g.nums[lm] / g.den
+            (g,) = divisors
+            lc = g.nums[unpack(rows[0][0])]
+            quotient.update(
+                (unpack(u), (c * g.den, d * den * lc)) for u, (c, d) in steps.items()
+            )
         return _over_one_den(
             self.nvars, {unpack(m): (c, d * den) for m, (c, d) in remainder.items()}
         )
@@ -785,14 +797,13 @@ class ModPKernel(_PackedKernel):
     exact = False
 
     def enter(self, f: Polynomial, G: list) -> Optional[tuple]:
-        self._room(f.degree(), G)
         content = gcd(*f.nums.values())
         pack = self._pack
         work = {pack(m): v // content % _PRIME for m, v in f.nums.items()}
         return self._top_reduce(work, G)
 
-    def spair(self, G: list, i: int, j: int, top: Monomial) -> Optional[tuple]:
-        u, v = self._shifts(G, i, j, top)
+    def spair(self, G: list, i: int, j: int, top: int) -> Optional[tuple]:
+        u, v = top - G[i][0], top - G[j][0]
         work = {m + u: c for m, c in G[i][3]}
         for m, c in G[j][3]:
             m += v
@@ -845,11 +856,16 @@ def _buchberger_run(
     otherwise a stage adds it and treats its S-pairs, lowest lcm degree
     first, under the coprime and chain criteria.  After stage k the basis
     is a Groebner basis of J = (f_1..f_k), cut down to its minimal part.
-    The kernel does the coefficient work, entering a generator and
-    reducing an S-pair, in the order `kernel.order`.  The result is the
-    last minimal basis, as kernel elements lowest leading monomial first,
-    and, when every generator is homogeneous, the Hilbert numerator of R
-    modulo its leading monomials (None otherwise).
+    The loop works on packed leading monomials K, the first field of each
+    kernel element: the kernel supplies their lcm, divisor test, degree
+    and colon, and makes room for a degree (`_PackedKernel`); it also does
+    the coefficient work, entering a generator and reducing an S-pair.
+    Untreated pairs sit in a heap keyed (deg lcm, -K(lcm), i, j), so the
+    lowest lcm degree comes first, then the lcm lowest in the order, then
+    the earliest pair.  The result is the last minimal basis, as kernel
+    elements lowest leading monomial first, and, when every generator is
+    homogeneous, the Hilbert numerator of R modulo its leading monomials
+    (None otherwise).
 
     For homogeneous generators the run keeps h, the numerator of R/L for
     the leading monomials L so far: adding an element with leading
@@ -880,36 +896,31 @@ def _buchberger_run(
     mod p misses it at once.  Only the series is certified, never the
     leading monomials themselves.
     """
-    order = kernel.order
     graded = all(g.is_homogeneous for g in gens)
     G: list = []
-    lms: list[Monomial] = []
     h = IntPolynomial.one()
-    # untreated pairs of the current stage, with their priorities
-    pairs: dict[tuple[int, int], tuple] = {}
+    # untreated pairs of the current stage
+    pairs: list[tuple[int, int, int, int]] = []
 
     def add(g) -> None:
         nonlocal h
-        m = kernel.lead(g)
+        m = g[0]
         if graded:
-            quotient = minimalize_exponents(
-                tuple(a - b if a > b else 0 for a, b in zip(l, m)) for l in lms
+            quotient = minimalize_exponents(kernel.colon(l[0], m) for l in G)
+            h = h - _numerator_of_monomial(nvars, quotient).times_t_power(
+                kernel.degree(m)
             )
-            h = h - _numerator_of_monomial(nvars, quotient).times_t_power(sum(m))
         G.append(g)
-        lms.append(m)
         j = len(G) - 1
         for i in range(j):
-            # the pair taken next is the one of largest priority: lowest lcm
-            # degree first, then the lcm lowest in the order (the largest
-            # key), then the earliest pair
-            top = monomial_lcm(lms[i], m)
-            pairs[i, j] = (-monomial_degree(top), order.key(top), -i, -j)
+            k = kernel.lcm(G[i][0], m)
+            heappush(pairs, (kernel.degree(k), -k, i, j))
 
     for f in sorted((g for g in gens if not g.is_zero), key=Polynomial.degree):
         e = f.degree()
         # H(R/J) for the ideal J of the earlier stages
         before = HilbertSeries(nvars, h)
+        kernel.room(e, G)
         r = kernel.enter(f, G)
         if r is not None:
             start = len(G)
@@ -929,14 +940,15 @@ def _buchberger_run(
             # degree, and a new element's pairs lie above its own degree
             top = e
             while pairs:
-                i, j = max(pairs, key=pairs.__getitem__)
-                n = -pairs.pop((i, j))[0]
+                n, key, i, j = heappop(pairs)
+                pair_lcm = -key
                 done.add((i, j))
                 if not kernel.exact and n > top:
                     if not spans(top):
                         raise Uncertified(f"degree {top} above the bound")
                     top = n
-                if monomials_coprime(lms[i], lms[j]):
+                # coprime leading monomials: their lcm is their product
+                if pair_lcm == G[i][0] + G[j][0]:
                     continue
                 if graded and spans(n):
                     continue
@@ -944,20 +956,25 @@ def _buchberger_run(
                 # pairs with both ends were already treated (in this stage,
                 # or in an earlier one when both are older) makes this pair
                 # redundant
-                pair_lcm = monomial_lcm(lms[i], lms[j])
                 if any(
                     k != i
                     and k != j
-                    and monomial_divides(lms[k], pair_lcm)
+                    and kernel.divides(G[k][0], pair_lcm)
                     and (max(i, k) < start or (min(i, k), max(i, k)) in done)
                     and (max(j, k) < start or (min(j, k), max(j, k)) in done)
                     for k in range(len(G))
                 ):
                     continue
+                if kernel.room(n, G):
+                    # every K changed, their order did not: new keys, same heap
+                    pairs[:] = [
+                        (d, -kernel.lcm(G[a][0], G[b][0]), a, b) for d, _, a, b in pairs
+                    ]
+                    pair_lcm = kernel.lcm(G[i][0], G[j][0])
                 r = kernel.spair(G, i, j, pair_lcm)
                 if r is not None:
                     add(r)
-            G, lms = _minimal(G, lms, order)
+            G = _minimal(G, kernel)
         if not kernel.exact:
             hb = before.numerator
             if h != hb - hb.times_t_power(e):
@@ -966,7 +983,7 @@ def _buchberger_run(
 
 
 def _reduced_basis(
-    gens: Sequence[Polynomial], nvars: int, order: MonomialOrder
+    gens: Sequence[Polynomial], nvars: int, order: Order
 ) -> tuple[Polynomial, ...]:
     """The reduced monic Groebner basis of (gens): a rational run, then
     each element of its minimal basis tail-reduced by the others."""
@@ -974,7 +991,7 @@ def _reduced_basis(
     return kernel.reduced(_buchberger_run(gens, nvars, kernel)[0])
 
 
-def buchberger(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> tuple[Polynomial, ...]:
+def buchberger(I: PolyIdeal, order: Optional[Order] = None) -> tuple[Polynomial, ...]:
     """Reduced monic Groebner basis of I."""
     order = order or DegRevLex(I.ring_dim)
     if I.is_monomial:
@@ -984,24 +1001,24 @@ def buchberger(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> tuple[Pol
         )
     return _reduced_basis(I.generators, I.ring_dim, order)
 
-def initial_ideal(I: PolyIdeal, order: Optional[MonomialOrder] = None) -> PolyIdeal:
-    """Monomial ideal of leading terms of the reduced Groebner basis."""
+
+def initial_ideal(I: PolyIdeal, order: Optional[Order] = None) -> PolyIdeal:
+    """Monomial ideal of leading terms of I, minimally generated by the
+    leading monomials of a rational run's minimal basis, in the order
+    `buchberger` lists its basis."""
     order = order or DegRevLex(I.ring_dim)
-    gens = [
-        Polynomial.from_monomial(I.ring_dim, g.leading_monomial(order))
-        for g in buchberger(I, order)
-    ]
-    return PolyIdeal(I.ring_dim, gens)
+    kernel = RationalKernel(order, I.generators)
+    leads = sorted(g[0] for g in _buchberger_run(I.generators, I.ring_dim, kernel)[0])
+    return PolyIdeal(
+        I.ring_dim, [Polynomial.from_monomial(I.ring_dim, kernel._unpack(k)) for k in leads]
+    )
 
 
-def _exact_divide(p: Polynomial, f: Polynomial, order: MonomialOrder) -> Polynomial:
+def _exact_divide(p: Polynomial, f: Polynomial, order: Order) -> Polynomial:
     """Quotient p / f for p a multiple of f."""
     quot: dict[Monomial, tuple[int, int]] = {}
     if RationalKernel(order, (p, f)).divide(p, [f], quot):
         raise ArithmeticError("polynomial is not a multiple of the divisor")
-    # quot is p / monic(f); p / f is that over lc(f) = nums[lm] / den
-    lc = f.nums[f.leading_monomial(order)]
-    quot = {m: (c * f.den, d * lc) for m, (c, d) in quot.items()}
     return _over_one_den(p.nvars, quot)
 
 
@@ -1073,10 +1090,6 @@ class LinearElimination:
         """powers[e] holds rep^e as a {monomial: int} dict, grown on demand
         by map_polynomial and kept for every later call."""
         return [{(0,) * (self.nvars - 1): 1}, _linear_terms(self.rep)]
-
-    def old_index(self, new_index: int) -> int:
-        """Original ring index of a surviving variable."""
-        return new_index if new_index < self.pivot else new_index + 1
 
     def map_polynomial(self, p: Polynomial) -> Polynomial:
         """Image of p with the pivot variable replaced, computed on integers.

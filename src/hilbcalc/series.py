@@ -233,12 +233,6 @@ class IntPolynomial:
                 return k
             k += 1
 
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def taylor_at_one(self) -> tuple[int, ...]:
         """Coefficients of self written in powers of (t - 1), trimmed.
 

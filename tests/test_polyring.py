@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import clear_memos
 from hilbcalc import polyring, presentation
-from hilbcalc.monomial import monomial_div
+from hilbcalc.monomial import monomial_divides
 from hilbcalc.oracle import graded_dimension, monomials_of_degree
 from hilbcalc.polyring import (
     DegRevLex,
@@ -24,7 +24,7 @@ from hilbcalc.polyring import (
     EmptySpan,
     LinearForm,
     Monomial,
-    MonomialOrder,
+    Order,
     PolyIdeal,
     Polynomial,
     RingMismatch,
@@ -35,8 +35,6 @@ from hilbcalc.polyring import (
     forms_independent,
     initial_ideal,
     minimalize_exponents,
-    monomial_divides,
-    monomial_lcm,
     monomial_mul,
     normal_form,
     quotient_by_linear,
@@ -51,6 +49,19 @@ from hilbcalc.superficial import (
 )
 
 
+def monomial_div(a: Monomial, b: Monomial) -> Monomial:
+    """Exponent vector of x^a / x^b, for b dividing a."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def monomials_coprime(a: Monomial, b: Monomial) -> bool:
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
 def P(nvars, *terms):
     """Shorthand: P(3, (1, (1,0,2)), (-2, (0,1,0))) builds a polynomial."""
     return Polynomial(nvars, {m: Fraction(c) for c, m in terms})
@@ -61,7 +72,7 @@ def var(nvars, i):
 
 
 def reference_normal_form(
-    f: Polynomial, basis: Sequence[Polynomial], order: Optional[MonomialOrder] = None
+    f: Polynomial, basis: Sequence[Polynomial], order: Optional[Order] = None
 ) -> Polynomial:
     """Plain Fraction long division, kept as the reference for the
     fraction-free kernel.  This is the earlier normal_form body; its one
@@ -153,7 +164,7 @@ def reference_forms_independent(forms: Sequence[LinearForm]) -> bool:
     return rank == len(forms)
 
 
-def reference_spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
+def reference_spoly(f: Polynomial, g: Polynomial, order: Order) -> Polynomial:
     """x^u f / lc(f) - x^v g / lc(g): with a, b the leading numerators of
     f and g, the integer polynomial b x^u f.nums - a x^v g.nums over a b.
     This is the S-polynomial the tuple Buchberger kernel reduced."""
@@ -167,7 +178,7 @@ def reference_spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polyn
 
 
 def reference_reduced_basis(
-    gens: Sequence[Polynomial], nvars: int, order: MonomialOrder
+    gens: Sequence[Polynomial], nvars: int, order: Order
 ) -> tuple[Polynomial, ...]:
     """Plain Buchberger with the coprime and chain criteria, all generators
     at once, kept as the reference for the incremental loop.  This is the
@@ -199,7 +210,7 @@ def reference_reduced_basis(
         i, j = max(pairs, key=pair_priority)
         pairs.discard((i, j))
         done.add((i, j))
-        if polyring.monomials_coprime(lms[i], lms[j]):
+        if monomials_coprime(lms[i], lms[j]):
             continue
         pair_lcm = monomial_lcm(lms[i], lms[j])
         skip = False
@@ -235,7 +246,7 @@ def reference_reduced_basis(
     return tuple(reduced)
 
 
-def reference_buchberger(I: PolyIdeal, order: MonomialOrder) -> tuple[Polynomial, ...]:
+def reference_buchberger(I: PolyIdeal, order: Order) -> tuple[Polynomial, ...]:
     """buchberger with the reference loop for non-monomial ideals."""
     if I.is_monomial:
         return buchberger(I, order)
@@ -261,11 +272,16 @@ def small_polys(draw):
 
 class TestMonomialHelpers:
     def test_mul_div_lcm(self):
+        # products on tuples; lcm, colon and degree on packed monomials
         a, b = (2, 0, 1), (1, 1, 0)
         assert monomial_mul(a, b) == (3, 1, 1)
-        assert monomial_lcm(a, b) == (2, 1, 1)
         assert monomial_divides(b, monomial_mul(a, b))
-        assert monomial_div((3, 1, 1), b) == a
+        k = polyring.RationalKernel(DegRevLex(3), [Polynomial.from_monomial(3, (3, 1, 1))])
+        ka, kb, kab = k._pack(a), k._pack(b), k._pack((3, 1, 1))
+        assert k._unpack(k.lcm(ka, kb)) == monomial_lcm(a, b) == (2, 1, 1)
+        assert k.colon(kab, kb) == monomial_div((3, 1, 1), b) == a
+        assert k.divides(kb, kab) and not k.divides(kab, kb)
+        assert k.degree(kab) == 5
 
     def test_minimalize_drops_multiples(self):
         exps = [(2, 0), (1, 0), (0, 3), (1, 2)]
@@ -421,7 +437,7 @@ def division_problems(draw):
     return f, basis, order
 
 
-def packable(polys: Sequence[Polynomial], order: MonomialOrder) -> bool:
+def packable(polys: Sequence[Polynomial], order: Order) -> bool:
     """Whether the packed kernel takes polys under order: anything under
     degrevlex; under an elimination order, input homogeneous in all
     variables or in the variables other than the eliminated one."""
@@ -861,7 +877,8 @@ class TestLinearElimination:
         f = LinearForm((Fraction(0), Fraction(1), Fraction(0)))
         elim = eliminate_form(f)
         assert elim.pivot == 1
-        assert [elim.old_index(i) for i in range(2)] == [0, 2]
+        # the surviving x0 and x2 become x0 and x1
+        assert [elim.map_polynomial(var(3, i)) for i in (0, 2)] == [var(2, 0), var(2, 1)]
 
     def test_map_form_death(self):
         f = LinearForm((Fraction(1), Fraction(0)))

@@ -11,12 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_memos
-from test_polyring import reference_normal_form, reference_spoly
+from test_polyring import monomial_div, monomial_lcm, reference_normal_form, reference_spoly
 from hilbcalc import polyring, presentation
 from hilbcalc.monomial import (
     _numerator_of_monomial,
     minimalize_exponents,
-    monomial_div,
     monomial_mul,
     monomials_of_degree,
 )
@@ -294,14 +293,72 @@ class TestModularCertificate:
             assert S == rational_series(I)
 
 
-class TupleModPKernel:
+def ordered(order):
+    """The class of exponent tuples that compare like packed ints under
+    order: ascending is ascending order.key, -m sorts the other way round,
+    and m + u is the product."""
+    key = order.key
+
+    class Reversed:
+        __slots__ = ("m",)
+
+        def __init__(self, m):
+            self.m = m
+
+        def __eq__(self, other):
+            return self.m == other.m
+
+        def __lt__(self, other):
+            return key(other.m) < key(self.m)
+
+        def __neg__(self):
+            return self.m
+
+    class Ordered(tuple):
+        __slots__ = ()
+
+        def __lt__(self, other):
+            return key(self) < key(other)
+
+        def __add__(self, other):
+            return Ordered(map(add, self, other))
+
+        def __neg__(self):
+            return Reversed(self)
+
+    return Ordered
+
+
+class TupleMonomials:
+    """The run's monomial interface on exponent tuples: the reference for
+    the packed lcm, divisor test, degree and colon.  An element's leading
+    monomial, its first field, is an `ordered` tuple."""
+
+    def __init__(self, order, gens=()):
+        self.order = order
+        self.monomial = ordered(order)
+
+    def lcm(self, m, u):
+        return self.monomial(map(max, m, u))
+
+    def divides(self, u, m):
+        return all(map(le, u, m))
+
+    def degree(self, m):
+        return sum(m)
+
+    def colon(self, m, u):
+        return tuple(a - b if a > b else 0 for a, b in zip(m, u))
+
+    def room(self, n, G):
+        return False
+
+
+class TupleModPKernel(TupleMonomials):
     """The mod-p kernel on exponent tuples, as it was before monomials were
     packed into ints: the reference for `ModPKernel`, step for step."""
 
     exact = False
-
-    def __init__(self, order):
-        self.order = order
 
     def enter(self, f, G):
         content = gcd(*f.nums.values())
@@ -318,9 +375,6 @@ class TupleModPKernel:
             work[m] = (work.get(m, 0) - c) % polyring._PRIME
         return self._top_reduce(work, G)
 
-    def lead(self, g):
-        return g[0]
-
     def _top_reduce(self, work, G):
         p, key = polyring._PRIME, self.order.key
         heap = [(key(m), m) for m in work]
@@ -335,7 +389,8 @@ class TupleModPKernel:
                     break
             else:
                 inv = pow(c, -1, p)
-                return m, tuple((t, v * inv % p) for t, v in work.items() if v)
+                tail = tuple((t, v * inv % p) for t, v in work.items() if v)
+                return self.monomial(m), tail
             shift = tuple(map(sub, m, lm))
             for mt, ct in tail:
                 mm = tuple(map(add, mt, shift))
@@ -348,33 +403,34 @@ class TupleModPKernel:
         return None
 
 
-class TupleRationalKernel:
+class TupleRationalKernel(TupleMonomials):
     """The rational kernel on exponent tuples, as it was before monomials
     were packed into ints: monic Polynomials reduced fully by Fraction long
-    division.  The reference for `RationalKernel`, step for step."""
+    division.  The reference for `RationalKernel`, step for step.  An
+    element is (leading monomial, monic polynomial)."""
 
     exact = True
 
-    def __init__(self, order, gens=()):
-        self.order = order
+    def _element(self, r):
+        if r.is_zero:
+            return None
+        r = r.monic(self.order)
+        return self.monomial(r.leading_monomial(self.order)), r
 
     def enter(self, f, G):
-        r = reference_normal_form(f, G, self.order) if G else f
-        return None if r.is_zero else r.monic(self.order)
+        return self._element(reference_normal_form(f, [g for _, g in G], self.order))
 
     def spair(self, G, i, j, top):
         order = self.order
-        r = reference_normal_form(reference_spoly(G[i], G[j], order), G, order)
-        return None if r.is_zero else r.monic(order)
-
-    def lead(self, g):
-        return g.leading_monomial(self.order)
+        s = reference_spoly(G[i][1], G[j][1], order)
+        return self._element(reference_normal_form(s, [g for _, g in G], order))
 
     def reduced(self, G):
         order = self.order
+        basis = [g for _, g in G]
         reduced = []
-        for i, g in enumerate(G):
-            others = [h for j, h in enumerate(G) if j != i]
+        for i, g in enumerate(basis):
+            others = basis[:i] + basis[i + 1 :]
             reduced.append(reference_normal_form(g, others, order).monic(order))
         reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
         return tuple(reduced)
@@ -391,9 +447,9 @@ def terms_of(kernel, g) -> dict:
     """An element a kernel adds, as {exponent tuple: coefficient} scaled to
     leading coefficient 1."""
     if isinstance(kernel, TupleRationalKernel):
-        return g.terms
+        return g[1].terms
     if isinstance(kernel, TupleModPKernel):
-        return {g[0]: 1, **dict(g[1])}
+        return {tuple(g[0]): 1, **dict(g[1])}
     k, _, lc, tail = g
     unpack = kernel._unpack
     return {unpack(k): 1, **{unpack(m): Fraction(c, lc) for m, c in tail}}
@@ -403,18 +459,24 @@ def kernel_run(gens, nvars: int, kernel) -> tuple[list, object]:
     """Every element a run on gens adds, in order, and its result: the
     final leading monomials with the Hilbert numerator, or Uncertified."""
     steps: list = []
-    lead = kernel.lead
 
-    def record(g):
-        steps.append(terms_of(kernel, g))
-        return lead(g)
+    def recording(method):
+        def record(*args):
+            g = method(*args)
+            if g is not None:
+                steps.append(terms_of(kernel, g))
+            return g
 
-    kernel.lead = record
+        return record
+
+    kernel.enter, kernel.spair = recording(kernel.enter), recording(kernel.spair)
     try:
         G, h = _buchberger_run(gens, nvars, kernel)
     except Uncertified:
         return steps, Uncertified
-    return steps, ([lead(g) for g in G], h)
+    if isinstance(kernel, TupleMonomials):
+        return steps, ([tuple(g[0]) for g in G], h)
+    return steps, ([kernel._unpack(g[0]) for g in G], h)
 
 
 def make_order(name: str, d: int):
@@ -547,8 +609,13 @@ class TestPackedKernel:
             for b in ms:
                 ka, kb = k._pack(a), k._pack(b)
                 assert k._pack(monomial_mul(a, b)) == ka + kb
-                borrows = ((kb & k.mask | k.guards) - (ka & k.mask)) & k.guards
-                assert (borrows == k.guards) == all(map(le, a, b))
+                assert k.divides(ka, kb) == all(map(le, a, b))
+                assert k.degree(ka) == sum(a)
+                assert k.colon(ka, kb) == tuple(max(x - y, 0) for x, y in zip(a, b))
+                top = k.lcm(ka, kb)
+                assert top == k._pack(monomial_lcm(a, b))
+                assert k.degree(top) == sum(monomial_lcm(a, b))
+                assert (top == ka + kb) == all(x == 0 or y == 0 for x, y in zip(a, b))
 
     @pytest.mark.parametrize("kernel", [ModPKernel, RationalKernel])
     def test_run_past_the_field_limit_widens(self, kernel):
@@ -581,6 +648,39 @@ class TestPackedKernel:
         clear_memos()
         assert S == rational_series(I)
 
+    @pytest.mark.parametrize("kernel", [ModPKernel, RationalKernel])
+    def test_repack_rekeys_the_pending_pairs(self, kernel):
+        # (x^5, x y^4 - z^5, y z^4 - u^5) outgrows its 6-bit fields in a
+        # stage that still holds pairs keyed by the old packing: left with
+        # those keys, they pop out of order and shift by a wrong lcm
+        x5 = Polynomial(4, {(5, 0, 0, 0): 1})
+        f = Polynomial(4, {(1, 4, 0, 0): 1, (0, 0, 5, 0): -1})
+        g = Polynomial(4, {(0, 1, 4, 0): 1, (0, 0, 0, 5): -1})
+        gens, order = [x5, f, g], DegRevLex(4)
+        k = kernel(order, gens)
+        field = k.field
+        run = kernel_run(gens, 4, k)
+        assert k.field == 2 * field and run[1] is not Uncertified
+        reference = TupleModPKernel if kernel is ModPKernel else TupleRationalKernel
+        assert run == kernel_run(gens, 4, reference(order))
+
+    def test_a_run_computes_no_order_key(self, monkeypatch):
+        # the run, its minimal bases and the callers that unpack its result
+        # compare packed ints only, also across a re-pack
+        x5 = Polynomial(4, {(5, 0, 0, 0): 1})
+        f = Polynomial(4, {(1, 4, 0, 0): 1, (0, 0, 5, 0): -1})
+        g = Polynomial(4, {(0, 1, 4, 0): 1, (0, 0, 0, 5): -1})
+        I = generic_quadrics(0, d=5, count=3)
+        h = Polynomial(5, {m: 1 for m in monomials_of_degree(5, 1)})
+        monkeypatch.setattr(DegRevLex, "key", refuse)
+        monkeypatch.setattr(EliminationOrder, "key", refuse)
+        for kernel in (ModPKernel, RationalKernel):
+            for gens, order in (([x5, f, g], DegRevLex(4)), (I.generators, DegRevLex(5))):
+                _buchberger_run(gens, order.nvars, kernel(order, gens))
+        buchberger(PolyIdeal(4, [x5, f, g]))
+        initial_ideal(I, EliminationOrder(5, 2))
+        colon(I, h)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_generic_quadrics_stay_inside_the_fields(self, seed):
         I = generic_quadrics(seed)
@@ -610,14 +710,15 @@ class TestPackedKernel:
         with pytest.raises(ValueError, match="homogeneous"):
             RationalKernel(EliminationOrder(3, aux_index=1), [f, w])
 
-        class Lex(polyring.MonomialOrder):
-            name = "lex"
+        class Lex:
+            def __init__(self, nvars):
+                self.nvars = nvars
 
             def key(self, m):
                 return tuple(-e for e in m)
 
         for kernel in (RationalKernel, ModPKernel):
-            with pytest.raises(TypeError, match="no packing for the lex order"):
+            with pytest.raises(TypeError, match="no packing for the Lex order"):
                 kernel(Lex(3), [f])
 
 
