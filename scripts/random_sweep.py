@@ -9,15 +9,17 @@ hard failures (exact depth evidence) and probabilistic caveats.
 import argparse
 import time
 
+from hilbcalc.cli import _int_at_least
 from hilbcalc.theorem import run_random_sensitivity_suite
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--count", type=int, default=200)
+    parser.add_argument("--count", type=_int_at_least(1), default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--d-max", type=int, default=4)
-    parser.add_argument("--depth-trials", type=int, default=64)
+    # the sampled modules have dimension >= 2, which needs 3 variables
+    parser.add_argument("--d-max", type=_int_at_least(3), default=4)
+    parser.add_argument("--depth-trials", type=_int_at_least(1), default=64)
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args()
 

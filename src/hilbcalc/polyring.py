@@ -147,10 +147,6 @@ class Polynomial:
         self._key = None
 
     @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars)
-
-    @classmethod
     def one(cls, nvars: int) -> "Polynomial":
         return cls(nvars, {(0,) * nvars: 1})
 
@@ -163,8 +159,8 @@ class Polynomial:
         return cls(nvars, {tuple(exp): 1})
 
     @classmethod
-    def from_monomial(cls, nvars: int, m: Monomial, c=1) -> "Polynomial":
-        return cls(nvars, {tuple(m): c})
+    def from_monomial(cls, nvars: int, m: Monomial) -> "Polynomial":
+        return cls(nvars, {tuple(m): 1})
 
     @property
     def terms(self) -> dict[Monomial, Fraction]:
@@ -257,22 +253,6 @@ class Polynomial:
     @property
     def is_homogeneous(self) -> bool:
         return self.is_zero or self.homogeneous_degree() is not None
-
-    def leading_monomial(self, order: Order) -> Monomial:
-        if not self.nums:
-            raise ValueError("zero polynomial has no leading term")
-        return min(self.nums, key=order.key)
-
-    def leading(self, order: Order) -> tuple[Monomial, Fraction]:
-        """(leading monomial, its coefficient as in `terms`)."""
-        m = self.leading_monomial(order)
-        return m, Fraction(self.nums[m], self.den)
-
-    def monic(self, order: Order) -> "Polynomial":
-        c = self.nums[self.leading_monomial(order)]
-        if c == self.den:
-            return self
-        return _lowest(self.nvars, self.nums, c)
 
     def is_term(self) -> bool:
         return len(self.nums) == 1
@@ -847,7 +827,7 @@ class ModPKernel(_PackedKernel):
 
 
 def _buchberger_run(
-    gens: Sequence[Polynomial], nvars: int, kernel: RationalKernel | ModPKernel
+    gens: Sequence[Polynomial], kernel: RationalKernel | ModPKernel
 ) -> tuple[list, Optional[IntPolynomial]]:
     """Incremental Buchberger with Hilbert-driven pruning.
 
@@ -897,6 +877,7 @@ def _buchberger_run(
     leading monomials themselves.
     """
     graded = all(g.is_homogeneous for g in gens)
+    nvars = kernel.nvars
     G: list = []
     h = IntPolynomial.one()
     # untreated pairs of the current stage
@@ -982,24 +963,18 @@ def _buchberger_run(
     return G, h if graded else None
 
 
-def _reduced_basis(
-    gens: Sequence[Polynomial], nvars: int, order: Order
-) -> tuple[Polynomial, ...]:
+def _reduced_basis(gens: Sequence[Polynomial], order: Order) -> tuple[Polynomial, ...]:
     """The reduced monic Groebner basis of (gens): a rational run, then
     each element of its minimal basis tail-reduced by the others."""
     kernel = RationalKernel(order, gens)
-    return kernel.reduced(_buchberger_run(gens, nvars, kernel)[0])
+    return kernel.reduced(_buchberger_run(gens, kernel)[0])
 
 
 def buchberger(I: PolyIdeal, order: Optional[Order] = None) -> tuple[Polynomial, ...]:
-    """Reduced monic Groebner basis of I."""
-    order = order or DegRevLex(I.ring_dim)
-    if I.is_monomial:
-        return tuple(
-            Polynomial.from_monomial(I.ring_dim, m)
-            for m in sorted(I.monomial_exponents(), key=order.key)
-        )
-    return _reduced_basis(I.generators, I.ring_dim, order)
+    """Reduced monic Groebner basis of I, leading monomial first in the
+    order, from one rational run; a monomial ideal gets its minimal
+    generators."""
+    return _reduced_basis(I.generators, order or DegRevLex(I.ring_dim))
 
 
 def initial_ideal(I: PolyIdeal, order: Optional[Order] = None) -> PolyIdeal:
@@ -1008,7 +983,7 @@ def initial_ideal(I: PolyIdeal, order: Optional[Order] = None) -> PolyIdeal:
     `buchberger` lists its basis."""
     order = order or DegRevLex(I.ring_dim)
     kernel = RationalKernel(order, I.generators)
-    leads = sorted(g[0] for g in _buchberger_run(I.generators, I.ring_dim, kernel)[0])
+    leads = sorted(g[0] for g in _buchberger_run(I.generators, kernel)[0])
     return PolyIdeal(
         I.ring_dim, [Polynomial.from_monomial(I.ring_dim, kernel._unpack(k)) for k in leads]
     )
@@ -1030,7 +1005,8 @@ def colon(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
     """Ideal quotient (I : f) for a single nonzero homogeneous f.
 
     Intersects I with (f) through one auxiliary variable, then divides
-    the intersection generators by f.
+    the intersection generators by f.  For a monomial I and a term f the
+    reduced basis is the minimal generating set, so the result is too.
     """
     if f.is_zero:
         raise ValueError("colon by zero is undefined")
@@ -1042,20 +1018,13 @@ def colon(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
         return PolyIdeal(I.ring_dim, ())
     if I.is_unit:
         return PolyIdeal(I.ring_dim, (Polynomial.one(I.ring_dim),))
-    if I.is_monomial and f.is_term():
-        fm = next(iter(f.nums))
-        gens = [
-            Polynomial.from_monomial(I.ring_dim, tuple(max(a - b, 0) for a, b in zip(m, fm)))
-            for m in I.monomial_exponents()
-        ]
-        return PolyIdeal(I.ring_dim, gens)
     d = I.ring_dim
     order = EliminationOrder(d + 1, aux_index=0)
     w = Polynomial.variable(d + 1, 0)
     lifted_f = _lift_adding_aux(f)
     J = [w * _lift_adding_aux(g) for g in I.generators]
     J.append(lifted_f - w * lifted_f)
-    basis = _reduced_basis(J, d + 1, order)
+    basis = _reduced_basis(J, order)
     ambient_order = DegRevLex(d)
     gens = []
     for p in basis:
@@ -1079,11 +1048,6 @@ class LinearElimination:
     pivot: int
     rep: tuple[int, ...]
     den: int
-
-    @property
-    def replacement(self) -> tuple[Fraction, ...]:
-        """The replacement's coefficients as Fractions, built on access."""
-        return tuple(Fraction(v, self.den) for v in self.rep)
 
     @cached_property
     def _integer_powers(self) -> list[dict[Monomial, int]]:

@@ -19,15 +19,15 @@ Starting from H(R/0) = 1/(1-t)^d, a stage whose mod-p numerator equals
 (1 - t^e_k) times the previous one has that exact rational series.  An
 unlucky prime, a zerodivisor or a redundant generator only misses the
 bound, and the rational loop runs instead.  A stage stops at the first
-finished degree whose count exceeds the bound.  A single generator needs
-no basis at all.  More generators than variables, or two generators that
-one variable divides, go straight to the rational loop, because a regular
-sequence has at most d members and no two of them share a factor.  Either
-run ends in the Hilbert numerator of its leading monomials, with no
-tail-reduced basis.  Only the series is certified, never the initial
-ideal: for (p x + y, z^2) the rational initial ideal is (x, z^2) and the
-mod-p one is (y, z^2), so `buchberger`, `initial_ideal` and `colon` stay
-rational.
+finished degree whose count exceeds the bound; a single generator is
+certified at its first stage.  More generators than variables, or two
+generators that one variable divides, go straight to the rational loop,
+because a regular sequence has at most d members and no two of them share
+a factor.  Either run ends in the Hilbert numerator of its leading
+monomials, with no tail-reduced basis.  Only the series is certified,
+never the initial ideal: for (p x + y, z^2) the rational initial ideal is
+(x, z^2) and the mod-p one is (y, z^2), so `buchberger`, `initial_ideal`
+and `colon` stay rational.
 """
 
 from __future__ import annotations
@@ -126,12 +126,11 @@ def series_of_resolution(P: ResolutionPresentation) -> HilbertSeries:
     return P._series()
 
 
-def series_of_monomial_quotient(d: int, I: PolyIdeal) -> HilbertSeries:
-    """Series of R/I for a monomial ideal I over d variables."""
-    if I.ring_dim != d:
-        raise ValueError("ideal ring does not match the stated dimension")
+def series_of_monomial_quotient(I: PolyIdeal) -> HilbertSeries:
+    """Series of R/I for a monomial ideal I."""
     if not I.is_monomial:
         raise NotMonomial("generators must all be single terms")
+    d = I.ring_dim
     return HilbertSeries(d, _numerator_of_monomial(d, I.monomial_exponents()))
 
 
@@ -143,38 +142,34 @@ _IDEAL_SERIES: dict[tuple, HilbertSeries] = {}
 def series_of_cyclic(M: CyclicModule) -> HilbertSeries:
     """Series of (R/I)(-r).
 
-    A monomial I gives its numerator directly.  Otherwise one generator of
-    degree e gives 1 - t^e.  Up to d generators, no two divisible by one
-    variable, first try a mod-p run, whose series counts only when every
-    stage meets the exact rational bound (see the module docstring).  The
-    leading monomials of a rational run give the rest.
+    A monomial I gives its numerator directly.  Otherwise, for up to d
+    generators, no two divisible by one variable, first try a mod-p run,
+    whose series counts only when every stage meets the exact rational
+    bound (see the module docstring).  The leading monomials of a rational
+    run give the rest.
     """
     I = M.ideal
     key = I.canonical_key()
     base = _IDEAL_SERIES.get(key)
     if base is None:
-        d = M.ring_dim
         if I.is_monomial:
-            base = series_of_monomial_quotient(d, I)
+            base = series_of_monomial_quotient(I)
         else:
-            base = HilbertSeries(d, _numerator_of_ideal(d, I))
+            base = HilbertSeries(I.ring_dim, _numerator_of_ideal(I))
         _IDEAL_SERIES[key] = base
     return shift(base, M.shift) if M.shift else base
 
 
-def _numerator_of_ideal(d: int, I: PolyIdeal) -> IntPolynomial:
+def _numerator_of_ideal(I: PolyIdeal) -> IntPolynomial:
     """Hilbert numerator of R/I for a non-monomial ideal I."""
-    gens = I.generators
+    gens, d = I.generators, I.ring_dim
     order = DegRevLex(d)
-    if len(gens) == 1:
-        one = IntPolynomial.one()
-        return one - one.times_t_power(gens[0].degree())
     if len(gens) <= d and not _common_variable(gens):
         try:
-            return _buchberger_run(gens, d, ModPKernel(order, gens))[1]
+            return _buchberger_run(gens, ModPKernel(order, gens))[1]
         except Uncertified:
             pass
-    return _buchberger_run(gens, d, RationalKernel(order, gens))[1]
+    return _buchberger_run(gens, RationalKernel(order, gens))[1]
 
 
 def _common_variable(gens) -> bool:

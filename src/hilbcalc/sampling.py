@@ -6,6 +6,7 @@ import random
 
 from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial, forms_independent
 from hilbcalc.presentation import CyclicModule, module_dimension
+from hilbcalc.superficial import DEFAULT_COEFF_BOUND
 
 
 def random_monomial_ideal(
@@ -23,32 +24,26 @@ def random_monomial_ideal(
     return PolyIdeal(d, [Polynomial.from_monomial(d, e) for e in exps])
 
 
-def random_module(
-    rng: random.Random,
-    d: int,
-    min_dim: int = 0,
-    max_gens: int = 5,
-    max_degree: int = 4,
-) -> CyclicModule:
-    """Rejection-sample a monomial quotient of dimension >= min_dim."""
+def random_module(rng: random.Random, d: int, min_dim: int = 0) -> CyclicModule:
+    """Rejection-sample a monomial quotient of dimension >= min_dim, its
+    ideal drawn by `random_monomial_ideal` at the default sizes."""
     if min_dim > d:
         raise ValueError("cannot ask for dimension above the variable count")
     while True:
-        M = CyclicModule(d, random_monomial_ideal(rng, d, max_gens, max_degree))
+        M = CyclicModule(d, random_monomial_ideal(rng, d))
         dim = module_dimension(M)
         if isinstance(dim, int) and dim >= min_dim:
             return M
 
 
-def random_independent_forms(
-    rng: random.Random, d: int, count: int, bound: int = 5
-) -> list[LinearForm]:
-    """count linearly independent small-coefficient forms."""
+def random_independent_forms(rng: random.Random, d: int, count: int) -> list[LinearForm]:
+    """count linearly independent forms, coefficients in [-DEFAULT_COEFF_BOUND,
+    DEFAULT_COEFF_BOUND]."""
     if count > d:
         raise ValueError("cannot draw more independent forms than variables")
     forms: list[LinearForm] = []
     while len(forms) < count:
-        c = [rng.randint(-bound, bound) for _ in range(d)]
+        c = [rng.randint(-DEFAULT_COEFF_BOUND, DEFAULT_COEFF_BOUND) for _ in range(d)]
         if not any(c):
             continue
         candidate = LinearForm(c)

@@ -268,11 +268,10 @@ def is_ssop(M: CyclicModule, fs: Sequence[LinearForm]) -> bool:
     )
 
 
-def _combination_stream(
-    k: int, rng: random.Random, bound: int
-) -> Iterator[tuple[int, ...]]:
+def _combination_stream(k: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
     """Coefficient vectors over a k-element basis: units, signed pairs,
-    then unbounded random draws."""
+    then endless random draws with entries in [-DEFAULT_COEFF_BOUND,
+    DEFAULT_COEFF_BOUND]."""
     for j in range(k):
         yield tuple(1 if i == j else 0 for i in range(k))
     for a in range(k):
@@ -282,27 +281,23 @@ def _combination_stream(
                     (1 if i == a else (sb if i == b else 0)) for i in range(k)
                 )
     while True:
-        c = tuple(rng.randint(-bound, bound) for _ in range(k))
+        c = tuple(rng.randint(-DEFAULT_COEFF_BOUND, DEFAULT_COEFF_BOUND) for _ in range(k))
         if any(c):
             yield c
 
 
 def find_superficial_sequence(
-    M: CyclicModule,
-    fs: Sequence[LinearForm],
-    seed: int = 0,
-    trials: int = DEFAULT_TRIALS,
-    bound: int = DEFAULT_COEFF_BOUND,
+    M: CyclicModule, fs: Sequence[LinearForm], seed: int = 0, trials: int = DEFAULT_TRIALS
 ) -> AdmissibilityCertificate:
     """Certify fs admissible by exhibiting a superficial sequence with the
     same span, rebuilt one form at a time along the quotients.
 
-    Every form in a returned witness is certified superficial on its
-    quotient, which is exact; the probably-not-admissible verdict only
-    says `trials` straight candidates failed at some step.
+    Candidates at each step are combinations of the remaining basis forms
+    from `_combination_stream`.  Every form in a returned witness is
+    certified superficial on its quotient, which is exact; the
+    probably-not-admissible verdict only says `trials` straight candidates
+    failed at some step.
     """
-    if bound < 1:
-        raise ValueError("coefficient bound must be positive")
     fs = tuple(fs)
     if not fs:
         return AdmissibilityCertificate(CERTIFIED, (), 0)
@@ -315,7 +310,7 @@ def find_superficial_sequence(
     used = 0
     for _ in range(len(fs)):
         failures = 0
-        for coeffs in _combination_stream(len(basis), rng, bound):
+        for coeffs in _combination_stream(len(basis), rng):
             # basis and cut forms span fs independently, so w survives the push
             w = form_combination(coeffs, basis)
             D, cut = _socle_cut(chain, chain.push(w))
@@ -386,20 +381,17 @@ def _screen_passes(screen, f: LinearForm) -> bool:
 _DEPTH_CACHE: dict[tuple, DepthCertificate] = {}
 
 
-def depth(
-    M: CyclicModule,
-    seed: int = 0,
-    trials: int = DEFAULT_TRIALS,
-    bound: int = DEFAULT_COEFF_BOUND,
-) -> DepthCertificate:
+def depth(M: CyclicModule, seed: int = 0, trials: int = DEFAULT_TRIALS) -> DepthCertificate:
     """Longest chain of certified-regular linear forms the search finds.
 
-    Chain forms are reported in the ring of M; each was certified on the
-    successive quotient, and those certifications are exact.  A nonzero
-    module of dimension zero has no regular linear form at all, so the
-    dimension-zero stop is exact as well; stopping on exhausted trials
-    leaves open that a cleverer candidate exists.  The zero module stops
-    at the dimension-zero terminal immediately.
+    Candidates are the forms of `_combination_stream` in the last
+    quotient's variables, and certificates are memoised per (module,
+    seed, trials).  Chain forms are reported in the ring of M; each was
+    certified on the successive quotient, and those certifications are
+    exact.  A nonzero module of dimension zero has no regular linear form
+    at all, so the dimension-zero stop is exact as well; stopping on
+    exhausted trials leaves open that a cleverer candidate exists.  The
+    zero module stops at the dimension-zero terminal immediately.
 
     When the current quotient ideal is monomial, a candidate's verdict
     is its support's (see the module docstring): a candidate whose
@@ -408,10 +400,8 @@ def depth(
     every remaining candidate fails.  Each candidate gets the verdict
     the full test would give, so the certificate is the same.
     """
-    if bound < 1:
-        raise ValueError("coefficient bound must be positive")
     M = M.drop_shift()
-    key = (M.key(), seed, trials, bound)
+    key = (M.key(), seed, trials)
     hit = _DEPTH_CACHE.get(key)
     if hit is not None:
         return hit
@@ -429,7 +419,7 @@ def depth(
         dead: list[int] = []  # supports (bit masks) of proven zerodivisors
         failures = 0
         found = None
-        for coeffs in _combination_stream(chain.last.ring_dim, rng, bound):
+        for coeffs in _combination_stream(chain.last.ring_dim, rng):
             support = sum(1 << j for j, c in enumerate(coeffs) if c)
             if all(support | k != k for k in dead):
                 f = LinearForm(coeffs)

@@ -102,8 +102,13 @@ def verify_depth_sensitivity(
     quotients then follow the certified witness.  The internal
     bookkeeping identities (coefficient stability before the last step,
     telescoping of the final defect) are theorems for certified chains,
-    so their failure raises rather than reports.
+    so their failure raises rather than reports.  The depth search runs
+    depth_trials candidates per step, trials when it is None.
     """
+    if depth_trials is None:
+        depth_trials = trials
+    elif depth_trials < 1:
+        raise ValueError(f"depth_trials must be at least 1, got {depth_trials}")
     S = series_of_cyclic(M)
     s = series_dimension(S)
     if not isinstance(s, int) or s < 1:
@@ -133,7 +138,7 @@ def verify_depth_sensitivity(
         raise RuntimeError("final defect does not telescope")
     parity_ok = (e_module <= e_quotient) if i % 2 == 0 else (e_module >= e_quotient)
     equality = e_module == e_quotient
-    depth_cert = depth(M, seed=seed, trials=depth_trials or trials)
+    depth_cert = depth(M, seed=seed, trials=depth_trials)
     deep_enough = depth_cert.depth >= n
     return DepthSensitivityReport(
         i=i,
@@ -535,7 +540,6 @@ def run_random_sensitivity_suite(
     count: int = 50,
     seed: int = 0,
     d_max: int = 4,
-    trials: int = DEFAULT_TRIALS,
     depth_trials: int = 64,
 ) -> RandomSuiteResult:
     """Seeded random modules of dimension >= 2 put through the full
@@ -571,12 +575,7 @@ def run_random_sensitivity_suite(
                 continue
             try:
                 report = verify_depth_sensitivity(
-                    M,
-                    fs,
-                    i,
-                    seed=instance_seed,
-                    trials=trials,
-                    depth_trials=depth_trials,
+                    M, fs, i, seed=instance_seed, depth_trials=depth_trials
                 )
             except NotAdmissible:
                 skipped += 1

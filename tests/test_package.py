@@ -10,7 +10,9 @@ import hilbcalc
 from test_tracing_targets import tracing_targets
 
 SRC = Path(hilbcalc.__file__).resolve().parent
-SCRIPTS = SRC.parent.parent / "scripts"
+ROOT = SRC.parent.parent
+SCRIPTS = ROOT / "scripts"
+PERFBENCH = ROOT / "perfbench"
 
 
 def test_every_exported_name_resolves():
@@ -25,34 +27,61 @@ def test_star_import():
 
 
 def definitions():
-    """(module, qualified name, name) of every module-level function and
-    class method in the package, dunders excluded."""
+    """(module, qualified name, definition node) of every module-level
+    function and class method in the package, dunders excluded."""
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, functions):
-                yield path.stem, node.name, node.name
+                yield path.stem, node.name, node
             elif isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, functions) and not item.name.startswith("__"):
-                        yield path.stem, f"{node.name}.{item.name}", item.name
+                        yield path.stem, f"{node.name}.{item.name}", item
+
+
+def identifiers(tree: ast.AST) -> Counter:
+    """Every name a tree reads or writes: Name ids, Attribute attrs and
+    string constants that are identifiers, as getattr and the tracer use."""
+    names: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                names[node.value] += 1
+    return names
+
+
+def documented_names() -> set[str]:
+    """The words of every inline code span in README.md and docs/*.md."""
+    words: set[str] = set()
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        text = re.sub(r"```.*?```", "", path.read_text(encoding="utf-8"), flags=re.S)
+        for span in re.findall(r"`([^`\n]+)`", text):
+            words.update(re.findall(r"\w+", span))
+    return words
 
 
 def test_every_function_is_named_outside_its_definition():
-    # a name the package writes only where it defines it, and that its
-    # scripts, its exports and the benchmark's tracer never name, is code
-    # only the tests can reach; the dsl statement handlers are looked up
-    # by name
-    words = Counter(re.findall(r"\w+", "\n".join(p.read_text() for p in SRC.glob("*.py"))))
-    script_words = set(re.findall(r"\w+", "\n".join(p.read_text() for p in SCRIPTS.iterdir())))
+    # a function no code in the package, its scripts or its benchmark names
+    # outside its own body, and that neither the exports, the tracer nor
+    # the documentation name, is code only the tests can reach; the dsl
+    # statement handlers are looked up by a built string
+    used: Counter = Counter()
+    for path in [*SRC.glob("*.py"), *SCRIPTS.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        used.update(identifiers(ast.parse(path.read_text(encoding="utf-8"))))
+    documented = documented_names()
     traced = {(module, attribute) for module, attribute, _ in tracing_targets()}
     unnamed = [
         f"{module}.{qualified}"
-        for module, qualified, name in definitions()
-        if words[name] == 1
-        and name not in script_words
-        and name not in hilbcalc.__all__
+        for module, qualified, node in definitions()
+        if used[node.name] == identifiers(node)[node.name]
+        and node.name not in documented
+        and node.name not in hilbcalc.__all__
         and (module, qualified) not in traced
-        and not (module == "dsl" and name.startswith("_parse_"))
+        and not (module == "dsl" and node.name.startswith("_parse_"))
     ]
     assert unnamed == []

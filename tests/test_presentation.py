@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_memos
-from test_polyring import monomial_div, monomial_lcm, reference_normal_form, reference_spoly
+from test_polyring import (
+    leading,
+    monic,
+    monomial_div,
+    monomial_lcm,
+    reference_normal_form,
+    reference_spoly,
+)
 from hilbcalc import polyring, presentation
 from hilbcalc.monomial import (
     _numerator_of_monomial,
@@ -77,20 +84,20 @@ def mp_ideal(d, s):
 
 class TestMonomialSeries:
     def test_zero_ideal(self):
-        S = series_of_monomial_quotient(3, PolyIdeal(3))
+        S = series_of_monomial_quotient(PolyIdeal(3))
         assert S == HilbertSeries(3, IntPolynomial.one())
 
     def test_pure_variables(self):
-        S = series_of_monomial_quotient(3, monomial_ideal(3, (1, 0, 0), (0, 1, 0)))
+        S = series_of_monomial_quotient(monomial_ideal(3, (1, 0, 0), (0, 1, 0)))
         assert S.numerator == IntPolynomial((1, -2, 1))
 
     def test_unit_ideal(self):
         I = PolyIdeal(2, [Polynomial.one(2)])
-        S = series_of_monomial_quotient(2, I)
+        S = series_of_monomial_quotient(I)
         assert S.is_zero
 
     def test_two_gen_example(self):
-        S = series_of_monomial_quotient(3, monomial_ideal(3, (1, 0, 1), (0, 1, 1)))
+        S = series_of_monomial_quotient(monomial_ideal(3, (1, 0, 1), (0, 1, 1)))
         assert S.numerator == IntPolynomial((1, 0, -2, 1))
         assert verify_series(CyclicModule(3, monomial_ideal(3, (1, 0, 1), (0, 1, 1))))
 
@@ -98,7 +105,7 @@ class TestMonomialSeries:
         d = 2
         f = Polynomial(d, {(2, 0): Fraction(1), (1, 1): Fraction(1)})
         with pytest.raises(NotMonomial):
-            series_of_monomial_quotient(d, PolyIdeal(d, [f]))
+            series_of_monomial_quotient(PolyIdeal(d, [f]))
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -157,7 +164,7 @@ def rational_series(I: PolyIdeal) -> HilbertSeries:
     certificate."""
     d = I.ring_dim
     order = DegRevLex(d)
-    exps = frozenset(g.leading_monomial(order) for g in buchberger(I, order))
+    exps = frozenset(leading(g, order)[0] for g in buchberger(I, order))
     return HilbertSeries(d, _numerator_of_monomial(d, minimalize_exponents(exps)))
 
 
@@ -265,15 +272,15 @@ class TestModularCertificate:
         assert lead == [(0, 0, 2), (1, 0, 0)]
 
     def test_exits_without_a_modular_run(self, monkeypatch):
-        monkeypatch.setattr(polyring, "ModPKernel", refuse)
-        monkeypatch.setattr(presentation, "ModPKernel", refuse)
-        # a principal ideal needs no basis at all
+        # a principal ideal is certified by the first stage of the mod-p run
         with monkeypatch.context() as mp:
             mp.setattr(polyring, "buchberger", refuse)
             mp.setattr(presentation, "RationalKernel", refuse)
             f = Polynomial(3, {(3, 0, 0): 2, (1, 1, 1): Fraction(-1, 3), (0, 0, 3): 5})
             S = series_of_cyclic(CyclicModule(3, PolyIdeal(3, [f])))
         assert S.numerator == IntPolynomial((1, 0, 0, -1))
+        monkeypatch.setattr(polyring, "ModPKernel", refuse)
+        monkeypatch.setattr(presentation, "ModPKernel", refuse)
         # generators sharing the variable x, and more generators than
         # variables, go straight to the rational basis
         xy_xz = PolyIdeal(
@@ -336,6 +343,7 @@ class TupleMonomials:
 
     def __init__(self, order, gens=()):
         self.order = order
+        self.nvars = order.nvars
         self.monomial = ordered(order)
 
     def lcm(self, m, u):
@@ -414,8 +422,8 @@ class TupleRationalKernel(TupleMonomials):
     def _element(self, r):
         if r.is_zero:
             return None
-        r = r.monic(self.order)
-        return self.monomial(r.leading_monomial(self.order)), r
+        r = monic(r, self.order)
+        return self.monomial(leading(r, self.order)[0]), r
 
     def enter(self, f, G):
         return self._element(reference_normal_form(f, [g for _, g in G], self.order))
@@ -431,16 +439,16 @@ class TupleRationalKernel(TupleMonomials):
         reduced = []
         for i, g in enumerate(basis):
             others = basis[:i] + basis[i + 1 :]
-            reduced.append(reference_normal_form(g, others, order).monic(order))
-        reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+            reduced.append(monic(reference_normal_form(g, others, order), order))
+        reduced.sort(key=lambda g: order.key(leading(g, order)[0]))
         return tuple(reduced)
 
 
-def tuple_reduced_basis(gens, nvars: int, order) -> tuple:
+def tuple_reduced_basis(gens, order) -> tuple:
     """`polyring._reduced_basis` on the tuple kernel, which leaves the exact
     division in `colon` to the packed one."""
     kernel = TupleRationalKernel(order)
-    return kernel.reduced(polyring._buchberger_run(gens, nvars, kernel)[0])
+    return kernel.reduced(polyring._buchberger_run(gens, kernel)[0])
 
 
 def terms_of(kernel, g) -> dict:
@@ -455,7 +463,7 @@ def terms_of(kernel, g) -> dict:
     return {unpack(k): 1, **{unpack(m): Fraction(c, lc) for m, c in tail}}
 
 
-def kernel_run(gens, nvars: int, kernel) -> tuple[list, object]:
+def kernel_run(gens, kernel) -> tuple[list, object]:
     """Every element a run on gens adds, in order, and its result: the
     final leading monomials with the Hilbert numerator, or Uncertified."""
     steps: list = []
@@ -471,7 +479,7 @@ def kernel_run(gens, nvars: int, kernel) -> tuple[list, object]:
 
     kernel.enter, kernel.spair = recording(kernel.enter), recording(kernel.spair)
     try:
-        G, h = _buchberger_run(gens, nvars, kernel)
+        G, h = _buchberger_run(gens, kernel)
     except Uncertified:
         return steps, Uncertified
     if isinstance(kernel, TupleMonomials):
@@ -540,8 +548,8 @@ class TestPackedKernel:
     def test_same_steps_as_the_tuple_kernel(self, I):
         gens, d = I.generators, I.ring_dim
         order = DegRevLex(d)
-        packed = kernel_run(gens, d, ModPKernel(order, gens))
-        assert packed == kernel_run(gens, d, TupleModPKernel(order))
+        packed = kernel_run(gens, ModPKernel(order, gens))
+        assert packed == kernel_run(gens, TupleModPKernel(order))
 
     # forms of degree 3 in 9 variables can take minutes over Q under the
     # elimination order, so the wide ideals here stop at degree 2
@@ -553,8 +561,8 @@ class TestPackedKernel:
     def test_rational_run_has_the_tuple_kernel_steps(self, I, name):
         gens, d = I.generators, I.ring_dim
         order = make_order(name, d)
-        packed = kernel_run(gens, d, RationalKernel(order, gens))
-        assert packed == kernel_run(gens, d, TupleRationalKernel(order))
+        packed = kernel_run(gens, RationalKernel(order, gens))
+        assert packed == kernel_run(gens, TupleRationalKernel(order))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -574,8 +582,8 @@ class TestPackedKernel:
         w, lift = Polynomial.variable(d + 1, 0), polyring._lift_adding_aux
         aux = [w * lift(f) for f in I.generators] + [lift(g) - w * lift(g)]
         elim = EliminationOrder(d + 1, 0)
-        packed = kernel_run(aux, d + 1, RationalKernel(elim, aux))
-        assert packed == kernel_run(aux, d + 1, TupleRationalKernel(elim))
+        packed = kernel_run(aux, RationalKernel(elim, aux))
+        assert packed == kernel_run(aux, TupleRationalKernel(elim))
 
         def results():
             return (
@@ -635,9 +643,9 @@ class TestPackedKernel:
         limit = k.limit
         assert limit < n * n
         reference = TupleModPKernel if kernel is ModPKernel else TupleRationalKernel
-        run = kernel_run(I.generators, 3, k)
+        run = kernel_run(I.generators, k)
         assert run[1] is not Uncertified
-        assert run == kernel_run(I.generators, 3, reference(order))
+        assert run == kernel_run(I.generators, reference(order))
         assert max(map(sum, run[1][0])) == n * n
         assert k.limit >= n * n and k.field == 2 * limit.bit_length() + 2
         with pytest.MonkeyPatch.context() as mp:
@@ -659,10 +667,10 @@ class TestPackedKernel:
         gens, order = [x5, f, g], DegRevLex(4)
         k = kernel(order, gens)
         field = k.field
-        run = kernel_run(gens, 4, k)
+        run = kernel_run(gens, k)
         assert k.field == 2 * field and run[1] is not Uncertified
         reference = TupleModPKernel if kernel is ModPKernel else TupleRationalKernel
-        assert run == kernel_run(gens, 4, reference(order))
+        assert run == kernel_run(gens, reference(order))
 
     def test_a_run_computes_no_order_key(self, monkeypatch):
         # the run, its minimal bases and the callers that unpack its result
@@ -676,7 +684,7 @@ class TestPackedKernel:
         monkeypatch.setattr(EliminationOrder, "key", refuse)
         for kernel in (ModPKernel, RationalKernel):
             for gens, order in (([x5, f, g], DegRevLex(4)), (I.generators, DegRevLex(5))):
-                _buchberger_run(gens, order.nvars, kernel(order, gens))
+                _buchberger_run(gens, kernel(order, gens))
         buchberger(PolyIdeal(4, [x5, f, g]))
         initial_ideal(I, EliminationOrder(5, 2))
         colon(I, h)
@@ -687,9 +695,9 @@ class TestPackedKernel:
         gens, d = I.generators, I.ring_dim
         k = ModPKernel(DegRevLex(d), gens)
         field = k.field
-        run = kernel_run(gens, d, k)
+        run = kernel_run(gens, k)
         assert run[1] is not Uncertified and k.field == field
-        assert run == kernel_run(gens, d, TupleModPKernel(DegRevLex(d)))
+        assert run == kernel_run(gens, TupleModPKernel(DegRevLex(d)))
 
     def test_elimination_order_packs(self):
         # the aux exponent leads, then the degree of the others, then the

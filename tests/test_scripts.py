@@ -40,3 +40,16 @@ def test_random_sweep_is_clean(monkeypatch, capsys):
         run_script(monkeypatch, capsys, "random_sweep.py", "--count", "10")
     assert exc.value.code == 0
     assert "overall: clean" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [("--d-max", "2"), ("--count", "-5"), ("--count", "0"), ("--depth-trials", "0")],
+)
+def test_random_sweep_refuses_out_of_range_options(monkeypatch, capsys, args):
+    # --d-max 2 used to end in a ValueError traceback, and --count -5 in a
+    # clean report of no instances
+    with pytest.raises(SystemExit) as exc:
+        run_script(monkeypatch, capsys, "random_sweep.py", *args)
+    assert exc.value.code == 2
+    assert f"argument {args[0]}: must be at least" in capsys.readouterr().err

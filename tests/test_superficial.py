@@ -17,7 +17,6 @@ from hilbcalc.series import series_dimension
 from hilbcalc.superficial import (
     CERTIFIED,
     CUT_MEMO_SIZE,
-    DEFAULT_COEFF_BOUND,
     DEFAULT_TRIALS,
     NOT_SSOP,
     PROBABLY_NOT_ADMISSIBLE,
@@ -405,22 +404,9 @@ class TestDepth:
         assert depth(shifted) is depth(PQ)
         assert depth(CyclicModule(3, PQ.ideal, shift=7)) is depth(PQ)
 
-    @pytest.mark.parametrize("bound", [0, -1])
-    def test_nonpositive_bound_refused(self, bound):
-        # with no nonzero draw left, the candidate stream never ended
-        x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
-        M = CyclicModule(2, PolyIdeal(2, [x * y * (x + y) * (x - y)]))
-        with pytest.raises(ValueError, match="coefficient bound must be positive"):
-            depth(M, bound=bound)
-        with pytest.raises(ValueError, match="coefficient bound must be positive"):
-            find_superficial_sequence(PQ, [lf(0, 1, 0)], bound=bound)
-
 
 def reference_depth(
-    M: CyclicModule,
-    seed: int = 0,
-    trials: int = DEFAULT_TRIALS,
-    bound: int = DEFAULT_COEFF_BOUND,
+    M: CyclicModule, seed: int = 0, trials: int = DEFAULT_TRIALS
 ) -> DepthCertificate:
     """The earlier depth loop, which tested every candidate with the
     screen and a cut, kept verbatim (without its memo) as the reference
@@ -436,7 +422,7 @@ def reference_depth(
         screen = _screen(chain.last.ideal)
         failures = 0
         found = None
-        for coeffs in _combination_stream(chain.last.ring_dim, rng, bound):
+        for coeffs in _combination_stream(chain.last.ring_dim, rng):
             f = LinearForm(coeffs)
             if _screen_passes(screen, f):
                 D, cut = _socle_cut(chain, f)
@@ -506,13 +492,10 @@ class TestSupportRule:
         st.integers(0, 3),
         st.integers(0, 2**16),
         st.integers(1, 40),
-        st.integers(1, 3),
     )
-    def test_depth_matches_the_full_test(self, M, r, seed, trials, bound):
+    def test_depth_matches_the_full_test(self, M, r, seed, trials):
         shifted = CyclicModule(M.ring_dim, M.ideal, r)
-        assert depth(shifted, seed, trials, bound) == reference_depth(
-            shifted, seed, trials, bound
-        )
+        assert depth(shifted, seed, trials) == reference_depth(shifted, seed, trials)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_depth_matches_the_full_test_on_sampled_modules(self, seed):
@@ -661,7 +644,7 @@ class TestIntegerScreen:
     )
     def test_known_verdicts(self, coeffs, passes):
         # x0*x1 kills both factors; x2 is free, and x0 - x1 regular
-        I = PolyIdeal(3, [Polynomial.from_monomial(3, (1, 1, 0), Fraction(-5, 3))])
+        I = PolyIdeal(3, [Polynomial(3, {(1, 1, 0): Fraction(-5, 3)})])
         f = LinearForm(tuple(Fraction(c, 7) for c in coeffs))
         assert _screen_passes(_screen(I), f) is passes
         assert reference_screen_passes(reference_screen(I), f) is passes

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hilbcalc import theorem
 from hilbcalc.polyring import LinearForm
 from hilbcalc.presentation import (
     BadParams,
@@ -149,6 +150,27 @@ class TestVerifyWorkedValues:
         )
         with pytest.raises(BadIndex):
             verify_depth_sensitivity(zero_dim, [], 0)
+
+    @pytest.mark.parametrize("depth_trials", [0, -3])
+    def test_depth_trials_below_one_refused(self, depth_trials):
+        # 0 used to fall back to trials and run 32 candidates silently
+        M = two_prime_product_module(1, 2)
+        with pytest.raises(ValueError, match="depth_trials must be at least 1"):
+            verify_depth_sensitivity(M, [z_form(1, 2, 1)], 1, depth_trials=depth_trials)
+
+    def test_depth_trials_default_to_trials(self, monkeypatch):
+        searched = []
+        search = theorem.depth
+
+        def recording(M, seed, trials):
+            searched.append(trials)
+            return search(M, seed, trials)
+
+        monkeypatch.setattr(theorem, "depth", recording)
+        M = two_prime_product_module(1, 2)
+        verify_depth_sensitivity(M, [z_form(1, 2, 1)], 1, trials=7)
+        verify_depth_sensitivity(M, [z_form(1, 2, 1)], 1, trials=7, depth_trials=3)
+        assert searched == [7, 3]
 
     def test_not_an_ssop_is_rejected(self):
         M = maximal_times_prime_module(3, 1)
