@@ -23,17 +23,30 @@ finished degree whose count exceeds the bound; a single generator is
 certified at its first stage.  More generators than variables, or two
 generators that one variable divides, go straight to the rational loop,
 because a regular sequence has at most d members and no two of them share
-a factor.  Either run ends in the Hilbert numerator of its leading
-monomials, with no tail-reduced basis.  Only the series is certified,
-never the initial ideal: for (p x + y, z^2) the rational initial ideal is
-(x, z^2) and the mod-p one is (y, z^2), so `buchberger`, `initial_ideal`
-and `colon` stay rational.
+a factor.
+
+Fewer generators, k < d, first get a cheaper run on k variables.  Each
+f_j of degree e_j in turn keeps the first unused variable x_i with x_i^e_j
+a term of f_j, and the other d - k variables are set to 0.  When the mod-p
+run certifies these k forms in k variables, R/(I + (x_V)) for the d - k
+dropped variables V has finite length, so dim R/I <= d - k.  Krull's
+height theorem gives ht I <= k, so ht I = k, and in the Cohen-Macaulay
+ring R the f_j are a regular sequence with numerator prod (1 - t^e_j)
+(Bruns & Herzog 1993, Thm 2.1.2).  A restriction that misses, or a
+generator with no such term, leaves the run on all d variables.
+
+Every run ends in the Hilbert numerator of its leading monomials, with no
+tail-reduced basis.  Only the series is certified, never the initial
+ideal: for (p x + y, z^2) the rational initial ideal is (x, z^2) and the
+mod-p one is (y, z^2), so `buchberger`, `initial_ideal` and `colon` stay
+rational.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from hilbcalc.monomial import _numerator_of_monomial
 from hilbcalc.polyring import (
@@ -41,6 +54,7 @@ from hilbcalc.polyring import (
     LinearForm,
     ModPKernel,
     PolyIdeal,
+    Polynomial,
     RationalKernel,
     Uncertified,
     _buchberger_run,
@@ -143,10 +157,10 @@ def series_of_cyclic(M: CyclicModule) -> HilbertSeries:
     """Series of (R/I)(-r).
 
     A monomial I gives its numerator directly.  Otherwise, for up to d
-    generators, no two divisible by one variable, first try a mod-p run,
-    whose series counts only when every stage meets the exact rational
-    bound (see the module docstring).  The leading monomials of a rational
-    run give the rest.
+    generators, no two divisible by one variable, first try mod-p runs,
+    on k variables first when there are k < d generators; a series counts
+    only when every stage meets the exact rational bound (see the module
+    docstring).  The leading monomials of a rational run give the rest.
     """
     I = M.ideal
     key = I.canonical_key()
@@ -161,15 +175,70 @@ def series_of_cyclic(M: CyclicModule) -> HilbertSeries:
 
 
 def _numerator_of_ideal(I: PolyIdeal) -> IntPolynomial:
-    """Hilbert numerator of R/I for a non-monomial ideal I."""
+    """Hilbert numerator of R/I for a non-monomial ideal I.
+
+    Up to d generators, no two divisible by one variable, may be a regular
+    sequence, and get mod-p runs before the rational one: first on the
+    restriction to k variables (`_restriction`), when k < d and it exists,
+    then on the generators themselves.  The first run that certifies gives
+    the numerator; `Uncertified` passes on to the next run.
+
+    A certified restricted run proves that f_1..f_k, of degrees e_j, are a
+    regular sequence in R = Q[x_1..x_d], so that R/I has the numerator
+    prod (1 - t^e_j) the run returns.  Let V be the d - k variables set to
+    0 and R' = Q[x_i : i not in V].  The run certifies the rational series
+    prod (1 + t + ... + t^(e_j - 1)) of R'/(f|V) = R/(I + (x_V)), a
+    polynomial, so R/(I + (x_V)) has finite length.  Cutting by the d - k
+    forms x_V lowers the dimension by at most d - k, so dim R/I <= d - k,
+    while Krull's height theorem gives ht I <= k, that is dim R/I >= d - k.
+    So ht I = k, and in the Cohen-Macaulay ring R k homogeneous elements
+    generating an ideal of height k are a regular sequence (Bruns & Herzog,
+    Cohen-Macaulay Rings, 1993, Thm 2.1.2, graded form).
+    """
     gens, d = I.generators, I.ring_dim
-    order = DegRevLex(d)
     if len(gens) <= d and not _common_variable(gens):
-        try:
-            return _buchberger_run(gens, ModPKernel(order, gens))[1]
-        except Uncertified:
-            pass
-    return _buchberger_run(gens, RationalKernel(order, gens))[1]
+        for fs in filter(None, (_restriction(gens, d), gens)):
+            try:
+                return _buchberger_run(fs, ModPKernel(DegRevLex(fs[0].nvars), fs))[1]
+            except Uncertified:
+                pass
+    return _buchberger_run(gens, RationalKernel(DegRevLex(d), gens))[1]
+
+
+def _restriction(gens: Sequence[Polynomial], d: int) -> Optional[list[Polynomial]]:
+    """The k < d generators with all but k variables set to 0, or None.
+
+    Each generator f_j of degree e_j in turn keeps the first variable x_i
+    not yet kept such that x_i^e_j is a term of f_j; the restriction lives
+    in the kept variables, in their order, and keeps that term, so each
+    f_j stays a nonzero form of degree e_j.  None when k = d, or when some
+    generator has no such term.
+    """
+    k = len(gens)
+    if k >= d:
+        return None
+    kept: list[int] = []
+    for g in gens:
+        e = g.degree()
+        for i in range(d):
+            if i not in kept and tuple(e if j == i else 0 for j in range(d)) in g.nums:
+                kept.append(i)
+                break
+        else:
+            return None
+    kept.sort()
+    dropped = [j for j in range(d) if j not in kept]
+    return [
+        Polynomial(
+            k,
+            {
+                tuple(m[i] for i in kept): v
+                for m, v in g.nums.items()
+                if not any(m[j] for j in dropped)
+            },
+        )
+        for g in gens
+    ]
 
 
 def _common_variable(gens) -> bool:

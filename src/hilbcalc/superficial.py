@@ -296,8 +296,10 @@ def find_superficial_sequence(
     from `_combination_stream`.  Every form in a returned witness is
     certified superficial on its quotient, which is exact; the
     probably-not-admissible verdict only says `trials` straight candidates
-    failed at some step.
+    failed at some step.  trials below 1 raise ValueError.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     fs = tuple(fs)
     if not fs:
         return AdmissibilityCertificate(CERTIFIED, (), 0)
@@ -398,8 +400,11 @@ def depth(M: CyclicModule, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Depth
     support lies inside that of a proven zerodivisor fails with no
     screen and no cut, and once the full variable set is such a support,
     every remaining candidate fails.  Each candidate gets the verdict
-    the full test would give, so the certificate is the same.
+    the full test would give, so the certificate is the same.  trials
+    below 1 raise ValueError.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     M = M.drop_shift()
     key = (M.key(), seed, trials)
     hit = _DEPTH_CACHE.get(key)

@@ -56,13 +56,25 @@ def identifiers(tree: ast.AST) -> Counter:
 
 
 def documented_names() -> set[str]:
-    """The words of every inline code span in README.md and docs/*.md."""
+    """The words of every inline code span in README.md and docs/*.md,
+    outside fenced blocks and outside the "API change:" paragraphs, which
+    name what was deleted."""
     words: set[str] = set()
     for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
         text = re.sub(r"```.*?```", "", path.read_text(encoding="utf-8"), flags=re.S)
-        for span in re.findall(r"`([^`\n]+)`", text):
-            words.update(re.findall(r"\w+", span))
+        for paragraph in re.split(r"\n\s*\n", text):
+            if paragraph.lstrip().startswith("API change:"):
+                continue
+            for span in re.findall(r"`([^`\n]+)`", paragraph):
+                words.update(re.findall(r"\w+", span))
     return words
+
+
+def test_deleted_names_do_not_count_as_documented():
+    # the "API change:" paragraphs name methods that are gone; a later
+    # test-only method of the same name must not pass the guard below
+    deleted = {"monic", "replacement", "leading_monomial", "division_row", "old_index"}
+    assert deleted.isdisjoint(documented_names())
 
 
 def test_every_function_is_named_outside_its_definition():

@@ -172,6 +172,24 @@ def refuse(*args, **kwargs):
     raise AssertionError("this series must not need that computation")
 
 
+def counted_kernels(monkeypatch) -> list:
+    """The kernels `presentation` builds from here on, as (name, number of
+    variables) in the order it builds them."""
+    built = []
+
+    def counting(kernel):
+        class Counted(kernel):
+            def __init__(self, order, gens):
+                built.append((kernel.__name__, order.nvars))
+                super().__init__(order, gens)
+
+        return Counted
+
+    monkeypatch.setattr(presentation, "ModPKernel", counting(ModPKernel))
+    monkeypatch.setattr(presentation, "RationalKernel", counting(RationalKernel))
+    return built
+
+
 @st.composite
 def certificate_ideals(draw):
     """Homogeneous ideals in 2-5 variables: generic complete intersections
@@ -244,17 +262,10 @@ class TestModularCertificate:
         p = polyring._PRIME
         x2 = Polynomial(2, {(2, 0): 1})
         I = PolyIdeal(2, [x2, Polynomial(2, {(2, 0): 1, (0, 2): p})])
-        calls = []
-
-        class Counted(RationalKernel):
-            def __init__(self, *args):
-                calls.append(args)
-                super().__init__(*args)
-
-        monkeypatch.setattr(presentation, "RationalKernel", Counted)
+        built = counted_kernels(monkeypatch)
         S = series_of_cyclic(CyclicModule(2, I))
         assert S.numerator == IntPolynomial((1, 0, -2, 0, 1))
-        assert len(calls) == 1
+        assert built == [("ModPKernel", 2), ("RationalKernel", 2)]
 
     def test_series_only_never_the_initial_ideal(self, monkeypatch):
         # the leading monomials mod p are (y, z^2), over Q (x, z^2): the
@@ -540,6 +551,62 @@ def generic_quadrics(seed: int, d: int = 8, count: int = 4) -> PolyIdeal:
                 return Polynomial(d, terms)
 
     return PolyIdeal(d, [quadric() for _ in range(count)])
+
+
+class TestRestrictedCertificate:
+    def test_miss_falls_back_to_the_full_run(self, monkeypatch):
+        # y^2 - yz - xz and y^2 - z^2 keep (y, z); at x = 0 they are
+        # y (y - z) and (y - z)(y + z), which share y - z, so the
+        # restricted run misses and the run on all three variables
+        # certifies the complete intersection
+        f = Polynomial(3, {(0, 2, 0): 1, (0, 1, 1): -1, (1, 0, 1): -1})
+        g = Polynomial(3, {(0, 2, 0): 1, (0, 0, 2): -1})
+        I = PolyIdeal(3, [f, g])
+        assert presentation._restriction(I.generators, 3) == [
+            Polynomial(2, {(2, 0): 1, (1, 1): -1}),
+            Polynomial(2, {(2, 0): 1, (0, 2): -1}),
+        ]
+        built = counted_kernels(monkeypatch)
+        S = series_of_cyclic(CyclicModule(3, I))
+        assert S.numerator == IntPolynomial((1, 0, -2, 0, 1))
+        assert built == [("ModPKernel", 2), ("ModPKernel", 3)]
+
+    def test_no_restriction_without_a_pure_power(self):
+        # x y + z^2 keeps z and x^2 + y z keeps x; x y + z w has no pure
+        # power, and d generators are not restricted at all
+        d = 4
+        gens = [
+            Polynomial(d, {(1, 1, 0, 0): 1, (0, 0, 2, 0): 1}),
+            Polynomial(d, {(2, 0, 0, 0): 1, (0, 1, 1, 0): 1}),
+            Polynomial(d, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1}),
+        ]
+        assert presentation._restriction(gens[:2], d) == [
+            Polynomial(2, {(0, 2): 1}),
+            Polynomial(2, {(2, 0): 1}),
+        ]
+        assert presentation._restriction(gens, d) is None
+        assert presentation._restriction(gens[:1] * 4, d) is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_quadrics_certify_on_four_variables(self, monkeypatch, seed):
+        built = counted_kernels(monkeypatch)
+        S = series_of_cyclic(CyclicModule(8, generic_quadrics(seed)))
+        assert S.numerator == IntPolynomial((1, 0, -4, 0, 6, 0, -4, 0, 1))
+        assert built == [("ModPKernel", 4)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(certificate_ideals(), wide_ideals()))
+    def test_certified_restriction_has_the_rational_series(self, I):
+        restricted = presentation._restriction(I.generators, I.ring_dim)
+        if restricted is None:
+            return
+        kernel = ModPKernel(DegRevLex(len(restricted)), restricted)
+        try:
+            h = _buchberger_run(restricted, kernel)[1]
+        except Uncertified:
+            return
+        clear_memos()
+        assert h == rational_series(I).numerator
 
 
 class TestPackedKernel:

@@ -39,6 +39,7 @@ from hilbcalc.superficial import (
     socle_series,
     superficial_chain,
 )
+from hilbcalc.theorem import two_prime_product_module
 
 
 def mono(d, *exps):
@@ -338,6 +339,11 @@ class TestFindSuperficialSequence:
         cert = find_superficial_sequence(MP3, [])
         assert cert.verdict == CERTIFIED and cert.witness == ()
 
+    @pytest.mark.parametrize("trials", [0, -4])
+    def test_trials_below_one_refused(self, trials):
+        with pytest.raises(ValueError, match="at least 1"):
+            find_superficial_sequence(PQ, [lf(0, 1, 0)], trials=trials)
+
     def test_deterministic(self):
         a = find_superficial_sequence(PQ, [lf(0, 1, 0), Z1], seed=5)
         b = find_superficial_sequence(PQ, [lf(0, 1, 0), Z1], seed=5)
@@ -361,6 +367,11 @@ class TestDepth:
         assert cert.depth == 3
         assert cert.stop_evidence == STOP_DIMENSION_ZERO
         assert cert.is_exact
+
+    @pytest.mark.parametrize("trials", [0, -4])
+    def test_trials_below_one_refused(self, trials):
+        with pytest.raises(ValueError, match="at least 1"):
+            depth(two_prime_product_module(1, 2), trials=trials)
 
     def test_hypersurface_exact_depth(self):
         M = CyclicModule(2, mono(2, (2, 0)))
