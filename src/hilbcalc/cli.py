@@ -731,7 +731,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         try:
             with open(args.script, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {args.script}: {exc}", file=sys.stderr)
             return EXIT_LANGUAGE
         return _execute_text(text, opts)

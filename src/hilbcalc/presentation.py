@@ -6,8 +6,8 @@ series of a monomial quotient comes from the memoised pivot recursion in
 `monomial`; general ideals pass through leading monomials first.
 
 For a non-monomial ideal I = (f_1..f_k) in d variables, a run of the
-incremental Buchberger loop mod p = 2^31 - 1 comes first, and its series
-is exact once it is certified by two bounds:
+incremental Buchberger loop mod p = 2^31 - 1 may come first, and its
+series is exact once it is certified by two bounds:
 
 - Upper: in each degree the mod-p Macaulay matrix has at most its
   rational rank, so H_p(R/J) >= H_Q(R/J) for every prime, read off the
@@ -20,20 +20,19 @@ Starting from H(R/0) = 1/(1-t)^d, a stage whose mod-p numerator equals
 unlucky prime, a zerodivisor or a redundant generator only misses the
 bound, and the rational loop runs instead.  A stage stops at the first
 finished degree whose count exceeds the bound; a single generator is
-certified at its first stage.  More generators than variables, or two
-generators that one variable divides, go straight to the rational loop,
-because a regular sequence has at most d members and no two of them share
-a factor.
+certified at its first stage.
 
-Fewer generators, k < d, first get a cheaper run on k variables.  Each
-f_j of degree e_j in turn keeps the first unused variable x_i with x_i^e_j
-a term of f_j, and the other d - k variables are set to 0.  When the mod-p
-run certifies these k forms in k variables, R/(I + (x_V)) for the d - k
-dropped variables V has finite length, so dim R/I <= d - k.  Krull's
-height theorem gives ht I <= k, so ht I = k, and in the Cohen-Macaulay
-ring R the f_j are a regular sequence with numerator prod (1 - t^e_j)
-(Bruns & Herzog 1993, Thm 2.1.2).  A restriction that misses, or a
-generator with no such term, leaves the run on all d variables.
+The run is on k <= d variables.  Each f_j of degree e_j in turn keeps the
+first unused variable x_i with x_i^e_j a term of f_j, and the other d - k
+variables are set to 0; at k = d none is.  When the mod-p run certifies
+these k forms in k variables, R/(I + (x_V)) for the d - k dropped
+variables V has finite length, so dim R/I <= d - k.  Krull's height
+theorem gives ht I <= k, so ht I = k, and in the Cohen-Macaulay ring R
+the f_j are a regular sequence with numerator prod (1 - t^e_j) (Bruns &
+Herzog 1993, Thm 2.1.2).  When some generator has no such term, as
+always with more generators than variables, only the rational loop runs.
+Distinct kept variables also mean that no variable divides two
+generators, which no regular sequence allows.
 
 Every run ends in the Hilbert numerator of its leading monomials, with no
 tail-reduced basis.  Only the series is certified, never the initial
@@ -65,6 +64,7 @@ from hilbcalc.series import (
     Dim,
     HilbertSeries,
     IntPolynomial,
+    _as_int,
     binomial,
     expand,
     hilbert_coefficients,
@@ -114,7 +114,7 @@ class ResolutionPresentation:
     def __post_init__(self) -> None:
         if not self.steps or not self.steps[0]:
             raise ValueError("a resolution needs generators at step zero")
-        clean = tuple(tuple(int(r) for r in step) for step in self.steps)
+        clean = tuple(tuple(map(_as_int, step)) for step in self.steps)
         for step in clean:
             for r in step:
                 if r < 0:
@@ -156,11 +156,11 @@ _IDEAL_SERIES: dict[tuple, HilbertSeries] = {}
 def series_of_cyclic(M: CyclicModule) -> HilbertSeries:
     """Series of (R/I)(-r).
 
-    A monomial I gives its numerator directly.  Otherwise, for up to d
-    generators, no two divisible by one variable, first try mod-p runs,
-    on k variables first when there are k < d generators; a series counts
-    only when every stage meets the exact rational bound (see the module
-    docstring).  The leading monomials of a rational run give the rest.
+    A monomial I gives its numerator directly.  Otherwise k generators
+    that restrict to k variables first get one mod-p run; its series
+    counts only when every stage meets the exact rational bound (see the
+    module docstring).  The leading monomials of a rational run give the
+    rest.
     """
     I = M.ideal
     key = I.canonical_key()
@@ -177,46 +177,45 @@ def series_of_cyclic(M: CyclicModule) -> HilbertSeries:
 def _numerator_of_ideal(I: PolyIdeal) -> IntPolynomial:
     """Hilbert numerator of R/I for a non-monomial ideal I.
 
-    Up to d generators, no two divisible by one variable, may be a regular
-    sequence, and get mod-p runs before the rational one: first on the
-    restriction to k variables (`_restriction`), when k < d and it exists,
-    then on the generators themselves.  The first run that certifies gives
-    the numerator; `Uncertified` passes on to the next run.
+    Generators that restrict to k <= d variables (`_restriction`) may be a
+    regular sequence, and get one mod-p run on that restriction; a run
+    that certifies gives the numerator.  Any other ideal, and every
+    `Uncertified` run, takes the rational run.
 
-    A certified restricted run proves that f_1..f_k, of degrees e_j, are a
-    regular sequence in R = Q[x_1..x_d], so that R/I has the numerator
+    A certified run proves that f_1..f_k, of degrees e_j, are a regular
+    sequence in R = Q[x_1..x_d], so that R/I has the numerator
     prod (1 - t^e_j) the run returns.  Let V be the d - k variables set to
-    0 and R' = Q[x_i : i not in V].  The run certifies the rational series
-    prod (1 + t + ... + t^(e_j - 1)) of R'/(f|V) = R/(I + (x_V)), a
-    polynomial, so R/(I + (x_V)) has finite length.  Cutting by the d - k
-    forms x_V lowers the dimension by at most d - k, so dim R/I <= d - k,
-    while Krull's height theorem gives ht I <= k, that is dim R/I >= d - k.
-    So ht I = k, and in the Cohen-Macaulay ring R k homogeneous elements
-    generating an ideal of height k are a regular sequence (Bruns & Herzog,
-    Cohen-Macaulay Rings, 1993, Thm 2.1.2, graded form).
+    0, empty when k = d, and R' = Q[x_i : i not in V].  The run certifies
+    the rational series prod (1 + t + ... + t^(e_j - 1)) of
+    R'/(f|V) = R/(I + (x_V)), a polynomial, so R/(I + (x_V)) has finite
+    length.  Cutting by the d - k forms x_V lowers the dimension by at
+    most d - k, so dim R/I <= d - k, while Krull's height theorem gives
+    ht I <= k, that is dim R/I >= d - k.  So ht I = k, and in the
+    Cohen-Macaulay ring R k homogeneous elements generating an ideal of
+    height k are a regular sequence (Bruns & Herzog, Cohen-Macaulay Rings,
+    1993, Thm 2.1.2, graded form).
     """
     gens, d = I.generators, I.ring_dim
-    if len(gens) <= d and not _common_variable(gens):
-        for fs in filter(None, (_restriction(gens, d), gens)):
-            try:
-                return _buchberger_run(fs, ModPKernel(DegRevLex(fs[0].nvars), fs))[1]
-            except Uncertified:
-                pass
+    fs = _restriction(gens, d)
+    if fs is not None:
+        try:
+            return _buchberger_run(fs, ModPKernel(DegRevLex(len(fs)), fs))[1]
+        except Uncertified:
+            pass
     return _buchberger_run(gens, RationalKernel(DegRevLex(d), gens))[1]
 
 
 def _restriction(gens: Sequence[Polynomial], d: int) -> Optional[list[Polynomial]]:
-    """The k < d generators with all but k variables set to 0, or None.
+    """The k generators with all but k variables set to 0, or None.
 
     Each generator f_j of degree e_j in turn keeps the first variable x_i
     not yet kept such that x_i^e_j is a term of f_j; the restriction lives
     in the kept variables, in their order, and keeps that term, so each
-    f_j stays a nonzero form of degree e_j.  None when k = d, or when some
-    generator has no such term.
+    f_j stays a nonzero form of degree e_j.  At k = d no variable is
+    dropped.  None when some generator has no such term, as always when
+    k > d.  A variable dividing f_j would divide that term, so no variable
+    divides two generators that have a restriction.
     """
-    k = len(gens)
-    if k >= d:
-        return None
     kept: list[int] = []
     for g in gens:
         e = g.degree()
@@ -230,7 +229,7 @@ def _restriction(gens: Sequence[Polynomial], d: int) -> Optional[list[Polynomial
     dropped = [j for j in range(d) if j not in kept]
     return [
         Polynomial(
-            k,
+            len(kept),
             {
                 tuple(m[i] for i in kept): v
                 for m, v in g.nums.items()
@@ -239,19 +238,6 @@ def _restriction(gens: Sequence[Polynomial], d: int) -> Optional[list[Polynomial
         )
         for g in gens
     ]
-
-
-def _common_variable(gens) -> bool:
-    """Whether some variable divides two of the generators.  A common
-    factor c of f and g makes g a zerodivisor mod f (g (f/c) lies in (f)),
-    so such generators are no regular sequence."""
-    seen: set[int] = set()
-    for g in gens:
-        factors = set.intersection(*({i for i, a in enumerate(m) if a} for m in g.nums))
-        if factors & seen:
-            return True
-        seen |= factors
-    return False
 
 
 def module_dimension(M: CyclicModule) -> Dim:

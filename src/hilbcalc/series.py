@@ -31,49 +31,11 @@ class MixedAmbient(ValueError):
     """Signed combination of series over different ambient dimensions."""
 
 
-class _MinusInfinity:
-    """Dimension sentinel for the zero module, strictly below every integer."""
+# Dimension of the zero module, strictly below every integer.
+MINUS_INFINITY = -math.inf
 
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls) -> "_MinusInfinity":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "-infinity"
-
-    def __lt__(self, other):
-        if isinstance(other, int):
-            return True
-        if isinstance(other, _MinusInfinity):
-            return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (int, _MinusInfinity)):
-            return True
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (int, _MinusInfinity)):
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, int):
-            return False
-        if isinstance(other, _MinusInfinity):
-            return True
-        return NotImplemented
-
-
-MINUS_INFINITY = _MinusInfinity()
-
-# Dimension of a graded module: a plain integer, or the sentinel for 0.
-Dim = Union[int, _MinusInfinity]
+# Dimension of a graded module: a plain integer, or MINUS_INFINITY for 0.
+Dim = Union[int, float]
 
 
 def binomial(m: int, n: int) -> int:

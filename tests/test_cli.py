@@ -168,6 +168,18 @@ class TestRun:
         assert code == 2
         assert "cannot read" in err
 
+    def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        # the decode error used to end in exit 3, "error: internal"
+        p = tmp_path / "latin.hc"
+        p.write_bytes(b"ring x;\nideal I = x\xff;\n")
+        code, out, err = invoke(capsys, "run", str(p))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: cannot read {p}: 'utf-8' codec can't decode byte 0xff "
+            "in position 19: invalid start byte\n"
+        )
+
     def test_non_admissible_verify_exits_1(self, capsys, tmp_path):
         p = tmp_path / "nonadm.hc"
         p.write_text(

@@ -553,12 +553,24 @@ def generic_quadrics(seed: int, d: int = 8, count: int = 4) -> PolyIdeal:
     return PolyIdeal(d, [quadric() for _ in range(count)])
 
 
+def common_variable(gens) -> bool:
+    """Whether some variable divides two of the generators: the gate the
+    mod-p run once had, which a restriction implies."""
+    seen: set[int] = set()
+    for g in gens:
+        factors = set.intersection(*({i for i, a in enumerate(m) if a} for m in g.nums))
+        if factors & seen:
+            return True
+        seen |= factors
+    return False
+
+
 class TestRestrictedCertificate:
-    def test_miss_falls_back_to_the_full_run(self, monkeypatch):
+    def test_miss_falls_back_to_the_rational_run(self, monkeypatch):
         # y^2 - yz - xz and y^2 - z^2 keep (y, z); at x = 0 they are
         # y (y - z) and (y - z)(y + z), which share y - z, so the
-        # restricted run misses and the run on all three variables
-        # certifies the complete intersection
+        # restricted run misses and the rational run gives the series of
+        # the complete intersection
         f = Polynomial(3, {(0, 2, 0): 1, (0, 1, 1): -1, (1, 0, 1): -1})
         g = Polynomial(3, {(0, 2, 0): 1, (0, 0, 2): -1})
         I = PolyIdeal(3, [f, g])
@@ -569,11 +581,12 @@ class TestRestrictedCertificate:
         built = counted_kernels(monkeypatch)
         S = series_of_cyclic(CyclicModule(3, I))
         assert S.numerator == IntPolynomial((1, 0, -2, 0, 1))
-        assert built == [("ModPKernel", 2), ("ModPKernel", 3)]
+        assert built == [("ModPKernel", 2), ("RationalKernel", 3)]
 
     def test_no_restriction_without_a_pure_power(self):
         # x y + z^2 keeps z and x^2 + y z keeps x; x y + z w has no pure
-        # power, and d generators are not restricted at all
+        # power, and four copies of one generator cannot keep four
+        # variables
         d = 4
         gens = [
             Polynomial(d, {(1, 1, 0, 0): 1, (0, 0, 2, 0): 1}),
@@ -586,6 +599,30 @@ class TestRestrictedCertificate:
         ]
         assert presentation._restriction(gens, d) is None
         assert presentation._restriction(gens[:1] * 4, d) is None
+        # with y^2 and w^2 + x y added, d generators keep all d variables
+        # and restrict to themselves
+        full = gens[:2] + [
+            Polynomial(d, {(0, 2, 0, 0): 1}),
+            Polynomial(d, {(0, 0, 0, 2): 1, (1, 1, 0, 0): -1}),
+        ]
+        assert presentation._restriction(full, d) == full
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_d_quadrics_certify_on_all_variables(self, monkeypatch, seed):
+        built = counted_kernels(monkeypatch)
+        S = series_of_cyclic(CyclicModule(5, generic_quadrics(seed, 5, 5)))
+        assert S.numerator == IntPolynomial((1, 0, -5, 0, 10, 0, -10, 0, 5, 0, -1))
+        assert built == [("ModPKernel", 5)]
+
+    def test_no_pure_power_takes_only_the_rational_run(self, monkeypatch):
+        # x y has no pure power, so (x y, x^2 + y^2) makes no mod-p run
+        I = PolyIdeal(
+            2, [Polynomial(2, {(1, 1): 1}), Polynomial(2, {(2, 0): 1, (0, 2): 1})]
+        )
+        built = counted_kernels(monkeypatch)
+        S = series_of_cyclic(CyclicModule(2, I))
+        assert S.numerator == IntPolynomial((1, 0, -2, 0, 1))
+        assert built == [("RationalKernel", 2)]
 
     @pytest.mark.parametrize("seed", range(8))
     def test_quadrics_certify_on_four_variables(self, monkeypatch, seed):
@@ -593,6 +630,15 @@ class TestRestrictedCertificate:
         S = series_of_cyclic(CyclicModule(8, generic_quadrics(seed)))
         assert S.numerator == IntPolynomial((1, 0, -4, 0, 6, 0, -4, 0, 1))
         assert built == [("ModPKernel", 4)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(certificate_ideals(), wide_ideals()))
+    def test_restriction_shares_no_variable(self, I):
+        gens, d = I.generators, I.ring_dim
+        restricted = presentation._restriction(gens, d)
+        if restricted is not None:
+            assert len(restricted) <= d
+            assert not common_variable(gens)
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(certificate_ideals(), wide_ideals()))
@@ -823,6 +869,15 @@ class TestResolutionSeries:
     def test_rejects_negative_series(self):
         with pytest.raises(ValueError):
             ResolutionPresentation(2, ((0,), (0, 0)))
+
+    def test_twists_are_integers_never_truncated(self):
+        # int() read the twist 5/2 as 2 and 2.7 as 2, with h = 1 - t^2
+        P = ResolutionPresentation(3, ((Fraction(0),), (Fraction(4, 2),)))
+        assert P.steps == ((0,), (2,))
+        assert type(P.steps[1][0]) is int
+        for twist in (Fraction(5, 2), 2.7, 2.0, "2"):
+            with pytest.raises(TypeError):
+                ResolutionPresentation(3, ((0,), (twist,)))
 
 
 class TestClosedFormFamilies:
