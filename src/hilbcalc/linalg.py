@@ -5,8 +5,8 @@ Kept deliberately small: one integer echelon, IntEchelon, holds primitive
 package runs.  Polynomial rows are the generators' stored integer
 numerators: the brute-force oracle inserts, degree by degree, the
 Macaulay rows its walk cannot already tell are dependent, and the depth
-screen keeps the degree-two part of an ideal in one echelon and stacks
-each candidate's rows on it without copying it.  forms_independent
+screen keeps the degree-two part of an ideal in one echelon and puts
+each candidate's rows into a copy of its pivot dict.  forms_independent
 inserts each linear form's stored numerators.  int_rank, the rank of a
 whole matrix, and FractionEchelon, a reduced echelon form over the
 rationals, are no longer used by the package: they stay because the
@@ -38,27 +38,19 @@ class IntEchelon:
     rank; all arithmetic is on integers and exact, and the content
     division keeps entries small.
 
-    An echelon built on a base looks pivots up in its own rows first and
-    then in the base's, and stores new pivot rows only in its own; the
-    base is read, never copied or changed.  Its rank, the number of its
-    own pivot rows, is then the rank its rows add to the base's span.
+    IntEchelon(other.pivots) copies other's pivot dict and grows from
+    other's span without changing it: the rows are shared, and insert
+    never changes a stored row, it builds new ones or keeps the caller's.
     """
 
-    __slots__ = ("pivots", "base")
+    __slots__ = ("pivots",)
 
-    def __init__(self, base: Optional["IntEchelon"] = None):
-        self.pivots: dict[int, dict[int, int]] = {}
-        self.base = base
+    def __init__(self, pivots: Optional[dict[int, dict[int, int]]] = None):
+        self.pivots: dict[int, dict[int, int]] = dict(pivots or {})
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def _pivot(self, col: int) -> Optional[dict[int, int]]:
-        top = self.pivots.get(col)
-        if top is None and self.base is not None:
-            return self.base._pivot(col)
-        return top
 
     def insert(self, row: dict[int, int]) -> bool:
         """Add a row to the span; True when it was independent.
@@ -70,7 +62,7 @@ class IntEchelon:
             if g > 1:
                 row = {j: c // g for j, c in row.items()}
             col = max(row)
-            top = self._pivot(col)
+            top = self.pivots.get(col)
             if top is None:
                 self.pivots[col] = row
                 return True

@@ -129,7 +129,8 @@ class Polynomial:
 
     nums maps exponent tuples to nonzero integer numerators over den > 0,
     with gcd(den, *nums.values()) = 1; instances are not changed after
-    construction.  The constructor takes {exponent tuple: int or Fraction}.
+    construction.  The constructor takes {exponent tuple: int or Fraction}
+    and refuses exponents that are negative or not ints.
     """
 
     __slots__ = ("nvars", "nums", "den", "_key")
@@ -141,6 +142,10 @@ class Polynomial:
                 raise RingMismatch(
                     f"exponent tuple of length {len(m)} in a ring of {nvars}"
                 )
+            if not all(isinstance(e, int) for e in m):
+                raise TypeError(f"exponents must be ints, got {tuple(m)}")
+            if min(m, default=0) < 0:
+                raise ValueError(f"negative exponent in {tuple(m)}")
         self.nvars = nvars
         self.den, nums = clear_denominators(terms)
         self.nums = {tuple(m): c for m, c in nums.items() if c}

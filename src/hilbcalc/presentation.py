@@ -92,6 +92,7 @@ class CyclicModule:
     def __post_init__(self) -> None:
         if self.ideal.ring_dim != self.ring_dim:
             raise ValueError("ideal lives in a different ring")
+        object.__setattr__(self, "shift", _as_int(self.shift))
         if self.shift < 0:
             raise ValueError("presentation shift must be a natural")
 

@@ -54,7 +54,7 @@ def _as_int(c) -> int:
     truncation."""
     if isinstance(c, numbers.Rational) and c.denominator == 1:
         return int(c)
-    raise TypeError(f"coefficients must be integers, got {c!r}")
+    raise TypeError(f"expected an integer, got {c!r}")
 
 
 def _trimmed_ints(cs) -> tuple[int, ...]:
@@ -154,6 +154,8 @@ class IntPolynomial:
 
     def times_one_minus_t(self, k: int = 1) -> "IntPolynomial":
         """Multiply by (1 - t)^k."""
+        if k < 0:
+            raise ValueError("exponent of (1 - t) must be a natural")
         p = self
         for _ in range(k):
             cs = list(p.coeffs) + [0]
@@ -170,6 +172,8 @@ class IntPolynomial:
         steps run on plain lists and only the quotient becomes an
         IntPolynomial.
         """
+        if k < 0:
+            raise ValueError("exponent of (1 - t) must be a natural")
         if k == 0 or self.is_zero:
             return self
         cs = self.coeffs

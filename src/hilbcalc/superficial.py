@@ -48,11 +48,11 @@ from hilbcalc.polyring import (
     PolyIdeal,
     eliminate_form,
     form_combination,
-    forms_independent,
 )
 from hilbcalc.presentation import CyclicModule, series_of_cyclic
 from hilbcalc.series import (
     HilbertSeries,
+    coefficient,
     hilbert_coefficients,
     series_dimension,
 )
@@ -303,7 +303,7 @@ def find_superficial_sequence(
     fs = tuple(fs)
     if not fs:
         return AdmissibilityCertificate(CERTIFIED, (), 0)
-    if not forms_independent(fs) or not is_ssop(M, fs):
+    if not is_ssop(M, fs):
         return AdmissibilityCertificate(NOT_SSOP, None, 0)
     rng = random.Random(seed)
     chain = QuotientChain((M.drop_shift(),))
@@ -332,20 +332,19 @@ def find_superficial_sequence(
     return AdmissibilityCertificate(CERTIFIED, tuple(witness), used)
 
 
-def _screen(I: PolyIdeal) -> tuple[IntEchelon, int, list[list[int]]]:
+def _screen(I: PolyIdeal, expected: int) -> tuple[IntEchelon, int, list[list[int]]]:
     """Degree-two data for fast rejection of non-regular forms.
 
     A regular linear form f multiplies the degree-one part of R/I into
     degree two injectively; a rank drop there is certain evidence of a
     zerodivisor.  Passing the screen decides nothing.
 
-    Returns (base, expected, cols).  base is an integer echelon over
-    the degree-two monomials holding the degree-two part of I: the
-    quadric generators and x_k*g for each linear generator g, each
-    generator as its integer numerators.  The linear
-    generators go into a second echelon of rank r, and expected = d - r
-    is the dimension of the degree-one part of R/I, the rank the rows
-    x_k*f must add to base.  cols[k][j] is the column of x_j*x_k.
+    expected is dim (R/I)_1, the rank the rows x_k*f must add; depth
+    reads it off the series it already holds.  Returns (base, expected,
+    cols).  base is an integer echelon over the degree-two monomials
+    holding the degree-two part of I: the quadric generators and x_k*g
+    for each linear generator g, each generator as its integer
+    numerators.  cols[k][j] is the column of x_j*x_k.
     """
     d = I.ring_dim
     index = {m: j for j, m in enumerate(monomials_of_degree(d, 2))}
@@ -353,31 +352,29 @@ def _screen(I: PolyIdeal) -> tuple[IntEchelon, int, list[list[int]]]:
         [index[tuple((i == j) + (i == k) for i in range(d))] for j in range(d)]
         for k in range(d)
     ]
-    base, lin = IntEchelon(), IntEchelon()
+    base = IntEchelon()
     for g in I.generators:
         dg = g.homogeneous_degree()
         if dg == 1:
-            row = {m.index(1): c for m, c in g.nums.items()}
-            for k in range(d):
-                base.insert({cols[k][j]: c for j, c in row.items()})
-            lin.insert(row)
+            for col in cols:
+                base.insert({col[m.index(1)]: c for m, c in g.nums.items()})
         elif dg == 2:
             base.insert({index[m]: c for m, c in g.nums.items()})
-    return base, d - lin.rank, cols
+    return base, expected, cols
 
 
 def _screen_passes(screen, f: LinearForm) -> bool:
     """True unless multiplication by f drops rank on the degree-one part.
 
-    The rows x_k*f, from f's integer numerators, go into an overlay on
-    the screen's base echelon; its own pivot count is the rank they add.
+    The rows x_k*f, from f's integer numerators, go into a copy of the
+    base echelon; what the copy's rank gains is the rank they add.
     """
     base, expected, cols = screen
     nonzero = [(j, c) for j, c in enumerate(f.nums) if c]
-    overlay = IntEchelon(base)
+    grown = IntEchelon(base.pivots)
     for col in cols:
-        overlay.insert({col[j]: c for j, c in nonzero})
-    return overlay.rank == expected
+        grown.insert({col[j]: c for j, c in nonzero})
+    return grown.rank - base.rank == expected
 
 
 _DEPTH_CACHE: dict[tuple, DepthCertificate] = {}
@@ -418,7 +415,7 @@ def depth(M: CyclicModule, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Depth
         if S.is_zero or series_dimension(S) <= 0:
             cert = DepthCertificate(len(links), tuple(links), STOP_DIMENSION_ZERO, 0)
             break
-        screen = _screen(chain.last.ideal)
+        screen = _screen(chain.last.ideal, coefficient(S, 1))
         monomial = chain.last.ideal.is_monomial
         full = (1 << chain.last.ring_dim) - 1
         dead: list[int] = []  # supports (bit masks) of proven zerodivisors

@@ -126,7 +126,7 @@ class TestIntEchelon:
 
     @settings(max_examples=200)
     @given(degenerate_matrices(), degenerate_matrices())
-    def test_overlay_adds_rank_and_leaves_the_base(self, rows, more):
+    def test_pivot_copy_adds_rank_and_leaves_the_base(self, rows, more):
         width = min(len(rows[0]) if rows else 10, len(more[0]) if more else 10)
         rows = [r[:width] for r in rows]
         more = [r[:width] for r in more]
@@ -134,14 +134,14 @@ class TestIntEchelon:
         for r in rows:
             base.insert(sparse(r))
         before = {col: dict(row) for col, row in base.pivots.items()}
-        overlay = IntEchelon(base)
+        grown = IntEchelon(base.pivots)
         for r in more:
-            overlay.insert(sparse(r))
+            grown.insert(sparse(r))
         assert base.pivots == before
-        assert base.rank + overlay.rank == rank_by_echelon(rows + more)
+        assert grown.rank - base.rank == rank_by_echelon(rows + more) - rank_by_echelon(rows)
         # a row already in the base's span adds nothing
         for r in rows:
-            assert not overlay.insert(sparse(r))
+            assert not grown.insert(sparse(r))
 
 
 class TestFractionEchelon:

@@ -324,6 +324,16 @@ class TestPolynomialArithmetic:
         assert p.is_zero
         assert Polynomial(2, {(1, 0): Fraction(0)}).is_zero
 
+    def test_exponents_are_natural_ints(self):
+        # x^-1 y^2 used to pass as a form of degree 1, and PolyIdeal gave
+        # it the series numerator 1 - t
+        with pytest.raises(ValueError):
+            Polynomial(2, {(-1, 2): 1})
+        for bad in ((1.5, 0.5), (1.0, 0), (Fraction(1), 0)):
+            with pytest.raises(TypeError):
+                Polynomial(2, {bad: 1})
+        assert Polynomial(2, {(0, 3): 2}).homogeneous_degree() == 3
+
     def test_homogeneous_degree(self):
         assert P(2, (1, (2, 0)), (3, (1, 1))).homogeneous_degree() == 2
         assert P(2, (1, (2, 0)), (3, (0, 1))).homogeneous_degree() is None

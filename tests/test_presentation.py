@@ -157,6 +157,18 @@ class TestCyclicSeries:
         M3 = CyclicModule(4, mp_ideal(4, 2), shift=3)
         assert module_dimension(M0) == module_dimension(M3) == 2
 
+    def test_shift_is_an_integer(self):
+        # a float or a Fraction shift used to construct and then fail in
+        # series_of_cyclic with "can't multiply sequence by non-int"
+        M = CyclicModule(2, mp_ideal(2, 1), Fraction(3, 1))
+        assert M.shift == 3 and type(M.shift) is int
+        assert series_of_cyclic(M) == series_of_cyclic(CyclicModule(2, mp_ideal(2, 1), 3))
+        for bad in (1.5, 2.0, Fraction(5, 2), "2"):
+            with pytest.raises(TypeError):
+                CyclicModule(2, mp_ideal(2, 1), bad)
+        with pytest.raises(ValueError):
+            CyclicModule(2, mp_ideal(2, 1), Fraction(-1))
+
 
 def rational_series(I: PolyIdeal) -> HilbertSeries:
     """The series read off the leading monomials of the rational reduced

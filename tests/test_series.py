@@ -104,6 +104,16 @@ class TestIntPolynomial:
         with pytest.raises(InexactDivision):
             IntPolynomial((1, 1)).div_one_minus_t()
 
+    def test_negative_one_minus_t_exponent_raises(self):
+        # both used to return the input unchanged
+        p = IntPolynomial((1, 2, 3))
+        with pytest.raises(ValueError):
+            p.times_one_minus_t(-1)
+        with pytest.raises(ValueError):
+            p.div_one_minus_t(-1)
+        with pytest.raises(ValueError):
+            IntPolynomial.zero().div_one_minus_t(-2)
+
     def test_multiplicity_at_one(self):
         p = IntPolynomial((1, -2, 0, 1))  # 1 - 2t + t^3 = (1-t)^2 (1 + 2t... no:
         # (1 - t)^2 divides iff two exact divisions succeed; value checked below

@@ -13,7 +13,7 @@ from hilbcalc.oracle import monomials_of_degree
 from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial, colon, eliminate_form
 from hilbcalc.presentation import CyclicModule, module_dimension, series_of_cyclic
 from hilbcalc.sampling import random_independent_forms, random_module
-from hilbcalc.series import series_dimension
+from hilbcalc.series import coefficient, series_dimension
 from hilbcalc.superficial import (
     CERTIFIED,
     CUT_MEMO_SIZE,
@@ -40,6 +40,12 @@ from hilbcalc.superficial import (
     superficial_chain,
 )
 from hilbcalc.theorem import two_prime_product_module
+
+
+def screen_of(I: PolyIdeal):
+    """_screen of I with expected = dim (R/I)_1 read off its series, as
+    depth passes it."""
+    return _screen(I, coefficient(series_of_cyclic(CyclicModule(I.ring_dim, I)), 1))
 
 
 def mono(d, *exps):
@@ -322,6 +328,23 @@ class TestFindSuperficialSequence:
         cert = find_superficial_sequence(PQ, [Z1, scaled(Z1, 3)])
         assert cert.verdict == NOT_SSOP and cert.witness is None
 
+    @pytest.mark.parametrize(
+        "M, fs",
+        [
+            (CyclicModule(3, PolyIdeal(3)), [lf(1, 0, 0), lf(0, 1, 0), lf(1, 1, 0)]),
+            (CyclicModule(3, PolyIdeal(3)), [lf(0, 0, 1), lf(1, 0, 0), lf(2, 0, -1)]),
+        ],
+    )
+    def test_dependent_family_is_not_ssop_untried(self, M, fs):
+        # is_ssop alone refuses it: the dependent form dies on the way down
+        cert = find_superficial_sequence(M, fs)
+        assert (cert.verdict, cert.witness, cert.trials_used) == (NOT_SSOP, None, 0)
+
+    @pytest.mark.parametrize("fs", [[lf(1, 0)], [lf(1, 0), lf(2, 0)], [lf(1, 0), lf(0, 1)]])
+    def test_forms_from_another_ring_raise(self, fs):
+        with pytest.raises(ValueError):
+            find_superficial_sequence(PQ, fs)
+
     def test_not_ssop_on_bad_drop(self):
         M = CyclicModule(2, mono(2, (1, 1)))
         cert = find_superficial_sequence(M, [lf(1, 0)])
@@ -430,7 +453,7 @@ def reference_depth(
         if S.is_zero or series_dimension(S) <= 0:
             cert = DepthCertificate(len(links), tuple(links), STOP_DIMENSION_ZERO, 0)
             break
-        screen = _screen(chain.last.ideal)
+        screen = screen_of(chain.last.ideal)
         failures = 0
         found = None
         for coeffs in _combination_stream(chain.last.ring_dim, rng):
@@ -645,9 +668,10 @@ class TestIntegerScreen:
     @given(screen_problems())
     def test_verdict_agrees_with_fraction_screen(self, problem):
         I, f = problem
-        assert _screen_passes(_screen(I), f) == reference_screen_passes(
-            reference_screen(I), f
-        )
+        screen, reference = screen_of(I), reference_screen(I)
+        # dim (R/I)_1 from the series is d minus the rank of the linear generators
+        assert screen[1] == reference[1]
+        assert _screen_passes(screen, f) == reference_screen_passes(reference, f)
 
     @pytest.mark.parametrize(
         "coeffs, passes",
@@ -657,19 +681,18 @@ class TestIntegerScreen:
         # x0*x1 kills both factors; x2 is free, and x0 - x1 regular
         I = PolyIdeal(3, [Polynomial(3, {(1, 1, 0): Fraction(-5, 3)})])
         f = LinearForm(tuple(Fraction(c, 7) for c in coeffs))
-        assert _screen_passes(_screen(I), f) is passes
+        assert _screen_passes(screen_of(I), f) is passes
         assert reference_screen_passes(reference_screen(I), f) is passes
 
-    def test_overlay_leaves_the_base_unchanged(self):
+    def test_candidates_leave_the_base_unchanged(self):
         x = [Polynomial.variable(4, i) for i in range(4)]
         I = PolyIdeal(4, [x[0] * x[1] - x[2] * x[3] * Fraction(3, 2), x[0] + x[3] * 7])
-        screen = _screen(I)
+        screen = screen_of(I)
         base = screen[0]
         before = {col: dict(row) for col, row in base.pivots.items()}
         for coeffs in ((1, 0, 0, 0), (0, 1, -1, 0), (Fraction(1, 2), 3, -2, 5)):
             _screen_passes(screen, LinearForm(coeffs))
         assert base.pivots == before
-        assert base.base is None
 
 
 class TestScreen:
@@ -689,7 +712,7 @@ class TestScreen:
         I = mono(3, *exps)
         M = CyclicModule(3, I)
         f = lf(*coeffs)
-        screen = _screen(I)
+        screen = screen_of(I)
         if not _screen_passes(screen, f):
             assert not is_regular(M, f)
 
