@@ -3,8 +3,10 @@
 Kept deliberately small: one integer echelon, IntEchelon, holds primitive
 ``{column: int}`` pivot rows and is the only elimination routine the
 package runs.  Polynomial rows are the generators' stored integer
-numerators: the brute-force oracle inserts, degree by degree, the
-Macaulay rows its walk cannot already tell are dependent, and the depth
+numerators: the brute-force oracle inserts, degree by degree, each
+Macaulay row its walk cannot already tell is dependent as x_i times the
+pivot row insert returned for its divisor one degree lower (a
+generator's own row in the generator's degree), and the depth
 screen keeps the degree-two part of an ideal in one echelon and puts
 each candidate's rows into a copy of its pivot dict.  forms_independent
 inserts each linear form's stored numerators.  int_rank, the rank of a
@@ -52,10 +54,14 @@ class IntEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def insert(self, row: dict[int, int]) -> bool:
-        """Add a row to the span; True when it was independent.
+    def insert(self, row: dict[int, int]) -> Optional[dict[int, int]]:
+        """Add a row to the span: the new primitive pivot row it became
+        when it was independent, None when it was dependent.
 
-        The dict is consumed: it may be changed in place or stored.
+        The new pivot row is a nonzero multiple of the row plus a
+        combination of the pivot rows stored before it; callers may read
+        it but must not change it.  The dict is consumed: it may be
+        changed in place or stored.
         """
         while row:
             g = gcd(*row.values())
@@ -65,7 +71,7 @@ class IntEchelon:
             top = self.pivots.get(col)
             if top is None:
                 self.pivots[col] = row
-                return True
+                return row
             g = gcd(top[col], row[col])
             a, b = top[col] // g, row[col] // g
             reduced = {j: a * c for j, c in row.items()} if a != 1 else row
@@ -76,7 +82,7 @@ class IntEchelon:
                 else:
                     del reduced[j]
             row = reduced
-        return False
+        return None
 
 
 def int_rank(rows: Iterable[Sequence[int]]) -> int:

@@ -1,6 +1,7 @@
 """Exact rank and echelon helpers."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +118,31 @@ class TestIntEchelon:
         assert not ech.insert(sparse([3, 4, 3]))
         assert not ech.insert({})
         assert ech.rank == 2
+
+    def test_insert_returns_the_stored_pivot_row(self):
+        ech = IntEchelon()
+        row = ech.insert(sparse([2, 0, 4]))
+        assert row is ech.pivots[max(row)] and row == {0: 1, 2: 2}
+        # 3*(1, 2, 1) reduces at column 2 to (1, 4, 0), a new pivot at 1
+        row = ech.insert(sparse([3, 6, 3]))
+        assert row is ech.pivots[1] and row == {0: 1, 1: 4}
+        assert ech.insert(sparse([4, 8, 4])) is None
+        assert ech.insert({}) is None
+        assert ech.rank == 2
+
+    @settings(max_examples=100)
+    @given(degenerate_matrices())
+    def test_insert_returns_a_primitive_pivot_row_or_none(self, rows):
+        ech = IntEchelon()
+        for r in rows:
+            rank = ech.rank
+            row = ech.insert(sparse(r))
+            if row is None:
+                assert ech.rank == rank
+            else:
+                assert ech.rank == rank + 1
+                assert row is ech.pivots[max(row)]
+                assert gcd(*row.values()) == 1
 
     def test_pivot_rows_are_primitive(self):
         ech = IntEchelon()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbcalc import polyring, presentation
-from hilbcalc.linalg import int_rank
+from hilbcalc.linalg import IntEchelon, int_rank
 from hilbcalc.monomial import monomial_mul
 from hilbcalc.oracle import (
     DEFAULT_CHECK_DEGREE,
@@ -42,6 +42,34 @@ def _ideal_rank(I, n):
                 row[cols[monomial_mul(m, mg)]] = c
             rows.append(row)
     return int_rank(rows)
+
+
+def _raw_walk_verdicts(I, top):
+    """The oracle's walk with raw rows: the same order and the same skip
+    rule, but every row x^a * g_j built from g_j.  Returns, insert by
+    insert, whether the row was independent.  A lifted row of the
+    package's walk is a nonzero multiple of the raw row plus rows before
+    it, so it gets the same verdict."""
+    d = I.ring_dim
+    units = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+    dead = [set() for _ in I.generators]
+    verdicts = []
+    for n in range(top + 1):
+        cols = {m: c for c, m in enumerate(monomials_of_degree(d, n))}
+        echelon = IntEchelon()
+        for j, g in enumerate(I.generators):
+            known = {monomial_mul(a, x) for a in dead[j] for x in units}
+            for a in monomials_of_degree(d, n - g.degree()):
+                if a in known:
+                    continue
+                row = echelon.insert(
+                    {cols[monomial_mul(a, m)]: c for m, c in g.nums.items()}
+                )
+                verdicts.append(row is not None)
+                if row is None:
+                    known.add(a)
+            dead[j] = known
+    return verdicts
 
 
 def monomial_ideal(d, *exps):
@@ -168,6 +196,28 @@ class TestGradedDimension:
         )
         assert profile == expected
         assert all(graded_dimension(M, n) == profile[n] for n in range(top + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(homogeneous_ideals())
+    def test_lifted_rows_get_the_raw_rows_verdicts(self, I):
+        top = 7
+        expected = _raw_walk_verdicts(I, top)
+        recorded = []
+        insert = IntEchelon.insert
+
+        def recording(self, row):
+            pivot = insert(self, row)
+            recorded.append(pivot is not None)
+            return pivot
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(IntEchelon, "insert", recording)
+            graded_profile(CyclicModule(I.ring_dim, I), top)
+        if I.is_monomial:
+            # standard monomials are counted, no row is inserted
+            assert recorded == []
+        else:
+            assert recorded == expected
 
     def test_five_variable_quadrics_to_degree_ten(self, monkeypatch):
         # three generic quadrics in five variables: a complete intersection
