@@ -2,9 +2,7 @@
 quotient.
 
 This is the layer below polynomials: the exponent arithmetic of
-polynomial products and monomial ideals, the lex-ordered monomials of one
-degree that the oracle and the depth screen index their columns by, and
-the pivot recursion
+polynomial products and monomial ideals, and the pivot recursion
 
     numerator(R/I) = t * numerator(R/(I : x)) + numerator(R/(I + (x)))
 
@@ -16,30 +14,12 @@ by one leading monomial, so both share one memo of numerators.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import add, le
 from typing import Iterable
 
 from hilbcalc.series import IntPolynomial
 
 Monomial = tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def monomials_of_degree(d: int, n: int) -> tuple[Monomial, ...]:
-    """All exponent vectors of total degree n over d variables, in
-    ascending lex order."""
-    if n < 0:
-        return ()
-    if d == 0:
-        return ((),) if n == 0 else ()
-    if d == 1:
-        return ((n,),)
-    out = []
-    for e in range(n + 1):
-        for rest in monomials_of_degree(d - 1, n - e):
-            out.append((e,) + rest)
-    return tuple(out)
 
 
 def monomial_degree(m: Monomial) -> int:

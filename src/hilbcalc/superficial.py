@@ -40,8 +40,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from hilbcalc.linalg import IntEchelon
-from hilbcalc.monomial import monomials_of_degree
+from hilbcalc.linalg import IntEchelon, macaulay_echelons, monomial_packing
 from hilbcalc.polyring import (
     LinearElimination,
     LinearForm,
@@ -52,7 +51,6 @@ from hilbcalc.polyring import (
 from hilbcalc.presentation import CyclicModule, series_of_cyclic
 from hilbcalc.series import (
     HilbertSeries,
-    coefficient,
     hilbert_coefficients,
     series_dimension,
 )
@@ -332,35 +330,22 @@ def find_superficial_sequence(
     return AdmissibilityCertificate(CERTIFIED, tuple(witness), used)
 
 
-def _screen(I: PolyIdeal, expected: int) -> tuple[IntEchelon, int, list[list[int]]]:
+def _screen(I: PolyIdeal) -> tuple[IntEchelon, int, list[int]]:
     """Degree-two data for fast rejection of non-regular forms.
 
     A regular linear form f multiplies the degree-one part of R/I into
     degree two injectively; a rank drop there is certain evidence of a
     zerodivisor.  Passing the screen decides nothing.
 
-    expected is dim (R/I)_1, the rank the rows x_k*f must add; depth
-    reads it off the series it already holds.  Returns (base, expected,
-    cols).  base is an integer echelon over the degree-two monomials
-    holding the degree-two part of I: the quadric generators and x_k*g
-    for each linear generator g, each generator as its integer
-    numerators.  cols[k][j] is the column of x_j*x_k.
+    Returns (base, expected, steps).  The rows come from the oracle's
+    Macaulay walk to degree two: base is its degree-two echelon, the
+    degree-two part of I, and expected = d - rank(I_1) = dim (R/I)_1 is
+    the rank the rows x_k*f must add.  The column of x_j*x_k is
+    steps[j] + steps[k], from monomial_packing(d, 2).
     """
     d = I.ring_dim
-    index = {m: j for j, m in enumerate(monomials_of_degree(d, 2))}
-    cols = [
-        [index[tuple((i == j) + (i == k) for i in range(d))] for j in range(d)]
-        for k in range(d)
-    ]
-    base = IntEchelon()
-    for g in I.generators:
-        dg = g.homogeneous_degree()
-        if dg == 1:
-            for col in cols:
-                base.insert({col[m.index(1)]: c for m, c in g.nums.items()})
-        elif dg == 2:
-            base.insert({index[m]: c for m, c in g.nums.items()})
-    return base, expected, cols
+    _, linear, base = macaulay_echelons(d, I.generators, 2)
+    return base, d - linear.rank, monomial_packing(d, 2)[0]
 
 
 def _screen_passes(screen, f: LinearForm) -> bool:
@@ -369,11 +354,11 @@ def _screen_passes(screen, f: LinearForm) -> bool:
     The rows x_k*f, from f's integer numerators, go into a copy of the
     base echelon; what the copy's rank gains is the rank they add.
     """
-    base, expected, cols = screen
-    nonzero = [(j, c) for j, c in enumerate(f.nums) if c]
+    base, expected, steps = screen
+    nonzero = [(s, c) for s, c in zip(steps, f.nums) if c]
     grown = IntEchelon(base.pivots)
-    for col in cols:
-        grown.insert({col[j]: c for j, c in nonzero})
+    for t in steps:
+        grown.insert({s + t: c for s, c in nonzero})
     return grown.rank - base.rank == expected
 
 
@@ -415,7 +400,7 @@ def depth(M: CyclicModule, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Depth
         if S.is_zero or series_dimension(S) <= 0:
             cert = DepthCertificate(len(links), tuple(links), STOP_DIMENSION_ZERO, 0)
             break
-        screen = _screen(chain.last.ideal, coefficient(S, 1))
+        screen = _screen(chain.last.ideal)
         monomial = chain.last.ideal.is_monomial
         full = (1 << chain.last.ring_dim) - 1
         dead: list[int] = []  # supports (bit masks) of proven zerodivisors

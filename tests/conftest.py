@@ -12,7 +12,6 @@ def clear_memos() -> None:
     monomial._MONOMIAL_NUMERATORS.clear()
     superficial._DEPTH_CACHE.clear()
     superficial._cut.cache_clear()
-    monomial.monomials_of_degree.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -333,6 +333,16 @@ class TestOneShot:
         assert code == 0
         assert "all degrees agree" in out
 
+    def test_oracle_check_at_degree_400(self, capsys):
+        # the standard-monomial count of a monomial ideal stays fast at
+        # high degree
+        code, out, _ = invoke(
+            capsys, "oracle-check", "--ring", "x y z", "--ideal", "x^2",
+            "--degree", "400", "--max-degree", "400",
+        )
+        assert code == 0
+        assert "all degrees agree" in out
+
     def test_oracle_truncation_skip(self, capsys):
         code, out, _ = invoke(
             capsys, "oracle-check", *self.RING,

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,18 +10,35 @@ from hypothesis import strategies as st
 
 from hilbcalc import polyring, presentation
 from hilbcalc.linalg import IntEchelon, int_rank
-from hilbcalc.monomial import monomial_mul
+from hilbcalc.monomial import monomial_divides, monomial_mul
 from hilbcalc.oracle import (
     DEFAULT_CHECK_DEGREE,
     SeriesCheck,
+    _standard_counts,
     graded_dimension,
     graded_profile,
-    monomials_of_degree,
     verify_series,
 )
 from hilbcalc.polyring import PolyIdeal, Polynomial, clear_denominators
 from hilbcalc.presentation import CyclicModule
 from hilbcalc.series import binomial
+
+
+@lru_cache(maxsize=None)
+def monomials_of_degree(d, n):
+    """All exponent vectors of total degree n over d variables, in
+    ascending lex order: the reference enumeration the tests index
+    their columns and draw their monomials by.  The cache keeps the
+    hypothesis properties that draw from it fast."""
+    if n < 0:
+        return ()
+    if d == 0:
+        return ((),) if n == 0 else ()
+    if d == 1:
+        return ((n,),)
+    return tuple(
+        (e,) + rest for e in range(n + 1) for rest in monomials_of_degree(d - 1, n - e)
+    )
 
 
 def _ideal_rank(I, n):
@@ -241,9 +259,53 @@ class TestGradedDimension:
         assert graded_profile(CyclicModule(4, PolyIdeal(4), shift=2), 4) == (0, 0, 1, 4, 10)
         assert graded_dimension(CyclicModule(4, QUADRICS.ideal, shift=2), 5) == 12
 
+    def test_monomial_profile_to_degree_300(self):
+        # R/(x^2) in three variables: x^0 or x^1 times the monomials of
+        # degree n or n - 1 in y and z, so 2n + 1 in degree n
+        M = CyclicModule(3, monomial_ideal(3, (2, 0, 0)))
+        assert graded_profile(M, 300) == tuple(2 * n + 1 for n in range(301))
+
     def test_unit_ideal_vanishes(self):
         M = CyclicModule(2, PolyIdeal(2, [Polynomial.one(2)]))
         assert graded_profile(M, 4) == (0, 0, 0, 0, 0)
+
+
+@st.composite
+def monomial_generators(draw):
+    """(d, exps, top): 0-4 variables and up to 5 exponent vectors of
+    degree up to 6 against a top degree of 0-5, so generators of degree
+    above top, the zero ideal (no exps) and the unit ideal (the zero
+    vector) all occur."""
+    d = draw(st.integers(0, 4))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 6)] * d), max_size=5))
+    exps = [e for e in exps if sum(e) <= 6]
+    return d, frozenset(exps), draw(st.integers(0, 5))
+
+
+class TestStandardCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(monomial_generators())
+    def test_packed_count_matches_the_reference_enumeration(self, problem):
+        d, exps, top = problem
+        expected = [
+            sum(
+                1
+                for m in monomials_of_degree(d, n)
+                if not any(monomial_divides(g, m) for g in exps)
+            )
+            for n in range(top + 1)
+        ]
+        assert _standard_counts(d, exps, top) == expected
+
+    def test_edges(self):
+        # the zero ideal counts every monomial, the unit ideal none, and
+        # the ring of no variables is one-dimensional in degree zero
+        assert _standard_counts(3, frozenset(), 4) == [1, 3, 6, 10, 15]
+        assert _standard_counts(3, frozenset({(0, 0, 0)}), 4) == [0] * 5
+        assert _standard_counts(0, frozenset(), 3) == [1, 0, 0, 0]
+        # a generator of degree above top is dropped, not packed: x^9
+        # overflows the 3-bit fields of top 2
+        assert _standard_counts(2, frozenset({(9, 0), (0, 2)}), 2) == [1, 2, 2]
 
 
 class TestVerifySeries:

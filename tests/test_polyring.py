@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import clear_memos
+from test_oracle import monomials_of_degree
 from hilbcalc import polyring, presentation
 from hilbcalc.monomial import monomial_divides
-from hilbcalc.oracle import graded_dimension, monomials_of_degree
+from hilbcalc.oracle import graded_dimension
 from hilbcalc.polyring import (
     DegRevLex,
     EliminationOrder,

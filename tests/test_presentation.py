@@ -19,12 +19,12 @@ from test_polyring import (
     reference_normal_form,
     reference_spoly,
 )
+from test_oracle import monomials_of_degree
 from hilbcalc import polyring, presentation
 from hilbcalc.monomial import (
     _numerator_of_monomial,
     minimalize_exponents,
     monomial_mul,
-    monomials_of_degree,
 )
 from hilbcalc.oracle import verify_series
 from hilbcalc.polyring import (
