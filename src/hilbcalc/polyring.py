@@ -4,7 +4,8 @@ A polynomial is stored as integer numerators {exponent tuple: int} over
 one positive denominator, in lowest terms, so equal polynomials store
 equal parts; `terms` is the {exponent tuple: Fraction} view for printing
 and the public API.  A linear form keeps a tuple of numerators the same
-way, viewed as `coefficients`.  The package has two monomial orders,
+way, viewed as `coefficients`, and an ideal keeps each generator once,
+as its primitive integer multiple.  The package has two monomial orders,
 `DegRevLex` and `EliminationOrder`, whose sort keys put the leading
 monomial first, so leading terms come from min() over the support.
 Linear substitution works on the numerators, and one gcd puts each
@@ -76,25 +77,25 @@ class DegRevLex:
 
 
 class EliminationOrder:
-    """Block order putting one designated variable ahead of the rest.
+    """Block order putting variable 0, the auxiliary variable of `colon`,
+    ahead of the rest.
 
     Any monomial containing the auxiliary variable beats every monomial
     that avoids it, so the auxiliary-free part of a Groebner basis
     generates the eliminated ideal.  Keys sort as `DegRevLex`'s do.
     """
 
-    def __init__(self, nvars: int, aux_index: int = 0):
+    def __init__(self, nvars: int):
         self.nvars = nvars
-        self.aux_index = aux_index
 
     def key(self, m: Monomial):
-        a = self.aux_index
-        rest = m[:a] + m[a + 1 :]
-        return (-m[a], -sum(rest), rest[::-1])
+        rest = m[1:]
+        return (-m[0], -sum(rest), rest[::-1])
 
     def cache_token(self) -> str:
-        """The order and its ring; the benchmark's tracer keys calls by it."""
-        return f"elim:{self.nvars}:{self.aux_index}"
+        """The order, its ring and the eliminated variable; the benchmark's
+        tracer keys calls by it."""
+        return f"elim:{self.nvars}:0"
 
 
 Order = DegRevLex | EliminationOrder
@@ -120,8 +121,19 @@ def _lowest(nvars: int, nums: dict, den: int) -> "Polynomial":
         den //= g
         nums = {m: v // g for m, v in nums.items()}
     p = object.__new__(Polynomial)
-    p.nvars, p.nums, p.den, p._key = nvars, nums, den, None
+    p.nvars, p.nums, p.den = nvars, nums, den
     return p
+
+
+def _primitive(nvars: int, nums: dict) -> "Polynomial":
+    """The primitive integer multiple of the polynomial with the nonzero
+    integer numerators nums: content 1, den 1, terms in sorted order and
+    the first of them positive."""
+    terms = sorted(nums.items())
+    content = gcd(*nums.values())
+    if terms[0][1] < 0:
+        content = -content
+    return _lowest(nvars, {m: c // content for m, c in terms}, 1)
 
 
 class Polynomial:
@@ -133,7 +145,7 @@ class Polynomial:
     and refuses exponents that are negative or not ints.
     """
 
-    __slots__ = ("nvars", "nums", "den", "_key")
+    __slots__ = ("nvars", "nums", "den")
 
     def __init__(self, nvars: int, terms: Optional[dict] = None):
         terms = terms or {}
@@ -149,7 +161,6 @@ class Polynomial:
         self.nvars = nvars
         self.den, nums = clear_denominators(terms)
         self.nums = {tuple(m): c for m, c in nums.items() if c}
-        self._key = None
 
     @classmethod
     def one(cls, nvars: int) -> "Polynomial":
@@ -180,18 +191,13 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.nums)
 
-    def canonical_key(self):
-        if self._key is None:
-            self._key = (self.den, tuple(sorted(self.nums.items())))
-        return self._key
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
         return (self.nvars, self.den, self.nums) == (other.nvars, other.den, other.nums)
 
     def __hash__(self) -> int:
-        return hash((self.nvars, self.canonical_key()))
+        return hash((self.nvars, self.den, frozenset(self.nums.items())))
 
     def _check_ring(self, other: "Polynomial") -> None:
         if self.nvars != other.nvars:
@@ -353,24 +359,21 @@ def forms_independent(forms: Sequence[LinearForm]) -> bool:
     return True
 
 
-def _primitive_key(g: Polynomial) -> tuple:
-    """The terms of the primitive integer multiple of g whose first term,
-    in sorted order, is positive."""
-    terms = sorted(g.nums.items())
-    content = gcd(*g.nums.values())
-    if terms[0][1] < 0:
-        content = -content
-    return tuple((m, c // content) for m, c in terms)
-
-
 class PolyIdeal:
-    """Homogeneous ideal given by explicit generators.
+    """Homogeneous ideal given by explicit generators, in normal form.
 
-    Generators are homogeneous; the unit ideal and the zero ideal are
-    both admitted so that colon and quotient constructions stay closed.
+    Each generator is stored once, as its primitive integer multiple
+    (`_primitive`): content 1 over den 1, terms in sorted order with the
+    first one positive.  Generators that are scalar multiples of each
+    other collapse to the first.  Zero generators are dropped, and a
+    constant one makes the unit ideal, generated by 1, so that colon and
+    quotient constructions stay closed.  Series, depth screens, socle
+    series and linear cuts see each generator only up to scale, so the
+    normal form changes none of them.  The key and its hash are fixed at
+    construction.
     """
 
-    __slots__ = ("ring_dim", "generators", "_cached_key")
+    __slots__ = ("ring_dim", "generators", "_key", "_hash")
 
     def __init__(self, ring_dim: int, generators: Iterable[Polynomial] = ()):
         self.ring_dim = ring_dim
@@ -388,12 +391,15 @@ class PolyIdeal:
             degree = g.homogeneous_degree()
             if degree is None:
                 raise ValueError("ideal generators must be homogeneous")
-            if degree == 0:
-                is_unit = True
-                continue
-            gens.setdefault(g.canonical_key(), g)
-        self.generators = (Polynomial.one(ring_dim),) if is_unit else tuple(gens.values())
-        self._cached_key = None
+            is_unit = is_unit or degree == 0
+            p = _primitive(ring_dim, g.nums)
+            gens.setdefault(tuple(p.nums.items()), p)
+        if is_unit:
+            one = (((0,) * ring_dim, 1),)
+            gens = {one: gens[one]}
+        self.generators = tuple(gens.values())
+        self._key = (ring_dim, tuple(sorted(gens)))
+        self._hash = hash(self._key)
 
     @property
     def is_zero(self) -> bool:
@@ -414,31 +420,19 @@ class PolyIdeal:
         return minimalize_exponents(next(iter(g.nums)) for g in self.generators)
 
     def canonical_key(self):
-        """(ring_dim, sorted set of the generators' primitive forms).
-
-        Each generator's numerators are divided by their content and
-        signed so that its first term in sorted order is positive, so
-        the key ignores the scale of every generator.  Series, depth
-        screens and socle series do not change when a generator is
-        multiplied by a nonzero scalar, so the memos keyed on it hit
-        across scalings.
-        """
-        if self._cached_key is None:
-            self._cached_key = (
-                self.ring_dim,
-                tuple(sorted({_primitive_key(g) for g in self.generators})),
-            )
-        return self._cached_key
+        """(ring_dim, sorted terms of the generators), the memo key of the
+        series and the cuts."""
+        return self._key
 
     def __eq__(self, other) -> bool:
-        # The same generators up to nonzero scalars, not ideal-theoretic
-        # equality.
+        """The same generators in normal form, in any order: equality up
+        to a nonzero scalar on each generator, not equality of ideals."""
         if not isinstance(other, PolyIdeal):
             return NotImplemented
-        return self.canonical_key() == other.canonical_key()
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.canonical_key())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"PolyIdeal(d={self.ring_dim}, gens={len(self.generators)})"
@@ -500,11 +494,11 @@ class _PackedKernel:
 
     - `DegRevLex`: K(m) = R(m) - deg(m) 2^W, degree first, then the
       fields from the last variable down;
-    - `EliminationOrder` on variable a: K(m) = R(m) - deg(m) 2^W -
-      m[a] 2^(W + B), so -m[a] comes first and -deg next, which for equal
-      m[a] is -deg' with deg' the degree in the other variables; the fields
-      then compare the other exponents from the last variable down, m[a]
-      being equal by then.
+    - `EliminationOrder`: K(m) = R(m) - deg(m) 2^W - m[0] 2^(W + B), so
+      -m[0] comes first and -deg next, which for equal m[0] is -deg' with
+      deg' the degree in the other variables; the fields then compare the
+      other exponents from the last variable down, m[0] being equal by
+      then.
 
     Then:
 
@@ -527,7 +521,7 @@ class _PackedKernel:
     reduction writes has degree at most that of the entering generator, the
     dividend or the S-pair lcm: under degrevlex it lies below them, and
     under the elimination order the input is homogeneous, or homogeneous in
-    the other variables as in `colon`, and m[a] falls along the order.
+    the other variables as in `colon`, and m[0] falls along the order.
     So `room`, called by the run for each generator and each S-pair,
     guards the fields, and a degree past the limit doubles B and re-packs
     the basis; a division packs its dividend among the generators and needs
@@ -538,19 +532,17 @@ class _PackedKernel:
     """
 
     def __init__(self, order: Order, gens: Sequence[Polynomial]):
-        if type(order) is DegRevLex:
-            self.aux = None
-        elif type(order) is EliminationOrder:
-            self.aux = a = order.aux_index
+        self.elimination = type(order) is EliminationOrder
+        if self.elimination:
             if not (
                 all(g.is_homogeneous for g in gens)
-                or all(len({sum(m) - m[a] for m in g.nums}) <= 1 for g in gens)
+                or all(len({sum(m) - m[0] for m in g.nums}) <= 1 for g in gens)
             ):
                 raise ValueError(
                     "packing under an elimination order needs input homogeneous "
                     "in all variables or in the non-eliminated ones"
                 )
-        else:
+        elif type(order) is not DegRevLex:
             raise TypeError(f"no packing for the {type(order).__name__} order")
         self.nvars = order.nvars
         self._fit(max(2 * sum(g.degree() for g in gens), 1).bit_length() + 1)
@@ -565,8 +557,8 @@ class _PackedKernel:
         self.ones = sum(1 << s for s in self.shifts)
         self.guards = self.ones << (B - 1)
         weights = [(1 << s) - (1 << W) for s in self.shifts]
-        if self.aux is not None:
-            weights[self.aux] -= 1 << (W + B)
+        if self.elimination:
+            weights[0] -= 1 << (W + B)
         self.weights = tuple(weights)
 
     def _pack(self, m: Monomial) -> int:
@@ -623,8 +615,8 @@ class _PackedKernel:
         r = self._colon(m, u)
         B, W = self.field, self.width
         t = r * self.ones >> (W - B) & ((1 << B) - 1)
-        if self.aux is not None:
-            t += (r >> self.shifts[self.aux] & self.limit) << B
+        if self.elimination:
+            t += (r & self.limit) << B
         return u + r - (t << W)
 
 
@@ -1024,7 +1016,7 @@ def colon(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
     if I.is_unit:
         return PolyIdeal(I.ring_dim, (Polynomial.one(I.ring_dim),))
     d = I.ring_dim
-    order = EliminationOrder(d + 1, aux_index=0)
+    order = EliminationOrder(d + 1)
     w = Polynomial.variable(d + 1, 0)
     lifted_f = _lift_adding_aux(f)
     J = [w * _lift_adding_aux(g) for g in I.generators]

@@ -9,16 +9,19 @@ from hilbcalc.presentation import CyclicModule, module_dimension
 from hilbcalc.superficial import DEFAULT_COEFF_BOUND
 
 
-def random_monomial_ideal(
-    rng: random.Random, d: int, max_gens: int = 5, max_degree: int = 4
-) -> PolyIdeal:
-    """A nonzero monomial ideal with up to max_gens generators."""
-    if d < 1 or max_gens < 1 or max_degree < 1:
-        raise ValueError("need d, max_gens, max_degree >= 1")
+MAX_GENS = 5
+MAX_DEGREE = 4
+
+
+def random_monomial_ideal(rng: random.Random, d: int) -> PolyIdeal:
+    """A nonzero monomial ideal with 1 to MAX_GENS generators, each of
+    degree 1 to MAX_DEGREE."""
+    if d < 1:
+        raise ValueError("need d >= 1")
     exps = set()
-    for _ in range(rng.randint(1, max_gens)):
+    for _ in range(rng.randint(1, MAX_GENS)):
         e = [0] * d
-        for _ in range(rng.randint(1, max_degree)):
+        for _ in range(rng.randint(1, MAX_DEGREE)):
             e[rng.randrange(d)] += 1
         exps.add(tuple(e))
     return PolyIdeal(d, [Polynomial.from_monomial(d, e) for e in exps])
@@ -26,7 +29,7 @@ def random_monomial_ideal(
 
 def random_module(rng: random.Random, d: int, min_dim: int = 0) -> CyclicModule:
     """Rejection-sample a monomial quotient of dimension >= min_dim, its
-    ideal drawn by `random_monomial_ideal` at the default sizes."""
+    ideal drawn by `random_monomial_ideal`."""
     if min_dim > d:
         raise ValueError("cannot ask for dimension above the variable count")
     while True:

@@ -23,10 +23,6 @@ DEFAULT_TRUNCATION = 64
 MAX_SHIFT = 10**6
 
 
-class InexactDivision(ArithmeticError):
-    """Division of a numerator by a power of (1 - t) left a remainder."""
-
-
 class MixedAmbient(ValueError):
     """Signed combination of series over different ambient dimensions."""
 
@@ -164,41 +160,6 @@ class IntPolynomial:
             p = IntPolynomial(tuple(cs))
         return p
 
-    def div_one_minus_t(self, k: int = 1) -> "IntPolynomial":
-        """Exact division by (1 - t)^k; raises InexactDivision on remainder.
-
-        p = (1 - t) q  <=>  q_i is the i-th prefix sum of p, and the
-        division is exact iff the last prefix sum, p(1), is zero.  The k
-        steps run on plain lists and only the quotient becomes an
-        IntPolynomial.
-        """
-        if k < 0:
-            raise ValueError("exponent of (1 - t) must be a natural")
-        if k == 0 or self.is_zero:
-            return self
-        cs = self.coeffs
-        for _ in range(k):
-            cs = list(accumulate(cs))
-            if cs.pop():
-                raise InexactDivision("numerator not divisible by (1 - t)")
-        return IntPolynomial(tuple(cs))
-
-    def multiplicity_at_one(self) -> int:
-        """Largest k with (1 - t)^k dividing self; undefined for zero.
-
-        The same prefix sums as div_one_minus_t, on plain lists, until one
-        leaves a remainder; no IntPolynomial is built.
-        """
-        if self.is_zero:
-            raise ValueError("multiplicity at 1 is undefined for the zero polynomial")
-        cs = self.coeffs
-        k = 0
-        while True:
-            cs = list(accumulate(cs))
-            if cs.pop():
-                return k
-            k += 1
-
     def taylor_at_one(self) -> tuple[int, ...]:
         """Coefficients of self written in powers of (t - 1), trimmed.
 
@@ -237,26 +198,39 @@ class HilbertSeries:
         return self.numerator.is_zero
 
     @cached_property
-    def _dimension(self) -> Dim:
-        """Pole order at t = 1, computed once per series."""
-        if self.numerator.is_zero:
-            return MINUS_INFINITY
-        return self.ambient_dim - self.numerator.multiplicity_at_one()
+    def _stripped(self) -> tuple[Dim, IntPolynomial, tuple]:
+        """(dimension, h-polynomial, reduced key), from one walk that strips
+        (1 - t) off the numerator as often as it divides it.
 
-    def _reduced_key(self):
-        s = self._dimension
-        if s is MINUS_INFINITY:
-            return ("zero",)
-        return (s, self.numerator.div_one_minus_t(self.ambient_dim - s).coeffs)
+        p = (1 - t) q exactly when p(1), the last prefix sum of p, is zero,
+        and then q is the other prefix sums; the steps run on plain lists.
+        With k factors stripped the dimension is ambient_dim - k, and the
+        key, the dimension with the numerator over all k gone, makes
+        equality after cancelling common (1 - t) factors.  The h-polynomial
+        is the quotient after min(k, ambient_dim) steps, so a series of
+        negative dimension keeps its numerator over (1 - t)^0.
+        """
+        cs = self.numerator.coeffs
+        if not cs:
+            return MINUS_INFINITY, self.numerator, ("zero",)
+        k, h = 0, None
+        while True:
+            if k == self.ambient_dim:
+                h = IntPolynomial(tuple(cs))
+            sums = list(accumulate(cs))
+            if sums.pop():
+                break
+            cs, k = sums, k + 1
+        s, cs = self.ambient_dim - k, tuple(cs)
+        return s, IntPolynomial(cs) if h is None else h, (s, cs)
 
     def __eq__(self, other) -> bool:
-        # Equality after cancelling common (1 - t) factors.
         if not isinstance(other, HilbertSeries):
             return NotImplemented
-        return self._reduced_key() == other._reduced_key()
+        return self._stripped[2] == other._stripped[2]
 
     def __hash__(self) -> int:
-        return hash(self._reduced_key())
+        return hash(self._stripped[2])
 
     def __repr__(self) -> str:
         return f"HilbertSeries(d={self.ambient_dim}, h={list(self.numerator.coeffs)})"
@@ -286,24 +260,18 @@ class CoefficientTable:
 
 def series_dimension(S: HilbertSeries) -> Dim:
     """Pole order of S at t = 1; the sentinel for the zero series."""
-    return S._dimension
+    return S._stripped[0]
 
 
 def h_polynomial(S: HilbertSeries) -> IntPolynomial:
     """Numerator of S over (1 - t)^max(dim, 0); exact by construction."""
-    s = series_dimension(S)
-    if s is MINUS_INFINITY:
-        return IntPolynomial.zero()
-    drop = S.ambient_dim - max(s, 0)
-    return S.numerator.div_one_minus_t(drop)
+    return S._stripped[1]
 
 
 def hilbert_coefficients(S: HilbertSeries) -> CoefficientTable:
     """Taylor coefficients of the reduced numerator at t = 1."""
-    s = series_dimension(S)
-    if s is MINUS_INFINITY:
-        return CoefficientTable(MINUS_INFINITY, ())
-    return CoefficientTable(s, h_polynomial(S).taylor_at_one())
+    s, h, _ = S._stripped
+    return CoefficientTable(s, h.taylor_at_one())
 
 
 def shift(S: HilbertSeries, r: int) -> HilbertSeries:

@@ -14,10 +14,9 @@ successive quotients is one QuotientChain, so a search step builds its
 candidate's quotient once and keeps it when the candidate is accepted.
 Cuts are memoised on (ideal, form) in a bounded LRU (CUT_MEMO_SIZE
 entries), so the suites' repeated walks and the audit's re-walk of a
-witness rebuild no quotient they cut recently.  The memo is keyed on
-the scale-invariant ideal key, so an ideal that differs only by the
-scale of its generators gets the quotient of the first one, which
-differs from its own by the same scalars.
+witness rebuild no quotient they cut recently.  An ideal keeps its
+generators in normal form, so a hit returns the quotient an uncached
+cut would build.
 
 On a monomial ideal I, depth judges a candidate by its support alone.
 The zerodivisors on R/I are the union of its associated primes, and each

@@ -308,7 +308,7 @@ class TestOrders:
 
     def test_elimination_blocks(self):
         # auxiliary w is variable 0; w*x1 beats x1^3 despite lower degree
-        order = EliminationOrder(2, aux_index=0)
+        order = EliminationOrder(2)
         assert order.key((1, 1)) < order.key((0, 3))
 
     @given(st.lists(small_exponents, min_size=2, max_size=2))
@@ -402,8 +402,7 @@ AWKWARD_COEFFS = (
 
 ORDERS = (
     DegRevLex(3),
-    EliminationOrder(3, aux_index=0),
-    EliminationOrder(3, aux_index=2),
+    EliminationOrder(3),
 )
 
 coefficients = st.one_of(
@@ -464,9 +463,8 @@ def packable(polys: Sequence[Polynomial], order: Order) -> bool:
     variables or in the variables other than the eliminated one."""
     if not isinstance(order, EliminationOrder):
         return True
-    a = order.aux_index
     return all(p.is_homogeneous for p in polys) or all(
-        len({sum(m) - m[a] for m in p.nums}) <= 1 for p in polys
+        len({sum(m) - m[0] for m in p.nums}) <= 1 for p in polys
     )
 
 
@@ -515,7 +513,7 @@ class TestDivisionKernel:
         # x^2 + y is homogeneous neither in all variables nor in y, z
         f = P(3, (1, (2, 0, 0)), (1, (0, 1, 0)))
         g = P(3, (1, (1, 0, 0)), (-1, (0, 0, 1)))
-        elim = EliminationOrder(3, aux_index=0)
+        elim = EliminationOrder(3)
         for call in (
             lambda: normal_form(f, [g], elim),
             lambda: normal_form(g, [f], elim),
@@ -554,14 +552,19 @@ class TestDivisionKernel:
 
 
 @st.composite
-def small_homogeneous_ideals(draw):
+def homogeneous_generators(draw):
+    """1-3 forms of degree 1-3 in 3 variables, some of them zero."""
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         deg = draw(st.integers(1, 3))
         support = [m for m in itertools.product(range(deg + 1), repeat=3) if sum(m) == deg]
         chosen = draw(st.lists(st.sampled_from(support), min_size=1, max_size=4, unique=True))
         gens.append(Polynomial(3, {m: draw(coefficients) for m in chosen}))
-    return PolyIdeal(3, gens)
+    return gens
+
+
+def small_homogeneous_ideals():
+    return homogeneous_generators().map(lambda gens: PolyIdeal(3, gens))
 
 
 class TestBuchbergerAgainstReference:
@@ -990,10 +993,7 @@ def substitution_problems(draw):
 def same_image(elim, p: Polynomial) -> bool:
     """map_polynomial gives the reference's terms, in the same order."""
     image, expected = elim.map_polynomial(p), reference_map_polynomial(elim, p)
-    return (
-        list(image.terms.items()) == list(expected.terms.items())
-        and image.canonical_key() == expected.canonical_key()
-    )
+    return list(image.terms.items()) == list(expected.terms.items()) and image == expected
 
 
 class TestIntegerSubstitution:
@@ -1287,6 +1287,30 @@ class TestScaleInvariantKey:
         # x^2 - 2xy and x^2 + 2xy are not multiples of each other
         flipped = P(2, (Fraction(3, 2), (2, 0)), (3, (1, 1)))
         assert PolyIdeal(2, [g]) != PolyIdeal(2, [flipped])
-        # the dedupe of the generators stays exact
-        assert len(PolyIdeal(2, [g, 2 * g]).generators) == 2
+        # scalar multiples collapse to the normal form of the first: the
+        # first sorted term of 3/2 x^2 - 3 x y is x y, so it is 2 x y - x^2
+        assert PolyIdeal(2, [g, 2 * g]).generators == (P(2, (2, (1, 1)), (-1, (2, 0))),)
         assert PolyIdeal(2, [g, 2 * g]) == PolyIdeal(2, [g])
+        # a constant generator makes the unit ideal, generated by 1
+        unit = PolyIdeal(2, [g, P(2, (Fraction(-3, 4), (0, 0)))])
+        assert unit.generators == (Polynomial.one(2),)
+
+
+class TestIdealNormalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(homogeneous_generators(), st.data())
+    def test_generators_are_stored_once_and_primitive(self, gens, data):
+        I = PolyIdeal(3, gens)
+        scaled = [g * data.draw(nonzero_scalars) for g in gens]
+        assert PolyIdeal(3, scaled).generators == I.generators
+        for g in I.generators:
+            assert g.den == 1 and math.gcd(*g.nums.values()) == 1
+            assert g.nums[min(g.nums)] > 0
+        # no two generators are scalar multiples, and scaled repeats of
+        # the generators add nothing
+        assert len(I.generators) == len(generators_up_to_scalars(I)[1])
+        again = PolyIdeal(3, [*gens, *scaled])
+        assert again.generators == I.generators
+        key = (3, tuple(sorted(tuple(sorted(g.nums.items())) for g in I.generators)))
+        assert I.canonical_key() == again.canonical_key() == key
+        assert hash(I) == hash(again) == hash(key)

@@ -5,6 +5,8 @@ import pytest
 from hilbcalc.polyring import forms_independent
 from hilbcalc.presentation import module_dimension
 from hilbcalc.sampling import (
+    MAX_DEGREE,
+    MAX_GENS,
     random_independent_forms,
     random_module,
     random_monomial_ideal,
@@ -14,10 +16,10 @@ from hilbcalc.sampling import (
 def test_monomial_ideal_respects_bounds():
     rng = random.Random(5)
     for _ in range(50):
-        I = random_monomial_ideal(rng, 3, max_gens=4, max_degree=3)
+        I = random_monomial_ideal(rng, 3)
         exps = I.monomial_exponents()
-        assert 1 <= len(exps) <= 4
-        assert all(1 <= sum(e) <= 3 for e in exps)
+        assert 1 <= len(exps) <= MAX_GENS
+        assert all(1 <= sum(e) <= MAX_DEGREE for e in exps)
         assert all(len(e) == 3 for e in exps)
 
 

@@ -12,7 +12,6 @@ from hilbcalc.series import (
     MINUS_INFINITY,
     CoefficientTable,
     HilbertSeries,
-    InexactDivision,
     IntPolynomial,
     MixedAmbient,
     binomial,
@@ -97,28 +96,21 @@ class TestIntPolynomial:
         assert p.times_t_power(2).coeffs == (0, 0, 1, 1)
 
     def test_one_minus_t_round_trip(self):
+        # p(1) = 6, so the series walk strips exactly the three factors
         p = IntPolynomial((4, -1, 3))
-        assert p.times_one_minus_t(3).div_one_minus_t(3) == p
-
-    def test_inexact_division_raises(self):
-        with pytest.raises(InexactDivision):
-            IntPolynomial((1, 1)).div_one_minus_t()
+        assert h_polynomial(HilbertSeries(3, p.times_one_minus_t(3))) == p
 
     def test_negative_one_minus_t_exponent_raises(self):
-        # both used to return the input unchanged
-        p = IntPolynomial((1, 2, 3))
+        # it used to return the input unchanged
         with pytest.raises(ValueError):
-            p.times_one_minus_t(-1)
-        with pytest.raises(ValueError):
-            p.div_one_minus_t(-1)
-        with pytest.raises(ValueError):
-            IntPolynomial.zero().div_one_minus_t(-2)
+            IntPolynomial((1, 2, 3)).times_one_minus_t(-1)
 
     def test_multiplicity_at_one(self):
-        p = IntPolynomial((1, -2, 0, 1))  # 1 - 2t + t^3 = (1-t)^2 (1 + 2t... no:
-        # (1 - t)^2 divides iff two exact divisions succeed; value checked below
+        # 1 - 2t + t^3 = (1 - t)(1 - t - t^2), and 1 - t - t^2 is -1 at 1
+        p = IntPolynomial((1, -2, 0, 1))
         assert evaluate(p, 1) == 0
-        assert p.multiplicity_at_one() == p.multiplicity_at_one()
+        assert reference_multiplicity_at_one(p) == 1
+        assert series_dimension(HilbertSeries(3, p)) == 2
 
     def test_taylor_at_one_matches_shift(self):
         # t^3 = ((t-1) + 1)^3
@@ -141,7 +133,8 @@ class TestIntPolynomial:
 
     @given(int_polys, st.integers(min_value=0, max_value=4))
     def test_division_inverts_multiplication(self, p, k):
-        assert p.times_one_minus_t(k).div_one_minus_t(k) == p
+        # series equality cancels the common (1 - t) factors
+        assert HilbertSeries(k, p.times_one_minus_t(k)) == HilbertSeries(0, p)
 
 
 class TestSeriesDimension:
@@ -378,7 +371,7 @@ class TestRegularQuotient:
         if h.is_zero:
             return
         s_dim = d_extra  # embed so that the module has positive dimension
-        S = HilbertSeries(h.multiplicity_at_one() + s_dim, h)
+        S = HilbertSeries(reference_multiplicity_at_one(h) + s_dim, h)
         quotient = HilbertSeries(S.ambient_dim, h * one_minus_t_power(k))
         assert reference_regular_quotient_coeffs(
             hilbert_coefficients(S), k
@@ -387,6 +380,10 @@ class TestRegularQuotient:
 
 # ---------------------------------------------------------------------------
 # the plain kernels the list-based ones replaced, kept as references
+
+
+class InexactDivision(ArithmeticError):
+    """The reference division by (1 - t) left a remainder."""
 
 
 def reference_div_one_minus_t(p: IntPolynomial, k: int = 1) -> IntPolynomial:
@@ -514,38 +511,43 @@ class TestKernelsAgainstReferences:
 
     @settings(max_examples=300, deadline=None)
     @given(one_minus_t_multiples(), st.integers(0, 7))
-    def test_division_matches_reference(self, problem, k):
+    def test_division_matches_reference(self, problem, d):
+        # the walk's h-polynomial is the numerator over (1 - t)^min(m, d),
+        # m the multiplicity of t = 1, and its key the numerator over all m
         cs, _ = problem
         p = IntPolynomial(cs)
-        try:
-            expected = reference_div_one_minus_t(p, k)
-        except InexactDivision:
-            with pytest.raises(InexactDivision):
-                p.div_one_minus_t(k)
+        S = HilbertSeries(d, p)
+        if p.is_zero:
+            assert h_polynomial(S).is_zero
             return
-        assert p.div_one_minus_t(k) == expected
+        m = reference_multiplicity_at_one(p)
+        assert h_polynomial(S) == reference_div_one_minus_t(p, min(m, d))
+        assert S._stripped[2] == (d - m, reference_div_one_minus_t(p, m).coeffs)
 
     @settings(max_examples=300, deadline=None)
-    @given(one_minus_t_multiples())
-    def test_multiplicity_matches_reference(self, problem):
+    @given(one_minus_t_multiples(), st.integers(0, 7))
+    def test_multiplicity_matches_reference(self, problem, d):
         cs, k = problem
         p = IntPolynomial(cs)
+        S = HilbertSeries(d, p)
         if p.is_zero:
-            with pytest.raises(ValueError):
-                p.multiplicity_at_one()
+            assert series_dimension(S) is MINUS_INFINITY
             return
-        m = p.multiplicity_at_one()
-        assert m == reference_multiplicity_at_one(p)
+        m = reference_multiplicity_at_one(p)
+        assert series_dimension(S) == d - m
         assert m >= k
 
     def test_zero_and_edge_cases(self):
         zero = IntPolynomial.zero()
-        assert zero.div_one_minus_t(3) == zero
-        assert IntPolynomial((2, -2)).div_one_minus_t(0) == IntPolynomial((2, -2))
-        assert IntPolynomial((2, -2)).div_one_minus_t() == IntPolynomial((2,))
-        with pytest.raises(InexactDivision):
-            IntPolynomial((2, -2)).div_one_minus_t(2)
-        assert IntPolynomial((5,)).multiplicity_at_one() == 0
+        assert h_polynomial(HilbertSeries(3, zero)) == zero
+        # 2 - 2t = 2 (1 - t): over (1 - t)^0 the dimension is -1 and h
+        # keeps the factor; over (1 - t)^1 and (1 - t)^2 it is stripped
+        p = IntPolynomial((2, -2))
+        assert series_dimension(HilbertSeries(0, p)) == -1
+        assert h_polynomial(HilbertSeries(0, p)) == p
+        assert h_polynomial(HilbertSeries(1, p)) == IntPolynomial((2,))
+        assert h_polynomial(HilbertSeries(2, p)) == IntPolynomial((2,))
+        assert series_dimension(HilbertSeries(2, IntPolynomial((5,)))) == 2
 
     @settings(max_examples=200, deadline=None)
     @given(numerators(), st.integers(0, 8))
