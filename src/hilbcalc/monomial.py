@@ -9,11 +9,13 @@ polynomial products and monomial ideals, and the pivot recursion
 that gives the Hilbert series numerator of R/I for a monomial ideal I.
 The series layer reads every monomial ideal here, and Buchberger keeps
 the numerator of its partial leading ideals from those of their colons
-by one leading monomial, so both share one memo of numerators.
+by one leading monomial.  Both callers reach one `functools` cache of
+whole-ideal numerators; the nodes of one walk are kept for that walk only.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add, le
 from typing import Iterable
 
@@ -45,13 +47,8 @@ def minimalize_exponents(exps: Iterable[Monomial]) -> frozenset[Monomial]:
     return frozenset(kept)
 
 
-# numerators of R/I for monomial ideals I, keyed on (d, minimal generating
-# exponents of I)
-_MONOMIAL_NUMERATORS: dict[tuple[int, frozenset[Monomial]], IntPolynomial] = {}
-
-
 def _pivot_step(d: int, exps: frozenset[Monomial]):
-    """The numerator of a base case, or the memo keys of the pivot split
+    """The numerator of a base case, or the nodes (d, exps) of the pivot split
     (I : x) and I + (x) whose numerators give t * h(I : x) + h(I + (x)).
 
     x is the variable in the most generators (Bigatti), and both children
@@ -85,14 +82,16 @@ def _pivot_step(d: int, exps: frozenset[Monomial]):
     return (d, frozenset(colon)), (d, frozenset(plus))
 
 
+@cache
 def _numerator_of_monomial(d: int, exps: frozenset[Monomial]) -> IntPolynomial:
     """Numerator of R/I for the monomial ideal minimally generated by exps.
 
     Walks the pivot recursion with an explicit stack, so a chain of
-    thousands of pivot steps needs no Python recursion; every node reached
-    is memoised in _MONOMIAL_NUMERATORS.
+    thousands of pivot steps needs no Python recursion.  The walk keeps
+    the numerator of every node it reaches until it returns; the cache
+    keeps the result for the whole ideal.
     """
-    memo = _MONOMIAL_NUMERATORS
+    memo: dict[tuple[int, frozenset[Monomial]], IntPolynomial] = {}
     root = (d, exps)
     # entries are (node, None) before the node's step is taken and
     # (node, (colon, plus)) once both children sit above it on the stack

@@ -10,8 +10,8 @@ as its primitive integer multiple.  The package has two monomial orders,
 monomial first, so leading terms come from min() over the support.
 Linear substitution works on the numerators, and one gcd puts each
 result in lowest terms.  The Groebner engine is one incremental
-Buchberger loop: generators enter one at a time, S-pairs are skipped by
-the coprime and chain criteria and, for homogeneous input, by an exact
+Buchberger loop on homogeneous input: generators enter one at a time,
+S-pairs are skipped by the coprime and chain criteria and by an exact
 lower bound on the Hilbert function of the next stage's quotient, read
 off a Hilbert numerator the loop keeps up to date.  The loop and its
 kernels work on monomials packed into single ints, one packing for each
@@ -77,7 +77,7 @@ class DegRevLex:
 
 
 class EliminationOrder:
-    """Block order putting variable 0, the auxiliary variable of `colon`,
+    """Block order putting variable 0, the variable `colon` eliminates,
     ahead of the rest.
 
     Any monomial containing the auxiliary variable beats every monomial
@@ -420,8 +420,9 @@ class PolyIdeal:
         return minimalize_exponents(next(iter(g.nums)) for g in self.generators)
 
     def canonical_key(self):
-        """(ring_dim, sorted terms of the generators), the memo key of the
-        series and the cuts."""
+        """(ring_dim, sorted terms of the generators), the key behind
+        `__eq__` and `__hash__`; the benchmark's tracer keys its facts by
+        it.  Package caches key on the ideal itself."""
         return self._key
 
     def __eq__(self, other) -> bool:
@@ -521,8 +522,8 @@ class _PackedKernel:
     reduction writes has degree at most that of the entering generator, the
     dividend or the S-pair lcm: under degrevlex it lies below them, and
     under the elimination order the input is homogeneous, or homogeneous in
-    the other variables as in `colon`, and m[0] falls along the order.
-    So `room`, called by the run for each generator and each S-pair,
+    the other variables as `normal_form` allows, and m[0] falls along the
+    order.  So `room`, called by the run for each generator and each S-pair,
     guards the fields, and a degree past the limit doubles B and re-packs
     the basis; a division packs its dividend among the generators and needs
     no check.
@@ -825,8 +826,9 @@ class ModPKernel(_PackedKernel):
 
 def _buchberger_run(
     gens: Sequence[Polynomial], kernel: RationalKernel | ModPKernel
-) -> tuple[list, Optional[IntPolynomial]]:
-    """Incremental Buchberger with Hilbert-driven pruning.
+) -> tuple[list, IntPolynomial]:
+    """Incremental Buchberger with Hilbert-driven pruning, on homogeneous
+    generators.
 
     The generators enter one at a time, lowest degree first.  Each is
     reduced against the basis so far and dropped if it reduces to zero;
@@ -840,13 +842,12 @@ def _buchberger_run(
     Untreated pairs sit in a heap keyed (deg lcm, -K(lcm), i, j), so the
     lowest lcm degree comes first, then the lcm lowest in the order, then
     the earliest pair.  The result is the last minimal basis, as kernel
-    elements lowest leading monomial first, and, when every generator is
-    homogeneous, the Hilbert numerator of R modulo its leading monomials
-    (None otherwise).
+    elements lowest leading monomial first, and the Hilbert numerator of
+    R modulo its leading monomials.
 
-    For homogeneous generators the run keeps h, the numerator of R/L for
-    the leading monomials L so far: adding an element with leading
-    monomial m sets h(L + (m)) = h(L) - t^deg(m) h(L : m) (Bigatti 1997).
+    The run keeps h, the numerator of R/L for the leading monomials L so
+    far: adding an element with leading monomial m sets
+    h(L + (m)) = h(L) - t^deg(m) h(L : m) (Bigatti 1997).
     Adding a form f of degree e to J has an exact lower bound: the sequence
     0 -> ((J:f)/J)(-e) -> (R/J)(-e) -> R/J -> R/(J+f) -> 0 gives
 
@@ -859,21 +860,19 @@ def _buchberger_run(
     is skipped (Traverso 1996).  The reduced basis is unique, so the
     pruning changes only how many reductions it takes.
 
-    A kernel that is not exact, `ModPKernel`, takes homogeneous
-    generators, certifies its stages against that bound and raises
-    Uncertified at the first miss.  Its leading monomials belong to
-    elements of the ideal mod p, whose Macaulay matrices have at most
-    their rational rank in each degree, so their Hilbert function is at
-    least H_{R/(J+f)} over Q whatever the prime, and a pruning mistake
-    mod p can only raise it further.  Over a certified J the bound is
-    exact, so a stage whose numerator is (1 - t^e) times the previous one
-    has the rational series, and a stage that ends anywhere above it
-    cannot.  A stage therefore also stops at the first finished degree
-    whose count exceeds the bound, and a generator that reduces to zero
-    mod p misses it at once.  Only the series is certified, never the
-    leading monomials themselves.
+    A kernel that is not exact, `ModPKernel`, certifies its stages against
+    that bound and raises Uncertified at the first miss.  Its leading
+    monomials belong to elements of the ideal mod p, whose Macaulay
+    matrices have at most their rational rank in each degree, so their
+    Hilbert function is at least H_{R/(J+f)} over Q whatever the prime,
+    and a pruning mistake mod p can only raise it further.  Over a
+    certified J the bound is exact, so a stage whose numerator is
+    (1 - t^e) times the previous one has the rational series, and a stage
+    that ends anywhere above it cannot.  A stage therefore also stops at the
+    first finished degree whose count exceeds the bound, and a generator
+    that reduces to zero mod p misses it at once.  Only the series is
+    certified, never the leading monomials themselves.
     """
-    graded = all(g.is_homogeneous for g in gens)
     nvars = kernel.nvars
     G: list = []
     h = IntPolynomial.one()
@@ -883,11 +882,8 @@ def _buchberger_run(
     def add(g) -> None:
         nonlocal h
         m = g[0]
-        if graded:
-            quotient = minimalize_exponents(kernel.colon(l[0], m) for l in G)
-            h = h - _numerator_of_monomial(nvars, quotient).times_t_power(
-                kernel.degree(m)
-            )
+        quotient = minimalize_exponents(kernel.colon(l[0], m) for l in G)
+        h = h - _numerator_of_monomial(nvars, quotient).times_t_power(kernel.degree(m))
         G.append(g)
         j = len(G) - 1
         for i in range(j):
@@ -928,7 +924,7 @@ def _buchberger_run(
                 # coprime leading monomials: their lcm is their product
                 if pair_lcm == G[i][0] + G[j][0]:
                     continue
-                if graded and spans(n):
+                if spans(n):
                     continue
                 # chain criterion: a third element dividing the lcm whose
                 # pairs with both ends were already treated (in this stage,
@@ -957,7 +953,7 @@ def _buchberger_run(
             hb = before.numerator
             if h != hb - hb.times_t_power(e):
                 raise Uncertified(f"stage of degree {e} above the bound")
-    return G, h if graded else None
+    return G, h
 
 
 def _reduced_basis(gens: Sequence[Polynomial], order: Order) -> tuple[Polynomial, ...]:
@@ -994,15 +990,22 @@ def _exact_divide(p: Polynomial, f: Polynomial, order: Order) -> Polynomial:
     return _over_one_den(p.nvars, quot)
 
 
-def _lift_adding_aux(p: Polynomial) -> Polynomial:
-    return _lowest(p.nvars + 1, {(0,) + m: c for m, c in p.nums.items()}, p.den)
+def _lift(p: Polynomial, k: int) -> Polynomial:
+    """p in k new variables, put ahead of its own."""
+    return _lowest(p.nvars + k, {(0,) * k + m: c for m, c in p.nums.items()}, p.den)
 
 
 def colon(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
     """Ideal quotient (I : f) for a single nonzero homogeneous f.
 
-    Intersects I with (f) through one auxiliary variable, then divides
-    the intersection generators by f.  For a monomial I and a term f the
+    Intersects I with (f) through two auxiliary variables, then divides
+    the intersection generators by f.  In k[w, v, x] the ideal
+    J = (w g_j, (v - w) f) is homogeneous, and J meets k[v, x] in
+    v (I cap (f)): setting w = v puts an element in I[v], setting w = 0
+    puts it in v (f), and v is regular modulo I[v].  Under the order that
+    eliminates w, the w-free part of J's reduced basis is therefore v h_j
+    for the reduced basis h_j of I cap (f), because multiplying by v
+    keeps the order and reducedness.  For a monomial I and a term f the
     reduced basis is the minimal generating set, so the result is too.
     """
     if f.is_zero:
@@ -1016,17 +1019,14 @@ def colon(I: PolyIdeal, f: Polynomial) -> PolyIdeal:
     if I.is_unit:
         return PolyIdeal(I.ring_dim, (Polynomial.one(I.ring_dim),))
     d = I.ring_dim
-    order = EliminationOrder(d + 1)
-    w = Polynomial.variable(d + 1, 0)
-    lifted_f = _lift_adding_aux(f)
-    J = [w * _lift_adding_aux(g) for g in I.generators]
-    J.append(lifted_f - w * lifted_f)
-    basis = _reduced_basis(J, order)
+    w, v = Polynomial.variable(d + 2, 0), Polynomial.variable(d + 2, 1)
+    J = [w * _lift(g, 2) for g in I.generators] + [(v - w) * _lift(f, 2)]
     ambient_order = DegRevLex(d)
     gens = []
-    for p in basis:
+    for p in _reduced_basis(J, EliminationOrder(d + 2)):
         if all(m[0] == 0 for m in p.nums):
-            dropped = _lowest(d, {m[1:]: c for m, c in p.nums.items()}, p.den)
+            # p = v h_j: drop w and v
+            dropped = _lowest(d, {m[2:]: c for m, c in p.nums.items()}, p.den)
             gens.append(_exact_divide(dropped, f, ambient_order))
     return PolyIdeal(d, gens)
 

@@ -2,8 +2,11 @@
 
 Two presentation shapes cover everything downstream: cyclic quotients
 (R/I)(-r) and finite free resolutions given by twist multisets.  The
-series of a monomial quotient comes from the memoised pivot recursion in
-`monomial`; general ideals pass through leading monomials first.
+series of a monomial quotient comes from the pivot recursion in
+`monomial`; general ideals pass through leading monomials first.  The
+series of R/I is a `functools` cache keyed on the ideal itself, whose
+normal form makes equal keys of ideals that differ only in the scale of
+their generators, and every shift (R/I)(-r) shares that one entry.
 
 For a non-monomial ideal I = (f_1..f_k) in d variables, a run of the
 incremental Buchberger loop mod p = 2^31 - 1 may come first, and its
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from typing import Optional, Sequence
 
 from hilbcalc.monomial import _numerator_of_monomial
@@ -97,6 +101,9 @@ class CyclicModule:
             raise ValueError("presentation shift must be a natural")
 
     def key(self):
+        """(ring_dim, the ideal's canonical key, shift); the benchmark's
+        tracer keys its facts by it.  No package memo uses it: the caches
+        key on the module or its ideal."""
         return (self.ring_dim, self.ideal.canonical_key(), self.shift)
 
     def drop_shift(self) -> "CyclicModule":
@@ -149,11 +156,6 @@ def series_of_monomial_quotient(I: PolyIdeal) -> HilbertSeries:
     return HilbertSeries(d, _numerator_of_monomial(d, I.monomial_exponents()))
 
 
-# unshifted series of R/I, keyed on I.canonical_key(); the only route to
-# a Groebner run inside the package
-_IDEAL_SERIES: dict[tuple, HilbertSeries] = {}
-
-
 def series_of_cyclic(M: CyclicModule) -> HilbertSeries:
     """Series of (R/I)(-r).
 
@@ -163,16 +165,17 @@ def series_of_cyclic(M: CyclicModule) -> HilbertSeries:
     module docstring).  The leading monomials of a rational run give the
     rest.
     """
-    I = M.ideal
-    key = I.canonical_key()
-    base = _IDEAL_SERIES.get(key)
-    if base is None:
-        if I.is_monomial:
-            base = series_of_monomial_quotient(I)
-        else:
-            base = HilbertSeries(I.ring_dim, _numerator_of_ideal(I))
-        _IDEAL_SERIES[key] = base
+    base = _series_of_ideal(M.ideal)
     return shift(base, M.shift) if M.shift else base
+
+
+@cache
+def _series_of_ideal(I: PolyIdeal) -> HilbertSeries:
+    """Series of R/I, cached on I; the only route to a Groebner run inside
+    the package."""
+    if I.is_monomial:
+        return series_of_monomial_quotient(I)
+    return HilbertSeries(I.ring_dim, _numerator_of_ideal(I))
 
 
 def _numerator_of_ideal(I: PolyIdeal) -> IntPolynomial:

@@ -12,11 +12,13 @@ and its e_0 is the correction length that shows up in the defect
 formulas.  No colon Groebner bases on the hot path.  Every walk down
 successive quotients is one QuotientChain, so a search step builds its
 candidate's quotient once and keeps it when the candidate is accepted.
-Cuts are memoised on (ideal, form) in a bounded LRU (CUT_MEMO_SIZE
+Cuts are cached on (ideal, form) in a bounded LRU (CUT_MEMO_SIZE
 entries), so the suites' repeated walks and the audit's re-walk of a
-witness rebuild no quotient they cut recently.  An ideal keeps its
-generators in normal form, so a hit returns the quotient an uncached
-cut would build.
+witness rebuild no quotient they cut recently.  Depth certificates are
+cached, unbounded, on (module, seed, trials), with the shift dropped, so
+every shift of one quotient shares one search.  Both are `functools`
+caches keyed on the values themselves: an ideal keeps its generators in
+normal form, so a hit returns what an uncached call would build.
 
 On a monomial ideal I, depth judges a candidate by its support alone.
 The zerodivisors on R/I are the union of its associated primes, and each
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Iterator, Optional, Sequence
 
 from hilbcalc.linalg import IntEchelon, macaulay_echelons, monomial_packing
@@ -361,15 +363,12 @@ def _screen_passes(screen, f: LinearForm) -> bool:
     return grown.rank - base.rank == expected
 
 
-_DEPTH_CACHE: dict[tuple, DepthCertificate] = {}
-
-
 def depth(M: CyclicModule, seed: int = 0, trials: int = DEFAULT_TRIALS) -> DepthCertificate:
     """Longest chain of certified-regular linear forms the search finds.
 
-    Candidates are the forms of `_combination_stream` in the last
-    quotient's variables, and certificates are memoised per (module,
-    seed, trials).  Chain forms are reported in the ring of M; each was
+    Candidates are the forms of `_combination_stream` in the last quotient's
+    variables, and certificates are cached per (unshifted module, seed,
+    trials).  Chain forms are reported in the ring of M; each was
     certified on the successive quotient, and those certifications are
     exact.  A nonzero module of dimension zero has no regular linear form
     at all, so the dimension-zero stop is exact as well; stopping on
@@ -386,19 +385,19 @@ def depth(M: CyclicModule, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Depth
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    M = M.drop_shift()
-    key = (M.key(), seed, trials)
-    hit = _DEPTH_CACHE.get(key)
-    if hit is not None:
-        return hit
+    return _depth(M.drop_shift(), seed, trials)
+
+
+@cache
+def _depth(M: CyclicModule, seed: int, trials: int) -> DepthCertificate:
+    """The search of `depth` on an unshifted module."""
     chain = QuotientChain((M,))
     links: list[LinearForm] = []
     rng = random.Random(seed)
     while True:
         S = series_of_cyclic(chain.last)
         if S.is_zero or series_dimension(S) <= 0:
-            cert = DepthCertificate(len(links), tuple(links), STOP_DIMENSION_ZERO, 0)
-            break
+            return DepthCertificate(len(links), tuple(links), STOP_DIMENSION_ZERO, 0)
         screen = _screen(chain.last.ideal)
         monomial = chain.last.ideal.is_monomial
         full = (1 << chain.last.ring_dim) - 1
@@ -423,11 +422,8 @@ def depth(M: CyclicModule, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Depth
             if failures >= trials:
                 break
         if found is None:
-            cert = DepthCertificate(
+            return DepthCertificate(
                 len(links), tuple(links), STOP_TRIALS_EXHAUSTED, failures
             )
-            break
         links.append(chain.pull(found))
         chain = cut
-    _DEPTH_CACHE[key] = cert
-    return cert

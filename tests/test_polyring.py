@@ -521,8 +521,9 @@ class TestDivisionKernel:
         ):
             with pytest.raises(ValueError, match="homogeneous"):
                 call()
-        # the same input under degrevlex, and colon's shape under the
-        # elimination order: x^2 z + y and x z - z are homogeneous in y, z
+        # the same input under degrevlex, and input homogeneous only in the
+        # non-eliminated variables, which the elimination order takes:
+        # x^2 z + y and x z - z are homogeneous in y, z
         assert normal_form(f, [g], DegRevLex(3)) == reference_normal_form(
             f, [g], DegRevLex(3)
         )
@@ -727,8 +728,8 @@ class TestIncrementalBuchberger:
     @settings(max_examples=40, deadline=None)
     @given(staged_ideals(), st.integers(1, 2), st.data())
     def test_colon_matches_reference(self, I, deg, data):
-        # colon's auxiliary ideal is not homogeneous, so this runs the loop
-        # without the Hilbert bound
+        # colon's auxiliary ideal in k[w, v, x] is homogeneous, so this runs
+        # the loop with the Hilbert bound under the elimination order
         g = _form(data.draw, deg, dense=data.draw(st.booleans()))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(polyring, "_reduced_basis", reference_reduced_basis)
@@ -869,6 +870,27 @@ class TestColon:
         Q = colon(I, Polynomial(d, {fm: c}))
         assert len(Q.generators) == len(expected)
         assert Q == PolyIdeal(d, [Polynomial.from_monomial(d, m) for m in expected])
+
+    @settings(max_examples=40, deadline=None)
+    @given(staged_ideals(), st.integers(1, 2), st.data())
+    def test_w_free_basis_elements_have_v_degree_one(self, I, deg, data):
+        # J meets k[v, x] in v (I cap (f)), so its w-free reduced basis
+        # elements are v h_j with h_j free of v
+        g = _form(data.draw, deg, dense=data.draw(st.booleans()))
+        bases = []
+        real = polyring._reduced_basis
+
+        def recorded(*args):
+            bases.append(real(*args))
+            return bases[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polyring, "_reduced_basis", recorded)
+            colon(I, g)
+        (basis,) = bases
+        w_free = [p for p in basis if all(m[0] == 0 for m in p.nums)]
+        assert w_free
+        assert all(m[1] == 1 for p in w_free for m in p.nums)
 
     def test_regular_element_fixes_ideal(self):
         I = PolyIdeal(2, [P(2, (1, (2, 0)))])

@@ -703,11 +703,11 @@ class TestPackedKernel:
         g = Polynomial(d, {m: rng.randint(-3, 3) for m in monomials_of_degree(d, 1)})
         if g.is_zero:
             g = Polynomial.variable(d, 0)
-        # the run inside colon, on generators homogeneous only in the
-        # variables other than the auxiliary w
-        w, lift = Polynomial.variable(d + 1, 0), polyring._lift_adding_aux
-        aux = [w * lift(f) for f in I.generators] + [lift(g) - w * lift(g)]
-        elim = EliminationOrder(d + 1)
+        # the run inside colon, on its auxiliary ideal in k[w, v, x]
+        w, v = Polynomial.variable(d + 2, 0), Polynomial.variable(d + 2, 1)
+        aux = [w * polyring._lift(f, 2) for f in I.generators]
+        aux.append((v - w) * polyring._lift(g, 2))
+        elim = EliminationOrder(d + 2)
         packed = kernel_run(aux, RationalKernel(elim, aux))
         assert packed == kernel_run(aux, TupleRationalKernel(elim))
 
