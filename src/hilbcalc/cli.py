@@ -33,6 +33,7 @@ from hilbcalc.dsl import (
     format_form,
     parse_text,
 )
+from hilbcalc.monomial import TooDeep
 from hilbcalc.oracle import DEFAULT_CHECK_DEGREE, verify_series
 from hilbcalc.polyring import LinearForm, PolyIdeal
 from hilbcalc.presentation import (
@@ -334,8 +335,8 @@ def execute_script(script: Script, opts: Options) -> tuple[dict, list[str]]:
             entry["i" if name == "index" else name] = value
         try:
             result, text = _HANDLERS[keyword](env, cmd, opts)
-        except TooLongToPrint as exc:
-            raise TooLongToPrint(f"{keyword} {cmd.module}: {exc}") from None
+        except (TooLongToPrint, TooDeep) as exc:
+            raise type(exc)(f"{keyword} {cmd.module}: {exc}") from None
         except ValueError as exc:
             result = {"error": str(exc), "ok": False}
             label = f"{keyword} {cmd.module}"
@@ -581,7 +582,7 @@ def _execute_text(text: str, opts: Options, describe=str) -> int:
         return EXIT_LANGUAGE
     try:
         report, lines = execute_script(script, opts)
-    except TooLongToPrint as exc:
+    except (TooLongToPrint, TooDeep) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LANGUAGE
     elapsed = time.perf_counter() - t0

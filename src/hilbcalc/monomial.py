@@ -2,15 +2,17 @@
 quotient.
 
 This is the layer below polynomials: the exponent arithmetic of
-polynomial products and monomial ideals, and the pivot recursion
+polynomial products and monomial ideals, and Bigatti's power pivot
+recursion
 
-    numerator(R/I) = t * numerator(R/(I : x)) + numerator(R/(I + (x)))
+    numerator(R/I) = t^k * numerator(R/(I : x^k)) + numerator(R/(I + (x^k)))
 
 that gives the Hilbert series numerator of R/I for a monomial ideal I.
 The series layer reads every monomial ideal here, and Buchberger keeps
 the numerator of its partial leading ideals from those of their colons
 by one leading monomial.  Both callers reach one `functools` cache of
-whole-ideal numerators; the nodes of one walk are kept for that walk only.
+the nodes of every walk, so a walk stops at the first node that an
+earlier walk, of the same ideal or another, reached.
 """
 
 from __future__ import annotations
@@ -22,6 +24,14 @@ from typing import Iterable
 from hilbcalc.series import IntPolynomial
 
 Monomial = tuple[int, ...]
+
+# a level of the walk takes 2 of the interpreter's default 1000 frames (the
+# cache wrapper and the function); under pytest about 470 levels fit
+MAX_PIVOT_NESTING = 300
+
+
+class TooDeep(Exception):
+    """A walk that could nest more than MAX_PIVOT_NESTING splits (exit 2)."""
 
 
 def monomial_degree(m: Monomial) -> int:
@@ -48,66 +58,67 @@ def minimalize_exponents(exps: Iterable[Monomial]) -> frozenset[Monomial]:
 
 
 def _pivot_step(d: int, exps: frozenset[Monomial]):
-    """The numerator of a base case, or the nodes (d, exps) of the pivot split
-    (I : x) and I + (x) whose numerators give t * h(I : x) + h(I + (x)).
+    """The numerator of a base case, or (k, I : x^k, I + (x^k)) for the split
+    h(I) = t^k h(I : x^k) + h(I + (x^k)) (Bigatti 1997).
 
-    x is the variable in the most generators (Bigatti), and both children
-    come out minimally generated.  I + (x) is x and the generators x does
-    not divide.  I : x is the generators m/x of those x divides, which stay
-    incomparable, and the generators without x that no m/x divides; none
-    of those divides an m/x, since it would then divide m.
+    x is the variable in the most generators and k the lower median of its
+    distinct positive exponents, so each child, built minimal, keeps at most
+    half of them, rounded up.  I : x^k is the m/x^k of the generators m with
+    more than k factors x, the minimal ones among the other generators with
+    x, their x removed, and the generators without x that none of those
+    divides.  Nothing else divides across the parts: an element with x
+    divides none without, and any other divisor would make the generator
+    it came from divide a second one.
     """
-    if not exps:
-        return IntPolynomial.one()
-    zero_exp = (0,) * d
-    if zero_exp in exps:
-        return IntPolynomial.zero()
     # the number of generators each variable divides
     counts = [len(exps) - column.count(0) for column in zip(*exps)]
-    v = max(range(d), key=counts.__getitem__)
-    if counts[v] <= 1:
+    if max(counts, default=0) <= 1:
         # pairwise coprime generators (no variable shared) form a regular
-        # sequence, so the numerator is the product of the (1 - t^deg m)
+        # sequence, so the numerator is the product of the (1 - t^deg m):
+        # 1 for the zero ideal, and 0 for the unit ideal, generated by 1
         h = IntPolynomial.one()
         for m in exps:
             h = h - h.times_t_power(monomial_degree(m))
         return h
-    # x divides two minimal generators, so x itself is not one
-    plus = [m for m in exps if not m[v]]
-    lowered = [m[:v] + (m[v] - 1,) + m[v + 1 :] for m in exps if m[v]]
-    # only an m/x free of x can divide a generator without x
-    free = [m for m in lowered if not m[v]]
-    colon = lowered + [m for m in plus if not any(monomial_divides(f, m) for f in free)]
-    plus.append(zero_exp[:v] + (1,) + zero_exp[v + 1 :])
-    return (d, frozenset(colon)), (d, frozenset(plus))
+    v = counts.index(max(counts))
+    powers = sorted({m[v] for m in exps} - {0})
+    k = powers[(len(powers) - 1) // 2]
+    # x divides two minimal generators, so a power of x among them has the
+    # largest exponent, above k, and x^k is minimal in I + (x^k)
+    plus = [m for m in exps if m[v] < k]
+    plus.append((0,) * v + (k,) + (0,) * (d - v - 1))
+    free = minimalize_exponents(m[:v] + (0,) + m[v + 1 :] for m in exps if 0 < m[v] <= k)
+    colon = [m[:v] + (m[v] - k,) + m[v + 1 :] for m in exps if m[v] > k]
+    colon += [m for m in exps if not m[v] and not any(monomial_divides(f, m) for f in free)]
+    return k, free.union(colon), frozenset(plus)
+
+
+def numerator_of_monomial(d: int, exps: frozenset[Monomial]) -> IntPolynomial:
+    """Numerator of R/I for the monomial ideal minimally generated by exps.
+
+    A split on x_v keeps at most half of E_v, the distinct positive
+    exponents of x_v, rounded up, in each child, leaves x_v in at most one
+    generator if |E_v| is 1, and gives no other variable a generator or an
+    exponent.  So the splits nest at most the sum, over the x_v in two or
+    more generators, of ceil(log2 |E_v|) + 1 deep, and an ideal where that
+    passes MAX_PIVOT_NESTING is refused.
+    """
+    shared = [set(c) - {0} for c in zip(*exps) if len(c) - c.count(0) > 1]
+    bound = sum((len(powers) - 1).bit_length() + 1 for powers in shared)
+    if bound > MAX_PIVOT_NESTING:
+        raise TooDeep(
+            f"a monomial ideal of {len(exps)} generators in {d} variables may nest "
+            f"{bound} pivot splits, above the {MAX_PIVOT_NESTING} the walk allows"
+        )
+    return _numerator_of_monomial(d, exps)
 
 
 @cache
 def _numerator_of_monomial(d: int, exps: frozenset[Monomial]) -> IntPolynomial:
-    """Numerator of R/I for the monomial ideal minimally generated by exps.
-
-    Walks the pivot recursion with an explicit stack, so a chain of
-    thousands of pivot steps needs no Python recursion.  The walk keeps
-    the numerator of every node it reaches until it returns; the cache
-    keeps the result for the whole ideal.
-    """
-    memo: dict[tuple[int, frozenset[Monomial]], IntPolynomial] = {}
-    root = (d, exps)
-    # entries are (node, None) before the node's step is taken and
-    # (node, (colon, plus)) once both children sit above it on the stack
-    stack = [(root, None)]
-    while stack:
-        node, split = stack.pop()
-        if node in memo:
-            continue
-        if split is None:
-            step = _pivot_step(*node)
-            if isinstance(step, IntPolynomial):
-                memo[node] = step
-                continue
-            colon, plus = step
-            stack += [(node, step), (plus, None), (colon, None)]
-        else:
-            colon, plus = split
-            memo[node] = memo[colon].times_t_power(1) + memo[plus]
-    return memo[root]
+    """The power pivot recursion behind `numerator_of_monomial`; every node
+    a walk reaches is cached, so a later walk stops at the nodes it shares."""
+    step = _pivot_step(d, exps)
+    if isinstance(step, IntPolynomial):
+        return step
+    k, colon, plus = step
+    return _numerator_of_monomial(d, colon).times_t_power(k) + _numerator_of_monomial(d, plus)

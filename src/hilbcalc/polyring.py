@@ -39,10 +39,10 @@ from typing import Iterable, Optional, Sequence
 from hilbcalc.linalg import IntEchelon
 from hilbcalc.monomial import (
     Monomial,
-    _numerator_of_monomial,
     minimalize_exponents,
     monomial_degree,
     monomial_mul,
+    numerator_of_monomial,
 )
 from hilbcalc.series import HilbertSeries, IntPolynomial, coefficient
 
@@ -883,7 +883,7 @@ def _buchberger_run(
         nonlocal h
         m = g[0]
         quotient = minimalize_exponents(kernel.colon(l[0], m) for l in G)
-        h = h - _numerator_of_monomial(nvars, quotient).times_t_power(kernel.degree(m))
+        h = h - numerator_of_monomial(nvars, quotient).times_t_power(kernel.degree(m))
         G.append(g)
         j = len(G) - 1
         for i in range(j):

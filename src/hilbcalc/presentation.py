@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Optional, Sequence
 
-from hilbcalc.monomial import _numerator_of_monomial
+from hilbcalc.monomial import numerator_of_monomial
 from hilbcalc.polyring import (
     DegRevLex,
     LinearForm,
@@ -153,7 +153,7 @@ def series_of_monomial_quotient(I: PolyIdeal) -> HilbertSeries:
     if not I.is_monomial:
         raise NotMonomial("generators must all be single terms")
     d = I.ring_dim
-    return HilbertSeries(d, _numerator_of_monomial(d, I.monomial_exponents()))
+    return HilbertSeries(d, numerator_of_monomial(d, I.monomial_exponents()))
 
 
 def series_of_cyclic(M: CyclicModule) -> HilbertSeries:

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from hilbcalc.cli import (
     main,
 )
 from hilbcalc.dsl import COMMANDS
+from hilbcalc.monomial import MAX_PIVOT_NESTING
 
 FIXTURE = """\
 ring x1 x2 y1;
@@ -242,7 +244,7 @@ class TestOneShot:
     )
     def test_high_power_series_json(self, capsys, ring, ideal, numerator):
         # all once a RecursionError traceback; the first two have pairwise
-        # coprime generators, the third walks about 700 pivot steps
+        # coprime generators, and the third takes 7 pivot steps, 3 of them splits
         code, out, _ = invoke(capsys, "series", "--ring", ring, "--ideal", ideal, "--json")
         assert code == 0
         (entry,) = json.loads(out)["commands"]
@@ -250,6 +252,25 @@ class TestOneShot:
         for power, c in numerator.items():
             expected[power] = c
         assert entry["numerator"] == expected
+
+    @pytest.mark.parametrize("extra, status", [(0, 0), (1, 2)])
+    def test_walk_nesting_limit(self, capsys, extra, status):
+        # two generators sharing n - 1 variables nest n - 1 splits, so
+        # n = MAX_PIVOT_NESTING + 1 runs and one more is refused
+        n = MAX_PIVOT_NESTING + 1 + extra
+        ring = " ".join(f"x{i}" for i in range(n + 1))
+        ideal = "*".join(f"x{i}" for i in range(n)) + ", " + "*".join(
+            f"x{i}" for i in range(1, n + 1)
+        )
+        code, out, err = invoke(capsys, "series", "--ring", ring, "--ideal", ideal, "--json")
+        assert code == status
+        if status:
+            assert err.startswith("error: series M: a monomial ideal of 2 generators")
+            assert f"may nest {n - 1} pivot splits" in err
+        else:
+            (entry,) = json.loads(out)["commands"]
+            # x0*g and g*x_n for g = x1*...*x_(n-1)
+            assert entry["numerator"] == [1] + [0] * (n - 1) + [-2, 1]
 
     def test_depth(self, capsys):
         code, out, _ = invoke(capsys, "depth", *self.RING)
@@ -787,6 +808,27 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["status"] == "pass"
+
+
+def test_deep_pivot_chain_in_bounded_memory():
+    """x^N*y, x^N*z, y*z with N = 30000, in a child capped at 1.5 GB of
+    address space.  Lowering x by one factor per split would walk N nodes,
+    each with a numerator of up to N terms; a power pivot halves the
+    distinct exponents of x instead."""
+    n = 30000
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    cap = 1536 << 20
+    done = subprocess.run(
+        [sys.executable, "-m", "hilbcalc", "series", "--ring", "x y z", "--ideal",
+         f"x^{n}*y, x^{n}*z, y*z", "--json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert done.returncode == 0, done.stderr
+    (entry,) = json.loads(done.stdout)["commands"]
+    # 1 - t^2 - 2 t^(N+1) + 2 t^(N+2)
+    assert entry["numerator"] == [1, 0, -1] + [0] * (n - 2) + [-2, 2]
 
 
 def test_closed_stdout_ends_quietly():
