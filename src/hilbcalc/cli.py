@@ -33,7 +33,6 @@ from hilbcalc.dsl import (
     format_form,
     parse_text,
 )
-from hilbcalc.monomial import TooDeep
 from hilbcalc.oracle import DEFAULT_CHECK_DEGREE, verify_series
 from hilbcalc.polyring import LinearForm, PolyIdeal
 from hilbcalc.presentation import (
@@ -48,6 +47,7 @@ from hilbcalc.presentation import (
 )
 from hilbcalc.series import (
     MAX_SHIFT,
+    Refusal,
     binomial,
     expand,
     hilbert_coefficients,
@@ -92,7 +92,7 @@ class Options:
 # rendering helpers
 
 
-class TooLongToPrint(Exception):
+class TooLongToPrint(Refusal):
     """A computed integer has more digits than the interpreter converts to
     text.  The run is refused with exit 2, not reported as a failed check."""
 
@@ -270,7 +270,6 @@ def _run_verify(env: _Env, cmd, opts: Options) -> tuple[dict, str]:
         cert = exc.certificate
         fields = {"verdict": cert.verdict, "trials_used": cert.trials_used, "ok": False}
         return fields, f"{cert.verdict}: {_mark(False)}"
-    ok = rep.parity_ok and rep.equivalence_ok
     fields = {
         "s": rep.s,
         "e_module": rep.e_module,
@@ -281,15 +280,16 @@ def _run_verify(env: _Env, cmd, opts: Options) -> tuple[dict, str]:
         "depth_exact": rep.depth_exact,
         "equivalence_ok": rep.equivalence_ok,
         "defects": list(rep.defect_lengths),
-        "ok": ok,
+        "ok": rep.ok,
     }
     exact = "exact" if rep.depth_exact else "probabilistic"
+    missed = "VIOLATED" if rep.depth_exact else "unproven"
     return fields, (
         f"e_{rep.i} {_int_text(rep.e_module)} -> {_int_text(rep.e_quotient)}, "
         f"equality {'yes' if rep.equality else 'no'}, "
         f"depth {rep.depth_value} ({exact}), "
         f"parity {'ok' if rep.parity_ok else 'VIOLATED'}, "
-        f"equivalence {'ok' if rep.equivalence_ok else 'VIOLATED'}: {_mark(ok)}"
+        f"equivalence {'ok' if rep.equivalence_ok else missed}: {_mark(rep.ok)}"
     )
 
 
@@ -335,7 +335,7 @@ def execute_script(script: Script, opts: Options) -> tuple[dict, list[str]]:
             entry["i" if name == "index" else name] = value
         try:
             result, text = _HANDLERS[keyword](env, cmd, opts)
-        except (TooLongToPrint, TooDeep) as exc:
+        except Refusal as exc:
             raise type(exc)(f"{keyword} {cmd.module}: {exc}") from None
         except ValueError as exc:
             result = {"error": str(exc), "ok": False}
@@ -582,7 +582,7 @@ def _execute_text(text: str, opts: Options, describe=str) -> int:
         return EXIT_LANGUAGE
     try:
         report, lines = execute_script(script, opts)
-    except (TooLongToPrint, TooDeep) as exc:
+    except Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LANGUAGE
     elapsed = time.perf_counter() - t0

@@ -21,7 +21,7 @@ from functools import cache
 from operator import add, le
 from typing import Iterable
 
-from hilbcalc.series import IntPolynomial
+from hilbcalc.series import IntPolynomial, Refusal
 
 Monomial = tuple[int, ...]
 
@@ -30,7 +30,7 @@ Monomial = tuple[int, ...]
 MAX_PIVOT_NESTING = 300
 
 
-class TooDeep(Exception):
+class TooDeep(Refusal):
     """A walk that could nest more than MAX_PIVOT_NESTING splits (exit 2)."""
 
 

@@ -851,14 +851,15 @@ def _buchberger_run(
     Adding a form f of degree e to J has an exact lower bound: the sequence
     0 -> ((J:f)/J)(-e) -> (R/J)(-e) -> R/J -> R/(J+f) -> 0 gives
 
-        H_{R/(J+f)}(n) >= H_{R/J}(n) - H_{R/J}(n - e),
+        H_{R/(J+f)}(n) >= max(0, H_{R/J}(n) - H_{R/J}(n - e)),
 
-    with H_{R/J} read off h at the start of the stage.  When a pair of lcm
-    degree n comes up and the degree-n monomials outside L are exactly
-    that many, L already spans LT(J+f) in degree n.  Every degree-n
-    S-polynomial then reduces to zero, so the pair counts as treated and
-    is skipped (Traverso 1996).  The reduced basis is unique, so the
-    pruning changes only how many reductions it takes.
+    with H_{R/J} read off h at the start of the stage (a Hilbert function is
+    never negative).  When a pair of lcm degree n comes up and the degree-n
+    monomials outside L are exactly that many, L already spans LT(J+f) in
+    degree n.  Every degree-n S-polynomial then reduces to zero, so the
+    pair counts as treated and is skipped (Traverso 1996).  The reduced
+    basis is unique, so the pruning changes only how many reductions it
+    takes.
 
     A kernel that is not exact, `ModPKernel`, certifies its stages against
     that bound and raises Uncertified at the first miss.  Its leading
@@ -868,10 +869,9 @@ def _buchberger_run(
     and a pruning mistake mod p can only raise it further.  Over a
     certified J the bound is exact, so a stage whose numerator is
     (1 - t^e) times the previous one has the rational series, and a stage
-    that ends anywhere above it cannot.  A stage therefore also stops at the
-    first finished degree whose count exceeds the bound, and a generator
-    that reduces to zero mod p misses it at once.  Only the series is
-    certified, never the leading monomials themselves.
+    that ends anywhere above it cannot.  That comparison at the end of each
+    stage is the certificate.  Only the series is certified, never the
+    leading monomials themselves.
     """
     nvars = kernel.nvars
     G: list = []
@@ -904,23 +904,16 @@ def _buchberger_run(
             def spans(n: int) -> bool:
                 state = (n, len(G))
                 if state not in spanned:
-                    bound = coefficient(before, n) - coefficient(before, n - e)
+                    bound = max(0, coefficient(before, n) - coefficient(before, n - e))
                     spanned[state] = coefficient(HilbertSeries(nvars, h), n) == bound
                 return spanned[state]
 
             done: set[tuple[int, int]] = set()
             add(r)
-            # degrees up to top are finished: the pairs come in rising lcm
-            # degree, and a new element's pairs lie above its own degree
-            top = e
             while pairs:
                 n, key, i, j = heappop(pairs)
                 pair_lcm = -key
                 done.add((i, j))
-                if not kernel.exact and n > top:
-                    if not spans(top):
-                        raise Uncertified(f"degree {top} above the bound")
-                    top = n
                 # coprime leading monomials: their lcm is their product
                 if pair_lcm == G[i][0] + G[j][0]:
                     continue

@@ -21,9 +21,9 @@ series is exact once it is certified by two bounds:
 Starting from H(R/0) = 1/(1-t)^d, a stage whose mod-p numerator equals
 (1 - t^e_k) times the previous one has that exact rational series.  An
 unlucky prime, a zerodivisor or a redundant generator only misses the
-bound, and the rational loop runs instead.  A stage stops at the first
-finished degree whose count exceeds the bound; a single generator is
-certified at its first stage.
+bound, and the rational loop runs instead.  The comparison is made once,
+at the end of each stage; a single generator is certified at its first
+stage.
 
 The run is on k <= d variables.  Each f_j of degree e_j in turn keeps the
 first unused variable x_i with x_i^e_j a term of f_j, and the other d - k

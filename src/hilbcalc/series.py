@@ -23,6 +23,11 @@ DEFAULT_TRUNCATION = 64
 MAX_SHIFT = 10**6
 
 
+class Refusal(Exception):
+    """A run refused as a whole at a size the program bounds: the command
+    line prints the message and no report, and exits 2."""
+
+
 class MixedAmbient(ValueError):
     """Signed combination of series over different ambient dimensions."""
 

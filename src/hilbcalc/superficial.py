@@ -267,10 +267,12 @@ def is_ssop(M: CyclicModule, fs: Sequence[LinearForm]) -> bool:
     )
 
 
-def _combination_stream(k: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
-    """Coefficient vectors over a k-element basis: units, signed pairs,
-    then endless random draws with entries in [-DEFAULT_COEFF_BOUND,
-    DEFAULT_COEFF_BOUND]."""
+def _combination_stream(
+    k: int, rng: random.Random, trials: int
+) -> Iterator[tuple[int, ...]]:
+    """Coefficient vectors over a k-element basis: the k units, the
+    k(k - 1) signed pairs, then `trials` nonzero random draws with entries
+    in [-DEFAULT_COEFF_BOUND, DEFAULT_COEFF_BOUND], and no more."""
     for j in range(k):
         yield tuple(1 if i == j else 0 for i in range(k))
     for a in range(k):
@@ -279,9 +281,10 @@ def _combination_stream(k: int, rng: random.Random) -> Iterator[tuple[int, ...]]
                 yield tuple(
                     (1 if i == a else (sb if i == b else 0)) for i in range(k)
                 )
-    while True:
+    while trials:
         c = tuple(rng.randint(-DEFAULT_COEFF_BOUND, DEFAULT_COEFF_BOUND) for _ in range(k))
         if any(c):
+            trials -= 1
             yield c
 
 
@@ -294,8 +297,9 @@ def find_superficial_sequence(
     Candidates at each step are combinations of the remaining basis forms
     from `_combination_stream`.  Every form in a returned witness is
     certified superficial on its quotient, which is exact; the
-    probably-not-admissible verdict only says `trials` straight candidates
-    failed at some step.  trials below 1 raise ValueError.
+    probably-not-admissible verdict only says every candidate of some step
+    failed.  trials_used counts the rejected candidates of all steps, and
+    trials below 1 raise ValueError.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
@@ -310,17 +314,15 @@ def find_superficial_sequence(
     witness: list[LinearForm] = []
     used = 0
     for _ in range(len(fs)):
-        failures = 0
-        for coeffs in _combination_stream(len(basis), rng):
+        for coeffs in _combination_stream(len(basis), rng, trials):
             # basis and cut forms span fs independently, so w survives the push
             w = form_combination(coeffs, basis)
             D, cut = _socle_cut(chain, chain.push(w))
             if _superficiality(D):
                 break
-            failures += 1
             used += 1
-            if failures >= trials:
-                return AdmissibilityCertificate(PROBABLY_NOT_ADMISSIBLE, None, used)
+        else:
+            return AdmissibilityCertificate(PROBABLY_NOT_ADMISSIBLE, None, used)
         witness.append(w)
         dim_before = series_dimension(series_of_cyclic(chain.last))
         chain = cut
@@ -371,9 +373,10 @@ def depth(M: CyclicModule, seed: int = 0, trials: int = DEFAULT_TRIALS) -> Depth
     trials).  Chain forms are reported in the ring of M; each was
     certified on the successive quotient, and those certifications are
     exact.  A nonzero module of dimension zero has no regular linear form
-    at all, so the dimension-zero stop is exact as well; stopping on
-    exhausted trials leaves open that a cleverer candidate exists.  The
-    zero module stops at the dimension-zero terminal immediately.
+    at all, so the dimension-zero stop is exact as well; a step whose
+    candidates run out, reported with failed_trials = trials, leaves open
+    that a cleverer candidate exists.  The zero module stops at the
+    dimension-zero terminal immediately.
 
     When the current quotient ideal is monomial, a candidate's verdict
     is its support's (see the module docstring): a candidate whose
@@ -402,28 +405,22 @@ def _depth(M: CyclicModule, seed: int, trials: int) -> DepthCertificate:
         monomial = chain.last.ideal.is_monomial
         full = (1 << chain.last.ring_dim) - 1
         dead: list[int] = []  # supports (bit masks) of proven zerodivisors
-        failures = 0
-        found = None
-        for coeffs in _combination_stream(chain.last.ring_dim, rng):
+        candidates = _combination_stream(chain.last.ring_dim, rng, trials)
+        for coeffs in candidates:
             support = sum(1 << j for j, c in enumerate(coeffs) if c)
             if all(support | k != k for k in dead):
                 f = LinearForm(coeffs)
                 if _screen_passes(screen, f):
                     D, cut = _socle_cut(chain, f)
                     if D.is_zero:
-                        found = f
                         break
                 if monomial:
                     if support == full:
-                        failures = trials
-                        break
+                        candidates.close()  # every later candidate fails too
                     dead.append(support)
-            failures += 1
-            if failures >= trials:
-                break
-        if found is None:
+        else:
             return DepthCertificate(
-                len(links), tuple(links), STOP_TRIALS_EXHAUSTED, failures
+                len(links), tuple(links), STOP_TRIALS_EXHAUSTED, trials
             )
-        links.append(chain.pull(found))
+        links.append(chain.pull(f))
         chain = cut

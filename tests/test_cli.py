@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hilbcalc import cli
+from hilbcalc import cli, theorem
 from hilbcalc.cli import (
     EXIT_INTERNAL,
     _HANDLERS,
@@ -21,6 +21,13 @@ from hilbcalc.cli import (
 )
 from hilbcalc.dsl import COMMANDS
 from hilbcalc.monomial import MAX_PIVOT_NESTING
+from hilbcalc.superficial import (
+    PROBABLY_NOT_ADMISSIBLE,
+    STOP_DIMENSION_ZERO,
+    STOP_TRIALS_EXHAUSTED,
+    AdmissibilityCertificate,
+    DepthCertificate,
+)
 
 FIXTURE = """\
 ring x1 x2 y1;
@@ -349,6 +356,45 @@ class TestOneShot:
         )
         assert code == 1
 
+    SIX_CYCLE = (
+        "--ring", "a b c d e f", "--ideal", "a*b, b*c, c*d, d*e, e*f, f*a",
+        "--forms", "a+2*b-c+3*d+e-2*f, 2*a-b+c+d-3*e+f", "-i", "1",
+    )
+
+    def test_verify_on_the_six_cycle(self, capsys):
+        # depth R/I(C_6) = 2 = s - i, so e_1 keeps its value; the default
+        # trials find the chain on six variables
+        code, out, _ = invoke(capsys, "verify", *self.SIX_CYCLE)
+        assert code == 0
+        assert "depth 2 (exact)" in out
+
+    @pytest.mark.parametrize(
+        "stop, code, verdict",
+        [
+            (STOP_TRIALS_EXHAUSTED, 0, "equivalence unproven: PASS"),
+            (STOP_DIMENSION_ZERO, 1, "equivalence VIOLATED: FAIL"),
+        ],
+    )
+    def test_equivalence_miss_counts_on_an_exact_depth_only(
+        self, capsys, monkeypatch, stop, code, verdict
+    ):
+        # a depth from exhausted trials is only a lower bound: a miss
+        # against it is unproven, not a counterexample
+        monkeypatch.setattr(
+            theorem, "depth", lambda M, seed, trials: DepthCertificate(0, (), stop, 0)
+        )
+        status, out, _ = invoke(capsys, "verify", *self.SIX_CYCLE)
+        assert status == code
+        assert verdict in out
+        status, out, _ = invoke(capsys, "verify", *self.SIX_CYCLE, "--json")
+        assert status == code
+        (entry,) = json.loads(out)["commands"]
+        assert (entry["depth"], entry["equality"], entry["equivalence_ok"]) == (
+            0, True, False
+        )
+        assert entry["depth_exact"] is (stop == STOP_DIMENSION_ZERO)
+        assert entry["ok"] is (code == 0)
+
     def test_oracle_check(self, capsys):
         code, out, _ = invoke(capsys, "oracle-check", *self.RING, "--degree", "8")
         assert code == 0
@@ -620,9 +666,20 @@ class TestPaperExamples:
         check_names = {c["name"] for c in suite["checks"]}
         assert any(n.startswith("sensitivity[i=") for n in check_names)
 
-    def test_uncertified_trials_fail_without_traceback(self, capsys):
-        # with one trial some ssops are not certified admissible; the
+    def test_uncertified_trials_fail_without_traceback(self, capsys, monkeypatch):
+        # one trial is one random draw after the fixed prefix, which
+        # certifies every cell
+        code, full, _ = invoke(capsys, "paper-examples", "--trials", "1", "--json")
+        assert code == 0
+        # a search that certifies nothing leaves the ssops uncertified; the
         # suites record that as failed checks instead of raising
+        monkeypatch.setattr(
+            theorem,
+            "find_superficial_sequence",
+            lambda M, fs, seed, trials: AdmissibilityCertificate(
+                PROBABLY_NOT_ADMISSIBLE, None, trials
+            ),
+        )
         code, out, err = invoke(capsys, "paper-examples", "--trials", "1", "--json")
         assert code == 1
         assert err == ""
@@ -635,7 +692,6 @@ class TestPaperExamples:
             if not c["ok"]
         }
         assert any(n.startswith("sensitivity[i=") for n in failed)
-        _, full, _ = invoke(capsys, "paper-examples", "--json")
         names = [
             [c["name"] for c in cell.get("checks", ())] for cell in report["cells"]
         ]

@@ -633,6 +633,24 @@ def test_golden_table_of_five_quadrics_without_a_rational_basis(monkeypatch):
     assert module_table(M).coeffs == (32, 80, 80, 40, 10, 1)
 
 
+def test_golden_table_of_eight_quadrics_in_six_variables(monkeypatch):
+    # more generators than variables, so only the rational loop runs.  A
+    # degree whose Hilbert bound max(0, H(n) - H(n - e)) is 0 is spanned
+    # already, so its pairs are skipped instead of reduced to zero.
+    reduced = []
+    spair = polyring.RationalKernel.spair
+
+    def spy(self, *args):
+        r = spair(self, *args)
+        reduced.append(r)
+        return r
+
+    monkeypatch.setattr(polyring.RationalKernel, "spair", spy)
+    M = CyclicModule(6, PolyIdeal(6, bench_quadrics(6, 8, 0)))
+    assert module_table(M).coeffs == (28, 56, 37, 8)
+    assert reduced and None not in reduced
+
+
 def _form(draw, deg: int, dense: bool) -> Polynomial:
     """A degree-deg form in 3 variables: every monomial of that degree, or
     one to four of them, with nonzero coefficients."""
@@ -1235,7 +1253,7 @@ class TestRandomLinearForm:
             LinearForm((Fraction(1), Fraction(0), Fraction(1))),
             LinearForm((Fraction(0), Fraction(1), Fraction(0))),
         ]
-        stream = _combination_stream(len(span), random.Random(3))
+        stream = _combination_stream(len(span), random.Random(3), 8)
         for coeffs in itertools.islice(stream, 12):
             g = form_combination(coeffs, span)
             assert g is not None

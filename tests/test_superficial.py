@@ -1,5 +1,6 @@
 """Superficiality, ssop, admissibility certification, and depth."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -351,10 +352,11 @@ class TestFindSuperficialSequence:
 
     def test_probably_not_admissible(self):
         # (x2) is an ssop for PQ but no scalar multiple is superficial,
-        # so certification can only exhaust its budget
+        # so certification can only exhaust its budget: the one unit
+        # vector of a one-form basis, then 8 random draws
         cert = find_superficial_sequence(PQ, [lf(0, 1, 0)], trials=8)
         assert cert.verdict == PROBABLY_NOT_ADMISSIBLE
-        assert cert.trials_used == 8
+        assert cert.trials_used == 9
         assert not cert
 
     def test_empty_input(self):
@@ -442,8 +444,9 @@ def reference_depth(
     M: CyclicModule, seed: int = 0, trials: int = DEFAULT_TRIALS
 ) -> DepthCertificate:
     """The earlier depth loop, which tested every candidate with the
-    screen and a cut, kept verbatim (without its memo) as the reference
-    for the support rule on monomial ideals."""
+    screen and a cut, kept (without its memo) as the reference for the
+    support rule on monomial ideals.  Its budget is the stream's: the
+    k * k prefix is free, then `trials` random draws."""
     chain = QuotientChain((M.drop_shift(),))
     links: list[LinearForm] = []
     rng = random.Random(seed)
@@ -453,9 +456,11 @@ def reference_depth(
             cert = DepthCertificate(len(links), tuple(links), STOP_DIMENSION_ZERO, 0)
             break
         screen = screen_of(chain.last.ideal)
+        k = chain.last.ring_dim
+        budget = k * k + trials
         failures = 0
         found = None
-        for coeffs in _combination_stream(chain.last.ring_dim, rng):
+        for coeffs in _combination_stream(k, rng, trials):
             f = LinearForm(coeffs)
             if _screen_passes(screen, f):
                 D, cut = _socle_cut(chain, f)
@@ -463,11 +468,11 @@ def reference_depth(
                     found = f
                     break
             failures += 1
-            if failures >= trials:
+            if failures >= budget:
                 break
         if found is None:
             cert = DepthCertificate(
-                len(links), tuple(links), STOP_TRIALS_EXHAUSTED, failures
+                len(links), tuple(links), STOP_TRIALS_EXHAUSTED, trials
             )
             break
         links.append(chain.pull(found))
@@ -581,6 +586,49 @@ class TestSupportRule:
         assert cert.failed_trials == 10**9
         assert tested == [lf(1, 0), lf(0, 1), lf(1, 1)]
         assert depth(M, trials=64) == reference_depth(M, trials=64)
+
+
+def edge_ideal_module(n: int, cycle: bool) -> CyclicModule:
+    """R/I(G) for the path x1 - x2 - ... - xn, closed into a cycle on
+    request."""
+    edges = [(a, a + 1) for a in range(n - 1)] + [(n - 1, 0)] * cycle
+    return CyclicModule(n, mono(n, *(tuple(int(v in e) for v in range(n)) for e in edges)))
+
+
+class TestTrialBudget:
+    """`trials` counts random draws; the k units and k(k - 1) signed pairs
+    in front of them are always tried."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("trials", [1, 5, DEFAULT_TRIALS])
+    def test_stream_is_the_prefix_then_trials_draws(self, k, trials):
+        stream = list(_combination_stream(k, random.Random(k), trials))
+        assert len(stream) == k * k + trials
+        assert all(any(c) for c in stream)
+        assert stream[:k] == [tuple(int(i == j) for i in range(k)) for j in range(k)]
+        pair = [0] * (k - 2) + [1, 1]
+        assert all(sorted(map(abs, c)) == pair for c in stream[k : k * k])
+        assert len(set(stream[: k * k])) == k * k
+
+    def test_an_exhausted_step_tries_the_prefix_and_trials_draws(self, monkeypatch):
+        # every product x_i x_j l with l = x + 2y + 3z: m is associated,
+        # so no candidate is regular and all 9 + 5 reach the screen
+        tested = TestSupportRule.screened(monkeypatch)
+        xs = [Polynomial.variable(3, k) for k in range(3)]
+        ell = xs[0] + 2 * xs[1] + 3 * xs[2]
+        gens = [a * b * ell for a, b in itertools.combinations_with_replacement(xs, 2)]
+        cert = depth(CyclicModule(3, PolyIdeal(3, gens)), trials=5)
+        assert (cert.depth, cert.stop_evidence) == (0, STOP_TRIALS_EXHAUSTED)
+        assert cert.failed_trials == 5
+        assert len(tested) == 9 + 5
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_depth_of_paths_and_cycles(self, n):
+        # depth R/I(P_n) = ceil(n / 3) (Morey 2010) and depth R/I(C_n) =
+        # ceil((n - 1) / 3) (Jacques 2004): from six variables on, the
+        # default trials must reach forms with more than two terms
+        assert depth(edge_ideal_module(n, False)).depth == -(-n // 3)
+        assert depth(edge_ideal_module(n, True)).depth == -(-(n - 1) // 3)
 
 
 def reference_screen(I: PolyIdeal) -> tuple[FractionEchelon, int, dict, int]:
