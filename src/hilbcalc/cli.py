@@ -214,7 +214,7 @@ def _run_depth(env: _Env, cmd, opts: Options) -> tuple[dict, str]:
     how = (
         "exact: chain reached dimension zero"
         if cert.is_exact
-        else f"probabilistic: {cert.failed_trials} candidates failed"
+        else f"probabilistic: candidates ran out, trials {cert.failed_trials}"
     )
     chain = _forms_text(cert.chain, env.variables, empty="(empty)")
     return fields, f"{cert.depth} ({how}), chain {chain}"

@@ -4,9 +4,12 @@ Kept deliberately small.  IntEchelon holds primitive ``{column: int}``
 pivot rows and is the only elimination routine the package runs, and
 macaulay_echelons is the one builder of Macaulay rows, from the
 generators' integer numerators on monomials packed by monomial_packing.
-The brute-force oracle reads each degree's rank; the depth screen grows
-copies of the degree-two echelon and reads dim (R/I)_1 off the
-degree-one echelon.  forms_independent inserts linear forms.  int_rank
+The brute-force oracle reads each degree's rank; the depth screen reads
+dim (R/I)_1 off the degree-one echelon and ranks a candidate's rows
+against the degree-two echelon: in a copy of it when some pivot row has
+two or more entries, and otherwise, as on a monomial ideal, in a fresh
+echelon with the pivot columns deleted.  forms_independent inserts
+linear forms.  int_rank
 and FractionEchelon are no longer used by the package: they stay
 because the benchmark tracer wraps them by name and the tests use them
 as references.

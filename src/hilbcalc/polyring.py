@@ -9,21 +9,22 @@ as its primitive integer multiple.  The package has two monomial orders,
 `DegRevLex` and `EliminationOrder`, whose sort keys put the leading
 monomial first, so leading terms come from min() over the support.
 Linear substitution works on the numerators, and one gcd puts each
-result in lowest terms.  The Groebner engine is one incremental
-Buchberger loop on homogeneous input: generators enter one at a time,
-S-pairs are skipped by the coprime and chain criteria and by an exact
-lower bound on the Hilbert function of the next stage's quotient, read
-off a Hilbert numerator the loop keeps up to date.  The loop and its
-kernels work on monomials packed into single ints, one packing for each
-of the two orders: over the rationals the kernel reduces fully and
-fraction-free, and the same loop is the plain division of `normal_form`
-and of `colon`'s exact quotients; mod 2^31 - 1 it top-reduces only.  A
-run ends in leading monomials and their Hilbert numerator, which is all
-the series and `initial_ideal` need; only `buchberger` and `colon`
-tail-reduce the rational run into the reduced monic basis.  The mod-p
-numerator certifies a series, never an initial ideal (see
-`presentation`).  Exponent arithmetic and the monomial Hilbert numerator
-live in `monomial`.
+result in lowest terms; a monomial ideal cut along a form of at most two
+terms is mapped on its exponent tuples instead.  The Groebner engine is
+one incremental Buchberger loop on homogeneous input: generators enter
+one at a time, S-pairs are skipped by the coprime and chain criteria and
+by an exact lower bound on the Hilbert function of the next stage's
+quotient, read off a Hilbert numerator the loop keeps up to date.  The
+loop and its kernels work on monomials packed into single ints, one
+packing for each of the two orders: over the rationals the kernel
+reduces fully and fraction-free, and the same loop is the plain division
+of `normal_form` and of `colon`'s exact quotients; mod 2^31 - 1 it
+top-reduces only.  A run ends in leading monomials and their Hilbert
+numerator, which is all the series and `initial_ideal` need; only
+`buchberger` and `colon` tail-reduce the rational run into the reduced
+monic basis.  The mod-p numerator certifies a series, never an initial
+ideal (see `presentation`).  Exponent arithmetic and the monomial
+Hilbert numerator live in `monomial`.
 """
 
 from __future__ import annotations
@@ -111,6 +112,14 @@ def clear_denominators(coeffs: dict) -> tuple[int, dict]:
     return den, {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
 
 
+def _integer_polynomial(nvars: int, nums: dict) -> "Polynomial":
+    """The polynomial with the nonzero integer numerators nums over den 1,
+    for nums with no common factor."""
+    p = object.__new__(Polynomial)
+    p.nvars, p.nums, p.den = nvars, nums, 1
+    return p
+
+
 def _lowest(nvars: int, nums: dict, den: int) -> "Polynomial":
     """The polynomial nums / den, for nonzero integer numerators and a
     nonzero den of either sign, in lowest terms."""
@@ -123,17 +132,6 @@ def _lowest(nvars: int, nums: dict, den: int) -> "Polynomial":
     p = object.__new__(Polynomial)
     p.nvars, p.nums, p.den = nvars, nums, den
     return p
-
-
-def _primitive(nvars: int, nums: dict) -> "Polynomial":
-    """The primitive integer multiple of the polynomial with the nonzero
-    integer numerators nums: content 1, den 1, terms in sorted order and
-    the first of them positive."""
-    terms = sorted(nums.items())
-    content = gcd(*nums.values())
-    if terms[0][1] < 0:
-        content = -content
-    return _lowest(nvars, {m: c // content for m, c in terms}, 1)
 
 
 class Polynomial:
@@ -265,9 +263,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return self.is_zero or self.homogeneous_degree() is not None
 
-    def is_term(self) -> bool:
-        return len(self.nums) == 1
-
     def __repr__(self) -> str:
         if not self.nums:
             return "Polynomial(0)"
@@ -362,23 +357,23 @@ def forms_independent(forms: Sequence[LinearForm]) -> bool:
 class PolyIdeal:
     """Homogeneous ideal given by explicit generators, in normal form.
 
-    Each generator is stored once, as its primitive integer multiple
-    (`_primitive`): content 1 over den 1, terms in sorted order with the
-    first one positive.  Generators that are scalar multiples of each
-    other collapse to the first.  Zero generators are dropped, and a
-    constant one makes the unit ideal, generated by 1, so that colon and
-    quotient constructions stay closed.  Series, depth screens, socle
-    series and linear cuts see each generator only up to scale, so the
-    normal form changes none of them.  The key and its hash are fixed at
-    construction.
+    Each generator is stored once, as its primitive integer multiple:
+    content 1 over den 1, terms in sorted order with the first one
+    positive, built from the generator's numerators with one sort and one
+    content gcd.  Generators that are scalar multiples of each other
+    collapse to the first.  Zero generators are dropped, and a constant
+    one makes the unit ideal, generated by 1, so that colon and quotient
+    constructions stay closed.  Series, depth screens, socle series and
+    linear cuts see each generator only up to scale, so the normal form
+    changes none of them.  The key, its hash and `is_monomial` are fixed
+    at construction; the minimal exponents of a monomial ideal are worked
+    out by the first `monomial_exponents` call and kept.
     """
 
-    __slots__ = ("ring_dim", "generators", "_key", "_hash")
+    __slots__ = ("ring_dim", "generators", "is_monomial", "_key", "_hash", "_exponents")
 
     def __init__(self, ring_dim: int, generators: Iterable[Polynomial] = ()):
-        self.ring_dim = ring_dim
         gens: dict[tuple, Polynomial] = {}
-        is_unit = False
         for g in generators:
             if not isinstance(g, Polynomial):
                 raise TypeError("generators must be Polynomial instances")
@@ -386,20 +381,44 @@ class PolyIdeal:
                 raise RingMismatch(
                     f"generator over {g.nvars} variables in a ring of {ring_dim}"
                 )
-            if g.is_zero:
+            if not g.nums:
                 continue
-            degree = g.homogeneous_degree()
-            if degree is None:
+            terms = sorted(g.nums.items())
+            degree = sum(terms[0][0])
+            if any(sum(m) != degree for m, _ in terms):
                 raise ValueError("ideal generators must be homogeneous")
-            is_unit = is_unit or degree == 0
-            p = _primitive(ring_dim, g.nums)
-            gens.setdefault(tuple(p.nums.items()), p)
-        if is_unit:
-            one = (((0,) * ring_dim, 1),)
+            content = gcd(*g.nums.values())
+            if terms[0][1] < 0:
+                content = -content
+            key = tuple((m, c // content) for m, c in terms) if content != 1 else tuple(terms)
+            if key not in gens:
+                gens[key] = _integer_polynomial(ring_dim, dict(key))
+        self._fix(ring_dim, gens)
+
+    @classmethod
+    def _of_monomials(cls, ring_dim: int, exps: Iterable[Monomial]) -> "PolyIdeal":
+        """The ideal PolyIdeal(ring_dim, [x^m for m in exps]) builds, with no
+        normal-form pass: x^m is already its own primitive multiple."""
+        gens: dict[tuple, Polynomial] = {}
+        for m in exps:
+            key = ((m, 1),)
+            if key not in gens:
+                gens[key] = _integer_polynomial(ring_dim, {m: 1})
+        ideal = object.__new__(cls)
+        ideal._fix(ring_dim, gens)
+        return ideal
+
+    def _fix(self, ring_dim: int, gens: dict[tuple, Polynomial]) -> None:
+        """Set the fields from the generators {normal-form terms: polynomial}."""
+        one = (((0,) * ring_dim, 1),)
+        if one in gens:
             gens = {one: gens[one]}
+        self.ring_dim = ring_dim
         self.generators = tuple(gens.values())
+        self.is_monomial = all(len(terms) == 1 for terms in gens)
         self._key = (ring_dim, tuple(sorted(gens)))
         self._hash = hash(self._key)
+        self._exponents = None
 
     @property
     def is_zero(self) -> bool:
@@ -409,15 +428,16 @@ class PolyIdeal:
     def is_unit(self) -> bool:
         return any(g.homogeneous_degree() == 0 for g in self.generators)
 
-    @property
-    def is_monomial(self) -> bool:
-        return all(g.is_term() for g in self.generators)
-
     def monomial_exponents(self) -> frozenset[Monomial]:
-        """Minimal generating exponents; only for monomial ideals."""
+        """Minimal generating exponents; only for monomial ideals.  Every
+        call returns the frozenset the first call built."""
         if not self.is_monomial:
             raise ValueError("not a monomial ideal")
-        return minimalize_exponents(next(iter(g.nums)) for g in self.generators)
+        if self._exponents is None:
+            self._exponents = minimalize_exponents(
+                next(iter(g.nums)) for g in self.generators
+            )
+        return self._exponents
 
     def canonical_key(self):
         """(ring_dim, sorted terms of the generators), the key behind
@@ -1090,10 +1110,34 @@ class LinearElimination:
         return _lowest(self.nvars - 1, acc, p.den * scales[0])
 
     def map_ideal(self, I: PolyIdeal) -> PolyIdeal:
-        """Generators of I rewritten in the d-1 variable ring."""
+        """Generators of I rewritten in the d-1 variable ring.
+
+        When I is monomial and rep has at most one nonzero entry, the
+        substitution is x_p -> 0 or x_p -> c x_q, and it maps each
+        generator x^m to 0, when m has the pivot and rep is 0, or to a
+        nonzero multiple of one monomial, x^m with its pivot exponent
+        moved onto x_q.  The ideal keeps generators only up to scale, so
+        those cuts run on the exponent tuples and give exactly the ideal,
+        generator order included, that map_polynomial's images give; any
+        other ideal or form goes through map_polynomial.
+        """
         if I.ring_dim != self.nvars:
             raise RingMismatch("ideal is not in the eliminated ring")
-        return PolyIdeal(self.nvars - 1, map(self.map_polynomial, I.generators))
+        targets = [q for q, c in enumerate(self.rep) if c]
+        if not (I.is_monomial and len(targets) <= 1):
+            return PolyIdeal(self.nvars - 1, map(self.map_polynomial, I.generators))
+        pv = self.pivot
+        images = []
+        for g in I.generators:
+            (m,) = g.nums
+            e, base = m[pv], m[:pv] + m[pv + 1 :]
+            if e:
+                if not targets:
+                    continue
+                q = targets[0]
+                base = base[:q] + (base[q] + e,) + base[q + 1 :]
+            images.append(base)
+        return PolyIdeal._of_monomials(self.nvars - 1, images)
 
     def map_form(self, g: LinearForm) -> Optional[LinearForm]:
         if g.nvars != self.nvars:

@@ -123,11 +123,12 @@ class DepthCertificate:
 
 
 # Searches and the audit walk the same (ideal, form) cuts again and again,
-# and the repeats are close together.  At seed 1, 751 of 876 cuts repeat on
-# the paper examples and 729 of 1707 on the random sweep; an LRU of 64
-# catches 738 and 719 of them, 32 entries catch 696 and 714, 128 catch 751
-# and 719.  Against 64 entries, 128 raised peak RSS by 0.3-0.4 MB and an
-# unbounded memo raised the sweep's by 3 MB (12%).
+# and the repeats are close together.  At corpus seed 1, 751 of 876 cuts
+# repeat on the paper examples and 676 of 1160 on the random sweep; an LRU
+# of 64 catches 738 and 666 of them, 32 entries catch 696 and 666, 128
+# catch 751 and 669.  Against 64 entries, 128 raised peak RSS by 0.3-0.4 MB
+# and an unbounded memo raised the sweep's by 3 MB (12%), measured when the
+# sweep made more cuts.
 CUT_MEMO_SIZE = 64
 
 
@@ -333,32 +334,45 @@ def find_superficial_sequence(
     return AdmissibilityCertificate(CERTIFIED, tuple(witness), used)
 
 
-def _screen(I: PolyIdeal) -> tuple[IntEchelon, int, list[int]]:
+def _screen(I: PolyIdeal) -> tuple[IntEchelon, int, list[int], bool]:
     """Degree-two data for fast rejection of non-regular forms.
 
     A regular linear form f multiplies the degree-one part of R/I into
     degree two injectively; a rank drop there is certain evidence of a
     zerodivisor.  Passing the screen decides nothing.
 
-    Returns (base, expected, steps).  The rows come from the oracle's
-    Macaulay walk to degree two: base is its degree-two echelon, the
-    degree-two part of I, and expected = d - rank(I_1) = dim (R/I)_1 is
-    the rank the rows x_k*f must add.  The column of x_j*x_k is
-    steps[j] + steps[k], from monomial_packing(d, 2).
+    Returns (base, expected, steps, unit_rows).  The rows come from the
+    oracle's Macaulay walk to degree two: base is its degree-two echelon,
+    the degree-two part of I, and expected = d - rank(I_1) = dim (R/I)_1
+    is the rank the rows x_k*f must add.  The column of x_j*x_k is
+    steps[j] + steps[k], from monomial_packing(d, 2).  unit_rows says
+    that every pivot row of base has a single entry, as on a monomial I:
+    base then spans the unit vectors of its pivot columns, and
+    `_screen_passes` deletes those columns instead of reducing against
+    the rows.
     """
     d = I.ring_dim
     _, linear, base = macaulay_echelons(d, I.generators, 2)
-    return base, d - linear.rank, monomial_packing(d, 2)[0]
+    unit_rows = all(len(row) == 1 for row in base.pivots.values())
+    return base, d - linear.rank, monomial_packing(d, 2)[0], unit_rows
 
 
 def _screen_passes(screen, f: LinearForm) -> bool:
     """True unless multiplication by f drops rank on the degree-one part.
 
-    The rows x_k*f, from f's integer numerators, go into a copy of the
-    base echelon; what the copy's rank gains is the rank they add.
+    The rows x_k*f are built from f's integer numerators.  On a base of
+    single-entry rows, the rank they add is their rank with the base's
+    columns deleted, taken in a fresh echelon.  Otherwise they go into a
+    copy of the base echelon, and what the copy's rank gains is the rank
+    they add.
     """
-    base, expected, steps = screen
+    base, expected, steps, unit_rows = screen
     nonzero = [(s, c) for s, c in zip(steps, f.nums) if c]
+    if unit_rows:
+        kept = IntEchelon()
+        for t in steps:
+            kept.insert({s + t: c for s, c in nonzero if s + t not in base.pivots})
+        return kept.rank == expected
     grown = IntEchelon(base.pivots)
     for t in steps:
         grown.insert({s + t: c for s, c in nonzero})

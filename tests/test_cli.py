@@ -57,7 +57,7 @@ GOLDEN_RUN = """\
 seed 0, trials 32, max degree 64
 series M: (1 - 2*t^2 + t^3) / (1-t)^3, dimension 2
 coeffs M: dimension 2, e = (1, -1, -1)
-depth M: 1 (probabilistic: 32 candidates failed), chain x1 + y1
+depth M: 1 (probabilistic: candidates ran out, trials 32), chain x1 + y1
 superficial M F: socle lengths (0): PASS
 admissible M F: certified, witness -x1 + y1, trials used 0: PASS
 verify M F i=1: e_1 -1 -> -1, equality yes, depth 1 (exact), parity ok, equivalence ok: PASS

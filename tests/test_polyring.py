@@ -783,7 +783,7 @@ class TestBuchberger:
             (0, 1, 1),
             (1, 0, 1),
         ]
-        assert all(g.is_term() for g in G)
+        assert all(len(g.nums) == 1 for g in G)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -1336,6 +1336,51 @@ class TestScaleInvariantKey:
         assert unit.generators == (Polynomial.one(2),)
 
 
+def reference_ideal(ring_dim: int, gens) -> tuple[tuple[Polynomial, ...], tuple]:
+    """(generators, key) of the earlier construction: each nonzero
+    generator made primitive by a sort, a content gcd and a second gcd
+    pass in lowest terms, kept at its first occurrence, and the unit ideal
+    cut down to 1.  Kept as the reference for the one-pass normal form."""
+    stored: dict[tuple, Polynomial] = {}
+    unit = False
+    for g in gens:
+        if g.is_zero:
+            continue
+        unit = unit or g.homogeneous_degree() == 0
+        terms = sorted(g.nums.items())
+        content = math.gcd(*g.nums.values())
+        if terms[0][1] < 0:
+            content = -content
+        p = Polynomial(ring_dim, {m: c // content for m, c in terms})
+        stored.setdefault(tuple(p.nums.items()), p)
+    if unit:
+        one = (((0,) * ring_dim, 1),)
+        stored = {one: stored[one]}
+    return tuple(stored.values()), (ring_dim, tuple(sorted(stored)))
+
+
+@st.composite
+def normal_form_inputs(draw):
+    """Generators in 3 variables: forms with Fraction coefficients, often a
+    negative first term, scalar repeats of earlier ones, zeros, constants
+    and monomials."""
+    gens: list[Polynomial] = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["form", "repeat", "zero", "constant", "monomial"]))
+        if kind == "repeat" and gens:
+            gens.append(draw(st.sampled_from(gens)) * draw(nonzero_scalars))
+        elif kind == "zero":
+            gens.append(Polynomial(3))
+        elif kind == "constant":
+            gens.append(Polynomial(3, {(0, 0, 0): draw(nonzero_scalars)}))
+        elif kind == "monomial":
+            m = draw(st.tuples(*[st.integers(0, 2)] * 3).filter(any))
+            gens.append(Polynomial(3, {m: draw(nonzero_scalars)}))
+        else:
+            gens.extend(draw(homogeneous_generators()))
+    return gens
+
+
 class TestIdealNormalForm:
     @settings(max_examples=200, deadline=None)
     @given(homogeneous_generators(), st.data())
@@ -1354,3 +1399,107 @@ class TestIdealNormalForm:
         key = (3, tuple(sorted(tuple(sorted(g.nums.items())) for g in I.generators)))
         assert I.canonical_key() == again.canonical_key() == key
         assert hash(I) == hash(again) == hash(key)
+
+    @settings(max_examples=300, deadline=None)
+    @given(normal_form_inputs())
+    def test_one_pass_matches_the_primitive_route(self, gens):
+        I = PolyIdeal(3, gens)
+        generators, key = reference_ideal(3, gens)
+        assert I.generators == generators
+        assert [list(g.nums.items()) for g in I.generators] == [
+            list(g.nums.items()) for g in generators
+        ]
+        assert all(g.den == 1 for g in I.generators)
+        assert I.canonical_key() == key and hash(I) == hash(key)
+        assert I.is_monomial == all(len(g.nums) == 1 for g in generators)
+        if I.is_monomial:
+            exps = I.monomial_exponents()
+            assert exps == minimalize_exponents(next(iter(g.nums)) for g in generators)
+            assert I.monomial_exponents() is exps
+        else:
+            with pytest.raises(ValueError):
+                I.monomial_exponents()
+
+    def test_fixed_cases_match_the_primitive_route(self):
+        x2, xy, y2 = (2, 0, 0), (1, 1, 0), (0, 2, 0)
+        cases = [
+            [P(3, (Fraction(-3, 4), x2), (Fraction(9, 2), y2))],
+            [P(3, (-6, xy)), P(3, (Fraction(2, 7), xy)), P(3, (4, x2), (-2, y2))],
+            [P(3, (2, x2), (-2, y2)), P(3, (-1, x2), (1, y2))],
+            [Polynomial(3), P(3, (5, x2)), Polynomial(3)],
+            [P(3, (3, x2)), P(3, (Fraction(-1, 3), (0, 0, 0))), P(3, (1, y2))],
+            [Polynomial(3)],
+        ]
+        for gens in cases:
+            I = PolyIdeal(3, gens)
+            generators, key = reference_ideal(3, gens)
+            assert I.generators == generators and I.canonical_key() == key
+        # the first sorted term is y^2's, so the normal form is y^2 - x^2
+        assert PolyIdeal(3, cases[2]).generators == (P(3, (1, y2), (-1, x2)),)
+        assert PolyIdeal(3, cases[4]).generators == (Polynomial.one(3),)
+
+
+@st.composite
+def monomial_cuts(draw):
+    """(I, f): a monomial ideal in 2-4 variables with non-minimal, repeated,
+    scaled and sometimes unit generators, and a form that is one variable,
+    a signed pair x_a +- x_b or a scaled pair c x_a + e x_b."""
+    d = draw(st.integers(2, 4))
+    exps = st.tuples(*[st.integers(0, 3)] * d)
+    pool = draw(st.lists(exps.filter(any), min_size=0, max_size=5))
+    gens = []
+    for _ in range(draw(st.integers(0, 8))):
+        m = draw(st.sampled_from(pool)) if pool and draw(st.booleans()) else draw(exps)
+        gens.append(Polynomial(d, {m: draw(nonzero_scalars)}))
+    a, b = draw(st.permutations(range(d)))[:2]
+    kind = draw(st.sampled_from(["variable", "signed", "scaled"]))
+    coeffs = [Fraction(0)] * d
+    if kind == "variable":
+        coeffs[a] = draw(nonzero_scalars)
+    elif kind == "signed":
+        coeffs[a], coeffs[b] = Fraction(1), Fraction(draw(st.sampled_from([1, -1])))
+    else:
+        coeffs[a], coeffs[b] = draw(nonzero_scalars), draw(nonzero_scalars)
+    return PolyIdeal(d, gens), LinearForm(tuple(coeffs))
+
+
+class TestExponentCut:
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_cuts())
+    def test_matches_the_substituted_generators(self, cut):
+        I, f = cut
+        elim = eliminate_form(f)
+        J = elim.map_ideal(I)
+        expected = PolyIdeal(
+            I.ring_dim - 1, [reference_map_polynomial(elim, g) for g in I.generators]
+        )
+        assert J.generators == expected.generators
+        assert J.canonical_key() == expected.canonical_key() and hash(J) == hash(expected)
+        assert J.is_monomial and J.monomial_exponents() == expected.monomial_exponents()
+
+    def test_takes_no_polynomial_substitution(self, monkeypatch):
+        def refuse(self, p):
+            raise AssertionError("map_polynomial called")
+
+        monkeypatch.setattr(polyring.LinearElimination, "map_polynomial", refuse)
+        # (x^2, x y, y z^2) along x = 0 and along x = 3 y
+        I = PolyIdeal(3, [P(3, (1, (2, 0, 0))), P(3, (1, (1, 1, 0))), P(3, (1, (0, 1, 2)))])
+        kill = eliminate_form(LinearForm((Fraction(1), Fraction(0), Fraction(0))))
+        assert kill.map_ideal(I) == PolyIdeal(2, [P(2, (1, (1, 2)))])
+        move = eliminate_form(LinearForm((Fraction(1), Fraction(-3), Fraction(0))))
+        assert move.map_ideal(I).generators == (P(2, (1, (2, 0))), P(2, (1, (1, 2))))
+
+    def test_other_cuts_take_the_polynomial_route(self, monkeypatch):
+        calls = []
+        real = polyring.LinearElimination.map_polynomial
+        monkeypatch.setattr(
+            polyring.LinearElimination,
+            "map_polynomial",
+            lambda self, p: calls.append(p) or real(self, p),
+        )
+        x2, binomial = P(3, (1, (2, 0, 0))), P(3, (1, (0, 1, 1)), (2, (0, 0, 2)))
+        # a monomial ideal along a form of three terms, and an ideal with a
+        # binomial along a pair
+        eliminate_form(LinearForm((1, 1, 1))).map_ideal(PolyIdeal(3, [x2]))
+        eliminate_form(LinearForm((1, -1, 0))).map_ideal(PolyIdeal(3, [x2, binomial]))
+        assert len(calls) == 3

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import clear_memos
 from test_oracle import monomials_of_degree
-from hilbcalc.linalg import FractionEchelon
+from hilbcalc.linalg import FractionEchelon, IntEchelon
 from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial, colon, eliminate_form
 from hilbcalc.presentation import CyclicModule, module_dimension, series_of_cyclic
 from hilbcalc.sampling import random_independent_forms, random_module
@@ -683,20 +683,30 @@ SCALES = (1, -1, Fraction(2, 3), Fraction(-7, 5), 10**15, -(10**15), Fraction(1,
 def screen_problems(draw):
     """(I, f) in 2-5 variables: linear generators and quadrics, the
     quadrics often products of a few small forms so that some candidates
-    are zerodivisors, every generator and candidate scaled awkwardly."""
+    are zerodivisors, monomials and cubics, every generator and candidate
+    scaled awkwardly.  An ideal of monomials and cubics alone has a base
+    of single-entry rows (empty for cubics alone); the others mostly do
+    not."""
     d = draw(st.integers(2, 5))
     small = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
     pool = [LinearForm(tuple(c)) for c in draw(st.lists(small, min_size=1, max_size=4))]
-    deg2 = monomials_of_degree(d, 2)
+    deg2, deg3 = monomials_of_degree(d, 2), monomials_of_degree(d, 3)
     gens = []
-    kinds = st.lists(st.sampled_from(["linear", "product", "quadric"]), max_size=4)
-    for kind in draw(kinds):
+    kinds = st.sampled_from(["linear", "product", "quadric", "monomial", "cubic"])
+    for kind in draw(st.lists(kinds, max_size=4)):
         if kind == "linear":
             g = draw(st.sampled_from(pool)).to_polynomial()
         elif kind == "product":
             g = draw(st.sampled_from(pool)).to_polynomial() * draw(
                 st.sampled_from(pool)
             ).to_polynomial()
+        elif kind == "monomial":
+            m = draw(st.sampled_from(monomials_of_degree(d, 1) + deg2 + deg3))
+            g = Polynomial.from_monomial(d, m)
+        elif kind == "cubic":
+            # degree three only: nothing in the degree-two base
+            support = draw(st.lists(st.sampled_from(deg3), min_size=1, max_size=4))
+            g = Polynomial(d, {m: draw(st.integers(-3, 3)) for m in support})
         else:
             support = draw(st.lists(st.sampled_from(deg2), min_size=1, max_size=4))
             g = Polynomial(d, {m: draw(st.integers(-3, 3)) for m in support})
@@ -710,6 +720,17 @@ def screen_problems(draw):
     return PolyIdeal(d, gens), f
 
 
+def copy_screen_passes(screen, f: LinearForm) -> bool:
+    """The rows x_k*f reduced in a copy of the whole base echelon, kept as
+    the reference for the column-deleting branch of `_screen_passes`."""
+    base, expected, steps, _ = screen
+    nonzero = [(s, c) for s, c in zip(steps, f.nums) if c]
+    grown = IntEchelon(base.pivots)
+    for t in steps:
+        grown.insert({s + t: c for s, c in nonzero})
+    return grown.rank - base.rank == expected
+
+
 class TestIntegerScreen:
     @settings(max_examples=300, deadline=None)
     @given(screen_problems())
@@ -718,7 +739,33 @@ class TestIntegerScreen:
         screen, reference = screen_of(I), reference_screen(I)
         # expected is dim (R/I)_1: d minus the rank of the linear generators
         assert screen[1] == reference[1]
-        assert _screen_passes(screen, f) == reference_screen_passes(reference, f)
+        verdict = _screen_passes(screen, f)
+        assert verdict == reference_screen_passes(reference, f)
+        # the branch is the base's shape, and both branches give the copy's verdict
+        base = screen[0]
+        assert screen[3] == all(len(row) == 1 for row in base.pivots.values())
+        assert verdict == copy_screen_passes(screen, f)
+        if I.is_monomial:
+            assert screen[3]
+
+    @pytest.mark.parametrize(
+        "I",
+        [
+            mono(3, (1, 1, 0), (0, 2, 0)),
+            mono(3, (1, 1, 0), (0, 0, 1)),
+            mono(3, (2, 0, 0), (0, 1, 1), (1, 1, 1)),
+            PolyIdeal(3, [Polynomial(3, {(1, 1, 1): 2, (0, 0, 3): -1})]),
+        ],
+        ids=["xy-y2", "xy-z", "x2-yz-xyz", "cubic"],
+    )
+    @pytest.mark.parametrize("coeffs", [(1, 0, 0), (0, 0, 1), (1, -1, 0), (1, 1, 1)])
+    def test_single_entry_bases_agree_with_the_copy(self, I, coeffs):
+        f = lf(*coeffs)
+        screen = screen_of(I)
+        assert screen[3]
+        verdict = _screen_passes(screen, f)
+        assert verdict == copy_screen_passes(screen, f)
+        assert verdict == reference_screen_passes(reference_screen(I), f)
 
     @pytest.mark.parametrize(
         "coeffs, passes",
