@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -48,7 +49,6 @@ from hilbcalc.presentation import (
 from hilbcalc.series import (
     MAX_SHIFT,
     Refusal,
-    binomial,
     expand,
     hilbert_coefficients,
     series_dimension,
@@ -390,7 +390,7 @@ def _suite_cell(suite) -> dict:
 
 def _convolution_table(k: int, l: int) -> tuple[int, ...]:
     return tuple(
-        sum(binomial(k, j + 1) * binomial(l, i - j + 1) for j in range(i + 1))
+        sum(math.comb(k, j + 1) * math.comb(l, i - j + 1) for j in range(i + 1))
         for i in range(k + l - 1)
     )
 

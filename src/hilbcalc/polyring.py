@@ -333,10 +333,14 @@ def form_combination(
     if not forms:
         raise EmptySpan("no forms to combine")
     n = forms[0].nvars
-    cden, cnums = clear_denominators(dict(enumerate(coeffs)))
+    if all(type(c) is int for c in coeffs):
+        cden, cnums = 1, coeffs
+    else:
+        cden, cleared = clear_denominators(dict(enumerate(coeffs)))
+        cnums = cleared.values()
     den = lcm(*(f.den for f in forms))
     acc = [0] * n
-    for c, f in zip(cnums.values(), forms):
+    for c, f in zip(cnums, forms):
         if f.nvars != n:
             raise RingMismatch("forms over different variable counts")
         c *= den // f.den

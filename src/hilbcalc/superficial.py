@@ -14,11 +14,15 @@ successive quotients is one QuotientChain, so a search step builds its
 candidate's quotient once and keeps it when the candidate is accepted.
 Cuts are cached on (ideal, form) in a bounded LRU (CUT_MEMO_SIZE
 entries), so the suites' repeated walks and the audit's re-walk of a
-witness rebuild no quotient they cut recently.  Depth certificates are
-cached, unbounded, on (module, seed, trials), with the shift dropped, so
-every shift of one quotient shares one search.  Both are `functools`
-caches keyed on the values themselves: an ideal keeps its generators in
-normal form, so a hit returns what an uncached call would build.
+witness rebuild no quotient they cut recently.  An entry also keeps the
+step's socle series, built the first time a walk asks for it, and that
+series' superficiality verdict, so a repeated step costs one lookup;
+cuts that need only the quotient (`is_ssop`, `quotient_module`) build no
+series.  Depth certificates are cached, unbounded, on (module, seed,
+trials), with the shift dropped, so every shift of one quotient shares
+one search.  Both are `functools` caches keyed on the values themselves:
+an ideal keeps its generators in normal form, so a hit returns what an
+uncached call would build.
 
 On a monomial ideal I, depth judges a candidate by its support alone.
 The zerodivisors on R/I are the union of its associated primes, and each
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
 
 from hilbcalc.linalg import IntEchelon, macaulay_echelons, monomial_packing
@@ -123,20 +127,38 @@ class DepthCertificate:
 
 
 # Searches and the audit walk the same (ideal, form) cuts again and again,
-# and the repeats are close together.  At corpus seed 1, 751 of 876 cuts
+# and the repeats are close together.  At corpus seed 1, 741 of 866 cuts
 # repeat on the paper examples and 676 of 1160 on the random sweep; an LRU
-# of 64 catches 738 and 666 of them, 32 entries catch 696 and 666, 128
-# catch 751 and 669.  Against 64 entries, 128 raised peak RSS by 0.3-0.4 MB
-# and an unbounded memo raised the sweep's by 3 MB (12%), measured when the
-# sweep made more cuts.
+# of 64 catches 728 and 666 of them, 32 entries catch 686 and 666, 128
+# catch 741 and 669.  A miss also rebuilds the step's socle series.  Peak
+# RSS at that seed (one process per run) reads 23.9 MB on the paper
+# examples at every size, and 23.0, 23.1, 23.2 and 23.5 MB on the sweep at
+# 32, 64 and 128 entries and unbounded; entries that hold their socle
+# series moved neither by more than 0.1 MB.
 CUT_MEMO_SIZE = 64
 
 
+@dataclass(eq=False)
+class _Step:
+    """One entry of the cut memo: I rewritten along f = 0, the substitution
+    used, and the socle series D = h(I') - h(I) of f on R/I once
+    `_socle_step` has asked for it.  D and its verdict depend on (I, f)
+    alone, so every walk that takes the step shares them."""
+
+    ideal: PolyIdeal
+    elim: LinearElimination
+    socle: Optional[HilbertSeries] = None
+
+    @cached_property
+    def report(self) -> SuperficialityReport:
+        return _superficiality(self.socle)
+
+
 @lru_cache(maxsize=CUT_MEMO_SIZE)
-def _cut(I: PolyIdeal, f: LinearForm) -> tuple[PolyIdeal, LinearElimination]:
-    """I rewritten along f = 0, with the substitution used."""
+def _cut(I: PolyIdeal, f: LinearForm) -> _Step:
+    """The memo entry of I cut along f = 0, its socle not yet filled."""
     elim = eliminate_form(f)
-    return elim.map_ideal(I), elim
+    return _Step(elim.map_ideal(I), elim)
 
 
 def quotient_module(
@@ -145,8 +167,8 @@ def quotient_module(
     """M/fM presented in one fewer variable, with the substitution used."""
     if f.nvars != M.ring_dim:
         raise ValueError("form lives in a different ring")
-    ideal, elim = _cut(M.ideal, f)
-    return CyclicModule(M.ring_dim - 1, ideal, M.shift), elim
+    step = _cut(M.ideal, f)
+    return CyclicModule(M.ring_dim - 1, step.ideal, M.shift), step.elim
 
 
 @dataclass(frozen=True)
@@ -187,14 +209,31 @@ class QuotientChain:
         return LinearForm.from_numerators(nums, f.den)
 
 
+def _socle_step(chain: QuotientChain, g: LinearForm) -> tuple[_Step, QuotientChain]:
+    """The memo entry of cutting the chain's last module by g, its socle
+    series filled, and the chain cut by g.
+
+    The series is built the first time the step is asked for and kept in
+    the entry, so a repeat reads one series object and one verdict.  The
+    entry is the one `chain.cut` has just read, so looking it up again is a
+    hit.
+    """
+    cut = chain.cut(g)
+    step = _cut(chain.last.ideal, g)
+    if step.socle is None:
+        h1 = series_of_cyclic(chain.last.drop_shift()).numerator
+        h2 = series_of_cyclic(cut.last.drop_shift()).numerator
+        step.socle = HilbertSeries(cut.last.ring_dim, h2 - h1)
+    return step, cut
+
+
 def _socle_cut(
     chain: QuotientChain, g: LinearForm
 ) -> tuple[HilbertSeries, QuotientChain]:
-    """Socle series of g on the chain's last module, and the chain cut by g."""
-    cut = chain.cut(g)
-    h1 = series_of_cyclic(chain.last.drop_shift()).numerator
-    h2 = series_of_cyclic(cut.last.drop_shift()).numerator
-    return HilbertSeries(cut.last.ring_dim, h2 - h1), cut
+    """Socle series of g on the chain's last module, and the chain cut by g;
+    a repeated step returns the same series object."""
+    step, cut = _socle_step(chain, g)
+    return step.socle, cut
 
 
 def _superficiality(D: HilbertSeries) -> SuperficialityReport:
@@ -213,7 +252,7 @@ def socle_series(M: CyclicModule, g: LinearForm) -> HilbertSeries:
 
 def is_superficial(M: CyclicModule, g: LinearForm) -> SuperficialityReport:
     """Finite-length test: g is superficial iff (0 :_M g) has dim <= 0."""
-    return _superficiality(socle_series(M, g))
+    return _socle_step(QuotientChain((M,)), g)[0].report
 
 
 def is_regular(M: CyclicModule, f: LinearForm) -> bool:
@@ -239,10 +278,11 @@ def superficial_chain(
     for f in gs:
         g = chain.push(f)
         if g is None:
-            D = series_of_cyclic(chain.last.drop_shift())
+            report = _superficiality(series_of_cyclic(chain.last.drop_shift()))
         else:
-            D, chain = _socle_cut(chain, g)
-        reports.append(_superficiality(D))
+            step, chain = _socle_step(chain, g)
+            report = step.report
+        reports.append(report)
         modules.append(chain.last)
     return tuple(reports), tuple(modules)
 
@@ -318,8 +358,8 @@ def find_superficial_sequence(
         for coeffs in _combination_stream(len(basis), rng, trials):
             # basis and cut forms span fs independently, so w survives the push
             w = form_combination(coeffs, basis)
-            D, cut = _socle_cut(chain, chain.push(w))
-            if _superficiality(D):
+            step, cut = _socle_step(chain, chain.push(w))
+            if step.report:
                 break
             used += 1
         else:
@@ -423,7 +463,7 @@ def _depth(M: CyclicModule, seed: int, trials: int) -> DepthCertificate:
         for coeffs in candidates:
             support = sum(1 << j for j, c in enumerate(coeffs) if c)
             if all(support | k != k for k in dead):
-                f = LinearForm(coeffs)
+                f = LinearForm.from_numerators(coeffs, 1)
                 if _screen_passes(screen, f):
                     D, cut = _socle_cut(chain, f)
                     if D.is_zero:

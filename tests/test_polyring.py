@@ -1264,6 +1264,42 @@ class TestRandomLinearForm:
             form_combination([], [])
 
 
+def cleared_combination(coeffs, forms: Sequence[LinearForm]) -> Optional[LinearForm]:
+    """form_combination with every coefficient vector cleared of
+    denominators first, as it was before integer vectors skipped that."""
+    cden, cnums = polyring.clear_denominators(dict(enumerate(coeffs)))
+    den = math.lcm(*(f.den for f in forms))
+    acc = [0] * forms[0].nvars
+    for c, f in zip(cnums.values(), forms):
+        for i, x in enumerate(f.nums):
+            acc[i] += c * (den // f.den) * x
+    return LinearForm.from_numerators(acc, cden * den) if any(acc) else None
+
+
+class TestIntegerCandidates:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32), st.integers(1, 16))
+    def test_stream_vectors_build_the_constructor_form(self, k, seed, trials):
+        vectors = list(_combination_stream(k, random.Random(seed), trials))
+        for c in vectors + [(2, 4), (0, -6, 9), (10, 5, -5)]:
+            f = LinearForm.from_numerators(c, 1)
+            # a non-primitive vector keeps its integers over den 1
+            assert f == LinearForm(c) and (f.nums, f.den) == (tuple(c), 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(form_families(), st.data())
+    def test_combination_agrees_with_the_cleared_route(self, forms, data):
+        if not forms:
+            return
+        mixed = st.one_of(st.integers(-5, 5), st.integers(-(10**15), 10**15), coefficients)
+        cs = data.draw(st.lists(mixed, min_size=len(forms), max_size=len(forms)))
+        expected = cleared_combination(cs, forms)
+        as_fractions = [Fraction(c) for c in cs]
+        as_ints = [int(c) if c.denominator == 1 else c for c in as_fractions]
+        for vector in (cs, as_fractions, as_ints):
+            assert form_combination(vector, forms) == expected
+
+
 def generators_up_to_scalars(I: PolyIdeal) -> tuple:
     """Reference for the ideal key: each generator divided by the
     coefficient of its first monomial in sorted order, as a set."""

@@ -653,8 +653,10 @@ class TestRestrictedCertificate:
             assert len(restricted) <= d
             assert not common_variable(gens)
 
+    # cubics in 6-9 variables can keep the rational reference busy for
+    # minutes; certificate_ideals() still draws cubics in few variables
     @settings(max_examples=80, deadline=None)
-    @given(st.one_of(certificate_ideals(), wide_ideals()))
+    @given(st.one_of(certificate_ideals(), wide_ideals(top=2)))
     def test_certified_restriction_has_the_rational_series(self, I):
         restricted = presentation._restriction(I.generators, I.ring_dim)
         if restricted is None:

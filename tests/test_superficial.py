@@ -10,11 +10,21 @@ from hypothesis import strategies as st
 
 from conftest import clear_memos
 from test_oracle import monomials_of_degree
+from test_presentation import cut_ideals
 from hilbcalc.linalg import FractionEchelon, IntEchelon
 from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial, colon, eliminate_form
-from hilbcalc.presentation import CyclicModule, module_dimension, series_of_cyclic
-from hilbcalc.sampling import random_independent_forms, random_module
-from hilbcalc.series import series_dimension
+from hilbcalc.presentation import (
+    CyclicModule,
+    _series_of_ideal,
+    module_dimension,
+    series_of_cyclic,
+)
+from hilbcalc.sampling import (
+    random_independent_forms,
+    random_module,
+    random_monomial_ideal,
+)
+from hilbcalc.series import HilbertSeries, series_dimension
 from hilbcalc.superficial import (
     CERTIFIED,
     CUT_MEMO_SIZE,
@@ -31,6 +41,8 @@ from hilbcalc.superficial import (
     _screen,
     _screen_passes,
     _socle_cut,
+    _socle_step,
+    _superficiality,
     depth,
     find_superficial_sequence,
     is_regular,
@@ -851,3 +863,61 @@ class TestCutMemo:
         # the least recently used cut was evicted and is built again
         quotient_module(PQ, Z1)
         assert built[-1] == Z1 and len(built) == CUT_MEMO_SIZE + 3
+
+
+@st.composite
+def sweep_problems(draw):
+    """(I, f) as the sweep's quotient walk meets them: a random monomial
+    ideal, or one cut by one or two forms so that it is not monomial, and
+    a random form in its ring."""
+    if draw(st.booleans()):
+        I = draw(cut_ideals())
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        I = random_monomial_ideal(rng, rng.randint(2, 6))
+    d = I.ring_dim
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=d, max_size=d).filter(any))
+    return I, LinearForm(coeffs)
+
+
+class TestSocleStepMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(screen_problems(), sweep_problems()), st.integers(0, 3))
+    def test_step_matches_a_rebuilt_socle_series(self, problem, r):
+        I, f = problem
+        clear_memos()
+        chain = QuotientChain((CyclicModule(I.ring_dim, I, shift=r),))
+        D, cut = _socle_cut(chain, f)
+        report = is_superficial(chain.last, f)
+        # a repeat reads the memo entry: the same objects, and no series
+        info = _series_of_ideal.cache_info()
+        D2, cut2 = _socle_cut(chain, f)
+        assert D2 is D and cut2.last == cut.last
+        assert is_superficial(chain.last, f) is report
+        assert _series_of_ideal.cache_info() == info
+        clear_memos()
+        h2 = series_of_cyclic(cut.last.drop_shift()).numerator
+        h1 = series_of_cyclic(chain.last.drop_shift()).numerator
+        assert (D.ambient_dim, D.numerator) == (I.ring_dim - 1, h2 - h1)
+        assert report == _superficiality(HilbertSeries(I.ring_dim - 1, h2 - h1))
+
+    def test_only_a_socle_step_fills_the_entry(self):
+        quotient_module(PQ, Z1)
+        assert _cut(PQ.ideal, Z1).socle is None
+        info = _series_of_ideal.cache_info()
+        step, _ = _socle_step(QuotientChain((PQ,)), Z1)
+        assert step is _cut(PQ.ideal, Z1) and step.socle is not None
+        assert _series_of_ideal.cache_info().misses == info.misses + 2
+
+    def test_an_evicted_step_is_rebuilt_equal(self):
+        chain = QuotientChain((PQ,))
+        D, _ = _socle_cut(chain, Z1)
+        report = is_superficial(PQ, Z1)
+        for k in range(CUT_MEMO_SIZE):
+            _socle_cut(chain, lf(1, k, 1))
+        assert _cut.cache_info().currsize == CUT_MEMO_SIZE
+        misses = _cut.cache_info().misses
+        D2, _ = _socle_cut(chain, Z1)
+        assert _cut.cache_info().misses == misses + 1
+        assert D2 is not D and D2.numerator == D.numerator
+        assert is_superficial(PQ, Z1) == report
