@@ -301,8 +301,10 @@ class LinearForm:
         if not any(nums):
             raise ValueError("a linear form must have a nonzero coefficient")
         g = gcd(den, *nums) if den > 0 else -gcd(den, *nums)
-        object.__setattr__(self, "nums", tuple(v // g for v in nums))
-        object.__setattr__(self, "den", den // g)
+        if g != 1:
+            nums, den = [v // g for v in nums], den // g
+        object.__setattr__(self, "nums", tuple(nums))
+        object.__setattr__(self, "den", den)
 
     @property
     def coefficients(self) -> tuple[Fraction, ...]:
@@ -994,9 +996,7 @@ def initial_ideal(I: PolyIdeal, order: Optional[Order] = None) -> PolyIdeal:
     order = order or DegRevLex(I.ring_dim)
     kernel = RationalKernel(order, I.generators)
     leads = sorted(g[0] for g in _buchberger_run(I.generators, kernel)[0])
-    return PolyIdeal(
-        I.ring_dim, [Polynomial.from_monomial(I.ring_dim, kernel._unpack(k)) for k in leads]
-    )
+    return PolyIdeal._of_monomials(I.ring_dim, [kernel._unpack(k) for k in leads])
 
 
 def _exact_divide(p: Polynomial, f: Polynomial, order: Order) -> Polynomial:

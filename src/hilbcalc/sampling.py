@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial, forms_independent
+from hilbcalc.polyring import LinearForm, PolyIdeal, forms_independent
 from hilbcalc.presentation import CyclicModule, module_dimension
 from hilbcalc.superficial import DEFAULT_COEFF_BOUND
 
@@ -24,7 +24,7 @@ def random_monomial_ideal(rng: random.Random, d: int) -> PolyIdeal:
         for _ in range(rng.randint(1, MAX_DEGREE)):
             e[rng.randrange(d)] += 1
         exps.add(tuple(e))
-    return PolyIdeal(d, [Polynomial.from_monomial(d, e) for e in exps])
+    return PolyIdeal._of_monomials(d, exps)
 
 
 def random_module(rng: random.Random, d: int, min_dim: int = 0) -> CyclicModule:

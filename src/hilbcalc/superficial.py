@@ -14,15 +14,16 @@ successive quotients is one QuotientChain, so a search step builds its
 candidate's quotient once and keeps it when the candidate is accepted.
 Cuts are cached on (ideal, form) in a bounded LRU (CUT_MEMO_SIZE
 entries), so the suites' repeated walks and the audit's re-walk of a
-witness rebuild no quotient they cut recently.  An entry also keeps the
-step's socle series, built the first time a walk asks for it, and that
-series' superficiality verdict, so a repeated step costs one lookup;
-cuts that need only the quotient (`is_ssop`, `quotient_module`) build no
-series.  Depth certificates are cached, unbounded, on (module, seed,
-trials), with the shift dropped, so every shift of one quotient shares
-one search.  Both are `functools` caches keyed on the values themselves:
-an ideal keeps its generators in normal form, so a hit returns what an
-uncached call would build.
+witness rebuild no quotient they cut recently.  An entry is the whole
+step: the quotient, the substitution, and the step's socle series and
+its superficiality verdict, each worked out the first time it is read.
+A chain carries the entries of its cuts, so a repeated step costs one
+lookup, and cuts that need only the quotient (`is_ssop`,
+`quotient_module`) build no series.  Depth certificates are cached,
+unbounded, on (module, seed, trials), with the shift dropped, so every
+shift of one quotient shares one search.  Both are `functools` caches
+keyed on the values themselves: an ideal keeps its generators in normal
+form, so a hit returns what an uncached call would build.
 
 On a monomial ideal I, depth judges a candidate by its support alone.
 The zerodivisors on R/I are the union of its associated primes, and each
@@ -140,14 +141,22 @@ CUT_MEMO_SIZE = 64
 
 @dataclass(eq=False)
 class _Step:
-    """One entry of the cut memo: I rewritten along f = 0, the substitution
-    used, and the socle series D = h(I') - h(I) of f on R/I once
-    `_socle_step` has asked for it.  D and its verdict depend on (I, f)
-    alone, so every walk that takes the step shares them."""
+    """One entry of the cut memo: the ideal I cut along f = 0, the
+    substitution used, and, on first read, the socle series D = h(I') -
+    h(I) of f on R/I and its verdict.  Both depend on (I, f) alone, so
+    every walk that takes the step shares them; a walk that reads only
+    the quotient builds no series."""
 
+    source: PolyIdeal
     ideal: PolyIdeal
     elim: LinearElimination
-    socle: Optional[HilbertSeries] = None
+
+    @cached_property
+    def socle(self) -> HilbertSeries:
+        d = self.source.ring_dim
+        h1 = series_of_cyclic(CyclicModule(d, self.source)).numerator
+        h2 = series_of_cyclic(CyclicModule(d - 1, self.ideal)).numerator
+        return HilbertSeries(d - 1, h2 - h1)
 
     @cached_property
     def report(self) -> SuperficialityReport:
@@ -156,9 +165,9 @@ class _Step:
 
 @lru_cache(maxsize=CUT_MEMO_SIZE)
 def _cut(I: PolyIdeal, f: LinearForm) -> _Step:
-    """The memo entry of I cut along f = 0, its socle not yet filled."""
+    """The memo entry of I cut along f = 0."""
     elim = eliminate_form(f)
-    return _Step(elim.map_ideal(I), elim)
+    return _Step(I, elim.map_ideal(I), elim)
 
 
 def quotient_module(
@@ -176,26 +185,29 @@ class QuotientChain:
     """The walk M -> M/f1M -> M/(f1,f2)M -> ... by linear forms.
 
     modules[k] is the quotient after k cuts, presented in k fewer
-    variables with the shift of M carried; eliminations[k] is the
-    substitution of cut k + 1.  Start one with QuotientChain((M,)).
+    variables with the shift of M carried; steps[k] is the cut memo's
+    entry for cut k + 1, which holds its substitution, socle series and
+    verdict.  Start one with QuotientChain((M,)).
     """
 
     modules: tuple[CyclicModule, ...]
-    eliminations: tuple[LinearElimination, ...] = ()
+    steps: tuple[_Step, ...] = ()
 
     @property
     def last(self) -> CyclicModule:
         return self.modules[-1]
 
     def cut(self, f: LinearForm) -> "QuotientChain":
-        """The chain one step longer, cut by a form of the last ring."""
-        Q, elim = quotient_module(self.last, f)
-        return QuotientChain(self.modules + (Q,), self.eliminations + (elim,))
+        """The chain one step longer, cut by a form of the last ring; its
+        entry is the one `quotient_module` has just read."""
+        Q, _ = quotient_module(self.last, f)
+        step = _cut(self.last.ideal, f)
+        return QuotientChain(self.modules + (Q,), self.steps + (step,))
 
     def push(self, f: LinearForm) -> Optional[LinearForm]:
         """A form of the first ring mapped into the last; None once it dies."""
-        for elim in self.eliminations:
-            f = elim.map_form(f)
+        for step in self.steps:
+            f = step.elim.map_form(f)
             if f is None:
                 return None
         return f
@@ -204,36 +216,9 @@ class QuotientChain:
         """A form of the last ring lifted to the first, zero on the cut
         variables."""
         nums = list(f.nums)
-        for elim in reversed(self.eliminations):
-            nums.insert(elim.pivot, 0)
+        for step in reversed(self.steps):
+            nums.insert(step.elim.pivot, 0)
         return LinearForm.from_numerators(nums, f.den)
-
-
-def _socle_step(chain: QuotientChain, g: LinearForm) -> tuple[_Step, QuotientChain]:
-    """The memo entry of cutting the chain's last module by g, its socle
-    series filled, and the chain cut by g.
-
-    The series is built the first time the step is asked for and kept in
-    the entry, so a repeat reads one series object and one verdict.  The
-    entry is the one `chain.cut` has just read, so looking it up again is a
-    hit.
-    """
-    cut = chain.cut(g)
-    step = _cut(chain.last.ideal, g)
-    if step.socle is None:
-        h1 = series_of_cyclic(chain.last.drop_shift()).numerator
-        h2 = series_of_cyclic(cut.last.drop_shift()).numerator
-        step.socle = HilbertSeries(cut.last.ring_dim, h2 - h1)
-    return step, cut
-
-
-def _socle_cut(
-    chain: QuotientChain, g: LinearForm
-) -> tuple[HilbertSeries, QuotientChain]:
-    """Socle series of g on the chain's last module, and the chain cut by g;
-    a repeated step returns the same series object."""
-    step, cut = _socle_step(chain, g)
-    return step.socle, cut
 
 
 def _superficiality(D: HilbertSeries) -> SuperficialityReport:
@@ -247,12 +232,12 @@ def _superficiality(D: HilbertSeries) -> SuperficialityReport:
 
 def socle_series(M: CyclicModule, g: LinearForm) -> HilbertSeries:
     """Series of (0 :_M g), up to one harmless degree shift."""
-    return _socle_cut(QuotientChain((M,)), g)[0]
+    return QuotientChain((M,)).cut(g).steps[-1].socle
 
 
 def is_superficial(M: CyclicModule, g: LinearForm) -> SuperficialityReport:
     """Finite-length test: g is superficial iff (0 :_M g) has dim <= 0."""
-    return _socle_step(QuotientChain((M,)), g)[0].report
+    return QuotientChain((M,)).cut(g).steps[-1].report
 
 
 def is_regular(M: CyclicModule, f: LinearForm) -> bool:
@@ -280,8 +265,8 @@ def superficial_chain(
         if g is None:
             report = _superficiality(series_of_cyclic(chain.last.drop_shift()))
         else:
-            step, chain = _socle_step(chain, g)
-            report = step.report
+            chain = chain.cut(g)
+            report = chain.steps[-1].report
         reports.append(report)
         modules.append(chain.last)
     return tuple(reports), tuple(modules)
@@ -358,8 +343,8 @@ def find_superficial_sequence(
         for coeffs in _combination_stream(len(basis), rng, trials):
             # basis and cut forms span fs independently, so w survives the push
             w = form_combination(coeffs, basis)
-            step, cut = _socle_step(chain, chain.push(w))
-            if step.report:
+            cut = chain.cut(chain.push(w))
+            if cut.steps[-1].report:
                 break
             used += 1
         else:
@@ -465,8 +450,8 @@ def _depth(M: CyclicModule, seed: int, trials: int) -> DepthCertificate:
             if all(support | k != k for k in dead):
                 f = LinearForm.from_numerators(coeffs, 1)
                 if _screen_passes(screen, f):
-                    D, cut = _socle_cut(chain, f)
-                    if D.is_zero:
+                    cut = chain.cut(f)
+                    if cut.steps[-1].socle.is_zero:
                         break
                 if monomial:
                     if support == full:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from hilbcalc.monomial import monomial_divides
-from hilbcalc.polyring import LinearForm, PolyIdeal, Polynomial
+from hilbcalc.polyring import LinearForm, PolyIdeal
 from hilbcalc.presentation import (
     COMPLETE_INTERSECTION_2,
     HILBERT_BURCH,
@@ -203,10 +203,6 @@ def _variable_form(d: int, index: int) -> LinearForm:
     return LinearForm([int(k == index) for k in range(d)])
 
 
-def _monomial_ideal(d: int, exps) -> PolyIdeal:
-    return PolyIdeal(d, [Polynomial.from_monomial(d, e) for e in exps])
-
-
 def _degree_one_socle_witness(I: PolyIdeal, index: int) -> bool:
     """Exactly check that variable `index` is a nonzero socle element of
     R/I, for monomial I: the variable is outside I but every product
@@ -235,7 +231,7 @@ def maximal_times_prime_module(d: int, s: int) -> CyclicModule:
             e[a] += 1
             e[b] += 1
             gens.append(tuple(e))
-    return CyclicModule(d, _monomial_ideal(d, gens))
+    return CyclicModule(d, PolyIdeal._of_monomials(d, gens))
 
 
 def maximal_times_prime_table(d: int, s: int) -> CoefficientTable:
@@ -320,7 +316,7 @@ def two_prime_product_module(r: int, s: int) -> CyclicModule:
             e[i] += 1
             e[s + j] += 1
             gens.append(tuple(e))
-    return CyclicModule(d, _monomial_ideal(d, gens))
+    return CyclicModule(d, PolyIdeal._of_monomials(d, gens))
 
 
 def two_prime_product_table(r: int, s: int) -> CoefficientTable:
@@ -379,13 +375,13 @@ def run_two_prime_product_suite(
     # inclusion-exclusion over the two primes
     SM = series_of_cyclic(M)
     Sp = series_of_cyclic(
-        CyclicModule(d, _monomial_ideal(d, [tuple(1 if k == i else 0 for k in range(d)) for i in range(s)]))
+        CyclicModule(d, PolyIdeal._of_monomials(d, [tuple(1 if k == i else 0 for k in range(d)) for i in range(s)]))
     )
     Sq = series_of_cyclic(
-        CyclicModule(d, _monomial_ideal(d, [tuple(1 if k == s + j else 0 for k in range(d)) for j in range(r)]))
+        CyclicModule(d, PolyIdeal._of_monomials(d, [tuple(1 if k == s + j else 0 for k in range(d)) for j in range(r)]))
     )
     Sm = series_of_cyclic(
-        CyclicModule(d, _monomial_ideal(d, [tuple(1 if k == i else 0 for k in range(d)) for i in range(d)]))
+        CyclicModule(d, PolyIdeal._of_monomials(d, [tuple(1 if k == i else 0 for k in range(d)) for i in range(d)]))
     )
     residue = combine([(1, SM), (-1, Sp), (-1, Sq), (1, Sm)])
     checks.append(CheckResult("inclusion-exclusion", residue.is_zero))

@@ -1287,6 +1287,19 @@ class TestIntegerCandidates:
             assert f == LinearForm(c) and (f.nums, f.den) == (tuple(c), 1)
 
     @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-12, 12), min_size=1, max_size=5).filter(any),
+        st.integers(-12, 12).filter(bool),
+    )
+    def test_numerators_over_any_den_build_the_constructor_form(self, nums, den):
+        # the gcd-1 case keeps the numerators; a den of -1 still flips signs
+        f = LinearForm.from_numerators(nums, den)
+        expected = LinearForm([Fraction(v, den) for v in nums])
+        assert (f.nums, f.den) == (expected.nums, expected.den)
+        assert f.den > 0 and math.gcd(f.den, *f.nums) == 1
+        assert type(f.nums) is tuple
+
+    @settings(max_examples=200, deadline=None)
     @given(form_families(), st.data())
     def test_combination_agrees_with_the_cleared_route(self, forms, data):
         if not forms:
@@ -1473,6 +1486,32 @@ class TestIdealNormalForm:
         # the first sorted term is y^2's, so the normal form is y^2 - x^2
         assert PolyIdeal(3, cases[2]).generators == (P(3, (1, y2), (-1, x2)),)
         assert PolyIdeal(3, cases[4]).generators == (Polynomial.one(3),)
+
+
+@st.composite
+def monomial_lists(draw):
+    """(d, exps): up to 12 exponent tuples in 1-4 variables, drawn from a
+    pool of at most 8 and the zero exponent, so repeats are common."""
+    d = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=8))
+    return d, draw(st.lists(st.sampled_from(pool + [(0,) * d]), max_size=12))
+
+
+class TestMonomialIdealBuilder:
+    @settings(max_examples=300, deadline=None)
+    @given(monomial_lists())
+    def test_matches_the_polynomial_route(self, case):
+        d, exps = case
+        I = PolyIdeal._of_monomials(d, exps)
+        expected = PolyIdeal(d, [Polynomial.from_monomial(d, m) for m in exps])
+        assert I.generators == expected.generators
+        assert [list(g.nums.items()) for g in I.generators] == [
+            list(g.nums.items()) for g in expected.generators
+        ]
+        assert all(g.den == 1 for g in I.generators)
+        assert I.canonical_key() == expected.canonical_key()
+        assert hash(I) == hash(expected)
+        assert I.is_monomial == expected.is_monomial
 
 
 @st.composite

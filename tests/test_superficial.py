@@ -1,6 +1,7 @@
 """Superficiality, ssop, admissibility certification, and depth."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from hilbcalc.sampling import (
     random_module,
     random_monomial_ideal,
 )
-from hilbcalc.series import HilbertSeries, series_dimension
+from hilbcalc.series import HilbertSeries, IntPolynomial, series_dimension
 from hilbcalc.superficial import (
     CERTIFIED,
     CUT_MEMO_SIZE,
@@ -40,8 +41,6 @@ from hilbcalc.superficial import (
     _cut,
     _screen,
     _screen_passes,
-    _socle_cut,
-    _socle_step,
     _superficiality,
     depth,
     find_superficial_sequence,
@@ -248,7 +247,7 @@ class TestQuotientChain:
         chain = QuotientChain((shifted,)).cut(Z1)
         assert [Q.ring_dim for Q in chain.modules] == [3, 2]
         assert chain.last.shift == 2
-        assert len(chain.eliminations) == 1
+        assert len(chain.steps) == 1
         assert chain.modules[1] == quotient_module(shifted, Z1)[0]
 
 
@@ -475,8 +474,8 @@ def reference_depth(
         for coeffs in _combination_stream(k, rng, trials):
             f = LinearForm(coeffs)
             if _screen_passes(screen, f):
-                D, cut = _socle_cut(chain, f)
-                if D.is_zero:
+                cut = chain.cut(f)
+                if cut.steps[-1].socle.is_zero:
                     found = f
                     break
             failures += 1
@@ -605,6 +604,33 @@ def edge_ideal_module(n: int, cycle: bool) -> CyclicModule:
     request."""
     edges = [(a, a + 1) for a in range(n - 1)] + [(n - 1, 0)] * cycle
     return CyclicModule(n, mono(n, *(tuple(int(v in e) for v in range(n)) for e in edges)))
+
+
+class TestEdgeIdealSeries:
+    """R/I(G) is the Stanley-Reisner ring of the independence complex of G,
+    so its series over (1 - t)^n has the numerator sum_j f_j t^j (1 - t)^(n - j),
+    f_j the number of independent j-sets (Stanley, Combinatorics and
+    Commutative Algebra, ch. II): C(n - j + 1, j) on the path P_n and
+    n / (n - j) C(n - j, j) on the cycle C_n, j < n."""
+
+    @staticmethod
+    def independence_numerator(n: int, faces) -> IntPolynomial:
+        total = IntPolynomial.zero()
+        for j, f in enumerate(faces):
+            total = total + f * IntPolynomial.t_power(j).times_one_minus_t(n - j)
+        return total
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_paths(self, n):
+        faces = [math.comb(n - j + 1, j) for j in range(n + 1)]
+        S = series_of_cyclic(edge_ideal_module(n, False))
+        assert (S.ambient_dim, S.numerator) == (n, self.independence_numerator(n, faces))
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_cycles(self, n):
+        faces = [n * math.comb(n - j, j) // (n - j) for j in range(n)]
+        S = series_of_cyclic(edge_ideal_module(n, True))
+        assert (S.ambient_dim, S.numerator) == (n, self.independence_numerator(n, faces))
 
 
 class TestTrialBudget:
@@ -887,12 +913,13 @@ class TestSocleStepMemo:
         I, f = problem
         clear_memos()
         chain = QuotientChain((CyclicModule(I.ring_dim, I, shift=r),))
-        D, cut = _socle_cut(chain, f)
+        cut = chain.cut(f)
+        D = cut.steps[-1].socle
         report = is_superficial(chain.last, f)
         # a repeat reads the memo entry: the same objects, and no series
         info = _series_of_ideal.cache_info()
-        D2, cut2 = _socle_cut(chain, f)
-        assert D2 is D and cut2.last == cut.last
+        cut2 = chain.cut(f)
+        assert cut2.steps[-1].socle is D and cut2.last == cut.last
         assert is_superficial(chain.last, f) is report
         assert _series_of_ideal.cache_info() == info
         clear_memos()
@@ -901,23 +928,68 @@ class TestSocleStepMemo:
         assert (D.ambient_dim, D.numerator) == (I.ring_dim - 1, h2 - h1)
         assert report == _superficiality(HilbertSeries(I.ring_dim - 1, h2 - h1))
 
-    def test_only_a_socle_step_fills_the_entry(self):
+    def test_nothing_is_computed_until_it_is_read(self):
         quotient_module(PQ, Z1)
-        assert _cut(PQ.ideal, Z1).socle is None
+        assert is_ssop(PQ, [Z1])
+        step = _cut(PQ.ideal, Z1)
+        assert QuotientChain((PQ,)).cut(Z1).steps[-1] is step
+        assert "socle" not in vars(step) and "report" not in vars(step)
+        report = is_superficial(PQ, Z1)
+        assert "socle" in vars(step) and "report" in vars(step)
+        assert report is step.report
+        # a second caller gets the same objects with no series built
         info = _series_of_ideal.cache_info()
-        step, _ = _socle_step(QuotientChain((PQ,)), Z1)
-        assert step is _cut(PQ.ideal, Z1) and step.socle is not None
-        assert _series_of_ideal.cache_info().misses == info.misses + 2
+        assert socle_series(PQ, Z1) is step.socle
+        assert is_superficial(PQ, Z1) is report
+        assert _series_of_ideal.cache_info() == info
 
     def test_an_evicted_step_is_rebuilt_equal(self):
         chain = QuotientChain((PQ,))
-        D, _ = _socle_cut(chain, Z1)
+        D = chain.cut(Z1).steps[-1].socle
         report = is_superficial(PQ, Z1)
         for k in range(CUT_MEMO_SIZE):
-            _socle_cut(chain, lf(1, k, 1))
+            chain.cut(lf(1, k, 1)).steps[-1].socle
         assert _cut.cache_info().currsize == CUT_MEMO_SIZE
         misses = _cut.cache_info().misses
-        D2, _ = _socle_cut(chain, Z1)
+        D2 = chain.cut(Z1).steps[-1].socle
         assert _cut.cache_info().misses == misses + 1
         assert D2 is not D and D2.numerator == D.numerator
         assert is_superficial(PQ, Z1) == report
+
+
+class TestCutsGoThroughQuotientModule:
+    """Every cut is taken by `quotient_module`, the benchmark tracer's
+    layer, so no search or walk can bypass it."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        from hilbcalc import superficial
+
+        calls = []
+        real = superficial.quotient_module
+        monkeypatch.setattr(
+            superficial, "quotient_module", lambda M, f: calls.append(f) or real(M, f)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda M, fs: depth(M),
+            lambda M, fs: find_superficial_sequence(M, fs),
+            lambda M, fs: is_ssop(M, fs),
+        ],
+        ids=["depth", "find_superficial_sequence", "is_ssop"],
+    )
+    def test_the_searches_reach_it(self, monkeypatch, search):
+        calls = self.counted(monkeypatch)
+        M = two_prime_product_module(1, 2)
+        search(M, random_independent_forms(random.Random(3), M.ring_dim, 2))
+        assert calls
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_live_chain_cuts_once_per_form(self, monkeypatch, k):
+        calls = self.counted(monkeypatch)
+        fs = [lf(*(int(i == j) for i in range(3))) for j in range(k)]
+        superficial_chain(PQ, fs)
+        assert len(calls) == k
