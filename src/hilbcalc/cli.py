@@ -64,6 +64,7 @@ from hilbcalc.theorem import (
     MAXIMAL_TIMES_PRIME_CELLS,
     RESOLUTION_FAMILY_CELLS,
     TWO_PRIME_PRODUCT_CELLS,
+    CheckResult,
     NotAdmissible,
     run_maximal_times_prime_suite,
     run_two_prime_product_suite,
@@ -395,7 +396,9 @@ def _convolution_table(k: int, l: int) -> tuple[int, ...]:
     )
 
 
-def paper_examples_report(opts: Options) -> dict:
+def paper_examples_report(opts: Options) -> tuple[dict, list[str]]:
+    """Run the builtin catalogue once; return the schema-1 report and its
+    human lines, both built from each cell as it is computed."""
     instances = [
         closed_form_family(case, **params) for case, params in RESOLUTION_FAMILY_CELLS
     ]
@@ -409,22 +412,30 @@ def paper_examples_report(opts: Options) -> dict:
         "trials": opts.trials,
         "max_degree": opts.max_degree,
     }
+    lines = [_header(opts)]
     if opts.max_degree < needed:
+        detail = (
+            f"truncation degree {opts.max_degree} is below the largest "
+            f"generator twist {needed} of the resolution families; "
+            f"rerun with --max-degree >= {needed}"
+        )
         report.update(
             status="fail",
-            truncation={
-                "needed_degree": needed,
-                "detail": (
-                    f"truncation degree {opts.max_degree} is below the largest "
-                    f"generator twist {needed} of the resolution families; "
-                    f"rerun with --max-degree >= {needed}"
-                ),
-            },
+            truncation={"needed_degree": needed, "detail": detail},
             cells=[],
         )
-        return report
+        return report, lines + [detail, "status: fail"]
 
     cells: list[dict] = []
+
+    def add(cell: dict, failed: Sequence[CheckResult] = ()) -> None:
+        cells.append(cell)
+        params = ", ".join(f"{k}={v}" for k, v in sorted(cell["params"].items()))
+        lines.append(f"{cell['example']} [{params}]: {_mark(cell['ok'])}")
+        for c in failed:
+            detail = f" ({c.detail})" if c.detail else ""
+            lines.append(f"    failed: {c.name}{detail}")
+
     for inst in instances:
         if inst.case == COMPLETE_INTERSECTION_2:
             params = dict(inst.params)
@@ -432,19 +443,18 @@ def paper_examples_report(opts: Options) -> dict:
                 tuple(inst.expected.coeffs)
                 == _convolution_table(params["k"], params["l"])
             )
-            cells.append(
+            add(
                 _family_cell(
                     inst, needed, agree, detail="difference and convolution forms"
                 )
             )
         elif inst.case == HILBERT_BURCH:
-            detail = "determinantal closed form"
-            cells.append(_family_cell(inst, needed, detail=detail))
+            add(_family_cell(inst, needed, detail="determinantal closed form"))
         else:
-            cells.append(_family_cell(inst, needed))
+            add(_family_cell(inst, needed))
 
     got = module_table(determinantal_check_module(seed=opts.seed))
-    cells.append(
+    add(
         {
             "example": "hilbert-burch-minors",
             "params": {"m": 2, "d": 3},
@@ -453,41 +463,19 @@ def paper_examples_report(opts: Options) -> dict:
             "detail": "generic 2x3 minors through the Groebner pipeline",
         }
     )
-    cells.extend(
-        _suite_cell(
-            run_maximal_times_prime_suite(d, s, seed=opts.seed, trials=opts.trials)
-        )
+    suites = [
+        run_maximal_times_prime_suite(d, s, seed=opts.seed, trials=opts.trials)
         for d, s in MAXIMAL_TIMES_PRIME_CELLS
-    )
-    cells.extend(
-        _suite_cell(
-            run_two_prime_product_suite(r, s, seed=opts.seed, trials=opts.trials)
-        )
+    ] + [
+        run_two_prime_product_suite(r, s, seed=opts.seed, trials=opts.trials)
         for r, s in TWO_PRIME_PRODUCT_CELLS
-    )
-    report.update(
-        status="pass" if all(c["ok"] for c in cells) else "fail", cells=cells
-    )
-    return report
-
-
-def render_paper_examples(report: dict, opts: Options) -> list[str]:
-    lines = [_header(opts)]
-    if "truncation" in report:
-        lines.append(report["truncation"]["detail"])
-        lines.append(f"status: {report['status']}")
-        return lines
-    for cell in report["cells"]:
-        params = ", ".join(f"{k}={v}" for k, v in sorted(cell["params"].items()))
-        lines.append(f"{cell['example']} [{params}]: {_mark(cell['ok'])}")
-        if not cell["ok"] and "checks" in cell:
-            for c in cell["checks"]:
-                if not c["ok"]:
-                    lines.append(f"    failed: {c['name']}")
-    passed = sum(1 for c in report["cells"] if c["ok"])
-    lines.append(f"{passed}/{len(report['cells'])} cells pass")
-    lines.append(f"status: {report['status']}")
-    return lines
+    ]
+    for suite in suites:
+        add(_suite_cell(suite), [c for c in suite.checks if not c.ok])
+    status = "pass" if all(c["ok"] for c in cells) else "fail"
+    report.update(status=status, cells=cells)
+    passed = sum(1 for c in cells if c["ok"])
+    return report, lines + [f"{passed}/{len(cells)} cells pass", f"status: {status}"]
 
 
 # ---------------------------------------------------------------------------
@@ -739,9 +727,9 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.subcommand == "paper-examples":
         t0 = time.perf_counter()
-        report = paper_examples_report(opts)
+        report, lines = paper_examples_report(opts)
         elapsed = time.perf_counter() - t0
-        _emit(report, opts, render_paper_examples(report, opts), elapsed)
+        _emit(report, opts, lines, elapsed)
         return EXIT_OK if report["status"] == "pass" else EXIT_VERIFICATION
 
     try:

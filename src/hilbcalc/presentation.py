@@ -46,9 +46,10 @@ rational.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 from hilbcalc.monomial import numerator_of_monomial
@@ -69,7 +70,6 @@ from hilbcalc.series import (
     HilbertSeries,
     IntPolynomial,
     _as_int,
-    binomial,
     expand,
     hilbert_coefficients,
     series_dimension,
@@ -123,29 +123,30 @@ class ResolutionPresentation:
         if not self.steps or not self.steps[0]:
             raise ValueError("a resolution needs generators at step zero")
         clean = tuple(tuple(map(_as_int, step)) for step in self.steps)
-        for step in clean:
-            for r in step:
-                if r < 0:
-                    raise ValueError("twists must be naturals")
+        if any(r < 0 for step in clean for r in step):
+            raise ValueError("twists must be naturals")
         object.__setattr__(self, "steps", clean)
         # genuine resolutions resolve a module, so the alternating sum must
         # expand with nonnegative coefficients
-        probe = expand(self._series(), DEFAULT_TRUNCATION)
-        if any(c < 0 for c in probe):
+        if any(c < 0 for c in expand(self._alternating_sum, DEFAULT_TRUNCATION)):
             raise ValueError("alternating sum is not a module series")
 
-    def _series(self) -> HilbertSeries:
-        h = IntPolynomial.zero()
+    @cached_property
+    def _alternating_sum(self) -> HilbertSeries:
+        """sum_k (-1)^k sum_(r in step k) t^r over (1 - t)^ring_dim, added
+        into one coefficient list in one pass over the twists."""
+        h = [0] * (max(r for step in self.steps for r in step) + 1)
         for k, step in enumerate(self.steps):
-            sign = (-1) ** k
+            sign = -1 if k % 2 else 1
             for r in step:
-                h = h + sign * IntPolynomial.t_power(r)
-        return HilbertSeries(self.ring_dim, h)
+                h[r] += sign
+        return HilbertSeries(self.ring_dim, IntPolynomial(tuple(h)))
 
 
 def series_of_resolution(P: ResolutionPresentation) -> HilbertSeries:
-    """Alternating sum of twisted free series over the resolution."""
-    return P._series()
+    """Alternating sum of twisted free series over the resolution, worked
+    out once per presentation."""
+    return P._alternating_sum
 
 
 def series_of_monomial_quotient(I: PolyIdeal) -> HilbertSeries:
@@ -290,13 +291,13 @@ def closed_form_family(case: str, **params: int) -> FamilyInstance:
         if d < 0 or r < 0:
             raise BadParams("shifted-free needs d, r >= 0")
         pres = ResolutionPresentation(d, ((r,),))
-        expected = CoefficientTable(d, tuple(binomial(r, i) for i in range(r + 1)))
+        expected = CoefficientTable(d, tuple(math.comb(r, i) for i in range(r + 1)))
     elif case == HYPERSURFACE:
         d, k = take("d", "k")
         if d < 1 or k < 1:
             raise BadParams("hypersurface needs d >= 1 and k >= 1")
         pres = ResolutionPresentation(d, ((0,), (k,)))
-        expected = CoefficientTable(d - 1, tuple(binomial(k, i + 1) for i in range(k)))
+        expected = CoefficientTable(d - 1, tuple(math.comb(k, i + 1) for i in range(k)))
     elif case == COMPLETE_INTERSECTION_2:
         d, k, l = take("d", "k", "l")
         if d < 2 or k < 1 or l < 1:
@@ -305,7 +306,7 @@ def closed_form_family(case: str, **params: int) -> FamilyInstance:
         expected = CoefficientTable(
             d - 2,
             tuple(
-                binomial(k + l, i + 2) - binomial(k, i + 2) - binomial(l, i + 2)
+                math.comb(k + l, i + 2) - math.comb(k, i + 2) - math.comb(l, i + 2)
                 for i in range(k + l - 1)
             ),
         )
@@ -315,7 +316,7 @@ def closed_form_family(case: str, **params: int) -> FamilyInstance:
             raise BadParams("hilbert-burch needs d >= 2 and m >= 1")
         pres = ResolutionPresentation(d, ((0,), (m,) * (m + 1), (m + 1,) * m))
         expected = CoefficientTable(
-            d - 2, tuple((i + 1) * binomial(m + 1, i + 2) for i in range(m))
+            d - 2, tuple((i + 1) * math.comb(m + 1, i + 2) for i in range(m))
         )
     else:
         raise BadParams(f"unknown family case {case!r}; use one of {FAMILY_CASES}")

@@ -398,40 +398,26 @@ def run_two_prime_product_suite(
         )
     )
 
-    for i in range(s - r):
+    # below s - r the chain leads with the variables x_(r+i)..x_(s-1),
+    # which are not superficial; from s - r on it is z_j alone
+    for i in range(s):
         fs = [_variable_form(d, k) for k in range(r + i, s)]
-        fs += [_diagonal_form(r, s, j) for j in range(1, r + 1)]
-        checks.append(
-            CheckResult(
-                f"leading-form-not-superficial[i={i}]",
-                not is_superficial(M, fs[0]).is_superficial,
+        fs += [_diagonal_form(r, s, j) for j in range(max(1, r - s + i + 1), r + 1)]
+        if i < s - r:
+            checks.append(
+                CheckResult(
+                    f"leading-form-not-superficial[i={i}]",
+                    not is_superficial(M, fs[0]).is_superficial,
+                )
             )
-        )
-        rep = _sensitivity_or_none(M, fs, i, seed, trials)
-        checks.append(CheckResult(f"certified[i={i}]", rep is not None))
-        _, modules = superficial_chain(M, fs)
-        got = module_table(modules[-1]).e(i)
-        want = r + 1 if i == 0 else (-1) ** i * r
-        checks.append(CheckResult(f"quotient-value[i={i}]", got == want, str(got)))
-        checks.append(
-            CheckResult(
-                f"sensitivity[i={i}]",
-                rep is not None
-                and rep.parity_ok
-                and rep.equivalence_ok
-                and not rep.equality
-                and rep.depth_value == 1,
-                _sensitivity_detail(rep),
-            )
-        )
-
-    for i in range(s - r, s):
-        fs = [_diagonal_form(r, s, j) for j in range(r - s + i + 1, r + 1)]
         rep = _sensitivity_or_none(M, fs, i, seed, trials)
         checks.append(CheckResult(f"certified[i={i}]", rep is not None))
         _, modules = superficial_chain(M, fs)
         QT = module_table(modules[-1])
-        want = (-1) ** (s - r) * r if i == s - r else (-1) ** i * (s - 1 - i)
+        if i == 0:
+            want = r + 1
+        else:
+            want = (-1) ** i * (r if i <= s - r else s - 1 - i)
         checks.append(
             CheckResult(f"quotient-value[i={i}]", QT.e(i) == want, str(QT.e(i)))
         )
@@ -445,21 +431,20 @@ def run_two_prime_product_suite(
                     f"got {QT.coeffs}",
                 )
             )
-        else:
+        elif i > s - r:
             cross = _cross_expansion_table(r, s, i)
             checks.append(
                 CheckResult(
                     f"cross-expansion[i={i}]", QT == cross, f"got {QT.coeffs}"
                 )
             )
-        expect_equality = i == s - 1
         checks.append(
             CheckResult(
                 f"sensitivity[i={i}]",
                 rep is not None
                 and rep.parity_ok
                 and rep.equivalence_ok
-                and rep.equality == expect_equality
+                and rep.equality == (i == s - 1)
                 and rep.depth_value == 1,
                 _sensitivity_detail(rep),
             )

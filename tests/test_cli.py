@@ -28,6 +28,11 @@ from hilbcalc.superficial import (
     AdmissibilityCertificate,
     DepthCertificate,
 )
+from hilbcalc.theorem import (
+    MAXIMAL_TIMES_PRIME_CELLS,
+    RESOLUTION_FAMILY_CELLS,
+    TWO_PRIME_PRODUCT_CELLS,
+)
 
 FIXTURE = """\
 ring x1 x2 y1;
@@ -644,6 +649,58 @@ class TestPaperExamples:
         assert "truncation degree 4" in out
         assert "--max-degree >= 16" in out
         assert _without_elapsed(out) == GOLDEN_TRUNCATION
+
+    def test_passing_human_output_is_one_line_per_cell(self, capsys):
+        def cell(example, params):
+            text = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
+            return f"{example} [{text}]: PASS"
+
+        expected = ["seed 0, trials 32, max degree 64"]
+        expected += [cell(case, params) for case, params in RESOLUTION_FAMILY_CELLS]
+        expected.append(cell("hilbert-burch-minors", {"d": 3, "m": 2}))
+        expected += [
+            cell("maximal-times-prime", {"d": d, "s": s})
+            for d, s in MAXIMAL_TIMES_PRIME_CELLS
+        ]
+        expected += [
+            cell("two-prime-product", {"r": r, "s": s})
+            for r, s in TWO_PRIME_PRODUCT_CELLS
+        ]
+        expected += ["113/113 cells pass", "status: pass"]
+        code, out, _ = invoke(capsys, "paper-examples", "--seed", "0")
+        assert code == 0
+        assert _without_elapsed(out) == "".join(line + "\n" for line in expected)
+
+    def test_a_failed_check_prints_its_detail(self, capsys, monkeypatch):
+        broken = theorem.SuiteResult(
+            "two-prime-product",
+            (("r", 1), ("s", 2)),
+            (
+                theorem.CheckResult("dimension", True, "2"),
+                theorem.CheckResult("table", False, "got (1, 2)"),
+                theorem.CheckResult("certified[i=0]", False),
+            ),
+        )
+        monkeypatch.setattr(
+            cli, "run_two_prime_product_suite", lambda r, s, seed, trials: broken
+        )
+        code, out, _ = invoke(capsys, "paper-examples", "--seed", "0")
+        assert code == 1
+        block = (
+            "two-prime-product [r=1, s=2]: FAIL\n"
+            "    failed: table (got (1, 2))\n"
+            "    failed: certified[i=0]\n"
+        )
+        assert out.count(block) == len(TWO_PRIME_PRODUCT_CELLS)
+        assert out.count("    failed: ") == 2 * len(TWO_PRIME_PRODUCT_CELLS)
+        assert "103/113 cells pass\nstatus: fail\n" in out
+
+        code, out, _ = invoke(capsys, "paper-examples", "--seed", "0", "--json")
+        assert code == 1
+        report = json.loads(out)
+        entries = [c for cell in report["cells"] for c in cell.get("checks", ())]
+        assert {"table", "certified[i=0]"} <= {c["name"] for c in entries}
+        assert all(set(c) == {"name", "ok"} for c in entries)
 
     def test_json_enumerates_cells(self, capsys):
         code, out, _ = invoke(capsys, "paper-examples", "--json")

@@ -58,9 +58,11 @@ from hilbcalc.presentation import (
 )
 from hilbcalc.sampling import random_monomial_ideal
 from hilbcalc.series import (
+    DEFAULT_TRUNCATION,
     HilbertSeries,
     IntPolynomial,
     binomial,
+    expand,
     hilbert_coefficients,
     shift,
 )
@@ -896,6 +898,33 @@ class TestResolutionSeries:
         for twist in (Fraction(5, 2), 2.7, 2.0, "2"):
             with pytest.raises(TypeError):
                 ResolutionPresentation(3, ((0,), (twist,)))
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 6),
+        st.lists(
+            st.lists(st.integers(0, 24), max_size=5), min_size=1, max_size=4
+        ),
+    )
+    def test_series_is_the_alternating_sum_of_its_twists(self, ring_dim, steps):
+        reference = IntPolynomial.zero()
+        for k, step in enumerate(steps):
+            for r in step:
+                reference = reference + (-1) ** k * IntPolynomial.t_power(r)
+        steps = tuple(map(tuple, steps))
+        refused = not steps[0] or any(
+            c < 0
+            for c in expand(HilbertSeries(ring_dim, reference), DEFAULT_TRUNCATION)
+        )
+        if refused:
+            with pytest.raises(ValueError):
+                ResolutionPresentation(ring_dim, steps)
+            return
+        P = ResolutionPresentation(ring_dim, steps)
+        S = series_of_resolution(P)
+        assert (S.ambient_dim, S.numerator) == (ring_dim, reference)
+        assert series_of_resolution(P) is S
 
 
 class TestClosedFormFamilies:
