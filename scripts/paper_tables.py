@@ -4,11 +4,13 @@
 Mirrors `hilbcalc paper-examples` (the same catalogue, from
 hilbcalc.theorem) but lays the numbers out as tables instead of pass/fail
 cells, one row per entry, each marked ok or MISMATCH against its closed
-form.  Takes no options.
+form.  Takes no options.  A reader that closes the output early (say,
+`paper_tables.py | head`) ends it quietly, with exit status 0.
 """
 
 from itertools import groupby
 
+from hilbcalc.cli import quiet_broken_pipe
 from hilbcalc.presentation import (
     HILBERT_BURCH,
     closed_form_family,
@@ -61,4 +63,5 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    with quiet_broken_pipe():
+        main()

@@ -22,6 +22,7 @@ import os
 import sys
 import time
 import dataclasses
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,6 +33,7 @@ from hilbcalc.dsl import (
     command_keyword,
     format_command,
     format_form,
+    join_signed_terms,
     parse_text,
 )
 from hilbcalc.oracle import DEFAULT_CHECK_DEGREE, verify_series
@@ -49,7 +51,6 @@ from hilbcalc.presentation import (
 from hilbcalc.series import (
     MAX_SHIFT,
     Refusal,
-    expand,
     hilbert_coefficients,
     series_dimension,
 )
@@ -64,7 +65,6 @@ from hilbcalc.theorem import (
     MAXIMAL_TIMES_PRIME_CELLS,
     RESOLUTION_FAMILY_CELLS,
     TWO_PRIME_PRODUCT_CELLS,
-    CheckResult,
     NotAdmissible,
     run_maximal_times_prime_suite,
     run_two_prime_product_suite,
@@ -111,9 +111,7 @@ def _int_text(n: int) -> str:
 
 
 def format_t_polynomial(coeffs: Sequence[int]) -> str:
-    if not any(coeffs):
-        return "0"
-    pieces: list[str] = []
+    terms: list[tuple[int, str]] = []
     for k, c in enumerate(coeffs):
         if c == 0:
             continue
@@ -124,11 +122,8 @@ def format_t_polynomial(coeffs: Sequence[int]) -> str:
             body = "t" if mag == "1" else f"{mag}*t"
         else:
             body = f"t^{k}" if mag == "1" else f"{mag}*t^{k}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(pieces)
+        terms.append((c, body))
+    return join_signed_terms(terms)
 
 
 def _mark(ok: bool) -> str:
@@ -149,6 +144,18 @@ def _dim_json(value):
 
 def _forms_json(forms) -> list[list[str]]:
     return [[str(c) for c in f.coefficients] for f in forms]
+
+
+def _report(kind: str, opts: Options, **fields) -> dict:
+    """A schema-1 report: the head every kind shares, then `fields`."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "seed": opts.seed,
+        "trials": opts.trials,
+        "max_degree": opts.max_degree,
+        **fields,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -349,44 +356,17 @@ def execute_script(script: Script, opts: Options) -> tuple[dict, list[str]]:
         lines.append(f"{label}: {text}")
     status = "pass" if all(e["ok"] for e in entries) else "fail"
     lines.append(f"status: {status}")
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "run",
-        "seed": opts.seed,
-        "trials": opts.trials,
-        "max_degree": opts.max_degree,
-        "commands": entries,
-        "status": status,
-    }
-    return report, lines
+    return _report("run", opts, commands=entries, status=status), lines
 
 
 # ---------------------------------------------------------------------------
 # builtin example suites
 
 
-def _family_cell(
-    instance, needed: int, extra_ok: bool = True, detail: str = ""
-) -> dict:
-    S = series_of_resolution(instance.presentation)
-    got = hilbert_coefficients(S)
-    nonnegative = all(c >= 0 for c in expand(S, needed))
-    return {
-        "example": instance.case,
-        "params": dict(instance.params),
-        "table": list(got.coeffs),
-        "ok": got == instance.expected and extra_ok and nonnegative,
-        "detail": detail,
-    }
-
-
-def _suite_cell(suite) -> dict:
-    return {
-        "example": suite.name,
-        "params": dict(suite.params),
-        "ok": suite.ok,
-        "checks": [{"name": c.name, "ok": c.ok} for c in suite.checks],
-    }
+_FAMILY_DETAILS = {
+    COMPLETE_INTERSECTION_2: "difference and convolution forms",
+    HILBERT_BURCH: "determinantal closed form",
+}
 
 
 def _convolution_table(k: int, l: int) -> tuple[int, ...]:
@@ -402,16 +382,7 @@ def paper_examples_report(opts: Options) -> tuple[dict, list[str]]:
     instances = [
         closed_form_family(case, **params) for case, params in RESOLUTION_FAMILY_CELLS
     ]
-    needed = max(
-        max(max(step) for step in inst.presentation.steps) for inst in instances
-    )
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "paper-examples",
-        "seed": opts.seed,
-        "trials": opts.trials,
-        "max_degree": opts.max_degree,
-    }
+    needed = max(max(map(max, inst.presentation.steps)) for inst in instances)
     lines = [_header(opts)]
     if opts.max_degree < needed:
         detail = (
@@ -419,7 +390,9 @@ def paper_examples_report(opts: Options) -> tuple[dict, list[str]]:
             f"generator twist {needed} of the resolution families; "
             f"rerun with --max-degree >= {needed}"
         )
-        report.update(
+        report = _report(
+            "paper-examples",
+            opts,
             status="fail",
             truncation={"needed_degree": needed, "detail": detail},
             cells=[],
@@ -428,40 +401,33 @@ def paper_examples_report(opts: Options) -> tuple[dict, list[str]]:
 
     cells: list[dict] = []
 
-    def add(cell: dict, failed: Sequence[CheckResult] = ()) -> None:
-        cells.append(cell)
-        params = ", ".join(f"{k}={v}" for k, v in sorted(cell["params"].items()))
-        lines.append(f"{cell['example']} [{params}]: {_mark(cell['ok'])}")
+    def add(example, params, ok, failed=(), **fields) -> None:
+        """Add one cell and its human line, then a line per check in `failed`."""
+        params = dict(params)
+        cells.append({"example": example, "params": params, "ok": ok, **fields})
+        text = ", ".join(f"{k}={v}" for k, v in sorted(params.items()))
+        lines.append(f"{example} [{text}]: {_mark(ok)}")
         for c in failed:
             detail = f" ({c.detail})" if c.detail else ""
             lines.append(f"    failed: {c.name}{detail}")
 
     for inst in instances:
+        got = hilbert_coefficients(series_of_resolution(inst.presentation))
+        ok = got == inst.expected
         if inst.case == COMPLETE_INTERSECTION_2:
             params = dict(inst.params)
-            agree = (
-                tuple(inst.expected.coeffs)
-                == _convolution_table(params["k"], params["l"])
-            )
-            add(
-                _family_cell(
-                    inst, needed, agree, detail="difference and convolution forms"
-                )
-            )
-        elif inst.case == HILBERT_BURCH:
-            add(_family_cell(inst, needed, detail="determinantal closed form"))
-        else:
-            add(_family_cell(inst, needed))
+            convolution = _convolution_table(params["k"], params["l"])
+            ok = ok and tuple(inst.expected.coeffs) == convolution
+        detail = _FAMILY_DETAILS.get(inst.case, "")
+        add(inst.case, inst.params, ok, table=list(got.coeffs), detail=detail)
 
     got = module_table(determinantal_check_module(seed=opts.seed))
     add(
-        {
-            "example": "hilbert-burch-minors",
-            "params": {"m": 2, "d": 3},
-            "table": list(got.coeffs),
-            "ok": got == closed_form_family(HILBERT_BURCH, d=3, m=2).expected,
-            "detail": "generic 2x3 minors through the Groebner pipeline",
-        }
+        "hilbert-burch-minors",
+        {"m": 2, "d": 3},
+        got == closed_form_family(HILBERT_BURCH, d=3, m=2).expected,
+        table=list(got.coeffs),
+        detail="generic 2x3 minors through the Groebner pipeline",
     )
     suites = [
         run_maximal_times_prime_suite(d, s, seed=opts.seed, trials=opts.trials)
@@ -471,10 +437,12 @@ def paper_examples_report(opts: Options) -> tuple[dict, list[str]]:
         for r, s in TWO_PRIME_PRODUCT_CELLS
     ]
     for suite in suites:
-        add(_suite_cell(suite), [c for c in suite.checks if not c.ok])
+        failed = [c for c in suite.checks if not c.ok]
+        checks = [{"name": c.name, "ok": c.ok} for c in suite.checks]
+        add(suite.name, suite.params, suite.ok, failed, checks=checks)
     status = "pass" if all(c["ok"] for c in cells) else "fail"
-    report.update(status=status, cells=cells)
     passed = sum(1 for c in cells if c["ok"])
+    report = _report("paper-examples", opts, status=status, cells=cells)
     return report, lines + [f"{passed}/{len(cells)} cells pass", f"status: {status}"]
 
 
@@ -482,22 +450,33 @@ def paper_examples_report(opts: Options) -> tuple[dict, list[str]]:
 # argument handling
 
 
-def _emit(report: dict, opts: Options, lines: list[str], elapsed: float) -> None:
-    """Print the report.  A reader that closes standard output early ends
-    the printing quietly: the rest of the report is dropped, and fd 1 then
-    points at the null device so the flush at exit finds no broken pipe."""
+@contextmanager
+def quiet_broken_pipe():
+    """Print inside the block.  A reader that closes standard output early
+    ends the printing quietly: the rest of the output is dropped, and fd 1
+    then points at the null device so the flush at exit finds no broken
+    pipe."""
     try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _finish(report: dict, lines: list[str], opts: Options, t0: float) -> int:
+    """Print the report (the human lines with the time since t0); return
+    its exit status."""
+    elapsed = time.perf_counter() - t0
+    with quiet_broken_pipe():
         if opts.as_json:
             print(json.dumps(report, indent=2, sort_keys=True))
         elif not opts.quiet:
             for line in lines:
                 print(line)
             print(f"elapsed {elapsed:.2f}s")
-        sys.stdout.flush()
-    except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    return EXIT_OK if report["status"] == "pass" else EXIT_VERIFICATION
 
 
 def _options_from(args: argparse.Namespace) -> Options:
@@ -573,9 +552,7 @@ def _execute_text(text: str, opts: Options, describe=str) -> int:
     except Refusal as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LANGUAGE
-    elapsed = time.perf_counter() - t0
-    _emit(report, opts, lines, elapsed)
-    return EXIT_OK if report["status"] == "pass" else EXIT_VERIFICATION
+    return _finish(report, lines, opts, t0)
 
 
 def _default_seed() -> int:
@@ -727,10 +704,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.subcommand == "paper-examples":
         t0 = time.perf_counter()
-        report, lines = paper_examples_report(opts)
-        elapsed = time.perf_counter() - t0
-        _emit(report, opts, lines, elapsed)
-        return EXIT_OK if report["status"] == "pass" else EXIT_VERIFICATION
+        return _finish(*paper_examples_report(opts), opts, t0)
 
     try:
         text, spans = _oneshot_script(args)

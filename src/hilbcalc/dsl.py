@@ -17,7 +17,7 @@ import re
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from hilbcalc.polyring import (
     DegRevLex,
@@ -590,11 +590,21 @@ def parse_text(text: str) -> Script:
 # pretty-printing; parse(pretty_print(s)) is structurally s again
 
 
-def format_polynomial(poly: Polynomial, variables: Sequence[str]) -> str:
-    if poly.is_zero:
-        return "0"
-    terms = poly.terms
+def join_signed_terms(terms: Iterable[tuple[object, str]]) -> str:
+    """Nonzero terms (c, body) joined as `body + body - body`, the first
+    written `-body` when c < 0; "0" when there is none."""
     pieces: list[str] = []
+    for c, body in terms:
+        if not pieces:
+            pieces.append(body if c > 0 else f"-{body}")
+        else:
+            pieces.append(f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(pieces) or "0"
+
+
+def format_polynomial(poly: Polynomial, variables: Sequence[str]) -> str:
+    terms = poly.terms
+    signed: list[tuple[object, str]] = []
     for m in sorted(terms, key=DegRevLex(poly.nvars).key):
         c = terms[m]
         factors = []
@@ -606,12 +616,8 @@ def format_polynomial(poly: Polynomial, variables: Sequence[str]) -> str:
         mag = abs(c)
         if mag != 1 or not factors:
             factors.insert(0, str(mag))
-        body = "*".join(factors)
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(pieces)
+        signed.append((c, "*".join(factors)))
+    return join_signed_terms(signed)
 
 
 def format_form(form: LinearForm, variables: Sequence[str]) -> str:

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from hilbcalc.monomial import monomial_divides
+from hilbcalc.monomial import monomial_divides, monomial_mul
 from hilbcalc.polyring import LinearForm, PolyIdeal
 from hilbcalc.presentation import (
     COMPLETE_INTERSECTION_2,
@@ -162,19 +162,16 @@ def verify_depth_sensitivity(
 
 def _sensitivity_or_none(
     M: CyclicModule, fs: Sequence[LinearForm], i: int, seed: int, trials: int
-) -> Optional[DepthSensitivityReport]:
-    """verify_depth_sensitivity's report, or None when fs is not certified
-    admissible: the suites record that as a failed check."""
+) -> tuple[Optional[DepthSensitivityReport], str]:
+    """verify_depth_sensitivity's report and its detail for a check; when fs
+    is not certified admissible, None (a failed check) and the verdict and
+    trials used of the certificate."""
     try:
-        return verify_depth_sensitivity(M, fs, i, seed=seed, trials=trials)
-    except NotAdmissible:
-        return None
-
-
-def _sensitivity_detail(rep: Optional[DepthSensitivityReport]) -> str:
-    if rep is None:
-        return "not certified admissible"
-    return f"e_i {rep.e_module} -> {rep.e_quotient}, defects {rep.defect_lengths}"
+        rep = verify_depth_sensitivity(M, fs, i, seed=seed, trials=trials)
+    except NotAdmissible as exc:
+        cert = exc.certificate
+        return None, f"{cert.verdict}, trials used {cert.trials_used}"
+    return rep, f"e_i {rep.e_module} -> {rep.e_quotient}, defects {rep.defect_lengths}"
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +200,24 @@ def _variable_form(d: int, index: int) -> LinearForm:
     return LinearForm([int(k == index) for k in range(d)])
 
 
+def _prime(d: int, indices) -> PolyIdeal:
+    """The prime ideal of R = k[x_0..x_(d-1)] generated by the variables
+    x_k, k in indices."""
+    return PolyIdeal._of_monomials(
+        d, [tuple(int(k == index) for k in range(d)) for index in indices]
+    )
+
+
+def _product(P: PolyIdeal, Q: PolyIdeal) -> PolyIdeal:
+    """The product of two monomial ideals, generated by every product of a
+    generator of P with one of Q, in that order; a repeat keeps its first
+    place."""
+    ps, qs = ([next(iter(g.nums)) for g in I.generators] for I in (P, Q))
+    return PolyIdeal._of_monomials(
+        P.ring_dim, [monomial_mul(p, q) for p in ps for q in qs]
+    )
+
+
 def _degree_one_socle_witness(I: PolyIdeal, index: int) -> bool:
     """Exactly check that variable `index` is a nonzero socle element of
     R/I, for monomial I: the variable is outside I but every product
@@ -224,14 +239,7 @@ def maximal_times_prime_module(d: int, s: int) -> CyclicModule:
     first d-s variables; dimension s, depth 0."""
     if not 0 < s < d:
         raise BadParams("need 0 < s < d")
-    gens = []
-    for a in range(d - s):
-        for b in range(a, d):
-            e = [0] * d
-            e[a] += 1
-            e[b] += 1
-            gens.append(tuple(e))
-    return CyclicModule(d, PolyIdeal._of_monomials(d, gens))
+    return CyclicModule(d, _product(_prime(d, range(d - s)), _prime(d, range(d))))
 
 
 def maximal_times_prime_table(d: int, s: int) -> CoefficientTable:
@@ -274,22 +282,24 @@ def run_maximal_times_prime_suite(
 
     for i in range(s):
         fs = [_variable_form(d, k) for k in range(d - s + i, d)]
-        checks.append(CheckResult(f"ssop[i={i}]", is_ssop(M, fs)))
+        ssop = is_ssop(M, fs)
         reports, modules = superficial_chain(M, fs)
+        QT = module_table(modules[-1])
+        checks.append(CheckResult(f"ssop[i={i}]", ssop, f"quotient dimension {QT.dim}"))
         checks.append(
             CheckResult(
                 f"verbatim-superficial[i={i}]",
                 all(r.is_superficial for r in reports),
+                f"socle lengths {tuple(r.socle_length for r in reports)}",
             )
         )
-        QT = module_table(modules[-1])
         expected_q = maximal_times_prime_table(d - (s - i), i)
         checks.append(
             CheckResult(
                 f"quotient-table[i={i}]", QT == expected_q, f"got {QT.coeffs}"
             )
         )
-        rep = _sensitivity_or_none(M, fs, i, seed, trials)
+        rep, detail = _sensitivity_or_none(M, fs, i, seed, trials)
         ok = (
             rep is not None
             and rep.parity_ok
@@ -297,7 +307,7 @@ def run_maximal_times_prime_suite(
             and not rep.equality
             and rep.defect_lengths == (d - s,) * (s - i)
         )
-        checks.append(CheckResult(f"sensitivity[i={i}]", ok, _sensitivity_detail(rep)))
+        checks.append(CheckResult(f"sensitivity[i={i}]", ok, detail))
     return SuiteResult(
         "maximal-times-prime", (("d", d), ("s", s)), tuple(checks)
     )
@@ -309,14 +319,7 @@ def two_prime_product_module(r: int, s: int) -> CyclicModule:
     if not 0 < r < s:
         raise BadParams("need 0 < r < s")
     d = r + s
-    gens = []
-    for i in range(s):
-        for j in range(r):
-            e = [0] * d
-            e[i] += 1
-            e[s + j] += 1
-            gens.append(tuple(e))
-    return CyclicModule(d, PolyIdeal._of_monomials(d, gens))
+    return CyclicModule(d, _product(_prime(d, range(s)), _prime(d, range(s, d))))
 
 
 def two_prime_product_table(r: int, s: int) -> CoefficientTable:
@@ -373,18 +376,11 @@ def run_two_prime_product_suite(
     checks.append(CheckResult("table", T == expected and spot, f"got {T.coeffs}"))
 
     # inclusion-exclusion over the two primes
-    SM = series_of_cyclic(M)
-    Sp = series_of_cyclic(
-        CyclicModule(d, PolyIdeal._of_monomials(d, [tuple(1 if k == i else 0 for k in range(d)) for i in range(s)]))
-    )
-    Sq = series_of_cyclic(
-        CyclicModule(d, PolyIdeal._of_monomials(d, [tuple(1 if k == s + j else 0 for k in range(d)) for j in range(r)]))
-    )
-    Sm = series_of_cyclic(
-        CyclicModule(d, PolyIdeal._of_monomials(d, [tuple(1 if k == i else 0 for k in range(d)) for i in range(d)]))
-    )
-    residue = combine([(1, SM), (-1, Sp), (-1, Sq), (1, Sm)])
-    checks.append(CheckResult("inclusion-exclusion", residue.is_zero))
+    p, q, m = (_prime(d, indices) for indices in (range(s), range(s, d), range(d)))
+    signed = ((1, M.ideal), (-1, p), (-1, q), (1, m))
+    residue = combine([(c, series_of_cyclic(CyclicModule(d, I))) for c, I in signed])
+    detail = f"residue numerator {residue.numerator.coeffs}"
+    checks.append(CheckResult("inclusion-exclusion", residue.is_zero, detail))
 
     cert = depth(M, seed=seed, trials=trials)
     checks.append(CheckResult("depth-certificate", cert.depth == 1, str(cert.depth)))
@@ -404,14 +400,16 @@ def run_two_prime_product_suite(
         fs = [_variable_form(d, k) for k in range(r + i, s)]
         fs += [_diagonal_form(r, s, j) for j in range(max(1, r - s + i + 1), r + 1)]
         if i < s - r:
+            lead = is_superficial(M, fs[0])
             checks.append(
                 CheckResult(
                     f"leading-form-not-superficial[i={i}]",
-                    not is_superficial(M, fs[0]).is_superficial,
+                    not lead.is_superficial,
+                    f"socle length {lead.socle_length}",
                 )
             )
-        rep = _sensitivity_or_none(M, fs, i, seed, trials)
-        checks.append(CheckResult(f"certified[i={i}]", rep is not None))
+        rep, detail = _sensitivity_or_none(M, fs, i, seed, trials)
+        checks.append(CheckResult(f"certified[i={i}]", rep is not None, detail))
         _, modules = superficial_chain(M, fs)
         QT = module_table(modules[-1])
         if i == 0:
@@ -446,7 +444,7 @@ def run_two_prime_product_suite(
                 and rep.equivalence_ok
                 and rep.equality == (i == s - 1)
                 and rep.depth_value == 1,
-                _sensitivity_detail(rep),
+                detail,
             )
         )
     return SuiteResult("two-prime-product", (("r", r), ("s", s)), tuple(checks))

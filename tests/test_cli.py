@@ -758,6 +758,24 @@ class TestPaperExamples:
         ]
 
 
+    def test_every_failed_check_names_its_evidence(self, capsys, monkeypatch):
+        # a search that certifies nothing fails every certified[i=...] and
+        # sensitivity[i=...] check; each failed line says why
+        monkeypatch.setattr(
+            theorem,
+            "find_superficial_sequence",
+            lambda M, fs, seed, trials: AdmissibilityCertificate(
+                PROBABLY_NOT_ADMISSIBLE, None, trials
+            ),
+        )
+        code, out, _ = invoke(capsys, "paper-examples", "--trials", "1")
+        assert code == 1
+        failed = [line for line in out.splitlines() if line.startswith("    failed: ")]
+        assert any(line.startswith("    failed: certified[i=") for line in failed)
+        assert [line for line in failed if not line.endswith(")")] == []
+        assert "    failed: certified[i=0] (probably-not-admissible, trials used 1)" in failed
+
+
 # argv whose output must not depend on how much of the parser main builds:
 # help, usage and every kind of argparse error, at each level.
 PARSER_GOLDEN_ARGV = [

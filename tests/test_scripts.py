@@ -1,6 +1,8 @@
 """Smoke tests for the two scripts under scripts/, run in-process."""
 
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,6 +35,28 @@ def test_paper_tables_prints_the_catalogue(monkeypatch, capsys):
     assert len(rows) == catalogue + 1
     assert all(row.endswith("[ok]") for row in rows)
     assert "MISMATCH" not in out
+
+
+def test_paper_tables_ends_quietly_when_its_reader_closes():
+    # `paper_tables.py | head` used to end in a BrokenPipeError traceback
+    # with exit 1: the table is longer than one pipe buffer, so the script
+    # is still printing when the reader goes
+    src = SCRIPTS.parent / "src"
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    child = subprocess.Popen(
+        [sys.executable, str(SCRIPTS / "paper_tables.py")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    try:
+        assert child.stdout.readline() == b"shifted-free:\n"
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 0, stderr
+    finally:
+        child.kill()
+        child.stderr.close()
+    assert stderr == ""
 
 
 def test_random_sweep_is_clean(monkeypatch, capsys):

@@ -75,6 +75,25 @@ class TestFamilyConstructors:
                 M = two_prime_product_module(r, s)
                 assert module_table(M) == two_prime_product_table(r, s)
 
+    def test_family_generators_in_catalogue_order(self):
+        # the hand-written loops the families were built with before they
+        # became products of variable ideals: same generators, same order
+        def unit_sum(d, a, b):
+            e = [0] * d
+            e[a] += 1
+            e[b] += 1
+            return tuple(e)
+
+        def exponents(M):
+            return [next(iter(g.nums)) for g in M.ideal.generators]
+
+        for d, s in theorem.MAXIMAL_TIMES_PRIME_CELLS:
+            loops = [unit_sum(d, a, b) for a in range(d - s) for b in range(a, d)]
+            assert exponents(maximal_times_prime_module(d, s)) == loops
+        for r, s in theorem.TWO_PRIME_PRODUCT_CELLS:
+            loops = [unit_sum(r + s, i, s + j) for i in range(s) for j in range(r)]
+            assert exponents(two_prime_product_module(r, s)) == loops
+
     def test_bad_params(self):
         with pytest.raises(BadParams):
             maximal_times_prime_module(3, 3)
