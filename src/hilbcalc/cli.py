@@ -6,9 +6,10 @@ Every script command of `dsl.COMMANDS` is also a one-shot subcommand
 `_HANDLERS` maps each keyword to the function that runs it.
 
 Exit status: 0 when every command succeeds and every verification
-passes, 1 on a verification failure, 2 on a lex/parse/semantic error
-or an invalid option, 3 on an internal error (an exception the program
-did not anticipate, reported as one line on standard error).
+passes, 1 on a verification failure, 2 on a lex/parse/semantic error,
+an invalid option or a refused run (`series.Refusal`), 3 on an internal
+error (an exception the program did not anticipate).  Every error
+reaches `main`, which prints its one `error:` line and picks the status.
 JSON reports are byte-identical for identical (script, seed, trials):
 elapsed time is shown on the human side only.
 """
@@ -540,32 +541,6 @@ def _option_error(exc: DslError, text: str, spans: list[tuple[str, int, int]]) -
     return str(exc)
 
 
-def _execute_text(text: str, opts: Options, describe=str) -> int:
-    t0 = time.perf_counter()
-    try:
-        script = parse_text(text)
-    except DslError as exc:
-        print(f"error: {describe(exc)}", file=sys.stderr)
-        return EXIT_LANGUAGE
-    try:
-        report, lines = execute_script(script, opts)
-    except Refusal as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LANGUAGE
-    return _finish(report, lines, opts, t0)
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("HILBCALC_SEED")
-    if raw is None or raw == "":
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        print(f"error: HILBCALC_SEED must be an integer, got {raw!r}", file=sys.stderr)
-        raise SystemExit(EXIT_LANGUAGE) from None
-
-
 def _int_at_least(low: int, high: Optional[int] = None):
     """An argparse type: an integer no smaller than `low` (and, given
     `high`, no larger than it)."""
@@ -609,15 +584,13 @@ _SUBCOMMANDS: dict[str, tuple[Optional[str], str]] = {
 }
 
 
-def build_parser(
-    default_seed: int, only: Optional[str] = None
-) -> argparse.ArgumentParser:
+def build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     """The command-line parser.  Given `only`, a subcommand name, it
     builds that subcommand alone: enough to parse an argv that starts with
     it, including the top-level usage line of an "unrecognized arguments"
     error.  Help, a missing or an unknown subcommand need the full build."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=default_seed)
+    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--trials", type=_int_at_least(1), default=DEFAULT_TRIALS)
     common.add_argument(
         "--max-degree", type=_int_at_least(0, MAX_SHIFT), default=DEFAULT_MAX_DEGREE
@@ -673,7 +646,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         del argv[0]
     # most calls name a subcommand first: build only that one
     only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    parser = build_parser(_default_seed(), only)
+    parser = build_parser(only)
     # no option precedes the subcommand but help (argparse takes "--h"
     # for --help): say so rather than read the option's value as the name
     lead = argv[0].split("=", 1)[0] if argv else ""
@@ -684,6 +657,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
+    except (DslError, Refusal) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LANGUAGE
     except Exception as exc:  # SystemExit and KeyboardInterrupt pass through
         message = ": ".join([type(exc).__name__, " ".join(str(exc).split())])
         print(f"error: internal: {message}", file=sys.stderr)
@@ -692,26 +668,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     opts = _options_from(args)
-
+    t0 = time.perf_counter()
+    if args.subcommand == "paper-examples":
+        return _finish(*paper_examples_report(opts), opts, t0)
     if args.subcommand == "run":
         try:
             with open(args.script, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: cannot read {args.script}: {exc}", file=sys.stderr)
-            return EXIT_LANGUAGE
-        return _execute_text(text, opts)
-
-    if args.subcommand == "paper-examples":
-        t0 = time.perf_counter()
-        return _finish(*paper_examples_report(opts), opts, t0)
-
-    try:
+            raise Refusal(f"cannot read {args.script}: {exc}") from None
+        script = parse_text(text)
+    else:
         text, spans = _oneshot_script(args)
-    except DslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LANGUAGE
-    return _execute_text(text, opts, lambda exc: _option_error(exc, text, spans))
+        try:
+            script = parse_text(text)
+        except DslError as exc:
+            raise Refusal(_option_error(exc, text, spans)) from None
+    return _finish(*execute_script(script, opts), opts, t0)
 
 
 if __name__ == "__main__":

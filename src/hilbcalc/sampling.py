@@ -29,9 +29,10 @@ def random_monomial_ideal(rng: random.Random, d: int) -> PolyIdeal:
 
 def random_module(rng: random.Random, d: int, min_dim: int = 0) -> CyclicModule:
     """Rejection-sample a monomial quotient of dimension >= min_dim, its
-    ideal drawn by `random_monomial_ideal`."""
-    if min_dim > d:
-        raise ValueError("cannot ask for dimension above the variable count")
+    ideal drawn by `random_monomial_ideal`.  That ideal is nonzero, so the
+    quotient's dimension is below d."""
+    if min_dim >= d:
+        raise ValueError("min_dim must be below d: the drawn ideal is nonzero")
     while True:
         M = CyclicModule(d, random_monomial_ideal(rng, d))
         dim = module_dimension(M)

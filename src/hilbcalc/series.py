@@ -24,7 +24,8 @@ MAX_SHIFT = 10**6
 
 
 class Refusal(Exception):
-    """A run refused as a whole at a size the program bounds: the command
+    """A run refused as a whole: a size the program bounds, a script it
+    cannot read, or a one-shot option that does not parse.  The command
     line prints the message and no report, and exits 2."""
 
 

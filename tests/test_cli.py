@@ -1,15 +1,20 @@
 """End-to-end exit-status and report contracts for the driver."""
 
 import argparse
+import dataclasses
+import io
 import json
 import math
 import os
 import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbcalc import cli, theorem
 from hilbcalc.cli import (
@@ -611,31 +616,6 @@ class TestOneShot:
             main(["series", "--ring", "x", "--ideal", "x"])
 
 
-class TestSeedHandling:
-    def test_env_seed_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("HILBCALC_SEED", "7")
-        _, out, _ = invoke(
-            capsys, "depth", "--ring", "x1 x2", "--ideal", "x1*x2"
-        )
-        assert out.startswith("seed 7,")
-
-    def test_flag_supersedes_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("HILBCALC_SEED", "7")
-        _, out, _ = invoke(
-            capsys, "depth", "--ring", "x1 x2", "--ideal", "x1*x2", "--seed", "3"
-        )
-        assert out.startswith("seed 3,")
-
-    def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("HILBCALC_SEED", "not-a-number")
-        with pytest.raises(SystemExit) as exc:
-            main(["depth", "--ring", "x1", "--ideal", "x1"])
-        assert exc.value.code == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == "error: HILBCALC_SEED must be an integer, got 'not-a-number'\n"
-
-
 class TestPaperExamples:
     def test_full_sweep_passes(self, capsys):
         code, out, _ = invoke(capsys, "paper-examples")
@@ -809,26 +789,23 @@ def _outcome(capsys, argv):
 class TestSingleSubcommandParser:
     @pytest.mark.parametrize("argv", PARSER_GOLDEN_ARGV, ids=" ".join)
     def test_output_matches_the_full_parser(self, capsys, monkeypatch, tmp_path, argv):
-        monkeypatch.delenv("HILBCALC_SEED", raising=False)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "f.hc").write_text(FIXTURE)
-        full = build_parser(0)
+        full = build_parser()
         names = next(
             a for a in full._actions if isinstance(a, argparse._SubParsersAction)
         ).choices
         built = []
 
-        def spy(default_seed, only=None):
+        def spy(only=None):
             built.append(only)
-            return build_parser(default_seed, only)
+            return build_parser(only)
 
         monkeypatch.setattr(cli, "build_parser", spy)
         single = _outcome(capsys, argv)
         # the comparison means something only if main took the short path
         assert built == [argv[0] if argv and argv[0] in names else None]
-        monkeypatch.setattr(
-            cli, "build_parser", lambda default_seed, only=None: build_parser(default_seed)
-        )
+        monkeypatch.setattr(cli, "build_parser", lambda only=None: build_parser())
         assert _outcome(capsys, argv) == single
 
     @pytest.mark.parametrize(
@@ -906,7 +883,7 @@ class TestCommandTable:
         assert set(_HANDLERS) == keywords
         sub = next(
             a
-            for a in build_parser(0)._actions
+            for a in build_parser()._actions
             if isinstance(a, argparse._SubParsersAction)
         )
         oneshot = set(sub.choices) - {"run", "paper-examples"}
@@ -919,6 +896,77 @@ class TestCommandTable:
             if line.startswith("| `")
         }
         assert documented == keywords
+
+
+_ONESHOT = [name for name, (keyword, _) in cli._SUBCOMMANDS.items() if keyword]
+_JUNK = "xyzw*^+-,/() 0123;#"
+
+
+@st.composite
+def oneshot_argv(draw):
+    """A one-shot command line: 1-3 variables, 1-3 generators of degree
+    1-3 (a junk --ideal about one draw in ten), mostly linear forms, and
+    random option values."""
+    name = draw(st.sampled_from(_ONESHOT))
+    variables = ["x", "y", "z"][: draw(st.integers(1, 3))]
+
+    def polynomial(degree, max_terms):
+        """A homogeneous polynomial; its first coefficient is positive so
+        that argparse does not read the value as an option."""
+        text = ""
+        for k in range(draw(st.integers(1, max_terms))):
+            exps = [0] * len(variables)
+            for _ in range(degree):
+                exps[draw(st.integers(0, len(variables) - 1))] += 1
+            factors = [f"{v}^{e}" for v, e in zip(variables, exps) if e]
+            c = draw(st.integers(-3 if k else 1, 3))
+            sign = " - " if c < 0 else " + " if k else ""
+            text += f"{sign}{abs(c)}*" + "*".join(factors)
+        return text
+
+    if draw(st.integers(0, 9)) == 0:
+        ideal = draw(st.text(_JUNK, max_size=8))
+    else:
+        count = draw(st.integers(1, 3))
+        ideal = ", ".join(polynomial(draw(st.integers(1, 3)), 2) for _ in range(count))
+    argv = [name, "--ring", " ".join(variables), "--ideal", ideal]
+    argv += ["--trials", str(draw(st.integers(1, 3)))]
+    argv += ["--shift", str(draw(st.integers(0, 3)))]
+    fields = {f.name for f in dataclasses.fields(COMMANDS[cli._SUBCOMMANDS[name][0]])}
+    if "forms" in fields:
+        # a form of degree 2 about one draw in ten: refused with exit 2
+        degrees = st.sampled_from([1] * 9 + [2])
+        forms = [polynomial(draw(degrees), 3) for _ in range(draw(st.integers(1, 3)))]
+        argv += ["--forms", ", ".join(forms)]
+    if "index" in fields:
+        argv += ["-i", str(draw(st.integers(0, 3)))]
+    if "degree" in fields:
+        argv += ["--degree", str(draw(st.integers(0, 6)))]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+class TestExitStatusProperty:
+    @settings(max_examples=400, deadline=None)
+    @given(oneshot_argv())
+    def test_every_one_shot_ends_in_a_documented_status(self, argv):
+        """0 and 1 leave standard error empty, 2 prints an error line, and
+        nothing ends in exit 3 or a traceback."""
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        if code == 2:
+            assert "error:" in err.getvalue()
+        else:
+            assert err.getvalue() == ""
+            if "--json" in argv:
+                report = json.loads(out.getvalue())
+                assert report["status"] == ("pass" if code == 0 else "fail")
 
 
 def test_t_polynomial_formatting():

@@ -39,6 +39,9 @@ def test_module_meets_dimension_floor():
 def test_module_dimension_floor_validation():
     with pytest.raises(ValueError):
         random_module(random.Random(0), 2, min_dim=3)
+    # a nonzero ideal leaves dimension at most d - 1: no draw could pass
+    with pytest.raises(ValueError):
+        random_module(random.Random(0), 2, min_dim=2)
 
 
 def test_independent_forms():
